@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .addressing import Address
@@ -108,21 +107,11 @@ def cmd_run(args) -> int:
     trace_dir, report_dir = Path(args.trace), Path(args.report)
     trace_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
-    jobs = max(1, args.jobs)
-
-    def one(indexed: tuple[int, str]) -> int:
-        i, path = indexed
+    codes = []
+    for i, path in enumerate(configs):
         stem = f"{i:02d}_{Path(path).stem}"  # index keeps same-named configs apart
-        return _run_one(
-            path, str(trace_dir / f"{stem}.trace"), str(report_dir / f"{stem}.report"),
-            args.seed_override,
-        )
-
-    if jobs == 1:
-        codes = [one(c) for c in enumerate(configs)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(one, enumerate(configs)))
+        trace, report = trace_dir / f"{stem}.trace", report_dir / f"{stem}.report"
+        codes.append(_run_one(path, str(trace), str(report), args.seed_override))
     return max(codes)
 
 
@@ -220,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", required=True, help="trace file (or directory for many configs)")
     run.add_argument("--report", required=True, help="report file (or directory)")
     run.add_argument("--seed-override", type=lambda s: int(s, 0), default=None)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=1, help="ignored: configs run one after another")
     run.set_defaults(fn=cmd_run)
 
     train = sub.add_parser("train", help="fit a dwell model from an interval trace")

@@ -209,21 +209,15 @@ def decode_payload(records: PtrRecordSet, domain_tail: str = DEFAULT_DOMAIN_TAIL
 
 
 class ReverseZone:
-    """In-process reverse-DNS zone: the registrar/resolver pair.
-
-    Lookups are recorded so an observer can treat them as visible DNS
-    traffic.
-    """
+    """In-process reverse-DNS zone: the registrar/resolver pair."""
 
     def __init__(self):
         self._records: dict[Address, PtrRecordSet] = {}
-        self.lookup_log: list[tuple[float, Address]] = []
 
     def register(self, records: PtrRecordSet) -> None:
         self._records[records.anchor_ip] = records
 
-    def lookup(self, ip: Address, at: float = 0.0) -> PtrRecordSet:
-        self.lookup_log.append((at, ip))
+    def lookup(self, ip: Address) -> PtrRecordSet:
         found = self._records.get(ip)
         return found if found is not None else PtrRecordSet(ip, ())
 

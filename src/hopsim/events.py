@@ -37,9 +37,6 @@ class EventQueue:
             processed += 1
         return processed
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 class TraceLog:
     """Append-only event trace: one ``t,component,event,details`` line each."""
@@ -49,6 +46,3 @@ class TraceLog:
 
     def emit(self, t: float, component: str, event: str, details: str = "") -> None:
         self.lines.append(f"{t:.3f},{component},{event},{details}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")

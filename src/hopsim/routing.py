@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .addressing import Address, Prefix
 from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
@@ -35,21 +34,6 @@ class RouteMessage:
     path: tuple[int, ...] | None  # None = withdraw
 
 
-class AnnouncementKind(Enum):
-    ANNOUNCE = "announce"
-    WITHDRAW = "withdraw"
-
-
-@dataclass(frozen=True)
-class Announcement:
-    """Log record of one origin-side routing action."""
-
-    kind: AnnouncementKind
-    prefix: Prefix
-    origin: int
-    seq: int
-
-
 @dataclass
 class AsNode:
     asn: int
@@ -65,8 +49,6 @@ class AsGraph:
         self.links: set[tuple[int, int]] = set()
         self.pending: deque[RouteMessage] = deque()
         self.origins: dict[Prefix, int] = {}
-        self.history: list[Announcement] = []
-        self._seq: dict[int, int] = {}
 
     def add_node(self, asn: int) -> AsNode:
         if asn not in self.nodes:
@@ -88,10 +70,6 @@ class AsGraph:
         out = list(self.pending)
         self.pending.clear()
         return out
-
-    def _next_seq(self, origin: int) -> int:
-        self._seq[origin] = self._seq.get(origin, 0) + 1
-        return self._seq[origin]
 
     @classmethod
     def from_edges(cls, edges: list[tuple[int, int]]) -> "AsGraph":
@@ -132,9 +110,6 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     node = graph.nodes[origin]
     graph.origins[prefix] = origin
     node.rib[prefix] = Route((), origin)
-    graph.history.append(
-        Announcement(AnnouncementKind.ANNOUNCE, prefix, origin, graph._next_seq(origin))
-    )
     msgs = [RouteMessage(origin, nbr, prefix, (origin,)) for nbr in sorted(node.neighbors)]
     graph.pending.extend(msgs)
     return msgs
@@ -149,9 +124,6 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     node = graph.nodes[origin]
     del graph.origins[prefix]
     node.rib.pop(prefix, None)
-    graph.history.append(
-        Announcement(AnnouncementKind.WITHDRAW, prefix, origin, graph._next_seq(origin))
-    )
     msgs = [RouteMessage(origin, nbr, prefix, None) for nbr in sorted(node.neighbors)]
     graph.pending.extend(msgs)
     return msgs

@@ -167,42 +167,32 @@ def hop(
     *,
     graph: AsGraph | None = None,
     grace_window_ms: float = 0.0,
-    withdraw_lag_ms: float = 0.0,
-) -> list[tuple]:
+) -> None:
     """Execute one scheduled address transition on `agent`.
 
-    Emits, in order: the announce check (the route must already exist,
-    installed lead-time earlier), the flow-rule install, and for
-    non-first hops the grace timer and delayed withdraw for the previous
-    address. The caller schedules the timed follow-ups.
+    With a `graph`, first checks that the new address's route was
+    announced (lead-time earlier) from the agent's AS; then installs its
+    flow rules. The caller schedules the timed follow-ups: grace expiry
+    and withdrawal of the previous address.
     """
     schedule = agent.schedule
     if schedule is None:
         raise ScenarioError("agent has no hop schedule")
     if index >= len(schedule):
         raise ScheduleExhausted(f"hop {index} of {len(schedule)}")
-    entry = schedule.entries[index]
-    prev = schedule.entries[index - 1].address if index > 0 else None
-    events: list[tuple] = []
+    address = schedule.entries[index].address
     if graph is not None:
         announced = any(
-            p.contains(entry.address) and origin == agent.attached_as
+            p.contains(address) and origin == agent.attached_as
             for p, origin in graph.origins.items()
         )
         if not announced:
             raise ScenarioError(
-                f"hop {index}: {entry.address} has no announced route from AS {agent.attached_as}"
+                f"hop {index}: {address} has no announced route from AS {agent.attached_as}"
             )
-    events.append(("announce_verified", str(entry.address)))
-    use_grace = prev is not None and grace_window_ms > 0
     agent.flow_table = install_hop_rules(
-        agent.flow_table, agent.internal_ip, entry.address, grace=use_grace
+        agent.flow_table, agent.internal_ip, address, grace=index > 0 and grace_window_ms > 0
     )
-    events.append(("flow_install", str(entry.address)))
-    if prev is not None and prev != entry.address:
-        events.append(("grace_timer", str(prev), grace_window_ms))
-        events.append(("withdraw_after", str(prev), withdraw_lag_ms))
-    return events
 
 
 # --- metrics ---------------------------------------------------------------
@@ -397,6 +387,21 @@ class ScenarioConfig:
                 raise ConfigError("[client] pool", "two_way requires a client pool")
             if client_pool.version is not client_ip.version:
                 raise ConfigError("[client] pool", "pool version differs from internal_ip")
+            for c in client_pool.prefixes:
+                for p in server_pool.prefixes:
+                    if c.covers(p) or p.covers(c):
+                        raise ConfigError("[client] pool", f"{c} overlaps [server] pool prefix {p}")
+
+        # Each hopping end draws n_hops distinct addresses from its pool.
+        for role, pool, hopping in (
+            ("server", server_pool, server_hopping), ("client", client_pool, two_way)
+        ):
+            if hopping and n_hops > pool.total_addresses:
+                raise ConfigError(
+                    "[scenario] n_hops",
+                    f"{n_hops} hops need distinct addresses; "
+                    f"[{role}] pool holds {pool.total_addresses}",
+                )
 
         adversary = None
         if cp.has_section("adversary"):
@@ -530,7 +535,6 @@ class SimulationResult:
     metrics: SessionMetrics
     trace: list[str]
     verdicts: list[str]
-    schedule: HopSchedule | None
 
     def trace_text(self) -> str:
         return "\n".join(self.trace) + ("\n" if self.trace else "")
@@ -576,7 +580,6 @@ class Simulation:
                 )
 
         self._prefix_refs: dict[Prefix, int] = {}
-        self.announcement_log: list[str] = []  # t,kind,prefix,origin per routing action
         self._hops_entered: list[tuple[int, float]] = []  # server-side windows
         self._hop_starts_abs: list[float] = []
         self._sent = 0
@@ -606,7 +609,6 @@ class Simulation:
         if count == 1:
             announce(self.graph, prefix, origin)
             self._emit_trace("route", "announce", f"prefix={prefix};origin={origin}")
-            self.announcement_log.append(f"{self.queue.now:.3f},announce,{prefix},{origin}")
             self._flush_routing()
 
     def _release_prefix(self, prefix: Prefix, origin: int) -> None:
@@ -615,7 +617,6 @@ class Simulation:
         if count == 0:
             withdraw(self.graph, prefix, origin)
             self._emit_trace("route", "withdraw", f"prefix={prefix};origin={origin}")
-            self.announcement_log.append(f"{self.queue.now:.3f},withdraw,{prefix},{origin}")
             self._flush_routing()
 
     # -- setup --
@@ -637,7 +638,7 @@ class Simulation:
         records = encode_payload(payload, cfg.anchor_ip, cfg.domain_tail)
         self.zone.register(records)
         self._emit_trace("dns", "register", f"anchor={cfg.anchor_ip};names={len(records.names)}")
-        fetched = self.zone.lookup(cfg.anchor_ip, at=self.queue.now)
+        fetched = self.zone.lookup(cfg.anchor_ip)
         decoded = decode_payload(fetched, cfg.domain_tail)
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
 
@@ -694,13 +695,7 @@ class Simulation:
         cfg = self.config
         entry = end.schedule.entries[k]
         prev = end.schedule.entries[k - 1].address if k > 0 else None
-        hop(
-            end.agent,
-            k,
-            graph=self.graph,
-            grace_window_ms=cfg.grace_window_ms,
-            withdraw_lag_ms=cfg.withdraw_lag_ms,
-        )
+        hop(end.agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
         if end.agent is self.server:
             self._hops_entered.append((k, self.queue.now))
         self._emit_trace(
@@ -826,7 +821,7 @@ class Simulation:
             "session", "end", f"sent={metrics.packets_sent};delivered={metrics.packets_delivered}"
         )
         verdicts = self._analyze_timing()
-        return SimulationResult(metrics, list(self.trace.lines), verdicts, self.server.schedule)
+        return SimulationResult(metrics, self.trace.lines, verdicts)
 
     def _build_metrics(self) -> SessionMetrics:
         cfg = self.config

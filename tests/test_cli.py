@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
 from hopsim.cli import MACHINE_MARKER, main, payload_from_text, payload_to_text
 from hopsim.covert import SyncPayload, encode_payload, zone_lines
 from hopsim.addressing import Address, PrefixPool
+from hopsim.errors import ScenarioError
+from hopsim.session import Simulation
 
 from conftest import make_config
 
@@ -47,14 +51,41 @@ class TestRun:
         code = main(["run", "--config", str(config), "--trace", "t", "--report", "r"])
         assert code == 2
 
-    def test_runtime_scenario_failure_exits_3(self, tmp_path):
-        # Pool of 4 addresses cannot supply 20 distinct hops; this only
-        # surfaces once the schedule is derived.
-        config = make_config(tmp_path, pool="192.0.2.8/30", n_hops=20, packets=1, gap_ms="10")
+    def test_runtime_scenario_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A failure inside a run of a config that parsed cleanly.
+        def fail(self):
+            raise ScenarioError("endpoints derived different schedules from one payload")
+
+        monkeypatch.setattr(Simulation, "run", fail)
+        config = make_config(tmp_path, n_hops=3, packets=1, gap_ms="10")
         code = main(
             ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]
         )
         assert code == 3
+        assert "scenario failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "server_pool, client_pool, key",
+        [
+            ("192.0.2.8/30", None, "[scenario] n_hops"),  # 4 addresses for 5 hops
+            ("184.164.243.0/24", "184.164.242.0/30", "[scenario] n_hops"),  # same, client side
+            ("184.164.243.0/24", "184.164.243.0/25", "[client] pool"),  # inside the server's /24
+        ],
+        ids=["server_pool_too_small", "client_pool_too_small", "pools_overlap"],
+    )
+    def test_unusable_pool_exits_2(self, tmp_path, capsys, server_pool, client_pool, key):
+        config = make_config(tmp_path, pool=server_pool, n_hops=5, packets=1, gap_ms="10")
+        if client_pool is not None:
+            config.write_text(
+                config.read_text()
+                .replace("[scenario]", "[scenario]\ntwo_way = true")
+                .replace("184.164.242.77", f"10.0.0.2\npool = {client_pool}")
+            )
+        code = main(
+            ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_seed_override_changes_hash_not_determinism(self, tmp_path):
         config = make_config(tmp_path, n_hops=4, fixed_ms=500.0, packets=6, gap_ms="100")
@@ -71,14 +102,20 @@ class TestRun:
         a_dir.mkdir(), b_dir.mkdir()
         c1 = make_config(a_dir, n_hops=3, fixed_ms=400.0, packets=5, gap_ms="100")
         c2 = make_config(b_dir, n_hops=3, fixed_ms=400.0, packets=5, gap_ms="100", seed=9)
-        traces, reports = tmp_path / "traces", tmp_path / "reports"
-        code = main([
-            "run", "--config", str(c1), str(c2),
-            "--trace", str(traces), "--report", str(reports), "--jobs", "2",
-        ])
-        assert code == 0
-        assert len(list(traces.iterdir())) == 2
-        assert len(list(reports.iterdir())) == 2
+        outputs = []
+        for jobs in ("1", "2"):
+            traces, reports = tmp_path / f"traces{jobs}", tmp_path / f"reports{jobs}"
+            code = main([
+                "run", "--config", str(c1), str(c2),
+                "--trace", str(traces), "--report", str(reports), "--jobs", jobs,
+            ])
+            assert code == 0
+            outputs.append((
+                {p.name: p.read_bytes() for p in traces.iterdir()},
+                {p.name: p.read_text().split(MACHINE_MARKER)[1] for p in reports.iterdir()},
+            ))
+        assert len(outputs[0][0]) == len(outputs[0][1]) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestTrain:

@@ -79,16 +79,6 @@ class TestAnnounce:
         with pytest.raises(MoasConflict):
             announce(g, P24, 2)
 
-    def test_sequence_numbers_increase_per_origin(self):
-        g = AsGraph.from_edges([(1, 2)])
-        announce(g, P24, 1)
-        converge(g)
-        withdraw(g, P24, 1)
-        converge(g)
-        announce(g, P24, 1)
-        seqs = [a.seq for a in g.history if a.origin == 1]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-
 
 class TestWithdraw:
     def test_line_withdraw_clears_all_ribs(self):
