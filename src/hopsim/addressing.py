@@ -85,6 +85,11 @@ class Prefix:
         if self.base.bits & self.host_mask:
             raise ValueError(f"prefix base {self.base} has nonzero host bits")
 
+    def __hash__(self) -> int:
+        # Plain ints: the generated hash also hashes `base` and its Enum
+        # version, and routing hashes prefixes several times per update.
+        return hash((self.base.bits, self.length))
+
     @property
     def version(self) -> IPVersion:
         return self.base.version

@@ -9,14 +9,27 @@ simulator only needs reachability for ephemeral prefixes.
 Messages carry the sender's full advertised path; receivers discard
 paths containing themselves, which gives loop freedom and termination
 for this monotone policy.
+
+Updates are coalesced: at most one undelivered update exists per
+(sender, receiver, prefix). A newer update replaces the queued one and
+goes out in that one's delivery slot instead of taking a new slot.
+Without this, every intermediate best-path change reaches every
+neighbour, and a withdrawal explores ever longer dead paths before it
+settles: the delayed convergence of Labovitz et al. (SIGCOMM 2000),
+which BGP bounds with MinRouteAdvertisementInterval (RFC 4271
+§9.2.1.1). Only a neighbour's latest advertisement matters to its
+receiver, so the fixed point is unchanged. `AsGraph` owns the queue;
+`converge` drains it in slot order, and an external scheduler takes the
+slots with `AsGraph.take_slots` and delivers each with `AsGraph.take`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .addressing import Address, Prefix
+from .addressing import Address, IPVersion, Prefix
 from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
 
 
@@ -34,20 +47,79 @@ class RouteMessage:
     path: tuple[int, ...] | None  # None = withdraw
 
 
+UpdateKey = tuple[int, int, Prefix]  # (sender, receiver, prefix)
+
+
+class PrefixIndex:
+    """Prefixes bucketed by (version, length), longest first.
+
+    Finding the prefixes that contain an address costs one dict probe
+    per distinct length held, keyed by the address's top bits, instead
+    of a containment test per prefix.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self):
+        # (version, host bits, {base bits >> host bits: prefix}), host bits ascending.
+        self.buckets: list[tuple[IPVersion, int, dict[int, Prefix]]] = []
+
+    def add(self, prefix: Prefix) -> None:
+        version, host = prefix.version, prefix.host_bits
+        for v, h, table in self.buckets:
+            if v is version and h == host:
+                table[prefix.base.bits >> host] = prefix
+                return
+        self.buckets.append((version, host, {prefix.base.bits >> host: prefix}))
+        self.buckets.sort(key=lambda bucket: bucket[1])
+
+    def discard(self, prefix: Prefix) -> None:
+        version, host = prefix.version, prefix.host_bits
+        for i, (v, h, table) in enumerate(self.buckets):
+            if v is version and h == host:
+                table.pop(prefix.base.bits >> host, None)
+                if not table:
+                    del self.buckets[i]
+                return
+
+    def matches(self, address: Address) -> Iterator[Prefix]:
+        """The held prefixes that contain `address`, longest first."""
+        version, bits = address.version, address.bits
+        for v, host, table in self.buckets:
+            if v is version:
+                prefix = table.get(bits >> host)
+                if prefix is not None:
+                    yield prefix
+
+
 @dataclass
 class AsNode:
     asn: int
     neighbors: set[int] = field(default_factory=set)
+    peers: tuple[int, ...] = ()  # `neighbors` sorted: the order updates go out in
     rib: dict[Prefix, Route] = field(default_factory=dict)
     # Candidate paths learned per neighbor, as seen from this node.
     learned: dict[Prefix, dict[int, tuple[int, ...]]] = field(default_factory=dict)
+    index: PrefixIndex = field(default_factory=PrefixIndex)  # over the rib's prefixes
+
+    def install(self, prefix: Prefix, route: Route) -> None:
+        if prefix not in self.rib:
+            self.index.add(prefix)
+        self.rib[prefix] = route
+
+    def remove(self, prefix: Prefix) -> None:
+        if self.rib.pop(prefix, None) is not None:
+            self.index.discard(prefix)
 
 
 class AsGraph:
     def __init__(self):
         self.nodes: dict[int, AsNode] = {}
         self.links: set[tuple[int, int]] = set()
-        self.pending: deque[RouteMessage] = deque()
+        # Undelivered updates, one per key; `slots` holds their keys in
+        # delivery order until `converge` or a scheduler takes them.
+        self.pending: dict[UpdateKey, RouteMessage] = {}
+        self.slots: deque[UpdateKey] = deque()
         self.origins: dict[Prefix, int] = {}
 
     def add_node(self, asn: int) -> AsNode:
@@ -58,18 +130,43 @@ class AsGraph:
     def add_link(self, a: int, b: int) -> None:
         if a == b:
             raise ValueError("self-links not allowed")
-        self.add_node(a).neighbors.add(b)
-        self.add_node(b).neighbors.add(a)
+        for x, y in ((a, b), (b, a)):
+            node = self.add_node(x)
+            node.neighbors.add(y)
+            node.peers = tuple(sorted(node.neighbors))
         self.links.add((min(a, b), max(a, b)))
 
     def has_link(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.links
 
-    def drain_pending(self) -> list[RouteMessage]:
-        """Hand queued messages to an external scheduler (the event loop)."""
-        out = list(self.pending)
-        self.pending.clear()
+    def send(
+        self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None
+    ) -> list[RouteMessage]:
+        """Queue `node`'s update on `prefix` to each neighbor.
+
+        An update replaces an undelivered one on the same key and keeps
+        that one's slot; only a key with nothing queued opens a new slot.
+        """
+        msgs = [RouteMessage(node.asn, nbr, prefix, path) for nbr in node.peers]
+        pending = self.pending
+        for msg in msgs:
+            key = (node.asn, msg.receiver, prefix)
+            if pending.setdefault(key, msg) is msg:
+                self.slots.append(key)
+            else:
+                pending[key] = msg
+        return msgs
+
+    def take_slots(self) -> list[UpdateKey]:
+        """Hand the slots opened since the last call to an external
+        scheduler (the event loop), which delivers each with `take`."""
+        out = list(self.slots)
+        self.slots.clear()
         return out
+
+    def take(self, key: UpdateKey) -> RouteMessage:
+        """Remove and return the update now queued on `key`."""
+        return self.pending.pop(key)
 
     @classmethod
     def from_edges(cls, edges: list[tuple[int, int]]) -> "AsGraph":
@@ -109,10 +206,8 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
         raise MoasConflict(f"{prefix} already announced by AS {holder}")
     node = graph.nodes[origin]
     graph.origins[prefix] = origin
-    node.rib[prefix] = Route((), origin)
-    msgs = [RouteMessage(origin, nbr, prefix, (origin,)) for nbr in sorted(node.neighbors)]
-    graph.pending.extend(msgs)
-    return msgs
+    node.install(prefix, Route((), origin))
+    return graph.send(node, prefix, (origin,))
 
 
 def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
@@ -123,10 +218,8 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
         raise NotAnnounced(f"{prefix} not announced by AS {origin}")
     node = graph.nodes[origin]
     del graph.origins[prefix]
-    node.rib.pop(prefix, None)
-    msgs = [RouteMessage(origin, nbr, prefix, None) for nbr in sorted(node.neighbors)]
-    graph.pending.extend(msgs)
-    return msgs
+    node.remove(prefix)
+    return graph.send(node, prefix, None)
 
 
 def _best_candidate(graph: AsGraph, node: AsNode, prefix: Prefix) -> Route | None:
@@ -158,33 +251,42 @@ def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
     if best == old:
         return []
     if best is None:
-        del node.rib[msg.prefix]
+        node.remove(msg.prefix)
         advertised = None
     else:
         assert node.asn not in best.path, "loop-free invariant violated"
-        node.rib[msg.prefix] = best
+        node.install(msg.prefix, best)
         advertised = (node.asn,) + best.path
-    out = [RouteMessage(node.asn, nbr, msg.prefix, advertised) for nbr in sorted(node.neighbors)]
-    graph.pending.extend(out)
-    return out
+    return graph.send(node, msg.prefix, advertised)
 
 
 def converge(graph: AsGraph) -> int:
-    """Process queued updates to a fixed point; returns steps taken."""
+    """Deliver queued updates in slot order to a fixed point; returns steps taken."""
     steps = 0
-    while graph.pending:
-        msg = graph.pending.popleft()
-        process_message(graph, msg)
+    while graph.slots:
+        process_message(graph, graph.take(graph.slots.popleft()))
         steps += 1
     return steps
 
 
 def longest_match(node: AsNode, dst: Address) -> Prefix | None:
-    best = None
-    for prefix in node.rib:
-        if prefix.contains(dst) and (best is None or prefix.length > best.length):
-            best = prefix
-    return best
+    # `PrefixIndex.matches` inlined: this runs per packet per AS.
+    version, bits = dst.version, dst.bits
+    for v, host, table in node.index.buckets:
+        if v is version:
+            prefix = table.get(bits >> host)
+            if prefix is not None:
+                return prefix
+    return None
+
+
+def originates(graph: AsGraph, asn: int, address: Address) -> bool:
+    """True if some announced prefix containing `address` has origin `asn`."""
+    # An origin's rib holds every prefix it announces, so its index finds them.
+    node = graph.nodes.get(asn)
+    return node is not None and any(
+        graph.origins.get(p) == asn for p in node.index.matches(address)
+    )
 
 
 def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int]:

@@ -53,7 +53,7 @@ from .flowtable import (
 )
 from .hopping import HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
-from .routing import AsGraph, announce, longest_match, process_message, withdraw
+from .routing import AsGraph, announce, longest_match, originates, process_message, withdraw
 
 _REQUIRED = object()
 
@@ -181,15 +181,10 @@ def hop(
     if index >= len(schedule):
         raise ScheduleExhausted(f"hop {index} of {len(schedule)}")
     address = schedule.entries[index].address
-    if graph is not None:
-        announced = any(
-            p.contains(address) and origin == agent.attached_as
-            for p, origin in graph.origins.items()
+    if graph is not None and not originates(graph, agent.attached_as, address):
+        raise ScenarioError(
+            f"hop {index}: {address} has no announced route from AS {agent.attached_as}"
         )
-        if not announced:
-            raise ScenarioError(
-                f"hop {index}: {address} has no announced route from AS {agent.attached_as}"
-            )
     agent.flow_table = install_hop_rules(
         agent.flow_table, agent.internal_ip, address, grace=index > 0 and grace_window_ms > 0
     )
@@ -594,13 +589,15 @@ class Simulation:
         self.trace.emit(self.queue.now, component, event, details)
 
     def _flush_routing(self) -> None:
-        for msg in self.graph.drain_pending():
+        # One event per delivery slot: an update that replaces a queued
+        # one rides in that one's slot (see the routing module).
+        for key in self.graph.take_slots():
             self.queue.schedule_in(
-                self.config.link_delay_ms, lambda m=msg: self._deliver_routing(m)
+                self.config.link_delay_ms, lambda k=key: self._deliver_routing(k)
             )
 
-    def _deliver_routing(self, msg) -> None:
-        process_message(self.graph, msg)
+    def _deliver_routing(self, key) -> None:
+        process_message(self.graph, self.graph.take(key))
         self._flush_routing()
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
@@ -791,10 +788,11 @@ class Simulation:
             self._resolve()
             return
         if result.dst != agent.internal_ip:
-            raise ScenarioError(
-                f"packet {packet.id} reached the application with dst {result.dst}; "
-                f"the fixed internal address was {agent.internal_ip}"
-            )
+            # Half rewritten: a peer-tracking rule rewrote the source, but the
+            # hop rule for this destination expired (a skewed peer still sent to it).
+            self._emit_trace("traffic", "drop", f"id={packet.id};reason=stale_rewrite;at={asn}")
+            self._resolve()
+            return
         self._delivered += 1
         window = self._window_at(self.queue.now)
         self._deliveries_by_window[window] = self._deliveries_by_window.get(window, 0) + 1

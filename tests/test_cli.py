@@ -87,6 +87,29 @@ class TestRun:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_skewed_two_way_session_drops_half_rewritten_packets(self, tmp_path):
+        # The skewed client keeps sending to the server's previous address
+        # after its grace window; the server counts each such packet as a
+        # drop instead of failing the run.
+        config = make_config(tmp_path, n_hops=5, fixed_ms=500.0, packets=30, gap_ms="auto")
+        config.write_text(
+            config.read_text()
+            .replace("[scenario]", "[scenario]\ntwo_way = true\nclient_seed = 909")
+            .replace("grace_window_ms = 200.0", "grace_window_ms = 200.0\nclock_skew_ms = 300")
+            .replace("184.164.242.77", "10.0.0.2\npool = 184.164.242.0/24")
+        )
+        out = []
+        for tag in ("a", "b"):
+            trace, report = tmp_path / f"{tag}.trace", tmp_path / f"{tag}.report"
+            assert main(
+                ["run", "--config", str(config), "--trace", str(trace), "--report", str(report)]
+            ) == 0
+            out.append((trace.read_bytes(), report.read_text().split(MACHINE_MARKER)[1]))
+        assert out[0] == out[1]
+        metrics = json.loads(out[0][1])["metrics"]
+        assert metrics["packets_delivered"] < metrics["packets_sent"] == 30
+        assert b"reason=stale_rewrite;at=3" in out[0][0]
+
     def test_seed_override_changes_hash_not_determinism(self, tmp_path):
         config = make_config(tmp_path, n_hops=4, fixed_ms=500.0, packets=6, gap_ms="100")
         t1, r1 = tmp_path / "1.trace", tmp_path / "1.report"

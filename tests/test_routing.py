@@ -9,6 +9,8 @@ from hopsim.routing import (
     AsGraph,
     announce,
     converge,
+    longest_match,
+    originates,
     process_message,
     route_lookup,
     withdraw,
@@ -205,14 +207,70 @@ class TestTopologyLoading:
             AsGraph.from_text("1 2 3\n")
 
 
-def test_drain_pending_hands_messages_to_scheduler():
-    g = AsGraph.from_edges([(1, 2), (2, 3)])
+def test_scheduler_hand_off_reaches_converge_fixed_point():
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4), (4, 5)]
+    reference = AsGraph.from_edges(edges)
+    announce(reference, P24, 3)
+    converge(reference)
+    g = AsGraph.from_edges(edges)
     msgs = announce(g, P24, 3)
-    drained = g.drain_pending()
-    assert drained == msgs
+    slots = g.take_slots()
+    assert slots == [(m.sender, m.receiver, m.prefix) for m in msgs]
+    assert not g.slots
+    # An external scheduler delivering the slots in order reaches the
+    # same ribs as converge(), and leaves nothing undelivered.
+    while slots:
+        process_message(g, g.take(slots.pop(0)))
+        slots.extend(g.take_slots())
     assert not g.pending
-    # An external scheduler can process the same messages to the same result.
-    while drained:
-        drained.extend(process_message(g, drained.pop(0)))
-        g.drain_pending()
-    assert g.nodes[1].rib[P24].path == (2, 3)
+    assert {asn: n.rib for asn, n in g.nodes.items()} == {
+        asn: n.rib for asn, n in reference.nodes.items()
+    }
+
+
+class TestCoalescing:
+    def test_newer_update_replaces_queued_one_in_its_slot(self):
+        g = AsGraph.from_edges([(1, 2), (2, 3)])
+        announce(g, P24, 3)
+        announce(g, P_OTHER, 3)
+        withdraw(g, P24, 3)
+        # Two keys, in the order they were first queued; the withdrawal
+        # took over the announcement's slot instead of opening a third.
+        assert list(g.slots) == [(3, 2, P24), (3, 2, P_OTHER)]
+        assert g.pending[(3, 2, P24)].path is None
+        converge(g)
+        assert all(P24 not in n.rib and P24 not in n.learned for n in g.nodes.values())
+        assert g.nodes[1].rib[P_OTHER].path == (2, 3)
+
+    def test_delivered_key_opens_a_new_slot(self):
+        g = AsGraph.from_edges([(1, 2)])
+        announce(g, P24, 1)
+        (key,) = g.take_slots()
+        process_message(g, g.take(key))
+        assert g.take_slots() == [(2, 1, P24)]  # AS 2's reply
+        withdraw(g, P24, 1)
+        assert g.take_slots() == [key]
+
+
+class TestPrefixIndex:
+    def test_matches_longest_first_and_version_strict(self):
+        g = AsGraph.from_edges([(1, 2)])
+        p16 = Prefix.parse("184.164.0.0/16")
+        v6 = Prefix.parse("b8a4:f300::/24")  # same top 24 bits as P24
+        for p in (p16, P24, v6):
+            announce(g, p, 1)
+        index = g.nodes[1].index
+        assert list(index.matches(DST)) == [P24, p16]
+        assert list(index.matches(Address.parse("b8a4:f3ff::1"))) == [v6]
+        withdraw(g, P24, 1)
+        assert list(index.matches(DST)) == [p16]
+        assert longest_match(g.nodes[1], Address.parse("10.0.0.1")) is None
+
+    def test_originates_needs_the_agents_own_announcement(self):
+        g = AsGraph.from_edges([(1, 2)])
+        announce(g, Prefix.parse("184.164.0.0/16"), 2)
+        announce(g, P24, 1)
+        converge(g)
+        assert originates(g, 1, DST) and originates(g, 2, DST)
+        assert not originates(g, 1, Address.parse("184.164.9.9"))
+        assert not originates(g, 7, DST)

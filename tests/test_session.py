@@ -8,6 +8,7 @@ from hopsim.errors import (
     ScheduleExhausted,
     UnknownModel,
 )
+from hopsim.events import EventQueue
 from hopsim.flowtable import grace_set
 from hopsim.hopping import build_schedule
 from hopsim.routing import AsGraph, announce, converge
@@ -462,3 +463,72 @@ def test_golden_event_trace(tmp_path):
         "3500.000,route,withdraw,prefix=184.164.243.0/24;origin=3",
         "3530.000,session,end,sent=2;delivered=2",
     ]
+
+
+class TestRoutingChurn:
+    """Sessions on meshes, where coalesced route updates bound the work."""
+
+    def test_mesh_ribs_follow_bfs_mid_window_and_end_empty(self, tmp_path):
+        from test_routing import bfs_distances
+
+        # A 5-clique with a tail: many equal and unequal alternative paths.
+        edges = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)] + [(5, 6), (6, 7), (2, 7)]
+        pool = ",".join(f"100.64.{i}.0/24" for i in range(8))
+        path = make_config(
+            tmp_path, n_hops=6, pool=pool, fixed_ms=1000.0, packets=30, gap_ms="auto",
+            topo="".join(f"{a} {b}\n" for a, b in edges), server_as=7, client_as=1,
+        )
+        sim = Simulation(ScenarioConfig.from_file(path))
+        checked = []
+
+        def check():
+            assert sim.graph.origins
+            for asn, node in sim.graph.nodes.items():
+                assert set(node.rib) == set(sim.graph.origins), asn
+            for prefix, origin in sim.graph.origins.items():
+                distances = bfs_distances(sim.graph, origin)
+                for asn, node in sim.graph.nodes.items():
+                    assert len(node.rib[prefix].path) == distances[asn], (prefix, asn)
+            checked.append(sim.queue.now)
+
+        # Three quarters into each window: the previous window's prefix was
+        # withdrawn 250 ms earlier and the next one announced 750 ms earlier.
+        for k in range(6):
+            sim.queue.schedule_at(1750.0 + 1000.0 * k, check)
+        result = sim.run()
+        assert len(checked) == 6
+        assert result.metrics.packets_delivered == result.metrics.packets_sent == 30
+        assert not sim.graph.origins and not sim.graph.pending
+        assert all(not n.rib and not n.learned for n in sim.graph.nodes.values())
+
+    def test_200_as_graph_session_is_bounded(self, tmp_path, monkeypatch):
+        # Uncoalesced, a single withdrawal on this kind of graph ran past
+        # 3M routing messages; the whole session stays far below that now.
+        rng = SplitMix64(200)
+        size = 200
+        edges = {(1 + rng.below(i), i + 1) for i in range(1, size)}
+        while len(edges) < size - 1 + 200:
+            a, b = 1 + rng.below(size), 1 + rng.below(size)
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+        client_as = 1 + rng.below(size)
+        server_as = 1 + rng.below(size)
+        while server_as == client_as:
+            server_as = 1 + rng.below(size)
+        pool = ",".join(f"100.64.{i}.0/24" for i in range(32))
+        path = make_config(
+            tmp_path, n_hops=4, pool=pool, fixed_ms=1000.0, packets=8, gap_ms="auto",
+            topo="".join(f"{a} {b}\n" for a, b in sorted(edges)),
+            server_as=server_as, client_as=client_as,
+        )
+        processed = []
+        run_queue = EventQueue.run
+
+        def counted_run(queue):
+            processed.append(run_queue(queue))
+            return processed[-1]
+
+        monkeypatch.setattr(EventQueue, "run", counted_run)
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
+        assert metrics.packets_delivered == metrics.packets_sent == 8
+        assert len(processed) == 1 and processed[0] <= 250_000
