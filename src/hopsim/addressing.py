@@ -8,7 +8,8 @@ parsing and formatting delegate to the stdlib ``ipaddress`` module.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidPool
@@ -17,6 +18,10 @@ from .errors import InvalidPool
 class IPVersion(Enum):
     V4 = 4
     V6 = 6
+
+    # Members compare by identity, so the identity hash agrees with
+    # equality and runs in C; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
 
     @property
     def width(self) -> int:
@@ -31,6 +36,10 @@ class Address:
     def __post_init__(self):
         if not 0 <= self.bits < (1 << self.version.width):
             raise ValueError(f"address value out of range for {self.version.name}")
+
+    def __hash__(self) -> int:
+        # v4 and v6 addresses with equal bits collide here and differ in `==`.
+        return hash(self.bits)
 
     @property
     def width(self) -> int:
@@ -125,11 +134,61 @@ class Prefix:
         return f"{self.base}/{self.length}"
 
 
+class PrefixIndex:
+    """Prefixes bucketed by (version, length), longest first.
+
+    Finding the prefixes that contain an address costs one dict probe
+    per distinct length held, keyed by the address's top bits, instead
+    of a containment test per prefix.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, prefixes: Iterable[Prefix] = ()):
+        # (version, host bits, {base bits >> host bits: prefix}), host bits ascending.
+        self.buckets: list[tuple[IPVersion, int, dict[int, Prefix]]] = []
+        for prefix in prefixes:
+            self.add(prefix)
+
+    def add(self, prefix: Prefix) -> None:
+        version, host = prefix.version, prefix.host_bits
+        for v, h, table in self.buckets:
+            if v is version and h == host:
+                table[prefix.base.bits >> host] = prefix
+                return
+        self.buckets.append((version, host, {prefix.base.bits >> host: prefix}))
+        self.buckets.sort(key=lambda bucket: bucket[1])
+
+    def discard(self, prefix: Prefix) -> None:
+        version, host = prefix.version, prefix.host_bits
+        for i, (v, h, table) in enumerate(self.buckets):
+            if v is version and h == host:
+                table.pop(prefix.base.bits >> host, None)
+                if not table:
+                    del self.buckets[i]
+                return
+
+    def matches(self, address: Address) -> Iterator[Prefix]:
+        """The held prefixes that contain `address`, longest first."""
+        version, bits = address.version, address.bits
+        for v, host, table in self.buckets:
+            if v is version:
+                prefix = table.get(bits >> host)
+                if prefix is not None:
+                    yield prefix
+
+    def longest(self, address: Address) -> Prefix | None:
+        """The longest held prefix that contains `address`, or None."""
+        return next(self.matches(address), None)
+
+
 @dataclass(frozen=True)
 class PrefixPool:
     """Non-empty, same-version, pairwise disjoint set of prefixes."""
 
     prefixes: tuple[Prefix, ...]
+    total_addresses: int = field(init=False, repr=False, compare=False)
+    _index: PrefixIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.prefixes:
@@ -138,27 +197,27 @@ class PrefixPool:
         for p in self.prefixes:
             if p.version is not version:
                 raise InvalidPool("pool mixes IP versions")
-        for i, a in enumerate(self.prefixes):
-            for b in self.prefixes[i + 1 :]:
-                if a.covers(b) or b.covers(a):
-                    raise InvalidPool(f"overlapping prefixes {a} and {b}")
+        # CIDR prefixes are nested or disjoint, so in (base, length) order a
+        # prefix that covers another also covers its next neighbour.
+        ordered = sorted(self.prefixes, key=lambda p: (p.base.bits, p.length))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.covers(b):
+                raise InvalidPool(f"overlapping prefixes {a} and {b}")
+        object.__setattr__(self, "total_addresses", sum(p.num_addresses for p in self.prefixes))
+        object.__setattr__(self, "_index", PrefixIndex(self.prefixes))
 
     @property
     def version(self) -> IPVersion:
         return self.prefixes[0].version
 
-    @property
-    def total_addresses(self) -> int:
-        return sum(p.num_addresses for p in self.prefixes)
-
     def contains(self, address: Address) -> bool:
-        return any(p.contains(address) for p in self.prefixes)
+        return self._index.longest(address) is not None
 
     def covering_prefix(self, address: Address) -> Prefix:
-        for p in self.prefixes:
-            if p.contains(address):
-                return p
-        raise InvalidPool(f"{address} not covered by pool")
+        prefix = self._index.longest(address)
+        if prefix is None:
+            raise InvalidPool(f"{address} not covered by pool")
+        return prefix
 
     @classmethod
     def parse(cls, text: str) -> "PrefixPool":

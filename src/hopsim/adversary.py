@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .addressing import Address, Prefix
+from .addressing import Address, Prefix, PrefixIndex
 from .dwell import DhmmModel, IntervalAlphabet, distribution_distance, start_sampler
 from .errors import HopsimError
 from .flowtable import Packet, PacketKind
@@ -37,7 +37,9 @@ class ObserverTap:
     log: list[tuple[float, Address, Address, PacketKind]] = field(default_factory=list)
 
     def watches(self, a: int, b: int) -> bool:
-        return {a, b} == set(self.link)
+        """True if (a, b) is the tapped link, in either direction."""
+        x, y = self.link
+        return (a == x and b == y) or (a == y and b == x)
 
     def observe(self, t: float, packet: Packet) -> None:
         if self.log and t < self.log[-1][0]:
@@ -61,30 +63,34 @@ class BlockMode(Enum):
 class BlockPolicy:
     """Address filter; reactive mode learns destinations it has seen.
 
+    `blocked` is fixed at construction (any iterable is frozen), and is
+    indexed then: its addresses as a set, its prefixes by length.
+
     In reactive mode a destination observed `trigger_count` times is
     added to the blocked set `detect_delay_ms` after its first
     qualifying observation — the knob that models how fast the filter
     operator reacts.
     """
 
-    blocked: set[Address | Prefix] = field(default_factory=set)
+    blocked: frozenset[Address | Prefix] = frozenset()
     mode: BlockMode = BlockMode.STATIC
     detect_delay_ms: float = 0.0
     trigger_count: int = 1
     _dst_counts: dict[Address, int] = field(default_factory=dict)
     _pending: dict[Address, float] = field(default_factory=dict)
+    _addresses: frozenset[Address] = field(init=False, repr=False, compare=False)
+    _prefixes: PrefixIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode is BlockMode.REACTIVE and self.detect_delay_ms <= 0:
             raise ValueError("reactive mode requires a positive detect delay")
+        self.blocked = frozenset(self.blocked)
+        self._addresses = frozenset(e for e in self.blocked if not isinstance(e, Prefix))
+        self._prefixes = PrefixIndex(e for e in self.blocked if isinstance(e, Prefix))
 
     def _listed(self, address: Address, at: float) -> bool:
-        for entry in self.blocked:
-            if isinstance(entry, Prefix):
-                if entry.contains(address):
-                    return True
-            elif entry == address:
-                return True
+        if address in self._addresses or self._prefixes.longest(address) is not None:
+            return True
         activation = self._pending.get(address)
         return activation is not None and at >= activation
 

@@ -7,14 +7,20 @@ for rewrite parity with IP.
 
 Tables are immutable values: installs return new tables, so no packet
 event can observe a half-updated table.
+
+Lookups are tuple-space search (Srinivasan, Suri and Varghese, SIGCOMM
+1999), as in Open vSwitch's classifier: every match is exact on one
+address field, so a table indexes its best rule per (kind, direction,
+field, address) once, when it is built, and a lookup probes the source
+key and the destination key instead of scanning the rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .addressing import Address
+from .addressing import Address, IPVersion
 from .errors import VersionMismatch
 
 # All hop-rewrite rules share one priority; endpoint self-permits sit
@@ -24,19 +30,26 @@ PEER_RULE_PRIORITY = 90
 PERMIT_RULE_PRIORITY = 10
 
 
+# The Enums in lookup keys hash by identity, which agrees with their
+# identity equality and runs in C (Enum's own hashes the name in Python).
+
+
 class PacketKind(Enum):
     IP = "ip"
     ARP = "arp"
+    __hash__ = object.__hash__
 
 
 class Direction(Enum):
     OUTBOUND = "out"
     INBOUND = "in"
+    __hash__ = object.__hash__
 
 
 class AddrField(Enum):
     SRC = "src"
     DST = "dst"
+    __hash__ = object.__hash__
 
 
 class ActionKind(Enum):
@@ -67,12 +80,6 @@ class Match:
     field: AddrField
     value: Address
 
-    def hits(self, packet: Packet, direction: Direction) -> bool:
-        if self.kind is not packet.kind or self.direction is not direction:
-            return False
-        observed = packet.src if self.field is AddrField.SRC else packet.dst
-        return observed == self.value
-
 
 @dataclass(frozen=True)
 class Action:
@@ -100,22 +107,40 @@ class FlowRule:
             raise VersionMismatch(f"rewrite target {self.action.arg} vs match {self.match.value}")
 
 
+LookupKey = tuple[PacketKind, Direction, AddrField, IPVersion, int]
+
+
 @dataclass(frozen=True)
 class FlowTable:
-    """Priority-ordered rules plus a default for unmatched packets."""
+    """Priority-ordered rules plus a default for unmatched packets.
+
+    Among the rules that match a packet the highest priority wins, and
+    among equal priorities the earliest in `rules`.
+    """
 
     rules: tuple[FlowRule, ...] = ()
     default_action: ActionKind = ActionKind.FORWARD
+    # Per match key, the winning rule's (-priority, position in `rules`, rule):
+    # tuples order the same way the rules win.
+    index: dict[LookupKey, tuple[int, int, FlowRule]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.default_action not in (ActionKind.FORWARD, ActionKind.DROP):
             raise ValueError("default action must be forward or drop")
+        index: dict[LookupKey, tuple[int, int, FlowRule]] = {}
         seen = set()
-        for r in self.rules:
-            key = (r.match, r.priority)
-            if key in seen:
-                raise ValueError(f"duplicate rule for {key}")
-            seen.add(key)
+        for position, r in enumerate(self.rules):
+            m = r.match
+            key = (m.kind, m.direction, m.field, m.value.version, m.value.bits)
+            if (key, r.priority) in seen:
+                raise ValueError(f"duplicate rule for {(m, r.priority)}")
+            seen.add((key, r.priority))
+            held = index.get(key)
+            if held is None or -r.priority < held[0]:
+                index[key] = (-r.priority, position, r)
+        object.__setattr__(self, "index", index)
 
 
 def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: bool) -> list[FlowRule]:
@@ -240,22 +265,24 @@ def apply_detail(
     table: FlowTable, packet: Packet, direction: Direction
 ) -> tuple[Packet | None, FlowRule | None]:
     """Apply the best-matching rule; returns (result, rule) with rule None on default."""
-    best: FlowRule | None = None
-    for rule in table.rules:  # insertion order breaks priority ties
-        if rule.match.hits(packet, direction) and (best is None or rule.priority > best.priority):
-            best = rule
-    if best is None:
+    kind, src, dst = packet.kind, packet.src, packet.dst
+    hit = table.index.get((kind, direction, AddrField.SRC, src.version, src.bits))
+    dst_hit = table.index.get((kind, direction, AddrField.DST, dst.version, dst.bits))
+    if hit is None or (dst_hit is not None and dst_hit < hit):
+        hit = dst_hit
+    if hit is None:
         if table.default_action is ActionKind.DROP:
             return None, None
         return packet, None
+    best = hit[2]
     action = best.action
     if action.kind is ActionKind.DROP:
         return None, best
     if action.kind is ActionKind.FORWARD:
         return packet, best
     if action.kind is ActionKind.REWRITE_SRC:
-        return replace(packet, src=action.arg), best
-    return replace(packet, dst=action.arg), best
+        return Packet(kind, action.arg, dst, packet.id, packet.payload_len, packet.sent_at), best
+    return Packet(kind, src, action.arg, packet.id, packet.payload_len, packet.sent_at), best
 
 
 def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | None:

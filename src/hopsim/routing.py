@@ -26,10 +26,9 @@ slots with `AsGraph.take_slots` and delivers each with `AsGraph.take`.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .addressing import Address, IPVersion, Prefix
+from .addressing import Address, Prefix, PrefixIndex
 from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
 
 
@@ -48,48 +47,6 @@ class RouteMessage:
 
 
 UpdateKey = tuple[int, int, Prefix]  # (sender, receiver, prefix)
-
-
-class PrefixIndex:
-    """Prefixes bucketed by (version, length), longest first.
-
-    Finding the prefixes that contain an address costs one dict probe
-    per distinct length held, keyed by the address's top bits, instead
-    of a containment test per prefix.
-    """
-
-    __slots__ = ("buckets",)
-
-    def __init__(self):
-        # (version, host bits, {base bits >> host bits: prefix}), host bits ascending.
-        self.buckets: list[tuple[IPVersion, int, dict[int, Prefix]]] = []
-
-    def add(self, prefix: Prefix) -> None:
-        version, host = prefix.version, prefix.host_bits
-        for v, h, table in self.buckets:
-            if v is version and h == host:
-                table[prefix.base.bits >> host] = prefix
-                return
-        self.buckets.append((version, host, {prefix.base.bits >> host: prefix}))
-        self.buckets.sort(key=lambda bucket: bucket[1])
-
-    def discard(self, prefix: Prefix) -> None:
-        version, host = prefix.version, prefix.host_bits
-        for i, (v, h, table) in enumerate(self.buckets):
-            if v is version and h == host:
-                table.pop(prefix.base.bits >> host, None)
-                if not table:
-                    del self.buckets[i]
-                return
-
-    def matches(self, address: Address) -> Iterator[Prefix]:
-        """The held prefixes that contain `address`, longest first."""
-        version, bits = address.version, address.bits
-        for v, host, table in self.buckets:
-            if v is version:
-                prefix = table.get(bits >> host)
-                if prefix is not None:
-                    yield prefix
 
 
 @dataclass
@@ -270,7 +227,7 @@ def converge(graph: AsGraph) -> int:
 
 
 def longest_match(node: AsNode, dst: Address) -> Prefix | None:
-    # `PrefixIndex.matches` inlined: this runs per packet per AS.
+    # `PrefixIndex.longest` inlined: this runs per packet per AS.
     version, bits = dst.version, dst.bits
     for v, host, table in node.index.buckets:
         if v is version:

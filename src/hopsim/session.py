@@ -565,10 +565,10 @@ class Simulation:
         if config.adversary:
             self.taps.append(ObserverTap(config.adversary.tap))
             if config.adversary.policy == "static":
-                self.policy = BlockPolicy(set(config.adversary.blocked), BlockMode.STATIC)
+                self.policy = BlockPolicy(frozenset(config.adversary.blocked), BlockMode.STATIC)
             elif config.adversary.policy == "reactive":
                 self.policy = BlockPolicy(
-                    set(config.adversary.blocked),
+                    frozenset(config.adversary.blocked),
                     BlockMode.REACTIVE,
                     detect_delay_ms=config.adversary.detect_delay_ms,
                     trigger_count=config.adversary.trigger_count,

@@ -84,3 +84,35 @@ class TestPrefixPool:
         pool = PrefixPool.parse("184.164.243.0/24, 184.164.242.0/24")
         a = Address.parse("184.164.242.9")
         assert pool.covering_prefix(a) == Prefix.parse("184.164.242.0/24")
+        with pytest.raises(InvalidPool):
+            pool.covering_prefix(Address.parse("184.164.241.9"))
+
+    @given(
+        st.sampled_from(list(IPVersion)),
+        st.lists(st.tuples(st.integers(0, 255), st.integers(0, 8)), min_size=1, max_size=10),
+        st.integers(0, 255),
+    )
+    def test_neighbour_check_rejects_what_pairwise_check_rejects(self, version, specs, probe):
+        # Prefixes inside one /24 (v4) or /120 (v6), so that they often nest.
+        net = Prefix.parse("198.51.100.0/24" if version is IPVersion.V4 else "2001:db8::/120")
+        width = net.base.width
+        prefixes = tuple(
+            Prefix(Address(version, net.base.bits | (low >> host << host)), width - host)
+            for low, host in specs
+        )
+        overlapping = any(
+            a.covers(b) or b.covers(a)
+            for i, a in enumerate(prefixes)
+            for b in prefixes[i + 1 :]
+        )
+        if overlapping:
+            with pytest.raises(InvalidPool, match="overlapping prefixes"):
+                PrefixPool(prefixes)
+            return
+        pool = PrefixPool(prefixes)
+        assert pool.total_addresses == sum(p.num_addresses for p in prefixes)
+        address = Address(version, net.base.bits | probe)
+        covering = [p for p in prefixes if p.contains(address)]
+        assert pool.contains(address) == bool(covering)
+        if covering:
+            assert pool.covering_prefix(address) == covering[0]

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hopsim.addressing import Address, Prefix
+from hopsim.addressing import Address, IPVersion, Prefix
 from hopsim.adversary import (
     BlockMode,
     BlockPolicy,
@@ -78,6 +80,88 @@ class TestFilter:
     def test_reactive_requires_positive_delay(self):
         with pytest.raises(ValueError):
             BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=0.0)
+
+    def test_blocked_is_frozen_at_construction(self):
+        entries = [SERVER1, Prefix.parse("184.164.242.0/24")]
+        policy = BlockPolicy(blocked=entries)
+        entries.clear()
+        assert policy.blocked == frozenset({SERVER1, Prefix.parse("184.164.242.0/24")})
+        assert filter_packet(policy, packet(src=SERVER2, dst=SERVER1)) is Verdict.BLOCK
+
+
+# Addresses and prefixes inside one /24 (v4) or /120 (v6), so that
+# generated prefixes nest and probes land in them.
+HOST_BITS = 8
+NET_BASE = {
+    IPVersion.V4: Address.parse("198.51.100.0").bits,
+    IPVersion.V6: Address.parse("2001:db8::").bits,
+}
+
+
+def addresses(version):
+    return st.integers(0, (1 << HOST_BITS) - 1).map(lambda low: Address(version, NET_BASE[version] | low))
+
+
+@st.composite
+def block_entries(draw):
+    version = draw(st.sampled_from(list(IPVersion)))
+    address = draw(addresses(version))
+    if draw(st.booleans()):
+        return address
+    host = draw(st.integers(0, HOST_BITS))
+    return Prefix(Address(version, address.bits >> host << host), address.width - host)
+
+
+@st.composite
+def observations(draw):
+    version = draw(st.sampled_from(list(IPVersion)))
+    return draw(addresses(version)), draw(addresses(version)), draw(st.floats(0.0, 50.0))
+
+
+def scan_verdicts(blocked, mode, delay, trigger, sightings):
+    """Reference filter: a linear containment scan over `blocked`."""
+    counts, pending, out = {}, {}, []
+    for src, dst, at in sightings:
+        if mode is BlockMode.REACTIVE:
+            counts[dst] = counts.get(dst, 0) + 1
+            if counts[dst] == trigger and dst not in pending:
+                pending[dst] = at + delay
+
+        def listed(a):
+            return any(
+                e.contains(a) if isinstance(e, Prefix) else e == a for e in blocked
+            ) or (a in pending and at >= pending[a])
+
+        out.append(Verdict.BLOCK if listed(src) or listed(dst) else Verdict.PASS)
+    return out
+
+
+class TestIndexedBlocklist:
+    @given(
+        st.lists(block_entries(), max_size=12),
+        st.sampled_from(list(BlockMode)),
+        st.floats(0.5, 20.0),
+        st.integers(1, 3),
+        st.lists(observations(), max_size=20),
+    )
+    def test_matches_linear_scan(self, blocked, mode, delay, trigger, steps):
+        sightings, t = [], 0.0
+        for src, dst, gap in steps:
+            t += gap
+            sightings.append((src, dst, t))
+        policy = BlockPolicy(blocked, mode, detect_delay_ms=delay, trigger_count=trigger)
+        got = [
+            filter_packet(policy, Packet(PacketKind.IP, src, dst, i, 64, at), at=at)
+            for i, (src, dst, at) in enumerate(sightings)
+        ]
+        assert got == scan_verdicts(blocked, mode, delay, trigger, sightings)
+
+
+class TestObserverTap:
+    def test_watches_its_link_in_either_direction(self):
+        tap = ObserverTap((2, 1))
+        assert tap.watches(1, 2) and tap.watches(2, 1)
+        assert not (tap.watches(1, 3) or tap.watches(1, 1) or tap.watches(2, 2))
 
 
 class TestExtractHopIntervals:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopsim
 from hopsim.cli import MACHINE_MARKER, main, payload_from_text, payload_to_text
 from hopsim.covert import SyncPayload, encode_payload, zone_lines
 from hopsim.addressing import Address, PrefixPool
@@ -9,6 +14,9 @@ from hopsim.errors import ScenarioError
 from hopsim.session import Simulation
 
 from conftest import make_config
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
 
 
 def machine_section(path):
@@ -138,6 +146,29 @@ class TestRun:
                 {p.name: p.read_text().split(MACHINE_MARKER)[1] for p in reports.iterdir()},
             ))
         assert len(outputs[0][0]) == len(outputs[0][1]) == 2
+        assert outputs[0] == outputs[1]
+
+    def test_shipped_configs_do_not_depend_on_hash_seed(self, tmp_path):
+        # Strings hash by PYTHONHASHSEED and Enums by identity, so set order
+        # can differ between processes; no output may follow it.
+        assert len(SHIPPED_CONFIGS) == 3
+        src = str(Path(hopsim.__file__).parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            traces, reports = tmp_path / f"traces{hash_seed}", tmp_path / f"reports{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "hopsim.cli", "run",
+                 "--config", *map(str, SHIPPED_CONFIGS),
+                 "--trace", str(traces), "--report", str(reports)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append((
+                {p.name: p.read_bytes() for p in traces.iterdir()},
+                {p.name: p.read_text().split(MACHINE_MARKER)[1] for p in reports.iterdir()},
+            ))
+        assert len(outputs[0][0]) == len(outputs[0][1]) == 3
         assert outputs[0] == outputs[1]
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopsim.addressing import Address
+from hopsim.addressing import Address, IPVersion
 from hopsim.errors import VersionMismatch
 from hopsim.flowtable import (
     Action,
@@ -10,11 +12,15 @@ from hopsim.flowtable import (
     AddrField,
     Direction,
     FlowRule,
+    HOP_RULE_PRIORITY,
+    PEER_RULE_PRIORITY,
+    PERMIT_RULE_PRIORITY,
     FlowTable,
     Match,
     Packet,
     PacketKind,
     apply,
+    apply_detail,
     dump_lines,
     endpoint_table,
     expire_external,
@@ -127,8 +133,6 @@ class TestApply:
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1), st.sampled_from(list(PacketKind)))
     def test_rewrite_preserves_every_other_field(self, dst_bits, pkt_id, kind):
-        from hopsim.addressing import IPVersion
-
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         before = Packet(kind, INTERNAL, Address(IPVersion.V4, dst_bits), pkt_id, 99, 3.5)
         after = apply(table, before, Direction.OUTBOUND)
@@ -140,6 +144,76 @@ class TestApply:
             before.payload_len,
             before.sent_at,
         )
+
+
+# A few addresses per version, so that generated rules share match keys
+# and packets hit rules on both fields.
+UNIVERSE = {
+    IPVersion.V4: [Address.parse(f"10.0.0.{i}") for i in range(1, 4)],
+    IPVersion.V6: [Address.parse(f"2001:db8::{i}") for i in range(1, 4)],
+}
+
+
+@st.composite
+def flow_rules(draw):
+    version = draw(st.sampled_from(list(IPVersion)))
+    match = Match(
+        draw(st.sampled_from(list(PacketKind))),
+        draw(st.sampled_from(list(Direction))),
+        draw(st.sampled_from(list(AddrField))),
+        draw(st.sampled_from(UNIVERSE[version])),
+    )
+    kind = draw(st.sampled_from(list(ActionKind)))
+    rewrite = kind in (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
+    arg = draw(st.sampled_from(UNIVERSE[version])) if rewrite else None
+    priority = draw(st.sampled_from([PERMIT_RULE_PRIORITY, PEER_RULE_PRIORITY, HOP_RULE_PRIORITY]))
+    return FlowRule(priority, match, Action(kind, arg))
+
+
+# Every packet the universe allows, in every direction.
+PROBES = [
+    (Packet(kind, src, dst, 7, 64, 1.5), direction)
+    for kind in PacketKind
+    for direction in Direction
+    for addresses in UNIVERSE.values()
+    for src in addresses
+    for dst in addresses
+]
+
+
+def scan_lookup(table, packet, direction):
+    """Reference classifier: a linear scan, insertion order breaks ties."""
+    best = None
+    for rule in table.rules:
+        m = rule.match
+        observed = packet.src if m.field is AddrField.SRC else packet.dst
+        hits = m.kind is packet.kind and m.direction is direction and observed == m.value
+        if hits and (best is None or rule.priority > best.priority):
+            best = rule
+    if best is None:
+        return (None if table.default_action is ActionKind.DROP else packet), None
+    action = best.action
+    if action.kind is ActionKind.DROP:
+        return None, best
+    if action.kind is ActionKind.REWRITE_SRC:
+        return replace(packet, src=action.arg), best
+    if action.kind is ActionKind.REWRITE_DST:
+        return replace(packet, dst=action.arg), best
+    return packet, best
+
+
+class TestIndexedLookup:
+    @given(
+        st.lists(flow_rules(), max_size=24, unique_by=lambda r: (r.match, r.priority)),
+        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
+    )
+    def test_matches_linear_scan(self, rules, default):
+        table = FlowTable(tuple(rules), default)
+        for pkt, direction in PROBES:
+            result, rule = apply_detail(table, pkt, direction)
+            expected, expected_rule = scan_lookup(table, pkt, direction)
+            assert rule is expected_rule
+            assert result == expected
 
 
 class TestGraceSet:
@@ -203,6 +277,8 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             FlowTable(rules=(rule, rule))
+        with pytest.raises(ValueError):
+            FlowTable(rules=(rule, replace(rule, action=Action(ActionKind.DROP))))
 
     def test_rewrite_rule_version_checked(self):
         with pytest.raises(VersionMismatch):
