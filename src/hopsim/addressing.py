@@ -2,7 +2,8 @@
 
 Addresses are plain unsigned integers tagged with an IP version, so the
 same arithmetic drives v4 (32-bit) and v6 (128-bit) hopping. Text
-parsing and formatting delegate to the stdlib ``ipaddress`` module.
+parsing and v6 formatting delegate to the stdlib ``ipaddress`` module;
+v4 text is formatted here, in the same dotted-quad form.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class Address:
         return ipaddress.IPv6Address(self.bits).reverse_pointer
 
     def __str__(self) -> str:
+        b = self.bits
         if self.version is IPVersion.V4:
-            return str(ipaddress.IPv4Address(self.bits))
-        return str(ipaddress.IPv6Address(self.bits))
+            return f"{b >> 24}.{b >> 16 & 255}.{b >> 8 & 255}.{b & 255}"
+        return str(ipaddress.IPv6Address(b))
 
 
 def parse_reverse_pointer(name: str) -> Address:
@@ -179,7 +181,14 @@ class PrefixIndex:
 
     def longest(self, address: Address) -> Prefix | None:
         """The longest held prefix that contains `address`, or None."""
-        return next(self.matches(address), None)
+        # `matches` as a plain loop: no generator per probe.
+        version, bits = address.version, address.bits
+        for v, host, table in self.buckets:
+            if v is version:
+                prefix = table.get(bits >> host)
+                if prefix is not None:
+                    return prefix
+        return None
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,9 @@ class PrefixPool:
 
     prefixes: tuple[Prefix, ...]
     total_addresses: int = field(init=False, repr=False, compare=False)
+    # Slot of each prefix's first address in the pool's union, in `prefixes`
+    # order: offsets[i] = sum of the sizes of prefixes[:i].
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: PrefixIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -203,7 +215,12 @@ class PrefixPool:
         for a, b in zip(ordered, ordered[1:]):
             if a.covers(b):
                 raise InvalidPool(f"overlapping prefixes {a} and {b}")
-        object.__setattr__(self, "total_addresses", sum(p.num_addresses for p in self.prefixes))
+        offsets, total = [], 0
+        for p in self.prefixes:
+            offsets.append(total)
+            total += p.num_addresses
+        object.__setattr__(self, "total_addresses", total)
+        object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "_index", PrefixIndex(self.prefixes))
 
     @property

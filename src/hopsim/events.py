@@ -13,27 +13,30 @@ from typing import Callable
 
 
 class EventQueue:
+    """Events are a callable and its arguments: `fn(*args)` runs at `at`."""
+
     def __init__(self, start: float = 0.0):
         self.now = start
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
-    def schedule_at(self, at: float, fn: Callable[[], None]) -> None:
+    def schedule_at(self, at: float, fn: Callable[..., None], *args) -> None:
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before now {self.now}")
-        heapq.heappush(self._heap, (at, self._seq, fn))
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_in(self, delay: float, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay, fn)
+    def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
+        self.schedule_at(self.now + delay, fn, *args)
 
     def run(self) -> int:
         """Drain the queue; returns the number of events processed."""
         processed = 0
-        while self._heap:
-            at, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            at, _, fn, args = heapq.heappop(heap)
             self.now = at
-            fn()
+            fn(*args)
             processed += 1
         return processed
 

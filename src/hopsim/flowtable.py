@@ -12,7 +12,14 @@ Lookups are tuple-space search (Srinivasan, Suri and Varghese, SIGCOMM
 1999), as in Open vSwitch's classifier: every match is exact on one
 address field, so a table indexes its best rule per (kind, direction,
 field, address) once, when it is built, and a lookup probes the source
-key and the destination key instead of scanning the rules.
+key and the destination key instead of scanning the rules. Each rule
+computes its lookup key once, when it is made, and the index build,
+installs and expiries read that key instead of the rule's fields.
+
+Since a table never changes once built, it also carries a `memo` that
+the session's two-lookup rewrite chain fills per packet shape, as Open
+vSwitch puts an exact-match cache in front of its classifier (Pfaff et
+al., NSDI 2015). A new table starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -96,18 +103,24 @@ class Action:
         return self.arg is not None
 
 
+LookupKey = tuple[PacketKind, Direction, AddrField, IPVersion, int]
+
+
 @dataclass(frozen=True)
 class FlowRule:
     priority: int
     match: Match
     action: Action
+    # The match as (kind, direction, field, address version, address bits):
+    # equal keys are equal matches, and the key hashes and compares in C.
+    key: LookupKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.action.arg is not None and self.action.arg.version is not self.match.value.version:
-            raise VersionMismatch(f"rewrite target {self.action.arg} vs match {self.match.value}")
-
-
-LookupKey = tuple[PacketKind, Direction, AddrField, IPVersion, int]
+        m, arg = self.match, self.action.arg
+        value = m.value
+        if arg is not None and arg.version is not value.version:
+            raise VersionMismatch(f"rewrite target {arg} vs match {value}")
+        object.__setattr__(self, "key", (m.kind, m.direction, m.field, value.version, value.bits))
 
 
 @dataclass(frozen=True)
@@ -125,55 +138,52 @@ class FlowTable:
     index: dict[LookupKey, tuple[int, int, FlowRule]] = field(
         init=False, repr=False, compare=False
     )
+    # Decision cache that `session._apply_chain` fills. Exact
+    # because the table never changes; it is not part of the table's value.
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.default_action not in (ActionKind.FORWARD, ActionKind.DROP):
             raise ValueError("default action must be forward or drop")
         index: dict[LookupKey, tuple[int, int, FlowRule]] = {}
-        seen = set()
+        shared = set()  # (key, rank) of every rule whose key another rule has too
         for position, r in enumerate(self.rules):
-            m = r.match
-            key = (m.kind, m.direction, m.field, m.value.version, m.value.bits)
-            if (key, r.priority) in seen:
-                raise ValueError(f"duplicate rule for {(m, r.priority)}")
-            seen.add((key, r.priority))
+            key, rank = r.key, -r.priority
             held = index.get(key)
-            if held is None or -r.priority < held[0]:
-                index[key] = (-r.priority, position, r)
+            if held is None:
+                index[key] = (rank, position, r)
+                continue
+            # The first rule on a key is held at the key's first collision,
+            # so `shared` has every earlier rank on this key.
+            shared.add((key, held[0]))
+            if (key, rank) in shared:
+                raise ValueError(f"duplicate rule for {(r.match, r.priority)}")
+            shared.add((key, rank))
+            if rank < held[0]:
+                index[key] = (rank, position, r)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "memo", {})
 
 
 def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: bool) -> list[FlowRule]:
     rules = []
+    if mirror:
+        # Tracking peer: rewrite destinations on the way out, sources on
+        # the way in, so the local application only ever sees the peer's
+        # fixed internal address.
+        out_field, in_field = AddrField.DST, AddrField.SRC
+        out_action = Action(ActionKind.REWRITE_DST, external)
+        in_action = Action(ActionKind.REWRITE_SRC, internal)
+    else:
+        out_field, in_field = AddrField.SRC, AddrField.DST
+        out_action = Action(ActionKind.REWRITE_SRC, external)
+        in_action = Action(ActionKind.REWRITE_DST, internal)
     for kind in (PacketKind.IP, PacketKind.ARP):
-        if mirror:
-            # Tracking peer: rewrite destinations on the way out, sources
-            # on the way in, so the local application only ever sees the
-            # peer's fixed internal address.
-            out = Match(kind, Direction.OUTBOUND, AddrField.DST, internal)
-            inb = Match(kind, Direction.INBOUND, AddrField.SRC, external)
-            rules.append(FlowRule(priority, out, Action(ActionKind.REWRITE_DST, external)))
-            rules.append(FlowRule(priority, inb, Action(ActionKind.REWRITE_SRC, internal)))
-        else:
-            out = Match(kind, Direction.OUTBOUND, AddrField.SRC, internal)
-            inb = Match(kind, Direction.INBOUND, AddrField.DST, external)
-            rules.append(FlowRule(priority, out, Action(ActionKind.REWRITE_SRC, external)))
-            rules.append(FlowRule(priority, inb, Action(ActionKind.REWRITE_DST, internal)))
+        out = Match(kind, Direction.OUTBOUND, out_field, internal)
+        inb = Match(kind, Direction.INBOUND, in_field, external)
+        rules.append(FlowRule(priority, out, out_action))
+        rules.append(FlowRule(priority, inb, in_action))
     return rules
-
-
-def _is_own_hop_rule(rule: FlowRule) -> bool:
-    return rule.action.is_rewrite and (
-        (rule.match.direction is Direction.OUTBOUND and rule.match.field is AddrField.SRC)
-        or (rule.match.direction is Direction.INBOUND and rule.match.field is AddrField.DST)
-    )
-
-
-def _is_peer_rule(rule: FlowRule) -> bool:
-    return rule.action.is_rewrite and (
-        (rule.match.direction is Direction.OUTBOUND and rule.match.field is AddrField.DST)
-        or (rule.match.direction is Direction.INBOUND and rule.match.field is AddrField.SRC)
-    )
 
 
 def _install(
@@ -189,16 +199,24 @@ def _install(
         raise VersionMismatch(f"{internal} vs {external}")
     if internal == external:
         raise ValueError("internal and external addresses must differ")
-    selector = _is_peer_rule if mirror else _is_own_hop_rule
+    # The rewrite rules an install replaces match this field outbound and
+    # the other one inbound: sources out for hop rules, destinations out
+    # for the mirrored peer rules.
+    out_field = AddrField.DST if mirror else AddrField.SRC
+    outbound = Direction.OUTBOUND
+    version, bits = external.version, external.bits
     kept = []
     for r in table.rules:
-        if not selector(r):
+        _, direction, fld, v, b = r.key
+        if r.action.arg is None or (direction is outbound) is not (fld is out_field):
             kept.append(r)
-        elif grace and r.match.direction is Direction.INBOUND and r.match.value != external:
+        elif grace and direction is not outbound and (b != bits or v is not version):
             kept.append(r)  # old inbound rules survive until grace expiry
-    fresh = _hop_rules(internal, external, priority, mirror=mirror)
-    existing = {(r.match, r.priority) for r in kept}
-    kept.extend(r for r in fresh if (r.match, r.priority) not in existing)
+    existing = {(r.key, r.priority) for r in kept}
+    kept.extend(
+        r for r in _hop_rules(internal, external, priority, mirror=mirror)
+        if (r.key, priority) not in existing
+    )
     return FlowTable(tuple(kept), table.default_action)
 
 
@@ -226,16 +244,14 @@ def install_peer_rules(
 
 def expire_external(table: FlowTable, external: Address) -> FlowTable:
     """Remove inbound rewrite rules for `external` (end of its grace window)."""
-    kept = tuple(
-        r
-        for r in table.rules
-        if not (
-            r.action.is_rewrite
-            and r.match.direction is Direction.INBOUND
-            and r.match.value == external
-        )
-    )
-    return FlowTable(kept, table.default_action)
+    version, bits = external.version, external.bits
+    inbound = Direction.INBOUND
+    kept = [
+        r for r in table.rules
+        if not (r.key[4] == bits and r.key[1] is inbound and r.key[3] is version
+                and r.action.arg is not None)
+    ]
+    return FlowTable(tuple(kept), table.default_action)
 
 
 def endpoint_table(internal: Address) -> FlowTable:

@@ -24,11 +24,10 @@ EXACT_COLLISION_LIMIT = 1_000_000
 
 def _draw(rng: SplitMix64, pool: PrefixPool) -> Address:
     slot = rng.below(pool.total_addresses)
-    for prefix in pool.prefixes:
-        if slot < prefix.num_addresses:
-            return Address(prefix.version, prefix.base.bits | slot)
-        slot -= prefix.num_addresses
-    raise AssertionError("slot out of range")  # unreachable
+    offsets = pool.offsets
+    i = bisect_right(offsets, slot) - 1
+    prefix = pool.prefixes[i]
+    return Address(prefix.base.version, prefix.base.bits | (slot - offsets[i]))
 
 
 def generate_addresses(seed: int, pool: PrefixPool, n: int) -> list[Address]:

@@ -505,14 +505,33 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     rules then peer-tracking rules); the second lookup is only honored
     if it performs another rewrite, so a rewritten packet never falls
     through to the table default.
+
+    The outcome depends on the packet's kind and addresses only, so it
+    is kept in the table's memo: None for a drop, () for a packet that
+    passes unchanged, else the rewritten (src, dst). Tables never
+    change, which makes the memo exact.
     """
-    result, rule = apply_detail(table, packet, direction)
-    if result is None or rule is None or not rule.action.is_rewrite:
-        return result
-    second, rule2 = apply_detail(table, result, direction)
-    if second is not None and rule2 is not None and rule2.action.is_rewrite:
-        return second
-    return result
+    src, dst = packet.src, packet.dst
+    key = (direction, packet.kind, src.version, src.bits, dst.bits)
+    memo = table.memo
+    if key in memo:
+        outcome = memo[key]
+    else:
+        result, rule = apply_detail(table, packet, direction)
+        if result is not None and rule is not None and rule.action.is_rewrite:
+            second, rule2 = apply_detail(table, result, direction)
+            if second is not None and rule2 is not None and rule2.action.is_rewrite:
+                result = second
+        if result is None:
+            outcome = None
+        elif result is packet:
+            outcome = ()
+        else:
+            outcome = (result.src, result.dst)
+        memo[key] = outcome
+    if not outcome:
+        return None if outcome is None else packet
+    return Packet(packet.kind, *outcome, packet.id, packet.payload_len, packet.sent_at)
 
 
 @dataclass
@@ -592,9 +611,7 @@ class Simulation:
         # One event per delivery slot: an update that replaces a queued
         # one rides in that one's slot (see the routing module).
         for key in self.graph.take_slots():
-            self.queue.schedule_in(
-                self.config.link_delay_ms, lambda k=key: self._deliver_routing(k)
-            )
+            self.queue.schedule_in(self.config.link_delay_ms, self._deliver_routing, key)
 
     def _deliver_routing(self, key) -> None:
         process_message(self.graph, self.graph.take(key))
@@ -679,13 +696,12 @@ class Simulation:
             prefix = end.pool.covering_prefix(entry.address)
             origin = end.agent.attached_as
             self.queue.schedule_at(
-                epoch + starts[k] - cfg.lead_time_ms,
-                lambda p=prefix, o=origin: self._acquire_prefix(p, o),
+                epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, prefix, origin
             )
-            self.queue.schedule_at(epoch + starts[k], lambda e=end, i=k: self._do_hop(e, i))
+            self.queue.schedule_at(epoch + starts[k], self._do_hop, end, k)
             self.queue.schedule_at(
                 epoch + starts[k] + entry.dwell_ms + cfg.withdraw_lag_ms,
-                lambda p=prefix, o=origin: self._release_prefix(p, o),
+                self._release_prefix, prefix, origin,
             )
 
     def _do_hop(self, end: _HopEnd, k: int) -> None:
@@ -703,29 +719,33 @@ class Simulation:
         )
 
         use_grace = prev is not None and cfg.grace_window_ms > 0
-
-        def update_peer(peer=end.peer, internal=end.agent.internal_ip, ext=entry.address):
-            peer.flow_table = install_peer_rules(peer.flow_table, internal, ext, grace=use_grace)
-
         if cfg.clock_skew_ms > 0 and end.peer is self.client:
-            self.queue.schedule_in(cfg.clock_skew_ms, update_peer)
+            self.queue.schedule_in(
+                cfg.clock_skew_ms, self._update_peer, end, entry.address, use_grace
+            )
         else:
-            update_peer()
-
+            self._update_peer(end, entry.address, use_grace)
         if use_grace and prev != entry.address:
-            def expire(old=prev, own=end.agent, peer=end.peer):
-                own.flow_table = expire_external(own.flow_table, old)
-                peer.flow_table = expire_external(peer.flow_table, old)
-                self._emit_trace("session", "grace_expire", f"external={old}")
+            self.queue.schedule_in(cfg.grace_window_ms, self._expire_grace, end, prev)
 
-            self.queue.schedule_in(cfg.grace_window_ms, expire)
+    def _update_peer(self, end: _HopEnd, external: Address, grace: bool) -> None:
+        peer = end.peer
+        peer.flow_table = install_peer_rules(
+            peer.flow_table, end.agent.internal_ip, external, grace=grace
+        )
+
+    def _expire_grace(self, end: _HopEnd, old: Address) -> None:
+        own, peer = end.agent, end.peer
+        own.flow_table = expire_external(own.flow_table, old)
+        peer.flow_table = expire_external(peer.flow_table, old)
+        self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float | None) -> None:
         cfg = self.config
         epoch = cfg.lead_time_ms
         gap = gap_ms or 0.0
         for j in range(cfg.packets):
-            self.queue.schedule_at(epoch + j * gap, lambda i=j: self._emit_packet(i))
+            self.queue.schedule_at(epoch + j * gap, self._emit_packet, j)
 
     # -- packet path --
 
@@ -772,9 +792,7 @@ class Simulation:
                         )
                         self._resolve()
                         return
-        self.queue.schedule_in(
-            self.config.link_delay_ms, lambda p=packet, n=nxt, h=hops + 1: self._forward(p, n, h)
-        )
+        self.queue.schedule_in(self.config.link_delay_ms, self._forward, packet, nxt, hops + 1)
 
     def _deliver_local(self, packet: Packet, asn: int) -> None:
         agent = self._agents_by_as.get(asn)

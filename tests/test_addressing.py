@@ -1,3 +1,5 @@
+import ipaddress
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,12 @@ class TestAddress:
         assert a.version is IPVersion.V6
         assert a.width == 128
         assert str(a) == "2001:db8::1"
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1))
+    def test_text_matches_ipaddress(self, v4_bits, v6_bits):
+        assert str(Address(IPVersion.V4, v4_bits)) == str(ipaddress.ip_address(v4_bits))
+        assert str(Address(IPVersion.V6, v6_bits)) == str(ipaddress.IPv6Address(v6_bits))
+        assert Address.parse(str(Address(IPVersion.V4, v4_bits))).bits == v4_bits
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):

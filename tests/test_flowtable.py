@@ -28,6 +28,7 @@ from hopsim.flowtable import (
     install_hop_rules,
     install_peer_rules,
 )
+from hopsim.session import _apply_chain
 
 INTERNAL = Address.parse("10.0.0.1")
 EXT1 = Address.parse("184.164.243.7")
@@ -214,6 +215,188 @@ class TestIndexedLookup:
             expected, expected_rule = scan_lookup(table, pkt, direction)
             assert rule is expected_rule
             assert result == expected
+
+
+# Writes: the rules an install replaces, chosen by predicates on each
+# rule's match and action fields rather than by the rule's key.
+
+
+def _own_hop_rule(rule):
+    m = rule.match
+    return rule.action.is_rewrite and (
+        (m.direction is Direction.OUTBOUND and m.field is AddrField.SRC)
+        or (m.direction is Direction.INBOUND and m.field is AddrField.DST)
+    )
+
+
+def _peer_rule(rule):
+    m = rule.match
+    return rule.action.is_rewrite and (
+        (m.direction is Direction.OUTBOUND and m.field is AddrField.DST)
+        or (m.direction is Direction.INBOUND and m.field is AddrField.SRC)
+    )
+
+
+def reference_install(table, internal, external, *, mirror, grace):
+    if internal.version is not external.version:
+        raise VersionMismatch("versions differ")
+    if internal == external:
+        raise ValueError("addresses must differ")
+    selector = _peer_rule if mirror else _own_hop_rule
+    priority = PEER_RULE_PRIORITY if mirror else HOP_RULE_PRIORITY
+    kept = [
+        r for r in table.rules
+        if not selector(r)
+        or (grace and r.match.direction is Direction.INBOUND and r.match.value != external)
+    ]
+    out_field, in_field = (AddrField.DST, AddrField.SRC) if mirror else (AddrField.SRC, AddrField.DST)
+    out_kind, in_kind = (
+        (ActionKind.REWRITE_DST, ActionKind.REWRITE_SRC)
+        if mirror
+        else (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
+    )
+    fresh = []
+    for kind in (PacketKind.IP, PacketKind.ARP):
+        fresh.append(FlowRule(priority, Match(kind, Direction.OUTBOUND, out_field, internal),
+                              Action(out_kind, external)))
+        fresh.append(FlowRule(priority, Match(kind, Direction.INBOUND, in_field, external),
+                              Action(in_kind, internal)))
+    existing = {(r.match, r.priority) for r in kept}
+    kept.extend(r for r in fresh if (r.match, r.priority) not in existing)
+    return FlowTable(tuple(kept), table.default_action)
+
+
+def reference_expire(table, external):
+    return FlowTable(
+        tuple(
+            r for r in table.rules
+            if not (
+                r.action.is_rewrite
+                and r.match.direction is Direction.INBOUND
+                and r.match.value == external
+            )
+        ),
+        table.default_action,
+    )
+
+
+# v6 addresses with the bits of the v4 ones: keys that differ only in version.
+WRITE_UNIVERSE = {
+    IPVersion.V4: UNIVERSE[IPVersion.V4],
+    IPVersion.V6: [Address(IPVersion.V6, a.bits) for a in UNIVERSE[IPVersion.V4]],
+}
+WRITE_PROBES = [
+    (Packet(kind, src, dst, 7, 64, 1.5), direction)
+    for kind in PacketKind
+    for direction in Direction
+    for addresses in WRITE_UNIVERSE.values()
+    for src in addresses
+    for dst in addresses
+]
+
+
+@st.composite
+def writes(draw):
+    version = draw(st.sampled_from(list(IPVersion)))
+    internal = draw(st.sampled_from(WRITE_UNIVERSE[version]))
+    external = draw(st.sampled_from(WRITE_UNIVERSE[version]))
+    return draw(st.sampled_from(["hop", "peer", "expire"])), internal, external, draw(st.booleans())
+
+
+def _write(op, table, internal, external, grace, reference):
+    if op == "expire":
+        return (reference_expire if reference else expire_external)(table, external)
+    if reference:
+        return reference_install(table, internal, external, mirror=op == "peer", grace=grace)
+    install = install_peer_rules if op == "peer" else install_hop_rules
+    return install(table, internal, external, grace=grace)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (ValueError, VersionMismatch) as exc:
+        return None, type(exc)
+
+
+class TestKeyedWrites:
+    @given(
+        st.lists(flow_rules(), max_size=12, unique_by=lambda r: (r.match, r.priority)),
+        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
+        st.lists(writes(), min_size=1, max_size=8),
+    )
+    def test_matches_predicate_selection(self, rules, default, ops):
+        table = FlowTable(tuple(rules), default)
+        for op, internal, external, grace in ops:
+            new, error = _outcome(_write, op, table, internal, external, grace, False)
+            expected, expected_error = _outcome(
+                _write, op, table, internal, external, grace, True
+            )
+            assert error is expected_error
+            if error is not None:
+                continue
+            assert new.rules == expected.rules
+            assert [r.key for r in new.rules] == [r.key for r in expected.rules]
+            for pkt, direction in WRITE_PROBES:
+                assert apply_detail(new, pkt, direction) == apply_detail(expected, pkt, direction)
+            table = new
+
+    def test_install_shares_one_action_per_direction(self):
+        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        ip_out, ip_in, arp_out, arp_in = table.rules
+        assert ip_out.action is arp_out.action and ip_in.action is arp_in.action
+
+    def test_key_is_the_match(self):
+        rule = FlowRule(
+            5, Match(PacketKind.ARP, Direction.INBOUND, AddrField.SRC, EXT1), Action(ActionKind.DROP)
+        )
+        assert rule.key == (PacketKind.ARP, Direction.INBOUND, AddrField.SRC, IPVersion.V4, EXT1.bits)
+        assert "key" not in repr(rule)
+        assert rule == replace(rule) and hash(rule) == hash(replace(rule))
+
+
+def uncached_chain(table, packet, direction):
+    """The two-lookup rewrite chain with no memo."""
+    result, rule = apply_detail(table, packet, direction)
+    if result is None or rule is None or not rule.action.is_rewrite:
+        return result
+    second, rule2 = apply_detail(table, result, direction)
+    if second is not None and rule2 is not None and rule2.action.is_rewrite:
+        return second
+    return result
+
+
+class TestDecisionCache:
+    @given(
+        st.lists(flow_rules(), max_size=16, unique_by=lambda r: (r.match, r.priority)),
+        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
+        st.lists(writes(), max_size=4),
+    )
+    def test_matches_uncached_chain(self, rules, default, ops):
+        tables = [FlowTable(tuple(rules), default)]
+        for op, internal, external, grace in ops:
+            new, _ = _outcome(_write, op, tables[-1], internal, external, grace, False)
+            if new is not None:
+                assert not new.memo
+                tables.append(new)
+        for table in tables:
+            # The second round hits the memo with packets of other ids.
+            for round_id in (7, 8):
+                for pkt, direction in WRITE_PROBES:
+                    pkt = replace(pkt, id=round_id, sent_at=float(round_id))
+                    assert _apply_chain(table, pkt, direction) == uncached_chain(
+                        table, pkt, direction
+                    )
+            assert len(table.memo) == len(WRITE_PROBES)
+
+    def test_memo_stays_out_of_identity(self):
+        table = install_peer_rules(install_hop_rules(endpoint_table(INTERNAL), INTERNAL, EXT1),
+                                   CLIENT, EXT2)
+        twin = FlowTable(table.rules, table.default_action)
+        _apply_chain(table, packet(src=EXT2, dst=EXT1), Direction.INBOUND)
+        assert table.memo and not twin.memo
+        assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
+        assert "memo" not in repr(table)
 
 
 class TestGraceSet:

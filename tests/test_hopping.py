@@ -9,12 +9,14 @@ from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
 from hopsim.errors import InvalidPool, LengthMismatch, OutOfSchedule
 from hopsim.hopping import (
     EXACT_COLLISION_LIMIT,
+    _draw,
     active_address,
     build_schedule,
     collision_probability,
     generate_addresses,
     generate_unique_addresses,
 )
+from hopsim.rng import SplitMix64
 
 
 class TestGenerateAddresses:
@@ -63,6 +65,47 @@ class TestGenerateAddresses:
         pool = PrefixPool.parse("198.51.100.0/28, 203.0.113.64/26")
         for a in generate_addresses(seed, pool, n):
             assert pool.contains(a)
+
+
+def linear_draw(rng, pool):
+    """Reference draw: walk the prefixes, subtracting each one's size."""
+    slot = rng.below(pool.total_addresses)
+    for prefix in pool.prefixes:
+        if slot < prefix.num_addresses:
+            return Address(prefix.version, prefix.base.bits | slot)
+        slot -= prefix.num_addresses
+    raise AssertionError("slot out of range")
+
+
+class TestDraw:
+    @given(
+        st.sampled_from(list(IPVersion)),
+        st.lists(
+            st.tuples(st.integers(0, 255), st.integers(0, 16)),
+            min_size=1, max_size=12, unique_by=lambda spec: spec[0],
+        ),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_bisection_matches_linear_walk(self, version, specs, seed):
+        # Each prefix sits in its own /16 (v4) or /56 (v6), in generated
+        # order, so the pool is disjoint and not sorted. v6 prefixes stay
+        # at /80 or longer: `SplitMix64.below` draws below 2**64 only.
+        if version is IPVersion.V4:
+            prefixes = [
+                Prefix(Address(version, (10 << 24) | (i << 16)), 32 - host) for i, host in specs
+            ]
+        else:
+            prefixes = [
+                Prefix(Address(version, (0x20010DB8 << 96) | (i << 72)), 128 - 3 * host)
+                for i, host in specs
+            ]
+        pool = PrefixPool(tuple(prefixes))
+        assert pool.offsets == tuple(
+            sum(p.num_addresses for p in prefixes[:i]) for i in range(len(prefixes))
+        )
+        rng, reference = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(64):
+            assert _draw(rng, pool) == linear_draw(reference, pool)
 
 
 class TestGenerateUnique:

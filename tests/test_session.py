@@ -42,6 +42,23 @@ def agents():
     return server, client
 
 
+class TestEventQueue:
+    def test_arguments_and_insertion_order_on_ties(self):
+        queue, fired = EventQueue(), []
+        queue.schedule_at(2.0, fired.append, "late")
+        queue.schedule_at(1.0, lambda: fired.append("no-args"))
+        queue.schedule_at(1.0, fired.extend, ("a", "b"))
+        queue.schedule_in(1.0, fired.append, "tied")
+        assert queue.run() == 4
+        assert fired == ["no-args", "a", "b", "tied", "late"]
+        assert queue.now == 2.0
+
+    def test_rejects_the_past(self):
+        queue = EventQueue(start=5.0)
+        with pytest.raises(ValueError):
+            queue.schedule_at(4.0, print, "never")
+
+
 class TestSynchronize:
     def test_both_ends_identical_fixed(self):
         server, client = agents()
