@@ -2,6 +2,7 @@
 
 from .addressing import Address, IPVersion, Prefix, PrefixPool
 from .adversary import BlockMode, BlockPolicy, ObserverTap, Verdict, extract_hop_intervals, timing_detect
+from .config import ScenarioConfig
 from .covert import PtrRecordSet, ReverseZone, SyncPayload, decode_payload, encode_payload
 from .dwell import (
     DhmmModel,
@@ -35,7 +36,6 @@ from .hopping import (
 from .routing import AsGraph, announce, converge, route_lookup, withdraw
 from .session import (
     EndpointAgent,
-    ScenarioConfig,
     SessionMetrics,
     Simulation,
     hop,

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .addressing import Address
@@ -36,7 +37,8 @@ from .errors import (
     MalformedRecord,
     PayloadTooLarge,
 )
-from .session import ScenarioConfig, Simulation, canonical_config_hash
+from .config import ScenarioConfig
+from .session import Simulation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -81,7 +83,9 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_INPUT)
     if seed_override is not None:
-        config = config.with_seed(seed_override)
+        if not 0 <= seed_override < (1 << 64):
+            return _fail(f"--seed-override {seed_override}: must fit in 64 bits", EXIT_INPUT)
+        config = replace(config, seed=seed_override)
     started = time.monotonic()
     try:
         result = Simulation(config).run()
@@ -89,8 +93,8 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
         return _fail(f"scenario failed: {exc}", EXIT_SCENARIO)
     wall = time.monotonic() - started
     Path(trace_path).write_text(result.trace_text())
-    digest = canonical_config_hash(config.raw_text)
-    Path(report_path).write_text(_report_text(config_path, digest, result, wall, trace_path))
+    report = _report_text(config_path, config.config_sha256, result, wall, trace_path)
+    Path(report_path).write_text(report)
     print(
         f"{config_path}: delivered {result.metrics.packets_delivered}"
         f"/{result.metrics.packets_sent}, "

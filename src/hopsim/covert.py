@@ -26,6 +26,7 @@ from .errors import (
     IncompleteSet,
     IntegrityFailure,
     MalformedRecord,
+    NameTooLong,
     PayloadTooLarge,
 )
 
@@ -123,7 +124,7 @@ def _encode_name(index: int, chunk: bytes, domain_tail: str) -> str:
     labels = [data[i : i + MAX_LABEL_LENGTH] for i in range(0, len(data), MAX_LABEL_LENGTH)]
     name = ".".join(labels) + "." + domain_tail
     if len(name) > MAX_NAME_LENGTH:
-        raise AssertionError("generated name exceeds DNS limit")  # unreachable by sizing
+        raise NameTooLong(f"{len(name)}-character record name, limit {MAX_NAME_LENGTH}")
     return name
 
 

@@ -22,6 +22,7 @@ from .errors import (
     EmptyAlphabet,
     EmptyModel,
     InsufficientData,
+    UnknownModel,
 )
 from .rng import SplitMix64
 
@@ -198,6 +199,57 @@ class DhmmModel:
             else:
                 raise ValueError(f"unparseable model line: {ln}")
         return cls(num_states, num_symbols, tuple(transitions), IntervalAlphabet(tuple(bins)))
+
+
+# --- dwell sources ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FixedDwell:
+    ms: float
+
+    @property
+    def model_id(self) -> str:
+        return f"fixed:{self.ms!r}"
+
+
+@dataclass(frozen=True)
+class UniformDwell:
+    low_ms: float
+    high_ms: float
+
+    @property
+    def model_id(self) -> str:
+        return f"uniform:{self.low_ms!r}:{self.high_ms!r}"
+
+
+@dataclass(frozen=True)
+class DhmmDwell:
+    name: str
+    model: DhmmModel
+
+    @property
+    def model_id(self) -> str:
+        return self.name
+
+
+DwellSource = FixedDwell | UniformDwell | DhmmDwell
+
+
+def resolve_dwell_source(model_id: str, models: dict[str, DhmmModel]) -> DwellSource:
+    """Turn a payload's dwell-model id back into a usable source.
+
+    Registered names are looked up first, so a model whose name happens
+    to start with ``fixed:`` or ``uniform:`` still resolves to itself.
+    """
+    if model_id in models:
+        return DhmmDwell(model_id, models[model_id])
+    if model_id.startswith("fixed:"):
+        return FixedDwell(float(model_id.split(":", 1)[1]))
+    if model_id.startswith("uniform:"):
+        _, lo, hi = model_id.split(":")
+        return UniformDwell(float(lo), float(hi))
+    raise UnknownModel(f"no dwell model registered under {model_id!r}")
 
 
 def infer_dhmm(trace: list[float], alphabet: IntervalAlphabet, order: int = 1) -> DhmmModel:

@@ -71,6 +71,10 @@ class PayloadTooLarge(HopsimError):
     """Serialized payload exceeds the channel's size bound."""
 
 
+class NameTooLong(HopsimError):
+    """A generated record name exceeds the DNS name limit (the domain tail is too long)."""
+
+
 class CovertDecodeError(HopsimError):
     """Base class for decode failures of the covert channel."""
 

@@ -41,12 +41,21 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) via rejection sampling."""
+        """Unbiased integer in [0, n) via rejection sampling.
+
+        Each try concatenates as many 64-bit words as n - 1 needs, the
+        first word highest, so v6 pools beyond 2**64 addresses draw too.
+        For n <= 2**64 a try is one word, as in the reference algorithm.
+        """
         if n <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = max(1, -(-(n - 1).bit_length() // 64))
+        span = 1 << (64 * words)
+        limit = span - span % n
         while True:
             x = self.next_u64()
+            for _ in range(words - 1):
+                x = (x << 64) | self.next_u64()
             if x < limit:
                 return x % n
 

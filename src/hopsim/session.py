@@ -8,21 +8,18 @@ addresses at every hop, and the client's traffic is delivered across the
 simulated AS graph while optional observers watch and filter.
 
 Everything, including the adversary, runs deterministically from the
-scenario config; two runs of one config produce byte-identical traces.
+parsed scenario config (`hopsim.config`), without reading a file; two
+runs of one config produce byte-identical traces.
 """
 
 from __future__ import annotations
 
-import configparser
-import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .addressing import Address, Prefix, PrefixPool
 from .adversary import (
-    BlockMode,
     BlockPolicy,
     ObserverTap,
     Verdict,
@@ -30,15 +27,17 @@ from .adversary import (
     filter_packet,
     timing_detect,
 )
+from .config import DeploymentMode, ScenarioConfig
 from .covert import SyncPayload, decode_payload, encode_payload, ReverseZone
-from .dwell import DhmmModel, start_sampler
-from .errors import (
-    ConfigError,
-    ScenarioError,
-    ScheduleExhausted,
-    UnknownModel,
-    VersionMismatch,
+from .dwell import (
+    DhmmDwell,
+    DwellSource,
+    FixedDwell,
+    UniformDwell,
+    resolve_dwell_source,
+    start_sampler,
 )
+from .errors import ScenarioError, ScheduleExhausted, VersionMismatch
 from .events import EventQueue, TraceLog
 from .flowtable import (
     Direction,
@@ -55,17 +54,10 @@ from .hopping import HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
 from .routing import AsGraph, announce, longest_match, originates, process_message, withdraw
 
-_REQUIRED = object()
-
 
 class Role(Enum):
     CLIENT = "client"
     SERVER = "server"
-
-
-class DeploymentMode(Enum):
-    HOST_AGENT = "host"
-    GATEWAY = "gateway"
 
 
 @dataclass
@@ -82,53 +74,6 @@ class EndpointAgent:
     def __post_init__(self):
         if self.flow_table is None:
             self.flow_table = endpoint_table(self.internal_ip)
-
-
-# --- dwell sources ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedDwell:
-    ms: float
-
-    @property
-    def model_id(self) -> str:
-        return f"fixed:{self.ms!r}"
-
-
-@dataclass(frozen=True)
-class UniformDwell:
-    low_ms: float
-    high_ms: float
-
-    @property
-    def model_id(self) -> str:
-        return f"uniform:{self.low_ms!r}:{self.high_ms!r}"
-
-
-@dataclass(frozen=True)
-class DhmmDwell:
-    name: str
-    model: DhmmModel
-
-    @property
-    def model_id(self) -> str:
-        return self.name
-
-
-DwellSource = FixedDwell | UniformDwell | DhmmDwell
-
-
-def resolve_dwell_source(model_id: str, models: dict[str, DhmmModel]) -> DwellSource:
-    """Turn a payload's dwell-model id back into a usable source."""
-    if model_id.startswith("fixed:"):
-        return FixedDwell(float(model_id.split(":", 1)[1]))
-    if model_id.startswith("uniform:"):
-        _, lo, hi = model_id.split(":")
-        return UniformDwell(float(lo), float(hi))
-    if model_id in models:
-        return DhmmDwell(model_id, models[model_id])
-    raise UnknownModel(f"no dwell model registered under {model_id!r}")
 
 
 def dwell_sequence(source: DwellSource, seed: int, n: int) -> list[float]:
@@ -219,282 +164,6 @@ class SessionMetrics:
         }
 
 
-# --- scenario configuration ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    tap: tuple[int, int]
-    policy: str = "none"  # none | static | reactive
-    blocked: tuple[Address | Prefix, ...] = ()
-    detect_delay_ms: float = 5000.0
-    trigger_count: int = 1
-    timing_model: str | None = None  # model id in the registry
-    detect_threshold: float = 0.05
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    seed: int
-    n_hops: int
-    topology_text: str
-    server_ip: Address
-    server_as: int
-    server_pool: PrefixPool
-    client_ip: Address
-    client_as: int
-    dwell_kind: str  # fixed | uniform | dhmm
-    packets: int
-    gap_ms: float | None  # None = spread traffic across the schedule
-    raw_text: str
-    server_deployment: DeploymentMode = DeploymentMode.HOST_AGENT
-    client_deployment: DeploymentMode = DeploymentMode.HOST_AGENT
-    server_hopping: bool = True
-    dwell_fixed_ms: float = 5000.0
-    dwell_low_ms: float = 1000.0
-    dwell_high_ms: float = 10000.0
-    dwell_model_path: str | None = None
-    grace_window_ms: float = 200.0
-    lead_time_ms: float = 1000.0
-    withdraw_lag_ms: float = 500.0
-    link_delay_ms: float = 10.0
-    clock_skew_ms: float = 0.0
-    two_way: bool = False
-    client_seed: int = 0
-    client_pool: PrefixPool | None = None
-    payload_len: int = 64
-    anchor_ip: Address = Address.parse("203.0.113.53")
-    domain_tail: str = "example-cdn.net"
-    adversary: AdversaryConfig | None = None
-
-    def dwell_model_id(self) -> str:
-        if self.dwell_kind == "fixed":
-            return FixedDwell(self.dwell_fixed_ms).model_id
-        if self.dwell_kind == "uniform":
-            return UniformDwell(self.dwell_low_ms, self.dwell_high_ms).model_id
-        return Path(self.dwell_model_path).stem
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(str(path), "config file not found")
-        return cls.from_text(path.read_text(), base_dir=path.parent)
-
-    @classmethod
-    def from_text(cls, text: str, base_dir: str | Path = ".") -> "ScenarioConfig":
-        base = Path(base_dir)
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError("<config>", f"parse error: {exc}") from exc
-
-        def need(section: str, key: str, cast, default=_REQUIRED):
-            where = f"[{section}] {key}"
-            if not cp.has_option(section, key):
-                if default is _REQUIRED:
-                    raise ConfigError(where, "missing required key")
-                return default
-            raw = cp.get(section, key)
-            try:
-                return cast(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(where, f"bad value {raw!r}: {exc}") from exc
-
-        as_bool = lambda raw: raw.strip().lower() in ("1", "true", "yes", "on")
-
-        seed = need("scenario", "seed", lambda r: int(r, 0))
-        if not 0 <= seed < (1 << 64):
-            raise ConfigError("[scenario] seed", "must fit in 64 bits")
-        n_hops = need("scenario", "n_hops", int)
-        server_hopping = need("server", "hopping", as_bool, True)
-        if server_hopping and n_hops < 1:
-            raise ConfigError("[scenario] n_hops", "must be >= 1 for a hopping server")
-
-        topo_file = need("topology", "file", str)
-        topo_path = base / topo_file
-        if not topo_path.is_file():
-            raise ConfigError("[topology] file", f"{topo_path} not found")
-        topology_text = topo_path.read_text()
-        try:
-            graph = AsGraph.from_text(topology_text)
-        except ValueError as exc:
-            raise ConfigError("[topology] file", str(exc)) from exc
-
-        server_ip = need("server", "internal_ip", Address.parse)
-        server_as = need("server", "attached_as", int)
-        server_pool = need("server", "pool", PrefixPool.parse)
-        client_ip = need("client", "internal_ip", Address.parse)
-        client_as = need("client", "attached_as", int)
-        deployment = lambda raw: DeploymentMode(raw.strip().lower())
-        server_dep = need("server", "deployment", deployment, DeploymentMode.HOST_AGENT)
-        client_dep = need("client", "deployment", deployment, DeploymentMode.HOST_AGENT)
-
-        for asn, where in ((server_as, "[server] attached_as"), (client_as, "[client] attached_as")):
-            if asn not in graph.nodes:
-                raise ConfigError(where, f"AS {asn} not present in topology")
-        if server_as == client_as:
-            raise ConfigError("[client] attached_as", "endpoints must attach to distinct ASes")
-        if server_ip.version is not client_ip.version:
-            raise ConfigError("[client] internal_ip", "endpoint IP versions differ")
-        if server_pool.version is not server_ip.version:
-            raise ConfigError("[server] pool", "pool version differs from internal_ip")
-
-        dwell_kind = need("dwell", "source", lambda r: r.strip().lower())
-        if dwell_kind not in ("fixed", "uniform", "dhmm"):
-            raise ConfigError("[dwell] source", f"unknown source {dwell_kind!r}")
-        dwell_fixed = need("dwell", "fixed_ms", float, 5000.0)
-        dwell_low = need("dwell", "low_ms", float, 1000.0)
-        dwell_high = need("dwell", "high_ms", float, 10000.0)
-        model_path = None
-        if dwell_kind == "dhmm":
-            model_file = need("dwell", "model", str)
-            resolved = base / model_file
-            if not resolved.is_file():
-                raise ConfigError("[dwell] model", f"{resolved} not found")
-            model_path = str(resolved)
-        if dwell_kind == "fixed" and dwell_fixed <= 0:
-            raise ConfigError("[dwell] fixed_ms", "must be positive")
-        if dwell_kind == "uniform" and not 0 < dwell_low < dwell_high:
-            raise ConfigError("[dwell] low_ms", "need 0 < low_ms < high_ms")
-
-        packets = need("traffic", "packets", int)
-        if packets < 0:
-            raise ConfigError("[traffic] packets", "must be >= 0")
-        raw_gap = need("traffic", "gap_ms", str)
-        if raw_gap.strip().lower() == "auto":
-            gap_ms = None
-            if not server_hopping:
-                raise ConfigError("[traffic] gap_ms", "auto requires a hopping server")
-        else:
-            gap_ms = float(raw_gap)
-            if gap_ms <= 0:
-                raise ConfigError("[traffic] gap_ms", "must be positive or 'auto'")
-
-        two_way = need("scenario", "two_way", as_bool, False)
-        client_seed = need("scenario", "client_seed", lambda r: int(r, 0), 0)
-        client_pool = need("client", "pool", PrefixPool.parse, None)
-        if two_way:
-            if not server_hopping:
-                raise ConfigError("[scenario] two_way", "two_way requires a hopping server")
-            if client_pool is None:
-                raise ConfigError("[client] pool", "two_way requires a client pool")
-            if client_pool.version is not client_ip.version:
-                raise ConfigError("[client] pool", "pool version differs from internal_ip")
-            for c in client_pool.prefixes:
-                for p in server_pool.prefixes:
-                    if c.covers(p) or p.covers(c):
-                        raise ConfigError("[client] pool", f"{c} overlaps [server] pool prefix {p}")
-
-        # Each hopping end draws n_hops distinct addresses from its pool.
-        for role, pool, hopping in (
-            ("server", server_pool, server_hopping), ("client", client_pool, two_way)
-        ):
-            if hopping and n_hops > pool.total_addresses:
-                raise ConfigError(
-                    "[scenario] n_hops",
-                    f"{n_hops} hops need distinct addresses; "
-                    f"[{role}] pool holds {pool.total_addresses}",
-                )
-
-        adversary = None
-        if cp.has_section("adversary"):
-            raw_tap = need("adversary", "tap", str)
-            try:
-                a, b = (int(x) for x in raw_tap.replace("-", " ").split())
-            except ValueError as exc:
-                raise ConfigError("[adversary] tap", f"expected 'asn-asn': {exc}") from exc
-            if not graph.has_link(a, b):
-                raise ConfigError("[adversary] tap", f"link {a}-{b} not in topology")
-            policy = need("adversary", "policy", lambda r: r.strip().lower(), "none")
-            if policy not in ("none", "static", "reactive"):
-                raise ConfigError("[adversary] policy", f"unknown policy {policy!r}")
-            blocked: list[Address | Prefix] = []
-            raw_blocked = need("adversary", "blocked", str, "")
-            for item in (s.strip() for s in raw_blocked.split(",")):
-                if not item:
-                    continue
-                try:
-                    blocked.append(Prefix.parse(item) if "/" in item else Address.parse(item))
-                except ValueError as exc:
-                    raise ConfigError("[adversary] blocked", str(exc)) from exc
-            timing_model = need("adversary", "timing_model", str, None)
-            if timing_model is not None:
-                resolved = base / timing_model
-                if not resolved.is_file():
-                    raise ConfigError("[adversary] timing_model", f"{resolved} not found")
-                timing_model = str(resolved)
-            adversary = AdversaryConfig(
-                tap=(a, b),
-                policy=policy,
-                blocked=tuple(blocked),
-                detect_delay_ms=need("adversary", "detect_delay_ms", float, 5000.0),
-                trigger_count=need("adversary", "trigger_count", int, 1),
-                timing_model=timing_model,
-                detect_threshold=need("adversary", "detect_threshold", float, 0.05),
-            )
-
-        positive = {
-            "grace_window_ms": (need("scenario", "grace_window_ms", float, 200.0), True),
-            "lead_time_ms": (need("scenario", "lead_time_ms", float, 1000.0), False),
-            "withdraw_lag_ms": (need("scenario", "withdraw_lag_ms", float, 500.0), True),
-            "link_delay_ms": (need("scenario", "link_delay_ms", float, 10.0), True),
-            "clock_skew_ms": (need("scenario", "clock_skew_ms", float, 0.0), True),
-        }
-        for key, (value, zero_ok) in positive.items():
-            if value < 0 or (value == 0 and not zero_ok):
-                raise ConfigError(f"[scenario] {key}", "must be positive")
-
-        return cls(
-            seed=seed,
-            n_hops=n_hops,
-            topology_text=topology_text,
-            server_ip=server_ip,
-            server_as=server_as,
-            server_pool=server_pool,
-            client_ip=client_ip,
-            client_as=client_as,
-            dwell_kind=dwell_kind,
-            packets=packets,
-            gap_ms=gap_ms,
-            raw_text=text,
-            server_deployment=server_dep,
-            client_deployment=client_dep,
-            server_hopping=server_hopping,
-            dwell_fixed_ms=dwell_fixed,
-            dwell_low_ms=dwell_low,
-            dwell_high_ms=dwell_high,
-            dwell_model_path=model_path,
-            grace_window_ms=positive["grace_window_ms"][0],
-            lead_time_ms=positive["lead_time_ms"][0],
-            withdraw_lag_ms=positive["withdraw_lag_ms"][0],
-            link_delay_ms=positive["link_delay_ms"][0],
-            clock_skew_ms=positive["clock_skew_ms"][0],
-            two_way=two_way,
-            client_seed=client_seed,
-            client_pool=client_pool,
-            payload_len=need("traffic", "payload_len", int, 64),
-            anchor_ip=need("covert", "anchor_ip", Address.parse, Address.parse("203.0.113.53")),
-            domain_tail=need("covert", "domain_tail", str, "example-cdn.net"),
-            adversary=adversary,
-        )
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
-
-
-def canonical_config_hash(text: str) -> str:
-    """Stable digest of a config: sections and keys sorted, values stripped."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.read_string(text)
-    lines = []
-    for section in sorted(cp.sections()):
-        for key in sorted(cp.options(section)):
-            lines.append(f"[{section}] {key}={cp.get(section, key).strip()}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 # --- the simulation --------------------------------------------------------
 
 
@@ -561,15 +230,6 @@ class Simulation:
         self.trace = TraceLog()
         self.graph = AsGraph.from_text(config.topology_text)
         self.zone = ReverseZone()
-        self.models: dict[str, DhmmModel] = {}
-        if config.dwell_model_path:
-            path = Path(config.dwell_model_path)
-            self.models[path.stem] = DhmmModel.from_text(path.read_text())
-        self._timing_model: DhmmModel | None = None
-        if config.adversary and config.adversary.timing_model:
-            self._timing_model = DhmmModel.from_text(
-                Path(config.adversary.timing_model).read_text()
-            )
 
         self.server = EndpointAgent(
             Role.SERVER, config.server_ip, config.server_as, config.server_deployment
@@ -579,19 +239,11 @@ class Simulation:
         )
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
 
-        self.taps: list[ObserverTap] = []
+        adv = config.adversary
+        self.tap: ObserverTap | None = ObserverTap(adv.tap) if adv else None
         self.policy: BlockPolicy | None = None
-        if config.adversary:
-            self.taps.append(ObserverTap(config.adversary.tap))
-            if config.adversary.policy == "static":
-                self.policy = BlockPolicy(frozenset(config.adversary.blocked), BlockMode.STATIC)
-            elif config.adversary.policy == "reactive":
-                self.policy = BlockPolicy(
-                    frozenset(config.adversary.blocked),
-                    BlockMode.REACTIVE,
-                    detect_delay_ms=config.adversary.detect_delay_ms,
-                    trigger_count=config.adversary.trigger_count,
-                )
+        if adv and adv.mode is not None:
+            self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
 
         self._prefix_refs: dict[Prefix, int] = {}
         self._hops_entered: list[tuple[int, float]] = []  # server-side windows
@@ -646,9 +298,7 @@ class Simulation:
             self._schedule_traffic(cfg.gap_ms)
             return
 
-        payload = SyncPayload(
-            cfg.seed, cfg.server_pool, self.config.dwell_model_id(), cfg.lead_time_ms
-        )
+        payload = SyncPayload(cfg.seed, cfg.server_pool, cfg.dwell.model_id, cfg.lead_time_ms)
         records = encode_payload(payload, cfg.anchor_ip, cfg.domain_tail)
         self.zone.register(records)
         self._emit_trace("dns", "register", f"anchor={cfg.anchor_ip};names={len(records.names)}")
@@ -656,7 +306,8 @@ class Simulation:
         decoded = decode_payload(fetched, cfg.domain_tail)
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
 
-        source = resolve_dwell_source(decoded.dwell_model_id, self.models)
+        models = {cfg.dwell.name: cfg.dwell.model} if isinstance(cfg.dwell, DhmmDwell) else {}
+        source = resolve_dwell_source(decoded.dwell_model_id, models)
         server_view = synchronize(self.server, decoded, source, cfg.n_hops)
         client_view = synchronize(self.client, decoded, source, cfg.n_hops)
         if server_view != client_view:
@@ -671,7 +322,7 @@ class Simulation:
         ends = [_HopEnd(self.server, self.client, cfg.server_pool, server_view)]
         if cfg.two_way:
             client_payload = SyncPayload(
-                cfg.client_seed, cfg.client_pool, self.config.dwell_model_id(), cfg.lead_time_ms
+                cfg.client_seed, cfg.client_pool, cfg.dwell.model_id, cfg.lead_time_ms
             )
             client_sched = synchronize(self.client, client_payload, source, cfg.n_hops)
             self.client.schedule = client_sched
@@ -782,16 +433,16 @@ class Simulation:
             return
         nxt = route.next_hop
         now = self.queue.now
-        for tap in self.taps:
-            if tap.watches(asn, nxt):
-                tap.observe(now, packet)
-                if self.policy is not None:
-                    if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
-                        self._emit_trace(
-                            "adversary", "block", f"id={packet.id};dst={packet.dst};link={asn}-{nxt}"
-                        )
-                        self._resolve()
-                        return
+        tap = self.tap
+        if tap is not None and tap.watches(asn, nxt):
+            tap.observe(now, packet)
+            if self.policy is not None:
+                if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
+                    self._emit_trace(
+                        "adversary", "block", f"id={packet.id};dst={packet.dst};link={asn}-{nxt}"
+                    )
+                    self._resolve()
+                    return
         self.queue.schedule_in(self.config.link_delay_ms, self._forward, packet, nxt, hops + 1)
 
     def _deliver_local(self, packet: Packet, asn: int) -> None:
@@ -867,12 +518,12 @@ class Simulation:
 
     def _analyze_timing(self) -> list[str]:
         adv = self.config.adversary
-        if not adv or self._timing_model is None or not self.taps:
+        if not adv or adv.timing_model is None:
             return []
-        intervals = extract_hop_intervals(self.taps[0], flow_src=self.client.internal_ip)
+        intervals = extract_hop_intervals(self.tap, flow_src=self.client.internal_ip)
         if not intervals:
             return [f"nan,{adv.detect_threshold!r},no-hops-observed"]
-        stat = timing_detect(intervals, self._timing_model, self._timing_model.alphabet)
+        stat = timing_detect(intervals, adv.timing_model, adv.timing_model.alphabet)
         verdict = "detected" if stat > adv.detect_threshold else "clean"
         return [f"{stat!r},{adv.detect_threshold!r},{verdict}"]
 

@@ -15,6 +15,7 @@ import numpy as np
 from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
 from hopsim.adversary import timing_detect
 from hopsim.cli import MACHINE_MARKER, main
+from hopsim.config import ScenarioConfig
 from hopsim.covert import PtrRecordSet, SyncPayload, decode_payload, encode_payload
 from hopsim.dwell import (
     Transition,
@@ -29,7 +30,7 @@ from hopsim.errors import CovertDecodeError
 from hopsim.hopping import collision_probability
 from hopsim.routing import AsGraph, announce, converge, withdraw
 from hopsim.rng import SplitMix64
-from hopsim.session import ScenarioConfig, Simulation, run_scenario
+from hopsim.session import Simulation, run_scenario
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -18,6 +18,11 @@ from conftest import make_config
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
 
+LONG_TAIL = ".".join(["a" * 60] * 4)  # 243 characters: no record name fits under 253
+TWO_WAY = ("[scenario]", "[scenario]\ntwo_way = true")
+CLIENT_POOL = ("184.164.242.77", "10.0.0.2\npool = 184.164.242.0/24")
+DWELL_MODEL = ("[traffic]", "model = bg.model\n\n[traffic]")
+
 
 def machine_section(path):
     return json.loads(path.read_text().split(MACHINE_MARKER)[1])
@@ -94,6 +99,79 @@ class TestRun:
         )
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, edits, files, key",
+        [
+            ({"extra": f"[covert]\ndomain_tail = {LONG_TAIL}\n"}, [], {}, "[covert] domain_tail"),
+            ({"pool": ",".join(f"100.{i >> 8}.{i & 255}.0/24" for i in range(4000))}, [], {},
+             "[server] pool"),
+            ({"extra": "[adversary]\ntap = 1-2\npolicy = reactive\ndetect_delay_ms = 0\n"}, [], {},
+             "[adversary] detect_delay_ms"),
+            ({}, [("[scenario]", "[scenario]\ntwo_way = true\nclient_seed = -1"), CLIENT_POOL], {},
+             "[scenario] client_seed"),
+            ({"pool": "10.0.0.0/30", "n_hops": 4}, [], {}, "[server] internal_ip"),
+            ({}, [TWO_WAY, ("184.164.242.77", "10.0.0.2\npool = 10.0.0.0/29")], {},
+             "[client] internal_ip"),
+            ({"dwell": "dhmm"}, [DWELL_MODEL], {"bg.model": "garbage\n"}, "[dwell] model"),
+            ({"dwell": "dhmm"}, [DWELL_MODEL],
+             {"bg.model": "states=2 symbols=1\n0,0,1,1.0\n0,0.0,100.0\n"}, "[dwell] model"),
+            ({"dwell": "dhmm"}, [DWELL_MODEL],
+             {"bg.model": "states=1 symbols=1\n0,0,0,1.0\n0,0.0,0.0\n"}, "[dwell] model"),
+            ({"extra": "[adversary]\ntap = 1-2\ntiming_model = bg.model\n"}, [],
+             {"bg.model": "states=1\n"}, "[adversary] timing_model"),
+            ({"pool": "184.164.243.0/24,184.164.243.128/25"}, [], {}, "[server] pool"),
+            ({"gap_ms": "soon"}, [], {}, "[traffic] gap_ms"),
+            ({"fixed_ms": "nan"}, [], {}, "[dwell] fixed_ms"),
+            ({"extra": "[covert]\ndomain_tail = 100%.example\n"}, [], {}, "[covert] domain_tail"),
+        ],
+        ids=[
+            "tail_too_long", "payload_too_large", "reactive_without_delay",
+            "client_seed_negative", "server_ip_in_own_pool", "client_ip_in_own_pool",
+            "dwell_model_garbage", "dwell_model_absorbing", "dwell_model_zero_bin",
+            "timing_model_garbage",
+            "pool_prefixes_overlap", "gap_not_a_number", "dwell_not_finite",
+            "value_with_stray_percent",
+        ],
+    )
+    def test_unusable_config_exits_2(self, tmp_path, capsys, options, edits, files, key):
+        config = make_config(tmp_path, **{"packets": 1, "gap_ms": "10", **options})
+        text = config.read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        config.write_text(text)
+        for name, body in files.items():
+            (tmp_path / name).write_text(body)
+        code = main(
+            ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_v6_pool_beyond_64_bits_runs_deterministically(self, tmp_path):
+        # A /56 holds 2**72 addresses: each draw needs two words of the
+        # stream. Run in a subprocess, so a draw that never returns fails
+        # the test by timeout instead of hanging the suite.
+        config = make_config(
+            tmp_path, n_hops=20, fixed_ms=500.0, packets=40, gap_ms="auto",
+            server_ip="2001:db8:1::1", pool="2001:db8::/56",
+        )
+        config.write_text(config.read_text().replace("184.164.242.77", "2001:db8:2::77"))
+        src = str(Path(hopsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = []
+        for tag in ("a", "b"):
+            trace, report = tmp_path / f"{tag}.trace", tmp_path / f"{tag}.report"
+            subprocess.run(
+                [sys.executable, "-m", "hopsim.cli", "run",
+                 "--config", str(config), "--trace", str(trace), "--report", str(report)],
+                env=env, check=True, capture_output=True, timeout=60,
+            )
+            out.append((trace.read_bytes(), machine_section(report)))
+        assert out[0] == out[1]
+        metrics = out[0][1]["metrics"]
+        assert metrics["packets_delivered"] == metrics["packets_sent"] == 40
+        assert metrics["distinct_external_ips_used"] == 20
 
     def test_skewed_two_way_session_drops_half_rewritten_packets(self, tmp_path):
         # The skewed client keeps sending to the server's previous address
@@ -268,6 +346,14 @@ class TestCovert:
         src.write_text(f"seed=1\npool={prefixes}\nmodel={'x' * 250}\nepoch_ms=0.0\n")
         code = main(["covert", "encode", "--in", str(src), "--out", str(tmp_path / "z")])
         assert code == 2
+
+    def test_tail_too_long_for_a_record_name_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "payload.txt"
+        src.write_text(PAYLOAD_TEXT)
+        code = main(["covert", "encode", "--in", str(src), "--out", str(tmp_path / "z"),
+                     "--tail", LONG_TAIL])
+        assert code == 2
+        assert "record name" in capsys.readouterr().err
 
     def test_malformed_payload_exits_2(self, tmp_path):
         src = tmp_path / "payload.txt"

@@ -1,3 +1,7 @@
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from hopsim.rng import MASK64, SplitMix64
 
 
@@ -44,3 +48,44 @@ def test_random_in_unit_interval():
     values = [rng.random() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert abs(sum(values) / len(values) - 0.5) < 0.05
+
+
+def _one_word_below(rng: SplitMix64, n: int) -> int:
+    """The single-word rejection sampler, as `below` was for n <= 2**64."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % n
+
+
+@given(st.integers(0, MASK64), st.integers(1, 1 << 64))
+def test_below_one_word_bounds_match_single_word_sampler(seed, n):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert [rng.below(n) for _ in range(4)] == [_one_word_below(ref, n) for _ in range(4)]
+    assert rng.state == ref.state
+
+
+@given(st.integers(0, MASK64), st.integers(65, 128))
+def test_below_beyond_64_bits_draws_whole_words(seed, bits):
+    # A bound of 2**bits needs ceil(bits / 64) words per try and never
+    # rejects, so each draw advances the stream by exactly that many.
+    n = 1 << bits
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    words = -(-bits // 64)
+    for _ in range(3):
+        x = rng.below(n)
+        expected = 0
+        for _ in range(words):
+            expected = (expected << 64) | ref.next_u64()
+        assert x == expected % n
+        assert rng.state == ref.state
+
+
+def test_below_large_bound_covers_high_bits():
+    rng = SplitMix64(11)
+    n = 3 << 70  # not a power of two, so some tries are rejected
+    draws = [rng.below(n) for _ in range(2000)]
+    assert all(0 <= x < n for x in draws)
+    assert max(draws) > n * 0.9 and min(draws) < n * 0.1
+    assert sum(x >= n // 2 for x in draws) / len(draws) == pytest.approx(0.5, abs=0.05)

@@ -1,7 +1,9 @@
 import pytest
 
 from hopsim.addressing import Address, PrefixPool
+from hopsim.config import DeploymentMode, ScenarioConfig, canonical_config_hash
 from hopsim.covert import SyncPayload
+from hopsim.dwell import FixedDwell, UniformDwell, resolve_dwell_source
 from hopsim.errors import (
     ConfigError,
     ScenarioError,
@@ -14,17 +16,11 @@ from hopsim.hopping import build_schedule
 from hopsim.routing import AsGraph, announce, converge
 from hopsim.rng import SplitMix64
 from hopsim.session import (
-    DeploymentMode,
     EndpointAgent,
-    FixedDwell,
     Role,
-    ScenarioConfig,
     SessionMetrics,
     Simulation,
-    UniformDwell,
-    canonical_config_hash,
     hop,
-    resolve_dwell_source,
     run_scenario,
     synchronize,
 )
