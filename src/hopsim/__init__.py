@@ -19,7 +19,6 @@ from .flowtable import (
     FlowRule,
     FlowTable,
     Packet,
-    PacketKind,
     apply,
     grace_set,
     install_hop_rules,

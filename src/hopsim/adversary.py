@@ -17,7 +17,7 @@ from enum import Enum
 from .addressing import Address, Prefix, PrefixIndex
 from .dwell import DhmmModel, IntervalAlphabet, distribution_distance, start_sampler
 from .errors import HopsimError
-from .flowtable import Packet, PacketKind
+from .flowtable import Packet
 
 
 class EmptyInput(HopsimError):
@@ -34,7 +34,7 @@ class ObserverTap:
     """Passive log of packets crossing one link, in time order."""
 
     link: tuple[int, int]
-    log: list[tuple[float, Address, Address, PacketKind]] = field(default_factory=list)
+    log: list[tuple[float, Address, Address]] = field(default_factory=list)
 
     def watches(self, a: int, b: int) -> bool:
         """True if (a, b) is the tapped link, in either direction."""
@@ -44,13 +44,13 @@ class ObserverTap:
     def observe(self, t: float, packet: Packet) -> None:
         if self.log and t < self.log[-1][0]:
             raise ValueError("tap log must stay time-ordered")
-        self.log.append((t, packet.src, packet.dst, packet.kind))
+        self.log.append((t, packet.src, packet.dst))
 
     def dump_lines(self) -> list[str]:
         """Tap log in the event-trace line format."""
         return [
-            f"{t:.3f},adversary,observe,src={src};dst={dst};kind={kind.value}"
-            for t, src, dst, kind in self.log
+            f"{t:.3f},adversary,observe,src={src};dst={dst}"
+            for t, src, dst in self.log
         ]
 
 
@@ -103,15 +103,10 @@ class BlockPolicy:
             self._pending[packet.dst] = at + self.detect_delay_ms
 
 
-def filter_packet(policy: BlockPolicy, packet: Packet, at: float | None = None) -> Verdict:
-    """Verdict for one observed packet; advances reactive state.
-
-    `at` is the observation time; it defaults to the packet's send time
-    for standalone use.
-    """
-    t = packet.sent_at if at is None else at
-    policy.observe(packet, t)
-    if policy._listed(packet.src, t) or policy._listed(packet.dst, t):
+def filter_packet(policy: BlockPolicy, packet: Packet, at: float) -> Verdict:
+    """Verdict for one packet observed at time `at`; advances reactive state."""
+    policy.observe(packet, at)
+    if policy._listed(packet.src, at) or policy._listed(packet.dst, at):
         return Verdict.BLOCK
     return Verdict.PASS
 
@@ -126,7 +121,7 @@ def extract_hop_intervals(tap: ObserverTap, flow_src: Address | None = None) -> 
     flows do not disturb it.
     """
     groups: dict[Address, list[tuple[float, Address]]] = {}
-    for t, src, dst, _ in tap.log:
+    for t, src, dst in tap.log:
         groups.setdefault(src, []).append((t, dst))
     if flow_src is not None:
         sequence = groups.get(flow_src, [])

@@ -28,7 +28,7 @@ from .covert import (
     zone_lines,
 )
 from .addressing import PrefixPool
-from .dwell import infer_dhmm, load_trace_text, quantile_alphabet
+from .dwell import check_walkable, infer_dhmm, load_trace_text, quantile_alphabet
 from .errors import (
     ConfigError,
     HopsimError,
@@ -132,6 +132,7 @@ def cmd_train(args) -> int:
             return _fail("trace holds no intervals", EXIT_INPUT)
         alphabet = quantile_alphabet(trace, args.bins)
         model = infer_dhmm(trace, alphabet, order=args.order)
+        check_walkable(model)  # `run` rejects a model a walk can get stuck in
     except (ValueError, HopsimError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     Path(args.out).write_text(model.to_text())

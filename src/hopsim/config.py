@@ -18,7 +18,7 @@ from pathlib import Path
 from .addressing import Address, Prefix, PrefixPool
 from .adversary import BlockMode
 from .covert import SyncPayload, encode_payload
-from .dwell import DhmmDwell, DhmmModel, DwellSource, FixedDwell, UniformDwell
+from .dwell import DhmmDwell, DhmmModel, DwellSource, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidPool, NameTooLong, PayloadTooLarge
 from .routing import AsGraph
 
@@ -66,7 +66,6 @@ class ScenarioConfig:
     two_way: bool
     client_seed: int
     client_pool: PrefixPool | None
-    payload_len: int
     anchor_ip: Address
     domain_tail: str
     adversary: AdversaryConfig | None
@@ -200,13 +199,16 @@ class ScenarioConfig:
             detect_delay_ms = need("adversary", "detect_delay_ms", _number, 5000.0)
             if mode is BlockMode.REACTIVE and detect_delay_ms <= 0:
                 raise ConfigError("[adversary] detect_delay_ms", "a reactive policy needs a delay > 0")
+            trigger_count = need("adversary", "trigger_count", int, 1)
+            if trigger_count < 1:
+                raise ConfigError("[adversary] trigger_count", "must be >= 1")
             timing_file = need("adversary", "timing_model", str, None)
             adversary = AdversaryConfig(
                 tap=(a, b),
                 mode=mode,
                 blocked=blocked,
                 detect_delay_ms=detect_delay_ms,
-                trigger_count=need("adversary", "trigger_count", int, 1),
+                trigger_count=trigger_count,
                 timing_model=(
                     None if timing_file is None
                     else _load_model(base / timing_file, "[adversary] timing_model")
@@ -255,7 +257,6 @@ class ScenarioConfig:
             two_way=two_way,
             client_seed=client_seed,
             client_pool=client_pool,
-            payload_len=need("traffic", "payload_len", int, 64),
             anchor_ip=anchor_ip,
             domain_tail=domain_tail,
             adversary=adversary,
@@ -305,25 +306,13 @@ def _read(path: Path, where: str) -> str:
 
 
 def _load_model(path: Path, where: str) -> DhmmModel:
-    """A DHMM file whose model can start a walk in any state and keep going.
-
-    A sampler starts in a seeded state and emits a dwell from each bin it
-    visits, so a state without transitions, or a bin whose dwells are not
-    positive and finite, would fail the run for some seeds.
-    """
+    """A DHMM file whose model can start a walk in any state and keep going."""
     text = _read(path, where)
     try:
         model = DhmmModel.from_text(text)
+        check_walkable(model)
     except (ValueError, KeyError, HopsimError) as exc:
         raise ConfigError(where, f"unusable model {path.name}: {exc!r}") from exc
-    if model.num_states < 1:
-        raise ConfigError(where, f"model {path.name} has no states")
-    for state in range(model.num_states):
-        if not model.transitions_from(state):
-            raise ConfigError(where, f"state {state} of {path.name} has no outgoing transitions")
-    for b in model.alphabet.bins:
-        if not (math.isfinite(b.lower_ms) and 0 < b.upper_ms < math.inf):
-            raise ConfigError(where, f"bin {b.symbol} of {path.name} needs finite bounds above 0")
     return model
 
 

@@ -13,6 +13,7 @@ Durations are simulated milliseconds throughout.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,6 +280,23 @@ def infer_dhmm(trace: list[float], alphabet: IntervalAlphabet, order: int = 1) -
         for (h, sym), c in sorted(counts.items())
     )
     return DhmmModel(len(states), len(alphabet), transitions, alphabet)
+
+
+def check_walkable(model: DhmmModel) -> None:
+    """Raise unless a walk can start in any state of `model` and keep going.
+
+    A sampler starts in a seeded state and emits a dwell from each bin it
+    visits, so a state without transitions, or a bin whose dwells are not
+    positive and finite, would fail a run for some seeds.
+    """
+    if model.num_states < 1:
+        raise EmptyModel("model has no states")
+    for state in range(model.num_states):
+        if not model.transitions_from(state):
+            raise AbsorbingState(f"state {state} has no outgoing transitions")
+    for b in model.alphabet.bins:
+        if not (math.isfinite(b.lower_ms) and 0 < b.upper_ms < math.inf):
+            raise ValueError(f"bin {b.symbol} needs finite bounds above 0")
 
 
 class DwellSampler:

@@ -1,18 +1,16 @@
 """Match-action flow tables for address rewriting.
 
 Models the switch state that swaps a fixed internal address for the
-hop schedule's current external address. ARP is a packet kind with the
-same address fields, not a resolution state machine; its rules exist
-for rewrite parity with IP.
+hop schedule's current external address.
 
 Tables are immutable values: installs return new tables, so no packet
 event can observe a half-updated table.
 
 Lookups are tuple-space search (Srinivasan, Suri and Varghese, SIGCOMM
 1999), as in Open vSwitch's classifier: every match is exact on one
-address field, so a table indexes its best rule per (kind, direction,
-field, address) once, when it is built, and a lookup probes the source
-key and the destination key instead of scanning the rules. Each rule
+address field, so a table indexes its best rule per (direction, field,
+address) once, when it is built, and a lookup probes the source key
+and the destination key instead of scanning the rules. Each rule
 computes its lookup key once, when it is made, and the index build,
 installs and expiries read that key instead of the rule's fields.
 
@@ -41,12 +39,6 @@ PERMIT_RULE_PRIORITY = 10
 # identity equality and runs in C (Enum's own hashes the name in Python).
 
 
-class PacketKind(Enum):
-    IP = "ip"
-    ARP = "arp"
-    __hash__ = object.__hash__
-
-
 class Direction(Enum):
     OUTBOUND = "out"
     INBOUND = "in"
@@ -68,12 +60,9 @@ class ActionKind(Enum):
 
 @dataclass(frozen=True)
 class Packet:
-    kind: PacketKind
     src: Address
     dst: Address
     id: int
-    payload_len: int
-    sent_at: float
 
     def __post_init__(self):
         if self.src.version is not self.dst.version:
@@ -82,7 +71,6 @@ class Packet:
 
 @dataclass(frozen=True)
 class Match:
-    kind: PacketKind
     direction: Direction
     field: AddrField
     value: Address
@@ -103,7 +91,7 @@ class Action:
         return self.arg is not None
 
 
-LookupKey = tuple[PacketKind, Direction, AddrField, IPVersion, int]
+LookupKey = tuple[Direction, AddrField, IPVersion, int]
 
 
 @dataclass(frozen=True)
@@ -111,7 +99,7 @@ class FlowRule:
     priority: int
     match: Match
     action: Action
-    # The match as (kind, direction, field, address version, address bits):
+    # The match as (direction, field, address version, address bits):
     # equal keys are equal matches, and the key hashes and compares in C.
     key: LookupKey = field(init=False, repr=False, compare=False)
 
@@ -120,7 +108,7 @@ class FlowRule:
         value = m.value
         if arg is not None and arg.version is not value.version:
             raise VersionMismatch(f"rewrite target {arg} vs match {value}")
-        object.__setattr__(self, "key", (m.kind, m.direction, m.field, value.version, value.bits))
+        object.__setattr__(self, "key", (m.direction, m.field, value.version, value.bits))
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,6 @@ class FlowTable:
 
 
 def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: bool) -> list[FlowRule]:
-    rules = []
     if mirror:
         # Tracking peer: rewrite destinations on the way out, sources on
         # the way in, so the local application only ever sees the peer's
@@ -178,12 +165,10 @@ def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: b
         out_field, in_field = AddrField.SRC, AddrField.DST
         out_action = Action(ActionKind.REWRITE_SRC, external)
         in_action = Action(ActionKind.REWRITE_DST, internal)
-    for kind in (PacketKind.IP, PacketKind.ARP):
-        out = Match(kind, Direction.OUTBOUND, out_field, internal)
-        inb = Match(kind, Direction.INBOUND, in_field, external)
-        rules.append(FlowRule(priority, out, out_action))
-        rules.append(FlowRule(priority, inb, in_action))
-    return rules
+    return [
+        FlowRule(priority, Match(Direction.OUTBOUND, out_field, internal), out_action),
+        FlowRule(priority, Match(Direction.INBOUND, in_field, external), in_action),
+    ]
 
 
 def _install(
@@ -207,7 +192,7 @@ def _install(
     version, bits = external.version, external.bits
     kept = []
     for r in table.rules:
-        _, direction, fld, v, b = r.key
+        direction, fld, v, b = r.key
         if r.action.arg is None or (direction is outbound) is not (fld is out_field):
             kept.append(r)
         elif grace and direction is not outbound and (b != bits or v is not version):
@@ -223,12 +208,11 @@ def _install(
 def install_hop_rules(
     table: FlowTable, internal: Address, external: Address, *, grace: bool = False
 ) -> FlowTable:
-    """Install the hopping endpoint's four rewrite rules.
+    """Install the hopping endpoint's two rewrite rules.
 
-    {IP, ARP} x {outbound src internal->external, inbound dst
-    external->internal}. Replaces previous hop rules in one step;
-    with `grace` the previous external's inbound rules stay until
-    explicitly expired.
+    Outbound src internal->external and inbound dst external->internal.
+    Replaces previous hop rules in one step; with `grace` the previous
+    external's inbound rules stay until explicitly expired.
     """
     return _install(table, internal, external, mirror=False, grace=grace,
                     priority=HOP_RULE_PRIORITY)
@@ -248,7 +232,7 @@ def expire_external(table: FlowTable, external: Address) -> FlowTable:
     inbound = Direction.INBOUND
     kept = [
         r for r in table.rules
-        if not (r.key[4] == bits and r.key[1] is inbound and r.key[3] is version
+        if not (r.key[3] == bits and r.key[0] is inbound and r.key[2] is version
                 and r.action.arg is not None)
     ]
     return FlowTable(tuple(kept), table.default_action)
@@ -262,28 +246,20 @@ def endpoint_table(internal: Address) -> FlowTable:
     keep the endpoint's own egress and its fixed internal address
     reachable.
     """
-    permits = []
-    for kind in (PacketKind.IP, PacketKind.ARP):
-        permits.append(FlowRule(
-            PERMIT_RULE_PRIORITY,
-            Match(kind, Direction.OUTBOUND, AddrField.SRC, internal),
-            Action(ActionKind.FORWARD),
-        ))
-        permits.append(FlowRule(
-            PERMIT_RULE_PRIORITY,
-            Match(kind, Direction.INBOUND, AddrField.DST, internal),
-            Action(ActionKind.FORWARD),
-        ))
-    return FlowTable(tuple(permits), ActionKind.DROP)
+    permit = Action(ActionKind.FORWARD)
+    return FlowTable((
+        FlowRule(PERMIT_RULE_PRIORITY, Match(Direction.OUTBOUND, AddrField.SRC, internal), permit),
+        FlowRule(PERMIT_RULE_PRIORITY, Match(Direction.INBOUND, AddrField.DST, internal), permit),
+    ), ActionKind.DROP)
 
 
 def apply_detail(
     table: FlowTable, packet: Packet, direction: Direction
 ) -> tuple[Packet | None, FlowRule | None]:
     """Apply the best-matching rule; returns (result, rule) with rule None on default."""
-    kind, src, dst = packet.kind, packet.src, packet.dst
-    hit = table.index.get((kind, direction, AddrField.SRC, src.version, src.bits))
-    dst_hit = table.index.get((kind, direction, AddrField.DST, dst.version, dst.bits))
+    src, dst = packet.src, packet.dst
+    hit = table.index.get((direction, AddrField.SRC, src.version, src.bits))
+    dst_hit = table.index.get((direction, AddrField.DST, dst.version, dst.bits))
     if hit is None or (dst_hit is not None and dst_hit < hit):
         hit = dst_hit
     if hit is None:
@@ -297,8 +273,8 @@ def apply_detail(
     if action.kind is ActionKind.FORWARD:
         return packet, best
     if action.kind is ActionKind.REWRITE_SRC:
-        return Packet(kind, action.arg, dst, packet.id, packet.payload_len, packet.sent_at), best
-    return Packet(kind, src, action.arg, packet.id, packet.payload_len, packet.sent_at), best
+        return Packet(action.arg, dst, packet.id), best
+    return Packet(src, action.arg, packet.id), best
 
 
 def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | None:
@@ -317,12 +293,12 @@ def grace_set(table: FlowTable) -> frozenset[Address]:
 
 
 def dump_lines(table: FlowTable) -> list[str]:
-    """One rule per line: ``prio,kind,dir,field,match_addr,action,arg``."""
+    """One rule per line: ``prio,dir,field,match_addr,action,arg``."""
     lines = []
     for r in table.rules:
         arg = str(r.action.arg) if r.action.arg is not None else "-"
         lines.append(
-            f"{r.priority},{r.match.kind.value},{r.match.direction.value},"
+            f"{r.priority},{r.match.direction.value},"
             f"{r.match.field.value},{r.match.value},{r.action.kind.value},{arg}"
         )
     return lines

@@ -106,22 +106,14 @@ class HopSchedule:
         return [f"{i},{e.address},{e.dwell_ms!r}" for i, e in enumerate(self.entries)]
 
 
-def build_schedule(
-    seed: int,
-    pool: PrefixPool,
-    n: int,
-    dwells: list[float],
-    *,
-    unique: bool = False,
-) -> HopSchedule:
-    """Zip a seeded address sequence with caller-supplied dwells."""
+def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> HopSchedule:
+    """Zip a seeded sequence of distinct addresses with caller-supplied dwells."""
     if len(dwells) != n:
         raise LengthMismatch(f"{len(dwells)} dwells for {n} addresses")
     for d in dwells:
         if d <= 0:
             raise ValueError("dwells must be positive")
-    gen = generate_unique_addresses if unique else generate_addresses
-    addresses = gen(seed, pool, n)
+    addresses = generate_unique_addresses(seed, pool, n)
     entries = tuple(HopEntry(a, float(d)) for a, d in zip(addresses, dwells))
     return HopSchedule(seed=seed, entries=entries)
 

@@ -43,7 +43,6 @@ from .flowtable import (
     Direction,
     FlowTable,
     Packet,
-    PacketKind,
     apply_detail,
     endpoint_table,
     expire_external,
@@ -103,7 +102,7 @@ def synchronize(
             f"agent {agent.internal_ip} vs pool version {payload.pool.version.name}"
         )
     dwells = dwell_sequence(dwell_source, payload.seed, n_hops)
-    return build_schedule(payload.seed, payload.pool, n_hops, dwells, unique=True)
+    return build_schedule(payload.seed, payload.pool, n_hops, dwells)
 
 
 def hop(
@@ -175,13 +174,13 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     if it performs another rewrite, so a rewritten packet never falls
     through to the table default.
 
-    The outcome depends on the packet's kind and addresses only, so it
-    is kept in the table's memo: None for a drop, () for a packet that
-    passes unchanged, else the rewritten (src, dst). Tables never
-    change, which makes the memo exact.
+    The outcome depends on the packet's addresses only, so it is kept
+    in the table's memo: None for a drop, () for a packet that passes
+    unchanged, else the rewritten (src, dst). Tables never change,
+    which makes the memo exact.
     """
     src, dst = packet.src, packet.dst
-    key = (direction, packet.kind, src.version, src.bits, dst.bits)
+    key = (direction, src.version, src.bits, dst.bits)
     memo = table.memo
     if key in memo:
         outcome = memo[key]
@@ -200,7 +199,7 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
         memo[key] = outcome
     if not outcome:
         return None if outcome is None else packet
-    return Packet(packet.kind, *outcome, packet.id, packet.payload_len, packet.sent_at)
+    return Packet(*outcome, packet.id)
 
 
 @dataclass
@@ -210,7 +209,6 @@ class _HopEnd:
     agent: EndpointAgent
     peer: EndpointAgent
     pool: PrefixPool
-    schedule: HopSchedule = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -319,14 +317,13 @@ class Simulation:
             f"hops={len(server_view)};total_ms={server_view.total_ms:.3f}",
         )
 
-        ends = [_HopEnd(self.server, self.client, cfg.server_pool, server_view)]
+        ends = [_HopEnd(self.server, self.client, cfg.server_pool)]
         if cfg.two_way:
             client_payload = SyncPayload(
                 cfg.client_seed, cfg.client_pool, cfg.dwell.model_id, cfg.lead_time_ms
             )
-            client_sched = synchronize(self.client, client_payload, source, cfg.n_hops)
-            self.client.schedule = client_sched
-            ends.append(_HopEnd(self.client, self.server, cfg.client_pool, client_sched))
+            self.client.schedule = synchronize(self.client, client_payload, source, cfg.n_hops)
+            ends.append(_HopEnd(self.client, self.server, cfg.client_pool))
 
         for end in ends:
             self._setup_hopping_end(end)
@@ -340,10 +337,11 @@ class Simulation:
     def _setup_hopping_end(self, end: _HopEnd) -> None:
         cfg = self.config
         epoch = cfg.lead_time_ms
-        starts = end.schedule.start_times()
+        schedule = end.agent.schedule
+        starts = schedule.start_times()
         if end.agent is self.server:
             self._hop_starts_abs = [epoch + s for s in starts]
-        for k, entry in enumerate(end.schedule.entries):
+        for k, entry in enumerate(schedule.entries):
             prefix = end.pool.covering_prefix(entry.address)
             origin = end.agent.attached_as
             self.queue.schedule_at(
@@ -357,8 +355,9 @@ class Simulation:
 
     def _do_hop(self, end: _HopEnd, k: int) -> None:
         cfg = self.config
-        entry = end.schedule.entries[k]
-        prev = end.schedule.entries[k - 1].address if k > 0 else None
+        entries = end.agent.schedule.entries
+        entry = entries[k]
+        prev = entries[k - 1].address if k > 0 else None
         hop(end.agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
         if end.agent is self.server:
             self._hops_entered.append((k, self.queue.now))
@@ -401,12 +400,7 @@ class Simulation:
     # -- packet path --
 
     def _emit_packet(self, pkt_id: int) -> None:
-        cfg = self.config
-        now = self.queue.now
-        packet = Packet(
-            PacketKind.IP, self.client.internal_ip, self.server.internal_ip,
-            pkt_id, cfg.payload_len, now,
-        )
+        packet = Packet(self.client.internal_ip, self.server.internal_ip, pkt_id)
         self._sent += 1
         out = _apply_chain(self.client.flow_table, packet, Direction.OUTBOUND)
         if out is None:

@@ -14,7 +14,7 @@ from hopsim.adversary import (
     timing_detect,
 )
 from hopsim.dwell import distribution_distance, infer_dhmm, quantile_alphabet, start_sampler
-from hopsim.flowtable import Packet, PacketKind
+from hopsim.flowtable import Packet
 from hopsim.rng import SplitMix64
 
 CLIENT = Address.parse("184.164.242.5")
@@ -23,8 +23,8 @@ SERVER2 = Address.parse("184.164.243.2")
 SERVER3 = Address.parse("184.164.243.3")
 
 
-def packet(src=CLIENT, dst=SERVER1, at=0.0, pkt_id=0):
-    return Packet(PacketKind.IP, src, dst, pkt_id, 64, at)
+def packet(src=CLIENT, dst=SERVER1, pkt_id=0):
+    return Packet(src, dst, pkt_id)
 
 
 def background_model(seed=2024, n=20_000, bins=8):
@@ -45,21 +45,21 @@ def background_model(seed=2024, n=20_000, bins=8):
 class TestFilter:
     def test_empty_policy_passes_everything(self):
         policy = BlockPolicy()
-        assert filter_packet(policy, packet()) is Verdict.PASS
+        assert filter_packet(policy, packet(), at=0.0) is Verdict.PASS
 
     def test_static_address_block(self):
         policy = BlockPolicy(blocked={SERVER1})
-        assert filter_packet(policy, packet(dst=SERVER1)) is Verdict.BLOCK
-        assert filter_packet(policy, packet(dst=SERVER2)) is Verdict.PASS
+        assert filter_packet(policy, packet(dst=SERVER1), at=0.0) is Verdict.BLOCK
+        assert filter_packet(policy, packet(dst=SERVER2), at=0.0) is Verdict.PASS
 
     def test_blocks_on_source_too(self):
         policy = BlockPolicy(blocked={CLIENT})
-        assert filter_packet(policy, packet(src=CLIENT)) is Verdict.BLOCK
+        assert filter_packet(policy, packet(src=CLIENT), at=0.0) is Verdict.BLOCK
 
     def test_prefix_entry_uses_containment(self):
         policy = BlockPolicy(blocked={Prefix.parse("184.164.243.0/24")})
-        assert filter_packet(policy, packet(dst=SERVER2)) is Verdict.BLOCK
-        assert filter_packet(policy, packet(dst=Address.parse("184.164.242.9"))) is Verdict.PASS
+        assert filter_packet(policy, packet(dst=SERVER2), at=0.0) is Verdict.BLOCK
+        assert filter_packet(policy, packet(dst=Address.parse("184.164.242.9")), at=0.0) is Verdict.PASS
 
     def test_reactive_blocks_after_delay(self):
         policy = BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=5000.0)
@@ -86,7 +86,7 @@ class TestFilter:
         policy = BlockPolicy(blocked=entries)
         entries.clear()
         assert policy.blocked == frozenset({SERVER1, Prefix.parse("184.164.242.0/24")})
-        assert filter_packet(policy, packet(src=SERVER2, dst=SERVER1)) is Verdict.BLOCK
+        assert filter_packet(policy, packet(src=SERVER2, dst=SERVER1), at=0.0) is Verdict.BLOCK
 
 
 # Addresses and prefixes inside one /24 (v4) or /120 (v6), so that
@@ -151,7 +151,7 @@ class TestIndexedBlocklist:
             sightings.append((src, dst, t))
         policy = BlockPolicy(blocked, mode, detect_delay_ms=delay, trigger_count=trigger)
         got = [
-            filter_packet(policy, Packet(PacketKind.IP, src, dst, i, 64, at), at=at)
+            filter_packet(policy, Packet(src, dst, i), at=at)
             for i, (src, dst, at) in enumerate(sightings)
         ]
         assert got == scan_verdicts(blocked, mode, delay, trigger, sightings)
@@ -175,7 +175,7 @@ class TestExtractHopIntervals:
         tap = ObserverTap((1, 2))
         plan = [(0.0, SERVER1), (5.0, SERVER1), (10.0, SERVER2), (15.0, SERVER2), (20.0, SERVER3)]
         for i, (t, dst) in enumerate(plan):
-            tap.observe(t, packet(dst=dst, at=t, pkt_id=i))
+            tap.observe(t, packet(dst=dst, pkt_id=i))
         assert extract_hop_intervals(tap) == [10.0, 10.0]
 
     def test_background_flows_do_not_disturb_grouping(self):
@@ -186,11 +186,11 @@ class TestExtractHopIntervals:
         plan = [(0.0, SERVER1), (10.0, SERVER2), (20.0, SERVER3)]
         t_noise = 0.0
         for i, (t, dst) in enumerate(plan):
-            isolated.observe(t, packet(dst=dst, at=t, pkt_id=i))
+            isolated.observe(t, packet(dst=dst, pkt_id=i))
             while t_noise <= t:
-                mixed.observe(t_noise, packet(src=noise_src, dst=noise_dst, at=t_noise))
+                mixed.observe(t_noise, packet(src=noise_src, dst=noise_dst))
                 t_noise += 3.0
-            mixed.observe(t, packet(dst=dst, at=t, pkt_id=i))
+            mixed.observe(t, packet(dst=dst, pkt_id=i))
         assert extract_hop_intervals(mixed) == extract_hop_intervals(isolated)
 
     def test_explicit_flow_selection(self):
@@ -209,7 +209,7 @@ class TestExtractHopIntervals:
         tap = ObserverTap((1, 2))
         tap.observe(3.25, packet(dst=SERVER2))
         assert tap.dump_lines() == [
-            "3.250,adversary,observe,src=184.164.242.5;dst=184.164.243.2;kind=ip"
+            "3.250,adversary,observe,src=184.164.242.5;dst=184.164.243.2"
         ]
 
 

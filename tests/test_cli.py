@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,28 @@ LONG_TAIL = ".".join(["a" * 60] * 4)  # 243 characters: no record name fits unde
 TWO_WAY = ("[scenario]", "[scenario]\ntwo_way = true")
 CLIENT_POOL = ("184.164.242.77", "10.0.0.2\npool = 184.164.242.0/24")
 DWELL_MODEL = ("[traffic]", "model = bg.model\n\n[traffic]")
+
+
+# (trace, machine section) sha256 of each shipped config's run: any change
+# to what a run does or reports shows here.
+SHIPPED_DIGESTS = {
+    "00_baseline_static": (
+        "4ed98729204944280f70272567b706660c2d66ee158f5de0c10224dd82fc5c20",
+        "662fb0daed667a82bd80f62f6e7dfbcf4ba8186ec561934f7ec76be12973e3a7",
+    ),
+    "01_one_way_hop111": (
+        "32531b7da84bd87db437e24e2954646be8c602d4dd358579908bceb70f5672f6",
+        "c1910fc74ba85c04f065e2efddd68ea28bdfc268fd0808d91855aacbbf0968dc",
+    ),
+    "02_reactive_block": (
+        "f2d2b6d94d439bba92f0a0b409ff29bb24d7765055b95c725babbdbd3f5e0b91",
+        "0841511560836698808145737c02bae3d565c05ae82f66d4b123d6f121c125a2",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def machine_section(path):
@@ -108,6 +131,8 @@ class TestRun:
              "[server] pool"),
             ({"extra": "[adversary]\ntap = 1-2\npolicy = reactive\ndetect_delay_ms = 0\n"}, [], {},
              "[adversary] detect_delay_ms"),
+            ({"extra": "[adversary]\ntap = 1-2\npolicy = reactive\ntrigger_count = 0\n"}, [], {},
+             "[adversary] trigger_count"),
             ({}, [("[scenario]", "[scenario]\ntwo_way = true\nclient_seed = -1"), CLIENT_POOL], {},
              "[scenario] client_seed"),
             ({"pool": "10.0.0.0/30", "n_hops": 4}, [], {}, "[server] internal_ip"),
@@ -126,7 +151,7 @@ class TestRun:
             ({"extra": "[covert]\ndomain_tail = 100%.example\n"}, [], {}, "[covert] domain_tail"),
         ],
         ids=[
-            "tail_too_long", "payload_too_large", "reactive_without_delay",
+            "tail_too_long", "payload_too_large", "reactive_without_delay", "trigger_count_zero",
             "client_seed_negative", "server_ip_in_own_pool", "client_ip_in_own_pool",
             "dwell_model_garbage", "dwell_model_absorbing", "dwell_model_zero_bin",
             "timing_model_garbage",
@@ -248,6 +273,12 @@ class TestRun:
             ))
         assert len(outputs[0][0]) == len(outputs[0][1]) == 3
         assert outputs[0] == outputs[1]
+        traces, machines = outputs[0]
+        digests = {
+            stem: (sha256(traces[f"{stem}.trace"]), sha256(machines[f"{stem}.report"].encode()))
+            for stem in SHIPPED_DIGESTS
+        }
+        assert digests == SHIPPED_DIGESTS
 
 
 class TestTrain:
@@ -284,6 +315,16 @@ class TestTrain:
         intervals = load_trace_text(trace.read_text())
         expected = infer_dhmm(intervals, quantile_alphabet(intervals, 6), order=1)
         assert DhmmModel.from_text(out.read_text()) == expected
+
+    def test_model_with_a_dead_end_state_exits_2(self, tmp_path, capsys):
+        # The last history (9000) occurs nowhere else, so its state has no
+        # successor: a walk that reaches it could not go on.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("1000\n1000\n2000\n1000\n2000\n9000\n")
+        out = tmp_path / "m.model"
+        assert main(["train", "--trace", str(trace), "--bins", "3", "--out", str(out)]) == 2
+        assert "state 2 has no outgoing transitions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_trace_exits_2(self, tmp_path):
         trace = tmp_path / "trace.txt"

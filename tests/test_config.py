@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsim.cli import MACHINE_MARKER, main
-from hopsim.config import ScenarioConfig
+from hopsim.config import ScenarioConfig, canonical_config_hash
 from hopsim.dwell import infer_dhmm, quantile_alphabet
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
@@ -41,6 +41,15 @@ def test_simulation_reads_no_files(tmp_path):
     without_files = Simulation(config).run()
     assert without_files.trace == with_files.trace
     assert with_files.verdicts and without_files.verdicts == with_files.verdicts
+
+
+def test_unread_key_is_ignored_but_hashed(tmp_path):
+    path = make_config(tmp_path, n_hops=3, packets=6, gap_ms="100")
+    plain = ScenarioConfig.from_file(path)
+    path.write_text(path.read_text().replace("[traffic]", "[traffic]\npayload_len = 1500"))
+    extra = ScenarioConfig.from_file(path)
+    assert extra.config_sha256 == canonical_config_hash(path.read_text()) != plain.config_sha256
+    assert Simulation(extra).run().trace == Simulation(plain).run().trace
 
 
 # --- generated configs -----------------------------------------------------

@@ -18,7 +18,6 @@ from hopsim.flowtable import (
     FlowTable,
     Match,
     Packet,
-    PacketKind,
     apply,
     apply_detail,
     dump_lines,
@@ -36,21 +35,15 @@ EXT2 = Address.parse("184.164.243.99")
 CLIENT = Address.parse("184.164.242.5")
 
 
-def packet(src=CLIENT, dst=INTERNAL, kind=PacketKind.IP, pkt_id=1):
-    return Packet(kind, src, dst, pkt_id, 64, 0.0)
+def packet(src=CLIENT, dst=INTERNAL, pkt_id=1):
+    return Packet(src, dst, pkt_id)
 
 
 class TestInstallHopRules:
-    def test_empty_table_gets_four_rules(self):
+    def test_empty_table_gets_two_rules(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        assert len(table.rules) == 4
-        kinds = {(r.match.kind, r.match.direction) for r in table.rules}
-        assert kinds == {
-            (PacketKind.IP, Direction.OUTBOUND),
-            (PacketKind.IP, Direction.INBOUND),
-            (PacketKind.ARP, Direction.OUTBOUND),
-            (PacketKind.ARP, Direction.INBOUND),
-        }
+        assert len(table.rules) == 2
+        assert {r.match.direction for r in table.rules} == set(Direction)
 
     def test_idempotent(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
@@ -63,7 +56,7 @@ class TestInstallHopRules:
             r.action.arg for r in t2.rules if r.action.arg
         }
         assert EXT1 not in referenced
-        assert len(t2.rules) == 4
+        assert len(t2.rules) == 2
 
     def test_version_mismatch(self):
         with pytest.raises(VersionMismatch):
@@ -76,7 +69,7 @@ class TestInstallHopRules:
     def test_preserves_unrelated_rules(self):
         base = endpoint_table(INTERNAL)
         table = install_hop_rules(base, INTERNAL, EXT1)
-        assert len(table.rules) == len(base.rules) + 4
+        assert len(table.rules) == len(base.rules) + 2
 
 
 class TestApply:
@@ -85,13 +78,7 @@ class TestApply:
         before = packet(src=INTERNAL, dst=CLIENT, pkt_id=9)
         after = apply(table, before, Direction.OUTBOUND)
         assert after.src == EXT1
-        assert (after.dst, after.kind, after.id, after.payload_len, after.sent_at) == (
-            before.dst,
-            before.kind,
-            before.id,
-            before.payload_len,
-            before.sent_at,
-        )
+        assert (after.dst, after.id) == (before.dst, before.id)
 
     def test_inbound_restores_internal(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
@@ -120,7 +107,7 @@ class TestApply:
     def test_priority_wins(self):
         low = FlowRule(
             1,
-            Match(PacketKind.IP, Direction.INBOUND, AddrField.DST, EXT1),
+            Match(Direction.INBOUND, AddrField.DST, EXT1),
             Action(ActionKind.DROP),
         )
         table = install_hop_rules(FlowTable(rules=(low,)), INTERNAL, EXT1)
@@ -132,19 +119,13 @@ class TestApply:
         results = {apply(table, pkt, Direction.INBOUND) for _ in range(5)}
         assert len(results) == 1
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1), st.sampled_from(list(PacketKind)))
-    def test_rewrite_preserves_every_other_field(self, dst_bits, pkt_id, kind):
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
+    def test_rewrite_preserves_every_other_field(self, dst_bits, pkt_id):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        before = Packet(kind, INTERNAL, Address(IPVersion.V4, dst_bits), pkt_id, 99, 3.5)
+        before = Packet(INTERNAL, Address(IPVersion.V4, dst_bits), pkt_id)
         after = apply(table, before, Direction.OUTBOUND)
         assert after.src == EXT1
-        assert (after.kind, after.dst, after.id, after.payload_len, after.sent_at) == (
-            before.kind,
-            before.dst,
-            before.id,
-            before.payload_len,
-            before.sent_at,
-        )
+        assert (after.dst, after.id) == (before.dst, before.id)
 
 
 # A few addresses per version, so that generated rules share match keys
@@ -159,7 +140,6 @@ UNIVERSE = {
 def flow_rules(draw):
     version = draw(st.sampled_from(list(IPVersion)))
     match = Match(
-        draw(st.sampled_from(list(PacketKind))),
         draw(st.sampled_from(list(Direction))),
         draw(st.sampled_from(list(AddrField))),
         draw(st.sampled_from(UNIVERSE[version])),
@@ -173,8 +153,7 @@ def flow_rules(draw):
 
 # Every packet the universe allows, in every direction.
 PROBES = [
-    (Packet(kind, src, dst, 7, 64, 1.5), direction)
-    for kind in PacketKind
+    (Packet(src, dst, 7), direction)
     for direction in Direction
     for addresses in UNIVERSE.values()
     for src in addresses
@@ -188,7 +167,7 @@ def scan_lookup(table, packet, direction):
     for rule in table.rules:
         m = rule.match
         observed = packet.src if m.field is AddrField.SRC else packet.dst
-        hits = m.kind is packet.kind and m.direction is direction and observed == m.value
+        hits = m.direction is direction and observed == m.value
         if hits and (best is None or rule.priority > best.priority):
             best = rule
     if best is None:
@@ -255,12 +234,10 @@ def reference_install(table, internal, external, *, mirror, grace):
         if mirror
         else (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
     )
-    fresh = []
-    for kind in (PacketKind.IP, PacketKind.ARP):
-        fresh.append(FlowRule(priority, Match(kind, Direction.OUTBOUND, out_field, internal),
-                              Action(out_kind, external)))
-        fresh.append(FlowRule(priority, Match(kind, Direction.INBOUND, in_field, external),
-                              Action(in_kind, internal)))
+    fresh = [
+        FlowRule(priority, Match(Direction.OUTBOUND, out_field, internal), Action(out_kind, external)),
+        FlowRule(priority, Match(Direction.INBOUND, in_field, external), Action(in_kind, internal)),
+    ]
     existing = {(r.match, r.priority) for r in kept}
     kept.extend(r for r in fresh if (r.match, r.priority) not in existing)
     return FlowTable(tuple(kept), table.default_action)
@@ -286,8 +263,7 @@ WRITE_UNIVERSE = {
     IPVersion.V6: [Address(IPVersion.V6, a.bits) for a in UNIVERSE[IPVersion.V4]],
 }
 WRITE_PROBES = [
-    (Packet(kind, src, dst, 7, 64, 1.5), direction)
-    for kind in PacketKind
+    (Packet(src, dst, 7), direction)
     for direction in Direction
     for addresses in WRITE_UNIVERSE.values()
     for src in addresses
@@ -341,16 +317,9 @@ class TestKeyedWrites:
                 assert apply_detail(new, pkt, direction) == apply_detail(expected, pkt, direction)
             table = new
 
-    def test_install_shares_one_action_per_direction(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        ip_out, ip_in, arp_out, arp_in = table.rules
-        assert ip_out.action is arp_out.action and ip_in.action is arp_in.action
-
     def test_key_is_the_match(self):
-        rule = FlowRule(
-            5, Match(PacketKind.ARP, Direction.INBOUND, AddrField.SRC, EXT1), Action(ActionKind.DROP)
-        )
-        assert rule.key == (PacketKind.ARP, Direction.INBOUND, AddrField.SRC, IPVersion.V4, EXT1.bits)
+        rule = FlowRule(5, Match(Direction.INBOUND, AddrField.SRC, EXT1), Action(ActionKind.DROP))
+        assert rule.key == (Direction.INBOUND, AddrField.SRC, IPVersion.V4, EXT1.bits)
         assert "key" not in repr(rule)
         assert rule == replace(rule) and hash(rule) == hash(replace(rule))
 
@@ -383,7 +352,7 @@ class TestDecisionCache:
             # The second round hits the memo with packets of other ids.
             for round_id in (7, 8):
                 for pkt, direction in WRITE_PROBES:
-                    pkt = replace(pkt, id=round_id, sent_at=float(round_id))
+                    pkt = replace(pkt, id=round_id)
                     assert _apply_chain(table, pkt, direction) == uncached_chain(
                         table, pkt, direction
                     )
@@ -444,10 +413,8 @@ class TestDump:
     def test_golden_lines(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         assert dump_lines(table) == [
-            "100,ip,out,src,10.0.0.1,rewrite_src,184.164.243.7",
-            "100,ip,in,dst,184.164.243.7,rewrite_dst,10.0.0.1",
-            "100,arp,out,src,10.0.0.1,rewrite_src,184.164.243.7",
-            "100,arp,in,dst,184.164.243.7,rewrite_dst,10.0.0.1",
+            "100,out,src,10.0.0.1,rewrite_src,184.164.243.7",
+            "100,in,dst,184.164.243.7,rewrite_dst,10.0.0.1",
         ]
 
 
@@ -455,7 +422,7 @@ class TestValidation:
     def test_duplicate_match_priority_rejected(self):
         rule = FlowRule(
             5,
-            Match(PacketKind.IP, Direction.INBOUND, AddrField.DST, EXT1),
+            Match(Direction.INBOUND, AddrField.DST, EXT1),
             Action(ActionKind.FORWARD),
         )
         with pytest.raises(ValueError):
@@ -467,10 +434,10 @@ class TestValidation:
         with pytest.raises(VersionMismatch):
             FlowRule(
                 5,
-                Match(PacketKind.IP, Direction.INBOUND, AddrField.DST, EXT1),
+                Match(Direction.INBOUND, AddrField.DST, EXT1),
                 Action(ActionKind.REWRITE_DST, Address.parse("2001:db8::9")),
             )
 
     def test_packet_versions_must_agree(self):
         with pytest.raises(VersionMismatch):
-            Packet(PacketKind.IP, INTERNAL, Address.parse("2001:db8::9"), 0, 0, 0.0)
+            Packet(INTERNAL, Address.parse("2001:db8::9"), 0)

@@ -143,6 +143,10 @@ class TestBuildSchedule:
         schedule = build_schedule(42, pool24, 111, dwells)
         assert schedule.total_ms == pytest.approx(sum(dwells))
 
+    def test_addresses_are_globally_distinct(self, pool30):
+        schedule = build_schedule(11, pool30, 4, [1.0] * 4)
+        assert len({e.address for e in schedule.entries}) == 4
+
     def test_length_mismatch(self, pool24):
         with pytest.raises(LengthMismatch):
             build_schedule(1, pool24, 3, [1.0, 2.0])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hopsim.addressing import Address, PrefixPool
@@ -97,7 +99,7 @@ class TestSynchronize:
 class TestHopOperation:
     def make_agent(self, n=3):
         agent = EndpointAgent(Role.SERVER, SERVER_IP, 3)
-        agent.schedule = build_schedule(9, POOL, n, [1000.0] * n, unique=True)
+        agent.schedule = build_schedule(9, POOL, n, [1000.0] * n)
         return agent
 
     def test_first_hop_has_no_grace_entry(self):
@@ -476,6 +478,61 @@ def test_golden_event_trace(tmp_path):
         "3500.000,route,withdraw,prefix=184.164.243.0/24;origin=3",
         "3530.000,session,end,sent=2;delivered=2",
     ]
+
+
+# Two-way hopping with a skewed client: both tables hold hop and peer
+# rules, inbound packets take the two-lookup chain, grace windows expire
+# on both ends, and packets sent to an expired address die as
+# stale_rewrite drops.
+GOLDEN_TWO_WAY = """
+[scenario]
+seed = 42
+n_hops = 5
+grace_window_ms = 200
+clock_skew_ms = 300
+two_way = true
+client_seed = 909
+
+[topology]
+file = topo.txt
+
+[server]
+internal_ip = 10.0.0.1
+attached_as = 3
+pool = 184.164.243.0/24
+
+[client]
+internal_ip = 10.0.0.2
+attached_as = 1
+pool = 184.164.242.0/24
+
+[dwell]
+source = fixed
+fixed_ms = 500
+
+[traffic]
+packets = 30
+gap_ms = auto
+"""
+
+
+def test_golden_two_way_digests(tmp_path):
+    (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+    config = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
+    result = Simulation(config).run()
+    assert sum("reason=stale_rewrite" in ln for ln in result.trace) == 4
+    assert sum("session,grace_expire" in ln for ln in result.trace) == 8
+    assert result.metrics.to_dict() == {
+        "packets_sent": 30,
+        "packets_delivered": 22,
+        "distinct_external_ips_used": 5,
+        "hop_count": 4,
+        "mean_dwell_ms": 500.0,
+        "per_hop_delivery": [[0, 2], [1, 5], [2, 5], [3, 5], [4, 5]],
+    }
+    assert hashlib.sha256(result.trace_text().encode()).hexdigest() == (
+        "2187eff10c0b83dfb60cf4cbff3b6d65a6fc435f4228055b851185595430492c"
+    )
 
 
 class TestRoutingChurn:
