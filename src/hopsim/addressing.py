@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import ipaddress
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidPool
+from .values import Frozen, _set
 
 
 class IPVersion(Enum):
@@ -29,14 +29,19 @@ class IPVersion(Enum):
         return 32 if self is IPVersion.V4 else 128
 
 
-@dataclass(frozen=True)
-class Address:
-    version: IPVersion
-    bits: int
+class Address(Frozen):
+    __slots__ = _fields = ("version", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.version.width):
-            raise ValueError(f"address value out of range for {self.version.name}")
+    def __init__(self, version: IPVersion, bits: int):
+        if not 0 <= bits < (1 << version.width):
+            raise ValueError(f"address value out of range for {version.name}")
+        _set(self, "version", version)
+        _set(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.version is other.version
+        return NotImplemented
 
     def __hash__(self) -> int:
         # v4 and v6 addresses with equal bits collide here and differ in `==`.
@@ -82,23 +87,23 @@ def parse_reverse_pointer(name: str) -> Address:
     raise ValueError(f"not a reverse pointer: {name}")
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(Frozen):
     """CIDR prefix in canonical form (all host bits of `base` zero)."""
 
-    base: Address
-    length: int
+    __slots__ = _fields = ("base", "length")
 
-    def __post_init__(self):
-        width = self.base.width
-        if not 0 <= self.length <= width:
-            raise ValueError(f"prefix length {self.length} out of range")
-        if self.base.bits & self.host_mask:
-            raise ValueError(f"prefix base {self.base} has nonzero host bits")
+    def __init__(self, base: Address, length: int):
+        width = base.width
+        if not 0 <= length <= width:
+            raise ValueError(f"prefix length {length} out of range")
+        if base.bits & ((1 << (width - length)) - 1):
+            raise ValueError(f"prefix base {base} has nonzero host bits")
+        _set(self, "base", base)
+        _set(self, "length", length)
 
     def __hash__(self) -> int:
-        # Plain ints: the generated hash also hashes `base` and its Enum
-        # version, and routing hashes prefixes several times per update.
+        # Plain ints, not the fields: routing hashes prefixes several
+        # times per update.
         return hash((self.base.bits, self.length))
 
     @property
@@ -191,37 +196,35 @@ class PrefixIndex:
         return None
 
 
-@dataclass(frozen=True)
-class PrefixPool:
+class PrefixPool(Frozen):
     """Non-empty, same-version, pairwise disjoint set of prefixes."""
 
-    prefixes: tuple[Prefix, ...]
-    total_addresses: int = field(init=False, repr=False, compare=False)
-    # Slot of each prefix's first address in the pool's union, in `prefixes`
-    # order: offsets[i] = sum of the sizes of prefixes[:i].
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: PrefixIndex = field(init=False, repr=False, compare=False)
+    # `offsets` holds the slot of each prefix's first address in the pool's
+    # union, in `prefixes` order: offsets[i] = sum of the sizes of prefixes[:i].
+    __slots__ = ("prefixes", "total_addresses", "offsets", "_index")
+    _fields = ("prefixes",)
 
-    def __post_init__(self):
-        if not self.prefixes:
+    def __init__(self, prefixes: tuple[Prefix, ...]):
+        if not prefixes:
             raise InvalidPool("pool must contain at least one prefix")
-        version = self.prefixes[0].version
-        for p in self.prefixes:
+        version = prefixes[0].version
+        for p in prefixes:
             if p.version is not version:
                 raise InvalidPool("pool mixes IP versions")
         # CIDR prefixes are nested or disjoint, so in (base, length) order a
         # prefix that covers another also covers its next neighbour.
-        ordered = sorted(self.prefixes, key=lambda p: (p.base.bits, p.length))
+        ordered = sorted(prefixes, key=lambda p: (p.base.bits, p.length))
         for a, b in zip(ordered, ordered[1:]):
             if a.covers(b):
                 raise InvalidPool(f"overlapping prefixes {a} and {b}")
         offsets, total = [], 0
-        for p in self.prefixes:
+        for p in prefixes:
             offsets.append(total)
             total += p.num_addresses
-        object.__setattr__(self, "total_addresses", total)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "_index", PrefixIndex(self.prefixes))
+        self._init(prefixes)
+        _set(self, "total_addresses", total)
+        _set(self, "offsets", tuple(offsets))
+        _set(self, "_index", PrefixIndex(prefixes))
 
     @property
     def version(self) -> IPVersion:

@@ -11,7 +11,7 @@ of the arms race measure with one ruler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from enum import Enum
 
 from .addressing import Address, Prefix, PrefixIndex
@@ -29,12 +29,16 @@ class Verdict(Enum):
     BLOCK = "block"
 
 
-@dataclass
 class ObserverTap:
     """Passive log of packets crossing one link, in time order."""
 
-    link: tuple[int, int]
-    log: list[tuple[float, Address, Address]] = field(default_factory=list)
+    __slots__ = ("link", "log")
+
+    def __init__(
+        self, link: tuple[int, int], log: list[tuple[float, Address, Address]] | None = None
+    ):
+        self.link = link
+        self.log = [] if log is None else log
 
     def watches(self, a: int, b: int) -> bool:
         """True if (a, b) is the tapped link, in either direction."""
@@ -59,7 +63,6 @@ class BlockMode(Enum):
     REACTIVE = "reactive"
 
 
-@dataclass
 class BlockPolicy:
     """Address filter; reactive mode learns destinations it has seen.
 
@@ -72,19 +75,28 @@ class BlockPolicy:
     operator reacts.
     """
 
-    blocked: frozenset[Address | Prefix] = frozenset()
-    mode: BlockMode = BlockMode.STATIC
-    detect_delay_ms: float = 0.0
-    trigger_count: int = 1
-    _dst_counts: dict[Address, int] = field(default_factory=dict)
-    _pending: dict[Address, float] = field(default_factory=dict)
-    _addresses: frozenset[Address] = field(init=False, repr=False, compare=False)
-    _prefixes: PrefixIndex = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "blocked", "mode", "detect_delay_ms", "trigger_count",
+        "_dst_counts", "_pending", "_addresses", "_prefixes",
+    )
 
-    def __post_init__(self):
-        if self.mode is BlockMode.REACTIVE and self.detect_delay_ms <= 0:
+    def __init__(
+        self,
+        blocked: Iterable[Address | Prefix] = frozenset(),
+        mode: BlockMode = BlockMode.STATIC,
+        detect_delay_ms: float = 0.0,
+        trigger_count: int = 1,
+    ):
+        if mode is BlockMode.REACTIVE and detect_delay_ms <= 0:
             raise ValueError("reactive mode requires a positive detect delay")
-        self.blocked = frozenset(self.blocked)
+        if trigger_count < 1:
+            raise ValueError("trigger count must be at least 1")
+        self.blocked = frozenset(blocked)
+        self.mode = mode
+        self.detect_delay_ms = detect_delay_ms
+        self.trigger_count = trigger_count
+        self._dst_counts: dict[Address, int] = {}
+        self._pending: dict[Address, float] = {}  # destination -> time its block starts
         self._addresses = frozenset(e for e in self.blocked if not isinstance(e, Prefix))
         self._prefixes = PrefixIndex(e for e in self.blocked if isinstance(e, Prefix))
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .addressing import Address
@@ -56,12 +55,22 @@ def _fail(message: str, code: int) -> int:
 # --- run -------------------------------------------------------------------
 
 
-def _report_text(config_path: str, config_hash: str, result, wall_s: float, trace_path: str) -> str:
+def _report_text(
+    config_path: str,
+    config_hash: str,
+    result,
+    wall_s: float,
+    trace_path: str,
+    seed_override: int | None,
+) -> str:
     machine = {
         "config_sha256": config_hash,
         "metrics": result.metrics.to_dict(),
         "verdicts": result.verdicts,
     }
+    if seed_override is not None:
+        # The config digest does not cover the override; this tells the runs apart.
+        machine["seed_override"] = seed_override
     human = [
         "scenario report",
         f"config: {config_path}",
@@ -85,7 +94,7 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
     if seed_override is not None:
         if not 0 <= seed_override < (1 << 64):
             return _fail(f"--seed-override {seed_override}: must fit in 64 bits", EXIT_INPUT)
-        config = replace(config, seed=seed_override)
+        config = config.replace(seed=seed_override)
     started = time.monotonic()
     try:
         result = Simulation(config).run()
@@ -93,7 +102,9 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
         return _fail(f"scenario failed: {exc}", EXIT_SCENARIO)
     wall = time.monotonic() - started
     Path(trace_path).write_text(result.trace_text())
-    report = _report_text(config_path, config.config_sha256, result, wall, trace_path)
+    report = _report_text(
+        config_path, config.config_sha256, result, wall, trace_path, seed_override
+    )
     Path(report_path).write_text(report)
     print(
         f"{config_path}: delivered {result.metrics.packets_delivered}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .covert import SyncPayload, encode_payload
 from .dwell import DhmmDwell, DhmmModel, DwellSource, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidPool, NameTooLong, PayloadTooLarge
 from .routing import AsGraph
+from .values import Frozen
 
 _REQUIRED = object()
 
@@ -30,45 +30,72 @@ class DeploymentMode(Enum):
     GATEWAY = "gateway"
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
-    tap: tuple[int, int]
-    mode: BlockMode | None  # None: the tap only observes
-    blocked: frozenset[Address | Prefix]
-    detect_delay_ms: float
-    trigger_count: int
-    timing_model: DhmmModel | None
-    detect_threshold: float
+class AdversaryConfig(Frozen):
+    __slots__ = _fields = (
+        "tap", "mode", "blocked", "detect_delay_ms", "trigger_count", "timing_model",
+        "detect_threshold",
+    )
+
+    def __init__(
+        self,
+        tap: tuple[int, int],
+        mode: BlockMode | None,  # None: the tap only observes
+        blocked: frozenset[Address | Prefix],
+        detect_delay_ms: float,
+        trigger_count: int,
+        timing_model: DhmmModel | None,
+        detect_threshold: float,
+    ):
+        self._init(
+            tap, mode, blocked, detect_delay_ms, trigger_count, timing_model, detect_threshold,
+        )
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    seed: int
-    n_hops: int
-    topology_text: str
-    server_ip: Address
-    server_as: int
-    server_pool: PrefixPool
-    client_ip: Address
-    client_as: int
-    dwell: DwellSource
-    packets: int
-    gap_ms: float | None  # None = spread traffic across the schedule
-    config_sha256: str  # canonical digest of the config text
-    server_deployment: DeploymentMode
-    client_deployment: DeploymentMode
-    server_hopping: bool
-    grace_window_ms: float
-    lead_time_ms: float
-    withdraw_lag_ms: float
-    link_delay_ms: float
-    clock_skew_ms: float
-    two_way: bool
-    client_seed: int
-    client_pool: PrefixPool | None
-    anchor_ip: Address
-    domain_tail: str
-    adversary: AdversaryConfig | None
+class ScenarioConfig(Frozen):
+    __slots__ = _fields = (
+        "seed", "n_hops", "topology_text", "server_ip", "server_as", "server_pool", "client_ip",
+        "client_as", "dwell", "packets", "gap_ms", "config_sha256", "server_deployment",
+        "client_deployment", "server_hopping", "grace_window_ms", "lead_time_ms",
+        "withdraw_lag_ms", "link_delay_ms", "clock_skew_ms", "two_way", "client_seed",
+        "client_pool", "anchor_ip", "domain_tail", "adversary",
+    )
+
+    def __init__(
+        self,
+        seed: int,
+        n_hops: int,
+        topology_text: str,
+        server_ip: Address,
+        server_as: int,
+        server_pool: PrefixPool,
+        client_ip: Address,
+        client_as: int,
+        dwell: DwellSource,
+        packets: int,
+        gap_ms: float | None,  # None = spread traffic across the schedule
+        config_sha256: str,  # canonical digest of the config text
+        server_deployment: DeploymentMode,
+        client_deployment: DeploymentMode,
+        server_hopping: bool,
+        grace_window_ms: float,
+        lead_time_ms: float,
+        withdraw_lag_ms: float,
+        link_delay_ms: float,
+        clock_skew_ms: float,
+        two_way: bool,
+        client_seed: int,
+        client_pool: PrefixPool | None,
+        anchor_ip: Address,
+        domain_tail: str,
+        adversary: AdversaryConfig | None,
+    ):
+        self._init(
+            seed, n_hops, topology_text, server_ip, server_as, server_pool, client_ip,
+            client_as, dwell, packets, gap_ms, config_sha256, server_deployment,
+            client_deployment, server_hopping, grace_window_ms, lead_time_ms, withdraw_lag_ms,
+            link_delay_ms, clock_skew_ms, two_way, client_seed, client_pool, anchor_ip,
+            domain_tail, adversary,
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":

@@ -19,7 +19,6 @@ import base64
 import binascii
 import struct
 import zlib
-from dataclasses import dataclass
 
 from .addressing import Address, IPVersion, Prefix, PrefixPool, parse_reverse_pointer
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     NameTooLong,
     PayloadTooLarge,
 )
+from .values import Frozen
 
 MAX_PAYLOAD_BYTES = 4096
 CHUNK_BYTES = 40
@@ -42,18 +42,15 @@ _WIRE_VERSION = 1
 _HEADER = struct.Struct(">HI")  # chunk count, crc32
 
 
-@dataclass(frozen=True)
-class SyncPayload:
-    seed: int
-    pool: PrefixPool
-    dwell_model_id: str
-    epoch_ms: float
+class SyncPayload(Frozen):
+    __slots__ = _fields = ("seed", "pool", "dwell_model_id", "epoch_ms")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < (1 << 64):
+    def __init__(self, seed: int, pool: PrefixPool, dwell_model_id: str, epoch_ms: float):
+        if not 0 <= seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
-        if len(self.dwell_model_id.encode()) > 255:
+        if len(dwell_model_id.encode()) > 255:
             raise ValueError("dwell model id too long")
+        self._init(seed, pool, dwell_model_id, epoch_ms)
 
     def to_bytes(self) -> bytes:
         model = self.dwell_model_id.encode()
@@ -106,10 +103,11 @@ class SyncPayload:
             raise MalformedRecord(f"unparseable payload body: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class PtrRecordSet:
-    anchor_ip: Address
-    names: tuple[str, ...]
+class PtrRecordSet(Frozen):
+    __slots__ = _fields = ("anchor_ip", "names")
+
+    def __init__(self, anchor_ip: Address, names: tuple[str, ...]):
+        self._init(anchor_ip, names)
 
 
 def _chunk_index_label(i: int) -> str:

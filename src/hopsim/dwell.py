@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     AbsorbingState,
@@ -26,19 +24,19 @@ from .errors import (
     UnknownModel,
 )
 from .rng import SplitMix64
+from .values import Frozen, _set
 
 PROBABILITY_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class IntervalBin:
-    symbol: int
-    lower_ms: float
-    upper_ms: float
+class IntervalBin(Frozen):
+    __slots__ = _fields = ("symbol", "lower_ms", "upper_ms")
+
+    def __init__(self, symbol: int, lower_ms: float, upper_ms: float):
+        self._init(symbol, lower_ms, upper_ms)
 
 
-@dataclass(frozen=True)
-class IntervalAlphabet:
+class IntervalAlphabet(Frozen):
     """Contiguous, non-overlapping bins mapping durations to symbols.
 
     Bin k covers the half-open interval (lower, upper]; a degenerate bin
@@ -47,25 +45,24 @@ class IntervalAlphabet:
     samples can still be symbolized for distribution comparison.
     """
 
-    bins: tuple[IntervalBin, ...]
+    __slots__ = ("bins", "_uppers")
+    _fields = ("bins",)
 
-    def __post_init__(self):
-        if not self.bins:
+    def __init__(self, bins: tuple[IntervalBin, ...]):
+        if not bins:
             raise EmptyAlphabet("alphabet needs at least one bin")
-        for i, b in enumerate(self.bins):
+        for i, b in enumerate(bins):
             if b.symbol != i:
                 raise ValueError("bin symbols must be 0..n-1 in order")
             if b.lower_ms > b.upper_ms or b.lower_ms < 0:
                 raise ValueError(f"bad bin bounds ({b.lower_ms}, {b.upper_ms}]")
-            if i > 0 and b.lower_ms != self.bins[i - 1].upper_ms:
+            if i > 0 and b.lower_ms != bins[i - 1].upper_ms:
                 raise ValueError("bins must be contiguous")
+        self._init(bins)
+        _set(self, "_uppers", [b.upper_ms for b in bins])
 
     def __len__(self) -> int:
         return len(self.bins)
-
-    @cached_property
-    def _uppers(self) -> list[float]:
-        return [b.upper_ms for b in self.bins]
 
     def symbolize(self, duration_ms: float) -> int:
         if duration_ms <= 0:
@@ -116,16 +113,14 @@ def quantile_alphabet(trace: list[float], bins: int = 8) -> IntervalAlphabet:
     return IntervalAlphabet(out)
 
 
-@dataclass(frozen=True)
-class Transition:
-    from_state: int
-    symbol: int
-    to_state: int
-    probability: float
+class Transition(Frozen):
+    __slots__ = _fields = ("from_state", "symbol", "to_state", "probability")
+
+    def __init__(self, from_state: int, symbol: int, to_state: int, probability: float):
+        self._init(from_state, symbol, to_state, probability)
 
 
-@dataclass(frozen=True)
-class DhmmModel:
+class DhmmModel(Frozen):
     """Deterministic HMM: unique successor per (state, symbol).
 
     Every state with outgoing transitions has probabilities summing to 1
@@ -133,37 +128,40 @@ class DhmmModel:
     are absorbing and only legal as trace endpoints.
     """
 
-    num_states: int
-    num_symbols: int
-    transitions: tuple[Transition, ...]
-    alphabet: IntervalAlphabet
+    # `_outgoing` holds each state's transitions, ordered by symbol.
+    __slots__ = ("num_states", "num_symbols", "transitions", "alphabet", "_outgoing")
+    _fields = ("num_states", "num_symbols", "transitions", "alphabet")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        num_states: int,
+        num_symbols: int,
+        transitions: tuple[Transition, ...],
+        alphabet: IntervalAlphabet,
+    ):
         seen: set[tuple[int, int]] = set()
-        sums: dict[int, float] = {}
-        for t in self.transitions:
-            if not (0 <= t.from_state < self.num_states and 0 <= t.to_state < self.num_states):
+        by_state: dict[int, list[Transition]] = {}
+        for t in transitions:
+            if not (0 <= t.from_state < num_states and 0 <= t.to_state < num_states):
                 raise ValueError(f"transition references unknown state: {t}")
-            if not 0 <= t.symbol < self.num_symbols:
+            if not 0 <= t.symbol < num_symbols:
                 raise ValueError(f"transition references unknown symbol: {t}")
             if (t.from_state, t.symbol) in seen:
                 raise ValueError(f"duplicate (state, symbol) pair: {t}")
             if t.probability <= 0:
                 raise ValueError("transition probabilities must be positive")
             seen.add((t.from_state, t.symbol))
-            sums[t.from_state] = sums.get(t.from_state, 0.0) + t.probability
-        for state, total in sums.items():
+            by_state.setdefault(t.from_state, []).append(t)
+        for state, ts in by_state.items():
+            total = sum(t.probability for t in ts)
             if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                 raise ValueError(f"state {state} probabilities sum to {total}")
-        if len(self.alphabet) != self.num_symbols:
+        if len(alphabet) != num_symbols:
             raise ValueError("alphabet size disagrees with num_symbols")
-
-    @cached_property
-    def _outgoing(self) -> dict[int, tuple[Transition, ...]]:
-        by_state: dict[int, list[Transition]] = {}
-        for t in self.transitions:
-            by_state.setdefault(t.from_state, []).append(t)
-        return {s: tuple(sorted(ts, key=lambda t: t.symbol)) for s, ts in by_state.items()}
+        self._init(num_states, num_symbols, transitions, alphabet)
+        _set(self, "_outgoing", {
+            s: tuple(sorted(ts, key=lambda t: t.symbol)) for s, ts in by_state.items()
+        })
 
     def transitions_from(self, state: int) -> tuple[Transition, ...]:
         return self._outgoing.get(state, ())
@@ -205,29 +203,33 @@ class DhmmModel:
 # --- dwell sources ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedDwell:
-    ms: float
+class FixedDwell(Frozen):
+    __slots__ = _fields = ("ms",)
+
+    def __init__(self, ms: float):
+        self._init(ms)
 
     @property
     def model_id(self) -> str:
         return f"fixed:{self.ms!r}"
 
 
-@dataclass(frozen=True)
-class UniformDwell:
-    low_ms: float
-    high_ms: float
+class UniformDwell(Frozen):
+    __slots__ = _fields = ("low_ms", "high_ms")
+
+    def __init__(self, low_ms: float, high_ms: float):
+        self._init(low_ms, high_ms)
 
     @property
     def model_id(self) -> str:
         return f"uniform:{self.low_ms!r}:{self.high_ms!r}"
 
 
-@dataclass(frozen=True)
-class DhmmDwell:
-    name: str
-    model: DhmmModel
+class DhmmDwell(Frozen):
+    __slots__ = _fields = ("name", "model")
+
+    def __init__(self, name: str, model: DhmmModel):
+        self._init(name, model)
 
     @property
     def model_id(self) -> str:

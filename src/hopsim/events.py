@@ -27,7 +27,13 @@ class EventQueue:
         self._seq += 1
 
     def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
-        self.schedule_at(self.now + delay, fn, *args)
+        # `schedule_at` written out: this runs once per forwarded hop.
+        now = self.now
+        at = now + delay
+        if at < now:
+            raise ValueError(f"cannot schedule at {at} before now {now}")
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
+        self._seq += 1
 
     def run(self) -> int:
         """Drain the queue; returns the number of events processed."""

@@ -22,11 +22,11 @@ al., NSDI 2015). A new table starts with an empty memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .addressing import Address, IPVersion
 from .errors import VersionMismatch
+from .values import Frozen, _set
 
 # All hop-rewrite rules share one priority; endpoint self-permits sit
 # below them so rewrites always win.
@@ -58,33 +58,35 @@ class ActionKind(Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
-class Packet:
-    src: Address
-    dst: Address
-    id: int
+class Packet(Frozen):
+    __slots__ = _fields = ("src", "dst", "id")
 
-    def __post_init__(self):
-        if self.src.version is not self.dst.version:
-            raise VersionMismatch(f"src {self.src} vs dst {self.dst}")
-
-
-@dataclass(frozen=True)
-class Match:
-    direction: Direction
-    field: AddrField
-    value: Address
+    def __init__(self, src: Address, dst: Address, id: int):
+        if src.version is not dst.version:
+            raise VersionMismatch(f"src {src} vs dst {dst}")
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "id", id)
 
 
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    arg: Address | None = None
+class Match(Frozen):
+    __slots__ = _fields = ("direction", "field", "value")
 
-    def __post_init__(self):
-        needs_arg = self.kind in (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
-        if needs_arg != (self.arg is not None):
-            raise ValueError(f"action {self.kind.value} argument mismatch")
+    def __init__(self, direction: Direction, field: AddrField, value: Address):
+        _set(self, "direction", direction)
+        _set(self, "field", field)
+        _set(self, "value", value)
+
+
+class Action(Frozen):
+    __slots__ = _fields = ("kind", "arg")
+
+    def __init__(self, kind: ActionKind, arg: Address | None = None):
+        needs_arg = kind in (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
+        if needs_arg != (arg is not None):
+            raise ValueError(f"action {kind.value} argument mismatch")
+        _set(self, "kind", kind)
+        _set(self, "arg", arg)
 
     @property
     def is_rewrite(self) -> bool:
@@ -94,48 +96,44 @@ class Action:
 LookupKey = tuple[Direction, AddrField, IPVersion, int]
 
 
-@dataclass(frozen=True)
-class FlowRule:
-    priority: int
-    match: Match
-    action: Action
-    # The match as (direction, field, address version, address bits):
-    # equal keys are equal matches, and the key hashes and compares in C.
-    key: LookupKey = field(init=False, repr=False, compare=False)
+class FlowRule(Frozen):
+    # `key` is the match as (direction, field, address version, address
+    # bits): equal keys are equal matches, and the key hashes and compares in C.
+    __slots__ = ("priority", "match", "action", "key")
+    _fields = ("priority", "match", "action")
 
-    def __post_init__(self):
-        m, arg = self.match, self.action.arg
-        value = m.value
+    def __init__(self, priority: int, match: Match, action: Action):
+        value, arg = match.value, action.arg
         if arg is not None and arg.version is not value.version:
             raise VersionMismatch(f"rewrite target {arg} vs match {value}")
-        object.__setattr__(self, "key", (m.direction, m.field, value.version, value.bits))
+        _set(self, "priority", priority)
+        _set(self, "match", match)
+        _set(self, "action", action)
+        _set(self, "key", (match.direction, match.field, value.version, value.bits))
 
 
-@dataclass(frozen=True)
-class FlowTable:
+class FlowTable(Frozen):
     """Priority-ordered rules plus a default for unmatched packets.
 
     Among the rules that match a packet the highest priority wins, and
     among equal priorities the earliest in `rules`.
     """
 
-    rules: tuple[FlowRule, ...] = ()
-    default_action: ActionKind = ActionKind.FORWARD
-    # Per match key, the winning rule's (-priority, position in `rules`, rule):
-    # tuples order the same way the rules win.
-    index: dict[LookupKey, tuple[int, int, FlowRule]] = field(
-        init=False, repr=False, compare=False
-    )
-    # Decision cache that `session._apply_chain` fills. Exact
-    # because the table never changes; it is not part of the table's value.
-    memo: dict = field(init=False, repr=False, compare=False)
+    # `index` maps each match key to the winning rule's (-priority, position
+    # in `rules`, rule): tuples order the same way the rules win. `memo` is
+    # the decision cache that `session._apply_chain` fills; it is exact
+    # because the table never changes, and it is not part of the table's value.
+    __slots__ = ("rules", "default_action", "index", "memo")
+    _fields = ("rules", "default_action")
 
-    def __post_init__(self):
-        if self.default_action not in (ActionKind.FORWARD, ActionKind.DROP):
+    def __init__(
+        self, rules: tuple[FlowRule, ...] = (), default_action: ActionKind = ActionKind.FORWARD
+    ):
+        if default_action not in (ActionKind.FORWARD, ActionKind.DROP):
             raise ValueError("default action must be forward or drop")
         index: dict[LookupKey, tuple[int, int, FlowRule]] = {}
         shared = set()  # (key, rank) of every rule whose key another rule has too
-        for position, r in enumerate(self.rules):
+        for position, r in enumerate(rules):
             key, rank = r.key, -r.priority
             held = index.get(key)
             if held is None:
@@ -149,8 +147,10 @@ class FlowTable:
             shared.add((key, rank))
             if rank < held[0]:
                 index[key] = (rank, position, r)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "memo", {})
+        _set(self, "rules", rules)
+        _set(self, "default_action", default_action)
+        _set(self, "index", index)
+        _set(self, "memo", {})
 
 
 def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: bool) -> list[FlowRule]:

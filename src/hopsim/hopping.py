@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .addressing import Address, PrefixPool
 from .errors import InvalidPool, LengthMismatch, OutOfSchedule
 from .rng import SplitMix64
+from .values import Frozen
 
 # Above this draw count the exact no-collision product is replaced by
 # the birthday-bound approximation.
@@ -74,18 +74,20 @@ def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Addre
     return out
 
 
-@dataclass(frozen=True)
-class HopEntry:
-    address: Address
-    dwell_ms: float
+class HopEntry(Frozen):
+    __slots__ = _fields = ("address", "dwell_ms")
+
+    def __init__(self, address: Address, dwell_ms: float):
+        self._init(address, dwell_ms)
 
 
-@dataclass(frozen=True)
-class HopSchedule:
+class HopSchedule(Frozen):
     """Ordered (address, dwell) sequence derived from a seed."""
 
-    seed: int
-    entries: tuple[HopEntry, ...]
+    __slots__ = _fields = ("seed", "entries")
+
+    def __init__(self, seed: int, entries: tuple[HopEntry, ...]):
+        self._init(seed, entries)
 
     def __len__(self) -> int:
         return len(self.entries)

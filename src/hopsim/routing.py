@@ -26,38 +26,60 @@ slots with `AsGraph.take_slots` and delivers each with `AsGraph.take`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .addressing import Address, Prefix, PrefixIndex
 from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
+from .values import Frozen, _set
 
 
-@dataclass(frozen=True)
-class Route:
-    path: tuple[int, ...]  # AS path to the origin, empty at the origin itself
-    next_hop: int
+class Route(Frozen):
+    __slots__ = _fields = ("path", "next_hop")
+
+    def __init__(self, path: tuple[int, ...], next_hop: int):
+        _set(self, "path", path)  # AS path to the origin, empty at the origin itself
+        _set(self, "next_hop", next_hop)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.next_hop == other.next_hop and self.path == other.path
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.next_hop))
 
 
-@dataclass(frozen=True)
-class RouteMessage:
-    sender: int
-    receiver: int
-    prefix: Prefix
-    path: tuple[int, ...] | None  # None = withdraw
+class RouteMessage(Frozen):
+    __slots__ = _fields = ("sender", "receiver", "prefix", "path")
+
+    def __init__(self, sender: int, receiver: int, prefix: Prefix, path: tuple[int, ...] | None):
+        _set(self, "sender", sender)
+        _set(self, "receiver", receiver)
+        _set(self, "prefix", prefix)
+        _set(self, "path", path)  # None = withdraw
 
 
 UpdateKey = tuple[int, int, Prefix]  # (sender, receiver, prefix)
 
 
-@dataclass
 class AsNode:
-    asn: int
-    neighbors: set[int] = field(default_factory=set)
-    peers: tuple[int, ...] = ()  # `neighbors` sorted: the order updates go out in
-    rib: dict[Prefix, Route] = field(default_factory=dict)
-    # Candidate paths learned per neighbor, as seen from this node.
-    learned: dict[Prefix, dict[int, tuple[int, ...]]] = field(default_factory=dict)
-    index: PrefixIndex = field(default_factory=PrefixIndex)  # over the rib's prefixes
+    __slots__ = ("asn", "neighbors", "peers", "rib", "learned", "index")
+
+    def __init__(
+        self,
+        asn: int,
+        neighbors: set[int] | None = None,
+        peers: tuple[int, ...] = (),
+        rib: dict[Prefix, Route] | None = None,
+        learned: dict[Prefix, dict[int, tuple[int, ...]]] | None = None,
+        index: PrefixIndex | None = None,
+    ):
+        self.asn = asn
+        self.neighbors = set() if neighbors is None else neighbors
+        self.peers = peers  # `neighbors` sorted: the order updates go out in
+        self.rib = {} if rib is None else rib
+        # Candidate paths learned per neighbor, as seen from this node.
+        self.learned = {} if learned is None else learned
+        self.index = PrefixIndex() if index is None else index  # over the rib's prefixes
 
     def install(self, prefix: Prefix, route: Route) -> None:
         if prefix not in self.rib:

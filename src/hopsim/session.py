@@ -15,7 +15,6 @@ runs of one config produce byte-identical traces.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import Address, Prefix, PrefixPool
@@ -52,6 +51,7 @@ from .flowtable import (
 from .hopping import HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
 from .routing import AsGraph, announce, longest_match, originates, process_message, withdraw
+from .values import Frozen
 
 
 class Role(Enum):
@@ -59,20 +59,26 @@ class Role(Enum):
     SERVER = "server"
 
 
-@dataclass
 class EndpointAgent:
     """One session endpoint; `schedule` is None for a static address."""
 
-    role: Role
-    internal_ip: Address
-    attached_as: int
-    deployment: DeploymentMode = DeploymentMode.HOST_AGENT
-    schedule: HopSchedule | None = None
-    flow_table: FlowTable = None  # type: ignore[assignment]
+    __slots__ = ("role", "internal_ip", "attached_as", "deployment", "schedule", "flow_table")
 
-    def __post_init__(self):
-        if self.flow_table is None:
-            self.flow_table = endpoint_table(self.internal_ip)
+    def __init__(
+        self,
+        role: Role,
+        internal_ip: Address,
+        attached_as: int,
+        deployment: DeploymentMode = DeploymentMode.HOST_AGENT,
+        schedule: HopSchedule | None = None,
+        flow_table: FlowTable | None = None,
+    ):
+        self.role = role
+        self.internal_ip = internal_ip
+        self.attached_as = attached_as
+        self.deployment = deployment
+        self.schedule = schedule
+        self.flow_table = endpoint_table(internal_ip) if flow_table is None else flow_table
 
 
 def dwell_sequence(source: DwellSource, seed: int, n: int) -> list[float]:
@@ -137,20 +143,29 @@ def hop(
 # --- metrics ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SessionMetrics:
-    packets_sent: int
-    packets_delivered: int
-    distinct_external_ips_used: int
-    hop_count: int
-    mean_dwell_ms: float
-    per_hop_delivery: tuple[tuple[int, int], ...]
+class SessionMetrics(Frozen):
+    __slots__ = _fields = (
+        "packets_sent", "packets_delivered", "distinct_external_ips_used", "hop_count",
+        "mean_dwell_ms", "per_hop_delivery",
+    )
 
-    def __post_init__(self):
-        if self.packets_delivered > self.packets_sent:
+    def __init__(
+        self,
+        packets_sent: int,
+        packets_delivered: int,
+        distinct_external_ips_used: int,
+        hop_count: int,
+        mean_dwell_ms: float,
+        per_hop_delivery: tuple[tuple[int, int], ...],
+    ):
+        if packets_delivered > packets_sent:
             raise ValueError("delivered exceeds sent")
-        if self.distinct_external_ips_used > self.hop_count + 1:
+        if distinct_external_ips_used > hop_count + 1:
             raise ValueError("distinct addresses exceed windows entered")
+        self._init(
+            packets_sent, packets_delivered, distinct_external_ips_used, hop_count,
+            mean_dwell_ms, per_hop_delivery,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -202,20 +217,24 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     return Packet(*outcome, packet.id)
 
 
-@dataclass
 class _HopEnd:
     """Internal: one hopping endpoint plus the peer tracking it."""
 
-    agent: EndpointAgent
-    peer: EndpointAgent
-    pool: PrefixPool
+    __slots__ = ("agent", "peer", "pool")
+
+    def __init__(self, agent: EndpointAgent, peer: EndpointAgent, pool: PrefixPool):
+        self.agent = agent
+        self.peer = peer
+        self.pool = pool
 
 
-@dataclass
 class SimulationResult:
-    metrics: SessionMetrics
-    trace: list[str]
-    verdicts: list[str]
+    __slots__ = ("metrics", "trace", "verdicts")
+
+    def __init__(self, metrics: SessionMetrics, trace: list[str], verdicts: list[str]):
+        self.metrics = metrics
+        self.trace = trace
+        self.verdicts = verdicts
 
     def trace_text(self) -> str:
         return "\n".join(self.trace) + ("\n" if self.trace else "")

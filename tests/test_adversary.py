@@ -81,6 +81,14 @@ class TestFilter:
         with pytest.raises(ValueError):
             BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=0.0)
 
+    @pytest.mark.parametrize("trigger", [0, -3])
+    def test_rejects_trigger_count_below_one(self, trigger):
+        # A count of 0 is never reached, so the filter would pass every packet.
+        with pytest.raises(ValueError, match="trigger count"):
+            BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=1.0, trigger_count=trigger)
+        with pytest.raises(ValueError, match="trigger count"):
+            BlockPolicy(frozenset(), BlockMode.STATIC, 0.0, trigger)
+
     def test_blocked_is_frozen_at_construction(self):
         entries = [SERVER1, Prefix.parse("184.164.242.0/24")]
         policy = BlockPolicy(blocked=entries)

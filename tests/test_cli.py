@@ -223,13 +223,23 @@ class TestRun:
 
     def test_seed_override_changes_hash_not_determinism(self, tmp_path):
         config = make_config(tmp_path, n_hops=4, fixed_ms=500.0, packets=6, gap_ms="100")
-        t1, r1 = tmp_path / "1.trace", tmp_path / "1.report"
-        t2, r2 = tmp_path / "2.trace", tmp_path / "2.report"
-        assert main(["run", "--config", str(config), "--trace", str(t1), "--report", str(r1),
-                     "--seed-override", "77"]) == 0
-        assert main(["run", "--config", str(config), "--trace", str(t2), "--report", str(r2),
-                     "--seed-override", "77"]) == 0
-        assert t1.read_text() == t2.read_text()
+
+        def run(name, *extra):
+            trace, report = tmp_path / f"{name}.trace", tmp_path / f"{name}.report"
+            args = ["run", "--config", str(config), "--trace", str(trace), "--report", str(report)]
+            assert main(args + list(extra)) == 0
+            return trace.read_text(), report.read_text().split(MACHINE_MARKER)[1]
+
+        first, again = run("a", "--seed-override", "77"), run("b", "--seed-override", "77")
+        other, plain = run("c", "--seed-override", "78"), run("d")
+        assert first == again
+        assert first[0] != other[0] and first[1] != other[1]
+        assert json.loads(first[1])["seed_override"] == 77
+        assert json.loads(other[1])["seed_override"] == 78
+        # The config digest is the same for all; only the override key differs.
+        digests = {json.loads(m)["config_sha256"] for _, m in (first, other, plain)}
+        assert len(digests) == 1
+        assert "seed_override" not in json.loads(plain[1])
 
     def test_multiple_configs_with_jobs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

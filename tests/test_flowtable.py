@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,9 +174,9 @@ def scan_lookup(table, packet, direction):
     if action.kind is ActionKind.DROP:
         return None, best
     if action.kind is ActionKind.REWRITE_SRC:
-        return replace(packet, src=action.arg), best
+        return Packet(action.arg, packet.dst, packet.id), best
     if action.kind is ActionKind.REWRITE_DST:
-        return replace(packet, dst=action.arg), best
+        return Packet(packet.src, action.arg, packet.id), best
     return packet, best
 
 
@@ -321,7 +319,7 @@ class TestKeyedWrites:
         rule = FlowRule(5, Match(Direction.INBOUND, AddrField.SRC, EXT1), Action(ActionKind.DROP))
         assert rule.key == (Direction.INBOUND, AddrField.SRC, IPVersion.V4, EXT1.bits)
         assert "key" not in repr(rule)
-        assert rule == replace(rule) and hash(rule) == hash(replace(rule))
+        assert rule == rule.replace() and hash(rule) == hash(rule.replace())
 
 
 def uncached_chain(table, packet, direction):
@@ -352,7 +350,7 @@ class TestDecisionCache:
             # The second round hits the memo with packets of other ids.
             for round_id in (7, 8):
                 for pkt, direction in WRITE_PROBES:
-                    pkt = replace(pkt, id=round_id)
+                    pkt = pkt.replace(id=round_id)
                     assert _apply_chain(table, pkt, direction) == uncached_chain(
                         table, pkt, direction
                     )
@@ -428,7 +426,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlowTable(rules=(rule, rule))
         with pytest.raises(ValueError):
-            FlowTable(rules=(rule, replace(rule, action=Action(ActionKind.DROP))))
+            FlowTable(rules=(rule, rule.replace(action=Action(ActionKind.DROP))))
 
     def test_rewrite_rule_version_checked(self):
         with pytest.raises(VersionMismatch):

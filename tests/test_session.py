@@ -55,6 +55,10 @@ class TestEventQueue:
         queue = EventQueue(start=5.0)
         with pytest.raises(ValueError):
             queue.schedule_at(4.0, print, "never")
+        with pytest.raises(ValueError):
+            queue.schedule_in(-0.5, print, "never")
+        queue.schedule_in(0.0, print, "now")
+        assert queue.now == 5.0 and len(queue._heap) == 1
 
 
 class TestSynchronize:
