@@ -221,7 +221,7 @@ class PrefixPool(Frozen):
         for p in prefixes:
             offsets.append(total)
             total += p.num_addresses
-        self._init(prefixes)
+        super().__init__(prefixes)
         _set(self, "total_addresses", total)
         _set(self, "offsets", tuple(offsets))
         _set(self, "_index", PrefixIndex(prefixes))

@@ -52,6 +52,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _unwritable(path: str | Path, exc: OSError) -> int:
+    return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT)
+
+
+def _write(path: str | Path, text: str) -> int:
+    """Write `text` to `path`: EXIT_OK, or an input error that names the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        return _unwritable(path, exc)
+    return EXIT_OK
+
+
 # --- run -------------------------------------------------------------------
 
 
@@ -101,11 +114,12 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
     except HopsimError as exc:
         return _fail(f"scenario failed: {exc}", EXIT_SCENARIO)
     wall = time.monotonic() - started
-    Path(trace_path).write_text(result.trace_text())
     report = _report_text(
         config_path, config.config_sha256, result, wall, trace_path, seed_override
     )
-    Path(report_path).write_text(report)
+    code = _write(trace_path, result.trace_text()) or _write(report_path, report)
+    if code:
+        return code
     print(
         f"{config_path}: delivered {result.metrics.packets_delivered}"
         f"/{result.metrics.packets_sent}, "
@@ -120,8 +134,11 @@ def cmd_run(args) -> int:
         return _run_one(configs[0], args.trace, args.report, args.seed_override)
     # Several configs: --trace/--report name directories, one file per config.
     trace_dir, report_dir = Path(args.trace), Path(args.report)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    report_dir.mkdir(parents=True, exist_ok=True)
+    for directory in (trace_dir, report_dir):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _unwritable(directory, exc)
     codes = []
     for i, path in enumerate(configs):
         stem = f"{i:02d}_{Path(path).stem}"  # index keeps same-named configs apart
@@ -146,7 +163,9 @@ def cmd_train(args) -> int:
         check_walkable(model)  # `run` rejects a model a walk can get stuck in
     except (ValueError, HopsimError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    Path(args.out).write_text(model.to_text())
+    code = _write(args.out, model.to_text())
+    if code:
+        return code
     print(f"{args.out}: {model.num_states} states, {model.num_symbols} symbols")
     return EXIT_OK
 
@@ -198,7 +217,9 @@ def cmd_covert(args) -> int:
             records = encode_payload(payload, anchor, args.tail)
         except (ValueError, PayloadTooLarge, HopsimError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        Path(args.out).write_text("\n".join(zone_lines(records)) + "\n")
+        code = _write(args.out, "\n".join(zone_lines(records)) + "\n")
+        if code:
+            return code
         print(f"{args.out}: {len(records.names)} records at {anchor}")
         return EXIT_OK
     try:
@@ -208,7 +229,9 @@ def cmd_covert(args) -> int:
         return _fail(str(exc), EXIT_INTEGRITY)
     except (MalformedRecord, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    Path(args.out).write_text(payload_to_text(payload))
+    code = _write(args.out, payload_to_text(payload))
+    if code:
+        return code
     print(f"{args.out}: payload recovered from {len(records.names)} records")
     return EXIT_OK
 

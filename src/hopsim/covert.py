@@ -50,7 +50,7 @@ class SyncPayload(Frozen):
             raise ValueError("seed must fit in 64 bits")
         if len(dwell_model_id.encode()) > 255:
             raise ValueError("dwell model id too long")
-        self._init(seed, pool, dwell_model_id, epoch_ms)
+        super().__init__(seed, pool, dwell_model_id, epoch_ms)
 
     def to_bytes(self) -> bytes:
         model = self.dwell_model_id.encode()
@@ -105,9 +105,6 @@ class SyncPayload(Frozen):
 
 class PtrRecordSet(Frozen):
     __slots__ = _fields = ("anchor_ip", "names")
-
-    def __init__(self, anchor_ip: Address, names: tuple[str, ...]):
-        self._init(anchor_ip, names)
 
 
 def _chunk_index_label(i: int) -> str:

@@ -32,9 +32,6 @@ PROBABILITY_TOLERANCE = 1e-9
 class IntervalBin(Frozen):
     __slots__ = _fields = ("symbol", "lower_ms", "upper_ms")
 
-    def __init__(self, symbol: int, lower_ms: float, upper_ms: float):
-        self._init(symbol, lower_ms, upper_ms)
-
 
 class IntervalAlphabet(Frozen):
     """Contiguous, non-overlapping bins mapping durations to symbols.
@@ -58,7 +55,7 @@ class IntervalAlphabet(Frozen):
                 raise ValueError(f"bad bin bounds ({b.lower_ms}, {b.upper_ms}]")
             if i > 0 and b.lower_ms != bins[i - 1].upper_ms:
                 raise ValueError("bins must be contiguous")
-        self._init(bins)
+        super().__init__(bins)
         _set(self, "_uppers", [b.upper_ms for b in bins])
 
     def __len__(self) -> int:
@@ -116,9 +113,6 @@ def quantile_alphabet(trace: list[float], bins: int = 8) -> IntervalAlphabet:
 class Transition(Frozen):
     __slots__ = _fields = ("from_state", "symbol", "to_state", "probability")
 
-    def __init__(self, from_state: int, symbol: int, to_state: int, probability: float):
-        self._init(from_state, symbol, to_state, probability)
-
 
 class DhmmModel(Frozen):
     """Deterministic HMM: unique successor per (state, symbol).
@@ -158,7 +152,7 @@ class DhmmModel(Frozen):
                 raise ValueError(f"state {state} probabilities sum to {total}")
         if len(alphabet) != num_symbols:
             raise ValueError("alphabet size disagrees with num_symbols")
-        self._init(num_states, num_symbols, transitions, alphabet)
+        super().__init__(num_states, num_symbols, transitions, alphabet)
         _set(self, "_outgoing", {
             s: tuple(sorted(ts, key=lambda t: t.symbol)) for s, ts in by_state.items()
         })
@@ -206,9 +200,6 @@ class DhmmModel(Frozen):
 class FixedDwell(Frozen):
     __slots__ = _fields = ("ms",)
 
-    def __init__(self, ms: float):
-        self._init(ms)
-
     @property
     def model_id(self) -> str:
         return f"fixed:{self.ms!r}"
@@ -217,9 +208,6 @@ class FixedDwell(Frozen):
 class UniformDwell(Frozen):
     __slots__ = _fields = ("low_ms", "high_ms")
 
-    def __init__(self, low_ms: float, high_ms: float):
-        self._init(low_ms, high_ms)
-
     @property
     def model_id(self) -> str:
         return f"uniform:{self.low_ms!r}:{self.high_ms!r}"
@@ -227,9 +215,6 @@ class UniformDwell(Frozen):
 
 class DhmmDwell(Frozen):
     __slots__ = _fields = ("name", "model")
-
-    def __init__(self, name: str, model: DhmmModel):
-        self._init(name, model)
 
     @property
     def model_id(self) -> str:

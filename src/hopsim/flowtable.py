@@ -6,25 +6,24 @@ hop schedule's current external address.
 Tables are immutable values: installs return new tables, so no packet
 event can observe a half-updated table.
 
-Lookups are tuple-space search (Srinivasan, Suri and Varghese, SIGCOMM
-1999), as in Open vSwitch's classifier: every match is exact on one
-address field, so a table indexes its best rule per (direction, field,
-address) once, when it is built, and a lookup probes the source key
-and the destination key instead of scanning the rules. Each rule
-computes its lookup key once, when it is made, and the index build,
-installs and expiries read that key instead of the rule's fields.
+Every match is exact on one address field, and each rule computes that
+match as a key once, when it is made. A table holds a handful of rules
+(the benchmark workloads reach 5, or 8 in two-way mode), so a lookup
+scans them for the packet's source key and destination key; installs
+and expiries read the same key instead of the rule's fields.
 
 Since a table never changes once built, it also carries a `memo` that
 the session's two-lookup rewrite chain fills per packet shape, as Open
 vSwitch puts an exact-match cache in front of its classifier (Pfaff et
-al., NSDI 2015). A new table starts with an empty memo.
+al., NSDI 2015), and a lookup scans only on a memo miss. A new table
+starts with an empty memo.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .addressing import Address, IPVersion
+from .addressing import Address
 from .errors import VersionMismatch
 from .values import Frozen, _set
 
@@ -35,7 +34,7 @@ PEER_RULE_PRIORITY = 90
 PERMIT_RULE_PRIORITY = 10
 
 
-# The Enums in lookup keys hash by identity, which agrees with their
+# The Enums in rule keys hash by identity, which agrees with their
 # identity equality and runs in C (Enum's own hashes the name in Python).
 
 
@@ -93,9 +92,6 @@ class Action(Frozen):
         return self.arg is not None
 
 
-LookupKey = tuple[Direction, AddrField, IPVersion, int]
-
-
 class FlowRule(Frozen):
     # `key` is the match as (direction, field, address version, address
     # bits): equal keys are equal matches, and the key hashes and compares in C.
@@ -119,11 +115,10 @@ class FlowTable(Frozen):
     among equal priorities the earliest in `rules`.
     """
 
-    # `index` maps each match key to the winning rule's (-priority, position
-    # in `rules`, rule): tuples order the same way the rules win. `memo` is
-    # the decision cache that `session._apply_chain` fills; it is exact
-    # because the table never changes, and it is not part of the table's value.
-    __slots__ = ("rules", "default_action", "index", "memo")
+    # `memo` is the decision cache that `session._apply_chain` fills; it is
+    # exact because the table never changes, and it is not part of the
+    # table's value.
+    __slots__ = ("rules", "default_action", "memo")
     _fields = ("rules", "default_action")
 
     def __init__(
@@ -131,25 +126,13 @@ class FlowTable(Frozen):
     ):
         if default_action not in (ActionKind.FORWARD, ActionKind.DROP):
             raise ValueError("default action must be forward or drop")
-        index: dict[LookupKey, tuple[int, int, FlowRule]] = {}
-        shared = set()  # (key, rank) of every rule whose key another rule has too
-        for position, r in enumerate(rules):
-            key, rank = r.key, -r.priority
-            held = index.get(key)
-            if held is None:
-                index[key] = (rank, position, r)
-                continue
-            # The first rule on a key is held at the key's first collision,
-            # so `shared` has every earlier rank on this key.
-            shared.add((key, held[0]))
-            if (key, rank) in shared:
+        seen = set()
+        for r in rules:
+            if (r.key, r.priority) in seen:
                 raise ValueError(f"duplicate rule for {(r.match, r.priority)}")
-            shared.add((key, rank))
-            if rank < held[0]:
-                index[key] = (rank, position, r)
+            seen.add((r.key, r.priority))
         _set(self, "rules", rules)
         _set(self, "default_action", default_action)
-        _set(self, "index", index)
         _set(self, "memo", {})
 
 
@@ -258,15 +241,19 @@ def apply_detail(
 ) -> tuple[Packet | None, FlowRule | None]:
     """Apply the best-matching rule; returns (result, rule) with rule None on default."""
     src, dst = packet.src, packet.dst
-    hit = table.index.get((direction, AddrField.SRC, src.version, src.bits))
-    dst_hit = table.index.get((direction, AddrField.DST, dst.version, dst.bits))
-    if hit is None or (dst_hit is not None and dst_hit < hit):
-        hit = dst_hit
-    if hit is None:
+    keys = (
+        (direction, AddrField.SRC, src.version, src.bits),
+        (direction, AddrField.DST, dst.version, dst.bits),
+    )
+    best = None
+    for r in table.rules:
+        # Strictly greater, so that among equal priorities the earliest rule wins.
+        if r.key in keys and (best is None or r.priority > best.priority):
+            best = r
+    if best is None:
         if table.default_action is ActionKind.DROP:
             return None, None
         return packet, None
-    best = hit[2]
     action = best.action
     if action.kind is ActionKind.DROP:
         return None, best

@@ -77,17 +77,11 @@ def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Addre
 class HopEntry(Frozen):
     __slots__ = _fields = ("address", "dwell_ms")
 
-    def __init__(self, address: Address, dwell_ms: float):
-        self._init(address, dwell_ms)
-
 
 class HopSchedule(Frozen):
     """Ordered (address, dwell) sequence derived from a seed."""
 
     __slots__ = _fields = ("seed", "entries")
-
-    def __init__(self, seed: int, entries: tuple[HopEntry, ...]):
-        self._init(seed, entries)
 
     def __len__(self) -> int:
         return len(self.entries)

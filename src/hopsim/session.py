@@ -162,7 +162,7 @@ class SessionMetrics(Frozen):
             raise ValueError("delivered exceeds sent")
         if distinct_external_ips_used > hop_count + 1:
             raise ValueError("distinct addresses exceed windows entered")
-        self._init(
+        super().__init__(
             packets_sent, packets_delivered, distinct_external_ips_used, hop_count,
             mean_dwell_ms, per_hop_delivery,
         )

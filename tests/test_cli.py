@@ -416,3 +416,24 @@ class TestCovert:
         assert payload_to_text(payload) == PAYLOAD_TEXT
         assert isinstance(payload.pool, PrefixPool)
         assert isinstance(payload, SyncPayload)
+
+
+@pytest.mark.parametrize("case", ["run", "run_many", "train", "covert"])
+def test_unwritable_output_exits_2(tmp_path, capsys, case):
+    config = str(SHIPPED_CONFIGS[0])
+    missing = tmp_path / "missing" / "out"  # its directory does not exist
+    taken = tmp_path / "taken"  # a file where a directory must go
+    taken.write_text("")
+    intervals, payload = tmp_path / "intervals.txt", tmp_path / "payload.txt"
+    intervals.write_text("100\n900\n" * 20)
+    payload.write_text(PAYLOAD_TEXT)
+    argv, path = {
+        "run": (["run", "--config", config, "--trace", str(missing),
+                 "--report", str(tmp_path / "r")], missing),
+        "run_many": (["run", "--config", config, config, "--trace", str(taken),
+                      "--report", str(tmp_path / "reports")], taken),
+        "train": (["train", "--trace", str(intervals), "--out", str(missing)], missing),
+        "covert": (["covert", "encode", "--in", str(payload), "--out", str(missing)], missing),
+    }[case]
+    assert main(argv) == 2
+    assert f"error: cannot write {path}: " in capsys.readouterr().err

@@ -427,6 +427,9 @@ class TestValidation:
             FlowTable(rules=(rule, rule))
         with pytest.raises(ValueError):
             FlowTable(rules=(rule, rule.replace(action=Action(ActionKind.DROP))))
+        # Not adjacent: a rule of another priority on the same match between them.
+        with pytest.raises(ValueError):
+            FlowTable(rules=(rule, rule.replace(priority=7), rule))
 
     def test_rewrite_rule_version_checked(self):
         with pytest.raises(VersionMismatch):

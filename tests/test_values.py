@@ -360,7 +360,25 @@ def test_matches_its_dataclass_twin(real, twin, arguments, data):
     assert x != tx and tx != x and x != a and x is not None
     assert not hasattr(x, "__dict__")
 
+    # Arguments bind by name as by position, and a bad argument list is a
+    # TypeError for the type as for its twin.
     names = [f.name for f in dataclasses.fields(twin)]
+    assert len(a) == len(names)
+    split = data.draw(st.integers(0, len(a)))
+    assert real(*a[:split], **dict(zip(names[split:], a[split:]))) == x
+    bad_calls = [
+        ((*a, a[0]), {}),  # one positional argument too many
+        (a, {"no_such_field": 1}),
+        (a, {names[0]: a[0]}),  # the first field by position and by name
+    ]
+    required = [f.name for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING]
+    if required:  # every field by name but the last one without a default
+        bad_calls.append(((), {n: v for n, v in zip(names, a) if n != required[-1]}))
+    for args, kwargs in bad_calls:
+        for cls in (real, twin):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
     for name in names + ["extra"]:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(y, name, None))
