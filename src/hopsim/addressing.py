@@ -30,13 +30,19 @@ class IPVersion(Enum):
 
 
 class Address(Frozen):
-    __slots__ = _fields = ("version", "bits")
+    # `key` is one int that equal addresses share and unequal ones do not,
+    # so the per-packet dicts key by it and hash in C. `_text` caches
+    # `str()`: rewrites reuse a few address objects for many packets.
+    __slots__ = ("version", "bits", "key", "_text")
+    _fields = ("version", "bits")
 
     def __init__(self, version: IPVersion, bits: int):
         if not 0 <= bits < (1 << version.width):
             raise ValueError(f"address value out of range for {version.name}")
         _set(self, "version", version)
         _set(self, "bits", bits)
+        _set(self, "key", bits << 1 | (version is IPVersion.V6))
+        _set(self, "_text", None)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -64,10 +70,15 @@ class Address(Frozen):
         return ipaddress.IPv6Address(self.bits).reverse_pointer
 
     def __str__(self) -> str:
-        b = self.bits
-        if self.version is IPVersion.V4:
-            return f"{b >> 24}.{b >> 16 & 255}.{b >> 8 & 255}.{b & 255}"
-        return str(ipaddress.IPv6Address(b))
+        text = self._text
+        if text is None:
+            b = self.bits
+            if self.version is IPVersion.V4:
+                text = f"{b >> 24}.{b >> 16 & 255}.{b >> 8 & 255}.{b & 255}"
+            else:
+                text = str(ipaddress.IPv6Address(b))
+            _set(self, "_text", text)
+        return text
 
 
 def parse_reverse_pointer(name: str) -> Address:
@@ -90,7 +101,10 @@ def parse_reverse_pointer(name: str) -> Address:
 class Prefix(Frozen):
     """CIDR prefix in canonical form (all host bits of `base` zero)."""
 
-    __slots__ = _fields = ("base", "length")
+    # `key` is one int per prefix, as `Address.key` is per address; the
+    # length takes the low 8 bits (it is at most 128).
+    __slots__ = ("base", "length", "key")
+    _fields = ("base", "length")
 
     def __init__(self, base: Address, length: int):
         width = base.width
@@ -100,10 +114,9 @@ class Prefix(Frozen):
             raise ValueError(f"prefix base {base} has nonzero host bits")
         _set(self, "base", base)
         _set(self, "length", length)
+        _set(self, "key", base.key << 8 | length)
 
     def __hash__(self) -> int:
-        # Plain ints, not the fields: routing hashes prefixes several
-        # times per update.
         return hash((self.base.bits, self.length))
 
     @property

@@ -67,7 +67,9 @@ class BlockPolicy:
     """Address filter; reactive mode learns destinations it has seen.
 
     `blocked` is fixed at construction (any iterable is frozen), and is
-    indexed then: its addresses as a set, its prefixes by length.
+    indexed then: its addresses as a set of `Address.key`, its prefixes
+    by length. The reactive state is keyed by `Address.key` too, so a
+    filtered packet hashes ints only.
 
     In reactive mode a destination observed `trigger_count` times is
     added to the blocked set `detect_delay_ms` after its first
@@ -95,24 +97,26 @@ class BlockPolicy:
         self.mode = mode
         self.detect_delay_ms = detect_delay_ms
         self.trigger_count = trigger_count
-        self._dst_counts: dict[Address, int] = {}
-        self._pending: dict[Address, float] = {}  # destination -> time its block starts
-        self._addresses = frozenset(e for e in self.blocked if not isinstance(e, Prefix))
+        self._dst_counts: dict[int, int] = {}
+        self._pending: dict[int, float] = {}  # destination key -> time its block starts
+        self._addresses = frozenset(e.key for e in self.blocked if not isinstance(e, Prefix))
         self._prefixes = PrefixIndex(e for e in self.blocked if isinstance(e, Prefix))
 
     def _listed(self, address: Address, at: float) -> bool:
-        if address in self._addresses or self._prefixes.longest(address) is not None:
+        key = address.key
+        if key in self._addresses or self._prefixes.longest(address) is not None:
             return True
-        activation = self._pending.get(address)
+        activation = self._pending.get(key)
         return activation is not None and at >= activation
 
     def observe(self, packet: Packet, at: float) -> None:
         if self.mode is not BlockMode.REACTIVE:
             return
-        count = self._dst_counts.get(packet.dst, 0) + 1
-        self._dst_counts[packet.dst] = count
-        if count == self.trigger_count and packet.dst not in self._pending:
-            self._pending[packet.dst] = at + self.detect_delay_ms
+        dst = packet.dst.key
+        count = self._dst_counts.get(dst, 0) + 1
+        self._dst_counts[dst] = count
+        if count == self.trigger_count and dst not in self._pending:
+            self._pending[dst] = at + self.detect_delay_ms
 
 
 def filter_packet(policy: BlockPolicy, packet: Packet, at: float) -> Verdict:
@@ -132,18 +136,20 @@ def extract_hop_intervals(tap: ObserverTap, flow_src: Address | None = None) -> 
     that is the flow tracking a hopping peer, and unrelated background
     flows do not disturb it.
     """
-    groups: dict[Address, list[tuple[float, Address]]] = {}
+    # Keyed by `Address.key`, whose top bits are the address bits: ties
+    # between groups go to the lowest source address.
+    groups: dict[int, list[tuple[float, int]]] = {}
     for t, src, dst in tap.log:
-        groups.setdefault(src, []).append((t, dst))
+        groups.setdefault(src.key, []).append((t, dst.key))
     if flow_src is not None:
-        sequence = groups.get(flow_src, [])
+        sequence = groups.get(flow_src.key, [])
     elif groups:
-        chosen = max(groups, key=lambda s: (len({d for _, d in groups[s]}), -s.bits))
+        chosen = max(groups, key=lambda s: (len({d for _, d in groups[s]}), -(s >> 1)))
         sequence = groups[chosen]
     else:
         sequence = []
     change_times: list[float] = []
-    last_dst: Address | None = None
+    last_dst: int | None = None
     for t, dst in sequence:
         if dst != last_dst:
             change_times.append(t)

@@ -105,19 +105,23 @@ class ScenarioConfig(Frozen):
         if server_pool.version is not server_ip.version:
             raise ConfigError("[server] pool", "pool version differs from internal_ip")
 
+        # `longest_key` names the key that bounds the longest dwell drawn.
         dwell_kind = need("dwell", "source", lambda r: r.strip().lower())
         if dwell_kind == "fixed":
             dwell = FixedDwell(need("dwell", "fixed_ms", _positive, 5000.0))
+            longest_key, longest_ms = "[dwell] fixed_ms", dwell.ms
         elif dwell_kind == "uniform":
             dwell = UniformDwell(
                 need("dwell", "low_ms", _number, 1000.0), need("dwell", "high_ms", _number, 10000.0)
             )
             if not 0 < dwell.low_ms < dwell.high_ms:
                 raise ConfigError("[dwell] low_ms", "need 0 < low_ms < high_ms")
+            longest_key, longest_ms = "[dwell] high_ms", dwell.high_ms
         elif dwell_kind == "dhmm":
             model_file = need("dwell", "model", str)
             model = _load_model(base / model_file, "[dwell] model")
             dwell = DhmmDwell(Path(model_file).stem, model)
+            longest_key, longest_ms = "[dwell] model", model.alphabet.bins[-1].upper_ms
         else:
             raise ConfigError("[dwell] source", f"unknown source {dwell_kind!r}")
 
@@ -212,6 +216,17 @@ class ScenarioConfig(Frozen):
             except PayloadTooLarge as exc:
                 raise ConfigError("[server] pool", str(exc)) from exc
 
+        # Every event time must be a finite number: an infinite schedule
+        # makes the auto gap infinite and stamps packets at 0 * inf = nan.
+        grace_window_ms = need("scenario", "grace_window_ms", _non_negative, 200.0)
+        withdraw_lag_ms = need("scenario", "withdraw_lag_ms", _non_negative, 500.0)
+        if server_hopping and not math.isfinite(
+            lead_time_ms + n_hops * longest_ms + withdraw_lag_ms + grace_window_ms
+        ):
+            raise ConfigError(longest_key, f"{n_hops} dwells of {longest_ms!r} ms overflow")
+        if gap_ms is not None and not _finite_sum(lead_time_ms, packets - 1, gap_ms):
+            raise ConfigError("[traffic] gap_ms", f"{packets} sends {gap_ms!r} ms apart overflow")
+
         return cls(
             seed=seed,
             n_hops=n_hops,
@@ -228,9 +243,9 @@ class ScenarioConfig(Frozen):
             server_deployment=server_dep,
             client_deployment=client_dep,
             server_hopping=server_hopping,
-            grace_window_ms=need("scenario", "grace_window_ms", _non_negative, 200.0),
+            grace_window_ms=grace_window_ms,
             lead_time_ms=lead_time_ms,
-            withdraw_lag_ms=need("scenario", "withdraw_lag_ms", _non_negative, 500.0),
+            withdraw_lag_ms=withdraw_lag_ms,
             link_delay_ms=need("scenario", "link_delay_ms", _non_negative, 10.0),
             clock_skew_ms=need("scenario", "clock_skew_ms", _non_negative, 0.0),
             two_way=two_way,
@@ -268,6 +283,14 @@ def _non_negative(raw: str) -> float:
     if value < 0:
         raise ValueError("must not be negative")
     return value
+
+
+def _finite_sum(start: float, count: int, step: float) -> bool:
+    """True if `start + count * step` is a finite float."""
+    try:
+        return math.isfinite(start + count * step)
+    except OverflowError:  # `count` is too large for a float
+        return False
 
 
 def _blocklist(raw: str) -> frozenset[Address | Prefix]:

@@ -21,7 +21,8 @@ class EventQueue:
         self._seq = 0
 
     def schedule_at(self, at: float, fn: Callable[..., None], *args) -> None:
-        if at < self.now:
+        # Written `not >=` so that a NaN time is refused too.
+        if not at >= self.now:
             raise ValueError(f"cannot schedule at {at} before now {self.now}")
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
@@ -30,7 +31,7 @@ class EventQueue:
         # `schedule_at` written out: this runs once per forwarded hop.
         now = self.now
         at = now + delay
-        if at < now:
+        if not at >= now:
             raise ValueError(f"cannot schedule at {at} before now {now}")
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1

@@ -10,6 +10,10 @@ Messages carry the sender's full advertised path; receivers discard
 paths containing themselves, which gives loop freedom and termination
 for this monotone policy.
 
+Ribs, learned paths, origins and update keys hold a prefix by its int
+`Prefix.key`, so a routing message hashes ints only; messages and
+`longest_match` still carry `Prefix` values.
+
 Updates are coalesced: at most one undelivered update exists per
 (sender, receiver, prefix). A newer update replaces the queued one and
 goes out in that one's delivery slot instead of taking a new slot.
@@ -58,7 +62,7 @@ class RouteMessage(Frozen):
         _set(self, "path", path)  # None = withdraw
 
 
-UpdateKey = tuple[int, int, Prefix]  # (sender, receiver, prefix)
+UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
@@ -69,25 +73,26 @@ class AsNode:
         asn: int,
         neighbors: set[int] | None = None,
         peers: tuple[int, ...] = (),
-        rib: dict[Prefix, Route] | None = None,
-        learned: dict[Prefix, dict[int, tuple[int, ...]]] | None = None,
+        rib: dict[int, Route] | None = None,
+        learned: dict[int, dict[int, tuple[int, ...]]] | None = None,
         index: PrefixIndex | None = None,
     ):
         self.asn = asn
         self.neighbors = set() if neighbors is None else neighbors
         self.peers = peers  # `neighbors` sorted: the order updates go out in
-        self.rib = {} if rib is None else rib
+        self.rib = {} if rib is None else rib  # by prefix key
         # Candidate paths learned per neighbor, as seen from this node.
         self.learned = {} if learned is None else learned
         self.index = PrefixIndex() if index is None else index  # over the rib's prefixes
 
     def install(self, prefix: Prefix, route: Route) -> None:
-        if prefix not in self.rib:
+        key = prefix.key
+        if key not in self.rib:
             self.index.add(prefix)
-        self.rib[prefix] = route
+        self.rib[key] = route
 
     def remove(self, prefix: Prefix) -> None:
-        if self.rib.pop(prefix, None) is not None:
+        if self.rib.pop(prefix.key, None) is not None:
             self.index.discard(prefix)
 
 
@@ -99,7 +104,7 @@ class AsGraph:
         # delivery order until `converge` or a scheduler takes them.
         self.pending: dict[UpdateKey, RouteMessage] = {}
         self.slots: deque[UpdateKey] = deque()
-        self.origins: dict[Prefix, int] = {}
+        self.origins: dict[int, int] = {}  # prefix key -> origin ASN
 
     def add_node(self, asn: int) -> AsNode:
         if asn not in self.nodes:
@@ -127,9 +132,9 @@ class AsGraph:
         that one's slot; only a key with nothing queued opens a new slot.
         """
         msgs = [RouteMessage(node.asn, nbr, prefix, path) for nbr in node.peers]
-        pending = self.pending
+        pending, asn, pkey = self.pending, node.asn, prefix.key
         for msg in msgs:
-            key = (node.asn, msg.receiver, prefix)
+            key = (asn, msg.receiver, pkey)
             if pending.setdefault(key, msg) is msg:
                 self.slots.append(key)
             else:
@@ -178,13 +183,13 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     """
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
-    holder = graph.origins.get(prefix)
+    holder = graph.origins.get(prefix.key)
     if holder == origin:
         return []
     if holder is not None:
         raise MoasConflict(f"{prefix} already announced by AS {holder}")
     node = graph.nodes[origin]
-    graph.origins[prefix] = origin
+    graph.origins[prefix.key] = origin
     node.install(prefix, Route((), origin))
     return graph.send(node, prefix, (origin,))
 
@@ -193,18 +198,18 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     """Remove the origin route and queue withdrawals to neighbors."""
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
-    if graph.origins.get(prefix) != origin:
+    if graph.origins.get(prefix.key) != origin:
         raise NotAnnounced(f"{prefix} not announced by AS {origin}")
     node = graph.nodes[origin]
-    del graph.origins[prefix]
+    del graph.origins[prefix.key]
     node.remove(prefix)
     return graph.send(node, prefix, None)
 
 
-def _best_candidate(graph: AsGraph, node: AsNode, prefix: Prefix) -> Route | None:
-    if graph.origins.get(prefix) == node.asn:
+def _best_candidate(graph: AsGraph, node: AsNode, key: int) -> Route | None:
+    if graph.origins.get(key) == node.asn:
         return Route((), node.asn)
-    candidates = node.learned.get(prefix)
+    candidates = node.learned.get(key)
     if not candidates:
         return None
     # Shortest AS-path; ties go to the lowest neighbor ASN (path[0]).
@@ -215,7 +220,8 @@ def _best_candidate(graph: AsGraph, node: AsNode, prefix: Prefix) -> Route | Non
 def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
     """Apply one routing message; returns follow-up messages on best-route change."""
     node = graph.nodes[msg.receiver]
-    per_nbr = node.learned.setdefault(msg.prefix, {})
+    key = msg.prefix.key
+    per_nbr = node.learned.setdefault(key, {})
     if msg.path is None or node.asn in msg.path:
         # Withdrawal, or a path through ourselves: either way the
         # sender's route is unusable from here.
@@ -223,10 +229,10 @@ def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
     else:
         per_nbr[msg.sender] = msg.path
     if not per_nbr:
-        node.learned.pop(msg.prefix, None)
+        node.learned.pop(key, None)
 
-    old = node.rib.get(msg.prefix)
-    best = _best_candidate(graph, node, msg.prefix)
+    old = node.rib.get(key)
+    best = _best_candidate(graph, node, key)
     if best == old:
         return []
     if best is None:
@@ -264,7 +270,7 @@ def originates(graph: AsGraph, asn: int, address: Address) -> bool:
     # An origin's rib holds every prefix it announces, so its index finds them.
     node = graph.nodes.get(asn)
     return node is not None and any(
-        graph.origins.get(p) == asn for p in node.index.matches(address)
+        graph.origins.get(p.key) == asn for p in node.index.matches(address)
     )
 
 
@@ -285,7 +291,7 @@ def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int]:
         prefix = longest_match(node, dst)
         if prefix is None:
             raise Unroutable(f"no route toward {dst} at AS {current}")
-        route = node.rib[prefix]
+        route = node.rib[prefix.key]
         if not route.path:
             return path  # arrived at the origin
         nxt = route.next_hop

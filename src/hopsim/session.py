@@ -194,8 +194,7 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     unchanged, else the rewritten (src, dst). Tables never change,
     which makes the memo exact.
     """
-    src, dst = packet.src, packet.dst
-    key = (direction, src.version, src.bits, dst.bits)
+    key = (direction, packet.src.key, packet.dst.key)
     memo = table.memo
     if key in memo:
         outcome = memo[key]
@@ -262,7 +261,7 @@ class Simulation:
         if adv and adv.mode is not None:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
 
-        self._prefix_refs: dict[Prefix, int] = {}
+        self._prefix_refs: dict[int, int] = {}  # by prefix key
         self._hops_entered: list[tuple[int, float]] = []  # server-side windows
         self._hop_starts_abs: list[float] = []
         self._sent = 0
@@ -287,16 +286,18 @@ class Simulation:
         self._flush_routing()
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
-        count = self._prefix_refs.get(prefix, 0) + 1
-        self._prefix_refs[prefix] = count
+        key = prefix.key
+        count = self._prefix_refs.get(key, 0) + 1
+        self._prefix_refs[key] = count
         if count == 1:
             announce(self.graph, prefix, origin)
             self._emit_trace("route", "announce", f"prefix={prefix};origin={origin}")
             self._flush_routing()
 
     def _release_prefix(self, prefix: Prefix, origin: int) -> None:
-        count = self._prefix_refs.get(prefix, 0) - 1
-        self._prefix_refs[prefix] = count
+        key = prefix.key
+        count = self._prefix_refs.get(key, 0) - 1
+        self._prefix_refs[key] = count
         if count == 0:
             withdraw(self.graph, prefix, origin)
             self._emit_trace("route", "withdraw", f"prefix={prefix};origin={origin}")
@@ -440,7 +441,7 @@ class Simulation:
             self._emit_trace("traffic", "drop", f"id={packet.id};reason=unroutable;at={asn}")
             self._resolve()
             return
-        route = node.rib[prefix]
+        route = node.rib[prefix.key]
         if not route.path:
             self._deliver_local(packet, asn)
             return
@@ -469,7 +470,7 @@ class Simulation:
             self._emit_trace("traffic", "drop", f"id={packet.id};reason=no_rule;at={asn}")
             self._resolve()
             return
-        if result.dst != agent.internal_ip:
+        if result.dst.key != agent.internal_ip.key:
             # Half rewritten: a peer-tracking rule rewrote the source, but the
             # hop rule for this destination expired (a skewed peer still sent to it).
             self._emit_trace("traffic", "drop", f"id={packet.id};reason=stale_rewrite;at={asn}")
@@ -515,7 +516,7 @@ class Simulation:
         end_t = self._traffic_end if self._traffic_end is not None else 0.0
         entered = [(k, t) for k, t in self._hops_entered if t <= end_t]
         schedule = self.server.schedule
-        addresses = {schedule.entries[k].address for k, _ in entered}
+        addresses = {schedule.entries[k].address.key for k, _ in entered}
         dwells = [schedule.entries[k].dwell_ms for k, _ in entered]
         per_hop = tuple(
             (k, self._deliveries_by_window.get(k, 0)) for k, _ in entered

@@ -233,7 +233,7 @@ def test_criterion_4_route_simulator_oracle():
         converge(graph)
         distances = _bfs(graph, origin)
         for asn, node in graph.nodes.items():
-            assert len(node.rib[prefix].path) == distances[asn], (case, asn)
+            assert len(node.rib[prefix.key].path) == distances[asn], (case, asn)
             checked_nodes += 1
         withdraw(graph, prefix, origin)
         converge(graph)

@@ -1,4 +1,6 @@
+import copy
 import ipaddress
+import pickle
 
 import pytest
 from hypothesis import given
@@ -40,6 +42,51 @@ class TestAddress:
         for text in ("192.0.2.7", "2001:db8::42"):
             a = Address.parse(text)
             assert parse_reverse_pointer(a.reverse_pointer()) == a
+
+    @given(st.sampled_from(list(IPVersion)), st.integers(0, 2**128 - 1))
+    def test_cached_text_is_not_part_of_the_value(self, version, bits):
+        bits &= (1 << version.width) - 1
+        cached, plain = Address(version, bits), Address(version, bits)
+        v4 = version is IPVersion.V4
+        text = str(ipaddress.ip_address(bits) if v4 else ipaddress.IPv6Address(bits))
+        assert str(cached) == text  # formats and caches
+        assert str(cached) == text  # reads the cache
+        assert "key" not in repr(cached) and "_text" not in repr(cached)
+        clones = (copy.copy(cached), copy.deepcopy(cached), pickle.loads(pickle.dumps(cached)),
+                  cached.replace())
+        for value in (cached,) + clones:
+            assert value == plain and hash(value) == hash(plain) and repr(value) == repr(plain)
+            assert value.key == plain.key
+        assert pickle.dumps(cached) == pickle.dumps(plain)
+        assert [str(c) for c in clones] == [text] * len(clones)
+
+
+@st.composite
+def shared_bit_pairs(draw):
+    """(version, bits, length) twice, often with equal bits and length and
+    the other version, so that only the version tells the two apart."""
+    bits, length = draw(st.integers(0, (1 << 32) - 1)), draw(st.integers(0, 32))
+    return [
+        (draw(st.sampled_from(list(IPVersion))), draw(st.sampled_from([bits, bits ^ 1])),
+         draw(st.sampled_from([length, 32 - length])))
+        for _ in range(2)
+    ]
+
+
+class TestKeys:
+    @given(shared_bit_pairs())
+    def test_address_key_is_injective(self, pair):
+        a, b = (Address(version, bits) for version, bits, _ in pair)
+        assert (a.key == b.key) is (a == b)
+
+    @given(shared_bit_pairs())
+    def test_prefix_key_is_injective(self, pair):
+        def prefix(version, bits, length):
+            host = version.width - length
+            return Prefix(Address(version, bits >> host << host), length)
+
+        a, b = (prefix(*spec) for spec in pair)
+        assert (a.key == b.key) is (a == b)
 
 
 class TestPrefix:

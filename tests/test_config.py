@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +191,24 @@ def test_generated_config_runs_or_is_rejected_at_parse_time(scenario):
             return
         assert _run(config, second) == (0, "")
         assert _outputs(first) == _outputs(second)
+
+
+@pytest.mark.parametrize(
+    "options, key",
+    [
+        ({"fixed_ms": 1e308, "n_hops": 20, "gap_ms": "auto"}, "[dwell] fixed_ms"),
+        ({"dwell": "uniform", "high_ms": 1e308, "n_hops": 20, "gap_ms": "auto"}, "[dwell] high_ms"),
+        ({"dwell": "dhmm", "n_hops": 20, "gap_ms": "auto"}, "[dwell] model"),
+        ({"gap_ms": 1e308, "packets": 5}, "[traffic] gap_ms"),
+    ],
+    ids=["fixed_dwell", "uniform_dwell", "dhmm_dwell", "traffic_gap"],
+)
+def test_event_times_that_overflow_are_rejected(tmp_path, options, key):
+    # At 1e308 ms a whole schedule, or the last send, overflows to inf;
+    # the auto gap then put the first packet at 0 * inf = nan.
+    path = make_config(tmp_path, **options)
+    if options.get("dwell") == "dhmm":
+        (tmp_path / "long.model").write_text(trained_model([100.0, 1e308] * 3, 2))
+        path.write_text(path.read_text().replace("[traffic]", "model = long.model\n\n[traffic]"))
+    code, err = _run(path, tmp_path)
+    assert code == 2 and key in err and "overflow" in err, err

@@ -51,15 +51,15 @@ class TestAnnounce:
         g.add_node(1)
         msgs = announce(g, P24, 1)
         assert msgs == []
-        assert g.nodes[1].rib[P24].path == ()
+        assert g.nodes[1].rib[P24.key].path == ()
         assert converge(g) == 0
 
     def test_line_propagation(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
         converge(g)
-        assert g.nodes[1].rib[P24].path == (2, 3)
-        assert g.nodes[2].rib[P24].path == (3,)
+        assert g.nodes[1].rib[P24.key].path == (2, 3)
+        assert g.nodes[2].rib[P24.key].path == (3,)
 
     def test_reannounce_is_idempotent(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
@@ -82,6 +82,24 @@ class TestAnnounce:
             announce(g, P24, 2)
 
 
+class TestVersions:
+    def test_v4_and_v6_prefixes_with_equal_bits_route_apart(self):
+        v4, v6 = Prefix.parse("0.0.0.0/8"), Prefix.parse("::/8")
+        g = AsGraph.from_edges([(1, 2), (2, 3)])
+        announce(g, v4, 1)
+        announce(g, v6, 3)
+        converge(g)
+        assert route_lookup(g, 2, Address.parse("0.0.0.1")) == [1]
+        assert route_lookup(g, 2, Address.parse("::1")) == [3]
+        withdraw(g, v4, 1)
+        converge(g)
+        assert route_lookup(g, 1, Address.parse("::1")) == [2, 3]
+        with pytest.raises(Unroutable):
+            route_lookup(g, 3, Address.parse("0.0.0.1"))
+        assert originates(g, 3, Address.parse("::1"))
+        assert not originates(g, 1, Address.parse("0.0.0.1"))
+
+
 class TestWithdraw:
     def test_line_withdraw_clears_all_ribs(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
@@ -89,7 +107,7 @@ class TestWithdraw:
         converge(g)
         withdraw(g, P24, 3)
         converge(g)
-        assert all(P24 not in n.rib for n in g.nodes.values())
+        assert all(P24.key not in n.rib for n in g.nodes.values())
 
     def test_withdraw_unannounced(self):
         g = AsGraph.from_edges([(1, 2)])
@@ -101,10 +119,10 @@ class TestWithdraw:
         announce(g, P24, 3)
         announce(g, P_OTHER, 1)
         converge(g)
-        before = {asn: n.rib[P_OTHER] for asn, n in g.nodes.items()}
+        before = {asn: n.rib[P_OTHER.key] for asn, n in g.nodes.items()}
         withdraw(g, P24, 3)
         converge(g)
-        assert {asn: n.rib[P_OTHER] for asn, n in g.nodes.items()} == before
+        assert {asn: n.rib[P_OTHER.key] for asn, n in g.nodes.items()} == before
 
     def test_round_trip_restores_initial_ribs(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -129,9 +147,9 @@ class TestConverge:
         converge(g)
         # Node 1 sits opposite the origin: both ring directions have
         # length 2, the lower neighbor ASN (2) wins the tie.
-        assert g.nodes[1].rib[P24].path == (2, 3)
-        assert g.nodes[2].rib[P24].path == (3,)
-        assert g.nodes[4].rib[P24].path == (3,)
+        assert g.nodes[1].rib[P24.key].path == (2, 3)
+        assert g.nodes[2].rib[P24.key].path == (3,)
+        assert g.nodes[4].rib[P24.key].path == (3,)
 
     def test_fixed_point_is_stable(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (1, 3)])
@@ -147,7 +165,7 @@ class TestConverge:
         converge(g)
         distances = bfs_distances(g, origin)
         for asn, node in g.nodes.items():
-            assert len(node.rib[P24].path) == distances[asn], asn
+            assert len(node.rib[P24.key].path) == distances[asn], asn
 
     def test_loop_freedom_invariant(self):
         rng = SplitMix64(11)
@@ -215,7 +233,7 @@ def test_scheduler_hand_off_reaches_converge_fixed_point():
     g = AsGraph.from_edges(edges)
     msgs = announce(g, P24, 3)
     slots = g.take_slots()
-    assert slots == [(m.sender, m.receiver, m.prefix) for m in msgs]
+    assert slots == [(m.sender, m.receiver, m.prefix.key) for m in msgs]
     assert not g.slots
     # An external scheduler delivering the slots in order reaches the
     # same ribs as converge(), and leaves nothing undelivered.
@@ -236,18 +254,18 @@ class TestCoalescing:
         withdraw(g, P24, 3)
         # Two keys, in the order they were first queued; the withdrawal
         # took over the announcement's slot instead of opening a third.
-        assert list(g.slots) == [(3, 2, P24), (3, 2, P_OTHER)]
-        assert g.pending[(3, 2, P24)].path is None
+        assert list(g.slots) == [(3, 2, P24.key), (3, 2, P_OTHER.key)]
+        assert g.pending[(3, 2, P24.key)].path is None
         converge(g)
-        assert all(P24 not in n.rib and P24 not in n.learned for n in g.nodes.values())
-        assert g.nodes[1].rib[P_OTHER].path == (2, 3)
+        assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
+        assert g.nodes[1].rib[P_OTHER.key].path == (2, 3)
 
     def test_delivered_key_opens_a_new_slot(self):
         g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
         (key,) = g.take_slots()
         process_message(g, g.take(key))
-        assert g.take_slots() == [(2, 1, P24)]  # AS 2's reply
+        assert g.take_slots() == [(2, 1, P24.key)]  # AS 2's reply
         withdraw(g, P24, 1)
         assert g.take_slots() == [key]
 

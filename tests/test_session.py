@@ -1,8 +1,9 @@
 import hashlib
+import math
 
 import pytest
 
-from hopsim.addressing import Address, PrefixPool
+from hopsim.addressing import Address, Prefix, PrefixPool
 from hopsim.config import DeploymentMode, ScenarioConfig, canonical_config_hash
 from hopsim.covert import SyncPayload
 from hopsim.dwell import FixedDwell, UniformDwell, resolve_dwell_source
@@ -57,6 +58,10 @@ class TestEventQueue:
             queue.schedule_at(4.0, print, "never")
         with pytest.raises(ValueError):
             queue.schedule_in(-0.5, print, "never")
+        with pytest.raises(ValueError):
+            queue.schedule_at(math.nan, print, "never")
+        with pytest.raises(ValueError):
+            queue.schedule_in(math.nan, print, "never")
         queue.schedule_in(0.0, print, "now")
         assert queue.now == 5.0 and len(queue._heap) == 1
 
@@ -606,3 +611,53 @@ class TestRoutingChurn:
         metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == metrics.packets_sent == 8
         assert len(processed) == 1 and processed[0] <= 250_000
+
+
+# The 16-AS graph of the mesh_churn benchmark workload.
+MESH_CHURN_TOPOLOGY = (
+    "1 2\n1 3\n1 4\n1 5\n1 8\n1 14\n2 6\n2 12\n2 14\n3 5\n3 10\n3 11\n"
+    "3 15\n4 7\n4 9\n4 10\n5 6\n5 7\n5 14\n6 16\n8 13\n11 16\n13 15\n"
+)
+
+
+def _value_hashes(path) -> int:
+    """Python-level `Address.__hash__` and `Prefix.__hash__` calls in one run."""
+    sim = Simulation(ScenarioConfig.from_file(path))
+    calls = []
+    saved = Address.__hash__, Prefix.__hash__
+
+    def counted(original):
+        def __hash__(self):
+            calls.append(None)
+            return original(self)
+
+        return __hash__
+
+    Address.__hash__, Prefix.__hash__ = map(counted, saved)
+    try:
+        sim.run()
+    finally:
+        Address.__hash__, Prefix.__hash__ = saved
+    return len(calls)
+
+
+def test_packets_and_routing_messages_hash_no_address_or_prefix(tmp_path):
+    # The packet and routing paths key their dicts and sets by `.key`, so
+    # the count is fixed by the schedule: ten times the packets (sent over
+    # ten times as many hops), or a graph with five times the ASes and
+    # many more routing messages, leave it unchanged. The reactive tap
+    # sits on the packets' path.
+    counts = {}
+    for name, packets, topo, tap in (
+        ("line", 20, "1 2\n2 3\n", "2-3"),
+        ("line_200_packets", 200, "1 2\n2 3\n", "2-3"),
+        ("mesh", 20, MESH_CHURN_TOPOLOGY, "1-3"),
+    ):
+        root = tmp_path / name
+        root.mkdir()
+        path = make_config(
+            root, n_hops=20, packets=packets, gap_ms="100", topo=topo,
+            extra=f"[adversary]\ntap = {tap}\npolicy = reactive\ndetect_delay_ms = 300\n",
+        )
+        counts[name] = _value_hashes(path)
+    assert counts["line_200_packets"] == counts["mesh"] == counts["line"], counts
