@@ -28,7 +28,8 @@ class EventQueue:
         self._seq += 1
 
     def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
-        # `schedule_at` written out: this runs once per forwarded hop.
+        # `schedule_at` written out: this runs once per routing slot, grace
+        # expiry and link crossing that cannot be taken inline.
         now = self.now
         at = now + delay
         if not at >= now:
@@ -36,8 +37,28 @@ class EventQueue:
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
+    def advance_to(self, at: float) -> bool:
+        """Move the clock to `at` if no queued event is due at or before it.
+
+        Then nothing can run before an event at `at` would, so the caller
+        may do that work now instead of queueing it. An event queued at
+        exactly `at` fires first, so it blocks the move; the clock stays
+        put and the call returns False.
+        """
+        if not at >= self.now:
+            raise ValueError(f"cannot advance to {at} before now {self.now}")
+        heap = self._heap
+        if heap and heap[0][0] <= at:
+            return False
+        self.now = at
+        return True
+
     def run(self) -> int:
-        """Drain the queue; returns the number of events processed."""
+        """Drain the queue; returns the number of events processed.
+
+        Work a handler does after `advance_to` is not an event and is
+        not counted.
+        """
         processed = 0
         heap = self._heap
         while heap:

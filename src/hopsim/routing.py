@@ -43,14 +43,6 @@ class Route(Frozen):
         _set(self, "path", path)  # AS path to the origin, empty at the origin itself
         _set(self, "next_hop", next_hop)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.next_hop == other.next_hop and self.path == other.path
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.next_hop))
-
 
 class RouteMessage(Frozen):
     __slots__ = _fields = ("sender", "receiver", "prefix", "path")
@@ -206,15 +198,14 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     return graph.send(node, prefix, None)
 
 
-def _best_candidate(graph: AsGraph, node: AsNode, key: int) -> Route | None:
+def _best_path(graph: AsGraph, node: AsNode, key: int) -> tuple[int, ...] | None:
     if graph.origins.get(key) == node.asn:
-        return Route((), node.asn)
+        return ()
     candidates = node.learned.get(key)
     if not candidates:
         return None
     # Shortest AS-path; ties go to the lowest neighbor ASN (path[0]).
-    path = min(candidates.values(), key=lambda p: (len(p), p[0]))
-    return Route(path, path[0])
+    return min(candidates.values(), key=lambda p: (len(p), p[0]))
 
 
 def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
@@ -231,17 +222,19 @@ def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
     if not per_nbr:
         node.learned.pop(key, None)
 
+    # Within one node a route's next hop follows from its path, so the
+    # paths (None for no route) decide whether the best route changed.
     old = node.rib.get(key)
-    best = _best_candidate(graph, node, key)
-    if best == old:
+    best = _best_path(graph, node, key)
+    if best == (None if old is None else old.path):
         return []
     if best is None:
         node.remove(msg.prefix)
         advertised = None
     else:
-        assert node.asn not in best.path, "loop-free invariant violated"
-        node.install(msg.prefix, best)
-        advertised = (node.asn,) + best.path
+        assert node.asn not in best, "loop-free invariant violated"
+        node.install(msg.prefix, Route(best, best[0] if best else node.asn))
+        advertised = (node.asn,) + best
     return graph.send(node, msg.prefix, advertised)
 
 

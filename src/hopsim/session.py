@@ -322,19 +322,19 @@ class Simulation:
         self._emit_trace("dns", "register", f"anchor={cfg.anchor_ip};names={len(records.names)}")
         fetched = self.zone.lookup(cfg.anchor_ip)
         decoded = decode_payload(fetched, cfg.domain_tail)
+        if decoded != payload:
+            raise ScenarioError("the covert round trip changed the sync payload")
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
 
+        # Both ends derive this schedule from the one payload; `synchronize`
+        # is a pure function of it, so it is derived once.
         models = {cfg.dwell.name: cfg.dwell.model} if isinstance(cfg.dwell, DhmmDwell) else {}
         source = resolve_dwell_source(decoded.dwell_model_id, models)
-        server_view = synchronize(self.server, decoded, source, cfg.n_hops)
-        client_view = synchronize(self.client, decoded, source, cfg.n_hops)
-        if server_view != client_view:
-            raise ScenarioError("endpoints derived different schedules from one payload")
-        self.server.schedule = server_view
+        schedule = self.server.schedule = synchronize(self.server, decoded, source, cfg.n_hops)
         self._emit_trace(
             "session",
             "sync",
-            f"hops={len(server_view)};total_ms={server_view.total_ms:.3f}",
+            f"hops={len(schedule)};total_ms={schedule.total_ms:.3f}",
         )
 
         ends = [_HopEnd(self.server, self.client, cfg.server_pool)]
@@ -350,7 +350,7 @@ class Simulation:
 
         gap = cfg.gap_ms
         if gap is None:
-            gap = server_view.total_ms / cfg.packets if cfg.packets else 0.0
+            gap = schedule.total_ms / cfg.packets if cfg.packets else 0.0
             self._emit_trace("session", "auto_gap", f"gap_ms={gap:.3f}")
         self._schedule_traffic(gap)
 
@@ -431,33 +431,46 @@ class Simulation:
         self._forward(out, self.client.attached_as, hops=0)
 
     def _forward(self, packet: Packet, asn: int, hops: int) -> None:
-        if hops > len(self.graph.nodes):
-            self._emit_trace("traffic", "drop", f"id={packet.id};reason=loop;at={asn}")
-            self._resolve()
-            return
-        node = self.graph.nodes[asn]
-        prefix = longest_match(node, packet.dst)
-        if prefix is None:
-            self._emit_trace("traffic", "drop", f"id={packet.id};reason=unroutable;at={asn}")
-            self._resolve()
-            return
-        route = node.rib[prefix.key]
-        if not route.path:
-            self._deliver_local(packet, asn)
-            return
-        nxt = route.next_hop
-        now = self.queue.now
+        # One pass per AS. A link crossing is taken inline when no queued
+        # event is due by the arrival time. Callers do nothing after this
+        # returns, so nothing could run in between, and the event order
+        # is the one queueing the crossing would give.
+        nodes = self.graph.nodes
+        queue = self.queue
+        delay = self.config.link_delay_ms
         tap = self.tap
-        if tap is not None and tap.watches(asn, nxt):
-            tap.observe(now, packet)
-            if self.policy is not None:
-                if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
-                    self._emit_trace(
-                        "adversary", "block", f"id={packet.id};dst={packet.dst};link={asn}-{nxt}"
-                    )
-                    self._resolve()
-                    return
-        self.queue.schedule_in(self.config.link_delay_ms, self._forward, packet, nxt, hops + 1)
+        while True:
+            if hops > len(nodes):
+                self._emit_trace("traffic", "drop", f"id={packet.id};reason=loop;at={asn}")
+                self._resolve()
+                return
+            node = nodes[asn]
+            prefix = longest_match(node, packet.dst)
+            if prefix is None:
+                self._emit_trace("traffic", "drop", f"id={packet.id};reason=unroutable;at={asn}")
+                self._resolve()
+                return
+            route = node.rib[prefix.key]
+            if not route.path:
+                self._deliver_local(packet, asn)
+                return
+            nxt = route.next_hop
+            now = queue.now
+            if tap is not None and tap.watches(asn, nxt):
+                tap.observe(now, packet)
+                if self.policy is not None:
+                    if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
+                        self._emit_trace(
+                            "adversary", "block",
+                            f"id={packet.id};dst={packet.dst};link={asn}-{nxt}",
+                        )
+                        self._resolve()
+                        return
+            hops += 1
+            if not queue.advance_to(now + delay):
+                queue.schedule_in(delay, self._forward, packet, nxt, hops)
+                return
+            asn = nxt
 
     def _deliver_local(self, packet: Packet, asn: int) -> None:
         agent = self._agents_by_as.get(asn)

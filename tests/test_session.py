@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,20 @@ class TestEventQueue:
             queue.schedule_in(math.nan, print, "never")
         queue.schedule_in(0.0, print, "now")
         assert queue.now == 5.0 and len(queue._heap) == 1
+
+    def test_advance_to(self):
+        queue, fired = EventQueue(start=1.0), []
+        assert queue.advance_to(2.0) and queue.now == 2.0  # empty heap
+        queue.schedule_at(3.0, fired.append, "queued")
+        assert queue.advance_to(2.5) and queue.now == 2.5
+        # Due exactly at the target: it was queued first, so it blocks.
+        assert not queue.advance_to(3.0) and queue.now == 2.5
+        assert not queue.advance_to(4.0) and queue.now == 2.5
+        for bad in (2.0, math.nan):
+            with pytest.raises(ValueError):
+                queue.advance_to(bad)
+        assert queue.now == 2.5 and fired == []
+        assert queue.run() == 1 and fired == ["queued"]
 
 
 class TestSynchronize:
@@ -170,6 +186,18 @@ class TestRunScenario:
         r1, r2 = Simulation(config).run(), Simulation(config).run()
         assert r1.trace == r2.trace
         assert r1.metrics == r2.metrics
+
+    def test_covert_round_trip_is_checked(self, tmp_path, monkeypatch):
+        import hopsim.session as session
+
+        decode = session.decode_payload
+        monkeypatch.setattr(
+            session, "decode_payload",
+            lambda records, tail: decode(records, tail).replace(epoch_ms=0.0),
+        )
+        config = ScenarioConfig.from_file(make_config(tmp_path))
+        with pytest.raises(ScenarioError, match="covert round trip"):
+            Simulation(config).run()
 
     def _run_straddler(self, tmp_path, grace_ms: float) -> SessionMetrics:
         # One packet emitted 10 ms before the hop; path delay is 100 ms,
@@ -618,6 +646,92 @@ MESH_CHURN_TOPOLOGY = (
     "1 2\n1 3\n1 4\n1 5\n1 8\n1 14\n2 6\n2 12\n2 14\n3 5\n3 10\n3 11\n"
     "3 15\n4 7\n4 9\n4 10\n5 6\n5 7\n5 14\n6 16\n8 13\n11 16\n13 15\n"
 )
+
+
+class _QueueEveryCrossing(EventQueue):
+    """A queue that never lets a link crossing run inline."""
+
+    def advance_to(self, at: float) -> bool:
+        return False
+
+
+@pytest.fixture
+def processed(monkeypatch):
+    """What each `EventQueue.run` in the test returned, in order."""
+    counts = []
+    run_queue = EventQueue.run
+
+    def counted_run(queue):
+        counts.append(run_queue(queue))
+        return counts[-1]
+
+    monkeypatch.setattr(EventQueue, "run", counted_run)
+    return counts
+
+
+REACTIVE_TAP = (
+    "[adversary]\ntap = {}\npolicy = reactive\ndetect_delay_ms = 500\ntiming_model = bg.model\n"
+)
+
+# make_config options and extra [scenario] lines. Fixed 1 s windows and
+# 100 ms gaps put sends at the same instants as hops and grace expiries.
+# At zero delay such a send crosses every link at that instant, and a
+# 300 ms skew still points the send at each grace expiry to the expiring
+# address: the crossing must queue behind the expiry and die on arrival.
+INLINE_CASES = {
+    "mesh": (dict(topo=MESH_CHURN_TOPOLOGY, server_as=16, extra=REACTIVE_TAP.format("1-2"),
+                  pool=",".join(f"100.64.{i}.0/24" for i in range(4))), ""),
+    "zero_delay": ({}, "link_delay_ms = 0\nclock_skew_ms = 300\n"),
+    "reactive_tap": (dict(extra=REACTIVE_TAP.format("2-3")), ""),
+}
+
+
+class TestInlineCrossing:
+    """Taking a link crossing inline gives the run that queueing it gives."""
+
+    @pytest.mark.parametrize("case", [*INLINE_CASES, "two_way_skew"])
+    def test_inline_crossing_matches_queued(self, tmp_path, processed, case):
+        from test_dwell import symbol_chain
+
+        if case == "two_way_skew":
+            (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+            config = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
+        else:
+            model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
+            (tmp_path / "bg.model").write_text(model.to_text())
+            options, scenario = INLINE_CASES[case]
+            path = make_config(tmp_path, n_hops=8, packets=60, gap_ms="100", **options)
+            path.write_text(path.read_text().replace("[topology]", scenario + "\n[topology]"))
+            config = ScenarioConfig.from_file(path)
+        inline = Simulation(config).run()
+        sim = Simulation(config)
+        sim.queue = _QueueEveryCrossing()
+        queued = sim.run()
+        assert inline.trace_text() == queued.trace_text()
+        assert inline.metrics.to_dict() == queued.metrics.to_dict()
+        assert inline.verdicts == queued.verdicts
+        assert processed[0] < processed[1]
+        assert ",traffic,deliver," in inline.trace_text()
+        if case == "zero_delay":
+            assert ";reason=no_rule;" in inline.trace_text()
+        elif case != "two_way_skew":
+            assert ",adversary,block," in inline.trace_text() and inline.verdicts
+
+    def test_shipped_configs_event_counts(self, processed):
+        configs = Path(__file__).parents[1] / "configs"
+        for stem in ("one_way_hop111", "reactive_block", "baseline_static"):
+            Simulation(ScenarioConfig.from_file(configs / f"{stem}.ini")).run()
+        assert processed == [1137, 1146, 677]
+
+    def test_line_longer_than_the_recursion_limit(self, tmp_path):
+        size = sys.getrecursionlimit() + 100
+        path = make_config(
+            tmp_path, n_hops=2, packets=10, gap_ms="auto", server_as=size,
+            topo="".join(f"{a} {a + 1}\n" for a in range(1, size)),
+        )
+        path.write_text(path.read_text().replace("[topology]", "link_delay_ms = 0.1\n\n[topology]"))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
+        assert metrics.packets_delivered == metrics.packets_sent == 10
 
 
 def _value_hashes(path) -> int:
