@@ -38,7 +38,6 @@ from .session import (
     SessionMetrics,
     Simulation,
     hop,
-    run_scenario,
     synchronize,
 )
 

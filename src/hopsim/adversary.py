@@ -34,11 +34,9 @@ class ObserverTap:
 
     __slots__ = ("link", "log")
 
-    def __init__(
-        self, link: tuple[int, int], log: list[tuple[float, Address, Address]] | None = None
-    ):
+    def __init__(self, link: tuple[int, int]):
         self.link = link
-        self.log = [] if log is None else log
+        self.log: list[tuple[float, Address, Address]] = []
 
     def watches(self, a: int, b: int) -> bool:
         """True if (a, b) is the tapped link, in either direction."""
@@ -49,13 +47,6 @@ class ObserverTap:
         if self.log and t < self.log[-1][0]:
             raise ValueError("tap log must stay time-ordered")
         self.log.append((t, packet.src, packet.dst))
-
-    def dump_lines(self) -> list[str]:
-        """Tap log in the event-trace line format."""
-        return [
-            f"{t:.3f},adversary,observe,src={src};dst={dst}"
-            for t, src, dst in self.log
-        ]
 
 
 class BlockMode(Enum):

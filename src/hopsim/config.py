@@ -2,8 +2,10 @@
 
 `ScenarioConfig.from_text` reads every file a config names, so the
 simulation reads none, and raises each input error as a `ConfigError`
-naming its `[section] key`. It also encodes the hopping server's sync
-payload once, so that a config that parses runs to completion.
+naming its `[section] key`. It parses the topology into an edge list,
+and the `ScenarioConfig` constructor encodes the hopping server's sync
+payload: each is built once, here, and a run uses what was built, so
+a config that parses runs to completion.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .adversary import BlockMode
 from .covert import SyncPayload, encode_payload
 from .dwell import DhmmDwell, DhmmModel, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidPool, NameTooLong, PayloadTooLarge
-from .routing import AsGraph
-from .values import Frozen
+from .routing import parse_edges
+from .values import Frozen, _set
 
 _REQUIRED = object()
 
@@ -39,15 +41,32 @@ class AdversaryConfig(Frozen):
 
 
 class ScenarioConfig(Frozen):
-    __slots__ = _fields = (
-        "seed", "n_hops", "topology_text", "server_ip", "server_as", "server_pool", "client_ip",
-        "client_as", "dwell", "packets",
+    # `sync_payload` and `sync_records` are derived from the fields and are
+    # not fields: `replace` (a seed override) runs `__init__` again, so the
+    # records a run publishes always carry the config's own seed. Both are
+    # None for a static server.
+    _fields = (
+        "seed", "n_hops",
+        "edges",  # the topology's (asn, asn) links, in file order
+        "server_ip", "server_as", "server_pool", "client_ip", "client_as", "dwell", "packets",
         "gap_ms",  # None = spread traffic across the schedule
         "config_sha256",  # canonical digest of the config text
         "server_deployment", "client_deployment", "server_hopping", "grace_window_ms",
         "lead_time_ms", "withdraw_lag_ms", "link_delay_ms", "clock_skew_ms", "two_way",
         "client_seed", "client_pool", "anchor_ip", "domain_tail", "adversary",
     )
+    __slots__ = _fields + ("sync_payload", "sync_records")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        payload = records = None
+        if self.server_hopping:
+            payload = SyncPayload(
+                self.seed, self.server_pool, self.dwell.model_id, self.lead_time_ms
+            )
+            records = encode_payload(payload, self.anchor_ip, self.domain_tail)
+        _set(self, "sync_payload", payload)
+        _set(self, "sync_records", records)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -80,11 +99,11 @@ class ScenarioConfig(Frozen):
         if server_hopping and n_hops < 1:
             raise ConfigError("[scenario] n_hops", "must be >= 1 for a hopping server")
 
-        topology_text = _read(base / need("topology", "file", str), "[topology] file")
         try:
-            graph = AsGraph.from_text(topology_text)
+            edges = parse_edges(_read(base / need("topology", "file", str), "[topology] file"))
         except ValueError as exc:
             raise ConfigError("[topology] file", str(exc)) from exc
+        ases = {asn for edge in edges for asn in edge}
 
         server_ip = need("server", "internal_ip", Address.parse)
         server_as = need("server", "attached_as", int)
@@ -96,7 +115,7 @@ class ScenarioConfig(Frozen):
         client_dep = need("client", "deployment", deployment, DeploymentMode.HOST_AGENT)
 
         for asn, where in ((server_as, "[server] attached_as"), (client_as, "[client] attached_as")):
-            if asn not in graph.nodes:
+            if asn not in ases:
                 raise ConfigError(where, f"AS {asn} not present in topology")
         if server_as == client_as:
             raise ConfigError("[client] attached_as", "endpoints must attach to distinct ASes")
@@ -172,7 +191,7 @@ class ScenarioConfig(Frozen):
                 a, b = (int(x) for x in raw_tap.replace("-", " ").split())
             except ValueError as exc:
                 raise ConfigError("[adversary] tap", f"expected 'asn-asn': {exc}") from exc
-            if not graph.has_link(a, b):
+            if (a, b) not in edges and (b, a) not in edges:
                 raise ConfigError("[adversary] tap", f"link {a}-{b} not in topology")
             policy = need("adversary", "policy", lambda r: r.strip().lower(), "none")
             if policy not in ("none", "static", "reactive"):
@@ -202,19 +221,6 @@ class ScenarioConfig(Frozen):
         lead_time_ms = need("scenario", "lead_time_ms", _positive, 1000.0)
         anchor_ip = need("covert", "anchor_ip", Address.parse, Address.parse("203.0.113.53"))
         domain_tail = need("covert", "domain_tail", str, "example-cdn.net")
-        if server_hopping:
-            # The run publishes this payload; encoding it once here is cheap
-            # and turns an unencodable one into an input error.
-            try:
-                payload = SyncPayload(seed, server_pool, dwell.model_id, lead_time_ms)
-            except ValueError as exc:
-                raise ConfigError("[dwell] model", str(exc)) from exc
-            try:
-                encode_payload(payload, anchor_ip, domain_tail)
-            except NameTooLong as exc:
-                raise ConfigError("[covert] domain_tail", str(exc)) from exc
-            except PayloadTooLarge as exc:
-                raise ConfigError("[server] pool", str(exc)) from exc
 
         # Every event time must be a finite number: an infinite schedule
         # makes the auto gap infinite and stamps packets at 0 * inf = nan.
@@ -227,34 +233,45 @@ class ScenarioConfig(Frozen):
         if gap_ms is not None and not _finite_sum(lead_time_ms, packets - 1, gap_ms):
             raise ConfigError("[traffic] gap_ms", f"{packets} sends {gap_ms!r} ms apart overflow")
 
-        return cls(
-            seed=seed,
-            n_hops=n_hops,
-            topology_text=topology_text,
-            server_ip=server_ip,
-            server_as=server_as,
-            server_pool=server_pool,
-            client_ip=client_ip,
-            client_as=client_as,
-            dwell=dwell,
-            packets=packets,
-            gap_ms=gap_ms,
-            config_sha256=config_sha256,
-            server_deployment=server_dep,
-            client_deployment=client_dep,
-            server_hopping=server_hopping,
-            grace_window_ms=grace_window_ms,
-            lead_time_ms=lead_time_ms,
-            withdraw_lag_ms=withdraw_lag_ms,
-            link_delay_ms=need("scenario", "link_delay_ms", _non_negative, 10.0),
-            clock_skew_ms=need("scenario", "clock_skew_ms", _non_negative, 0.0),
-            two_way=two_way,
-            client_seed=client_seed,
-            client_pool=client_pool,
-            anchor_ip=anchor_ip,
-            domain_tail=domain_tail,
-            adversary=adversary,
-        )
+        link_delay_ms = need("scenario", "link_delay_ms", _non_negative, 10.0)
+        clock_skew_ms = need("scenario", "clock_skew_ms", _non_negative, 0.0)
+        # The constructor encodes the sync payload a run publishes, which
+        # turns an unencodable one into an input error here.
+        try:
+            return cls(
+                seed=seed,
+                n_hops=n_hops,
+                edges=edges,
+                server_ip=server_ip,
+                server_as=server_as,
+                server_pool=server_pool,
+                client_ip=client_ip,
+                client_as=client_as,
+                dwell=dwell,
+                packets=packets,
+                gap_ms=gap_ms,
+                config_sha256=config_sha256,
+                server_deployment=server_dep,
+                client_deployment=client_dep,
+                server_hopping=server_hopping,
+                grace_window_ms=grace_window_ms,
+                lead_time_ms=lead_time_ms,
+                withdraw_lag_ms=withdraw_lag_ms,
+                link_delay_ms=link_delay_ms,
+                clock_skew_ms=clock_skew_ms,
+                two_way=two_way,
+                client_seed=client_seed,
+                client_pool=client_pool,
+                anchor_ip=anchor_ip,
+                domain_tail=domain_tail,
+                adversary=adversary,
+            )
+        except NameTooLong as exc:
+            raise ConfigError("[covert] domain_tail", str(exc)) from exc
+        except PayloadTooLarge as exc:
+            raise ConfigError("[server] pool", str(exc)) from exc
+        except ValueError as exc:  # a `SyncPayload` check: the model id's length
+            raise ConfigError("[dwell] model", str(exc)) from exc
 
 
 def _u64(raw: str) -> int:
@@ -338,8 +355,3 @@ def _digest(cp: configparser.ConfigParser) -> str:
                 raise ConfigError(where, f"bad value: {exc}") from exc
             lines.append(f"{where}={value.strip()}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def canonical_config_hash(text: str) -> str:
-    """Stable digest of a config: sections and keys sorted, values stripped."""
-    return _digest(_parse_ini(text))

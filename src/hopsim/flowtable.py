@@ -277,15 +277,3 @@ def grace_set(table: FlowTable) -> frozenset[Address]:
         for r in table.rules
         if r.action.is_rewrite and r.match.direction is Direction.INBOUND
     )
-
-
-def dump_lines(table: FlowTable) -> list[str]:
-    """One rule per line: ``prio,dir,field,match_addr,action,arg``."""
-    lines = []
-    for r in table.rules:
-        arg = str(r.action.arg) if r.action.arg is not None else "-"
-        lines.append(
-            f"{r.priority},{r.match.direction.value},"
-            f"{r.match.field.value},{r.match.value},{r.action.kind.value},{arg}"
-        )
-    return lines

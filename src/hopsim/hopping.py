@@ -97,10 +97,6 @@ class HopSchedule(Frozen):
             t += e.dwell_ms
         return starts
 
-    def dump_lines(self) -> list[str]:
-        """Line format ``index,address,dwell_ms`` for trace diffing."""
-        return [f"{i},{e.address},{e.dwell_ms!r}" for i, e in enumerate(self.entries)]
-
 
 def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> HopSchedule:
     """Zip a seeded sequence of distinct addresses with caller-supplied dwells."""

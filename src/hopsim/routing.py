@@ -30,6 +30,7 @@ slots with `AsGraph.take_slots` and delivers each with `AsGraph.take`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from .addressing import Address, Prefix, PrefixIndex
 from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
@@ -60,22 +61,14 @@ UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 class AsNode:
     __slots__ = ("asn", "neighbors", "peers", "rib", "learned", "index")
 
-    def __init__(
-        self,
-        asn: int,
-        neighbors: set[int] | None = None,
-        peers: tuple[int, ...] = (),
-        rib: dict[int, Route] | None = None,
-        learned: dict[int, dict[int, tuple[int, ...]]] | None = None,
-        index: PrefixIndex | None = None,
-    ):
+    def __init__(self, asn: int):
         self.asn = asn
-        self.neighbors = set() if neighbors is None else neighbors
-        self.peers = peers  # `neighbors` sorted: the order updates go out in
-        self.rib = {} if rib is None else rib  # by prefix key
+        self.neighbors: set[int] = set()
+        self.peers: tuple[int, ...] = ()  # `neighbors` sorted: the order updates go out in
+        self.rib: dict[int, Route] = {}  # by prefix key
         # Candidate paths learned per neighbor, as seen from this node.
-        self.learned = {} if learned is None else learned
-        self.index = PrefixIndex() if index is None else index  # over the rib's prefixes
+        self.learned: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.index = PrefixIndex()  # over the rib's prefixes
 
     def install(self, prefix: Prefix, route: Route) -> None:
         key = prefix.key
@@ -145,25 +138,28 @@ class AsGraph:
         return self.pending.pop(key)
 
     @classmethod
-    def from_edges(cls, edges: list[tuple[int, int]]) -> "AsGraph":
+    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
         graph = cls()
         for a, b in edges:
             graph.add_link(a, b)
         return graph
 
-    @classmethod
-    def from_text(cls, text: str) -> "AsGraph":
-        """Edge-list form: two ASNs per line, '#' comments allowed."""
-        edges = []
-        for i, ln in enumerate(text.splitlines(), 1):
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {i}: expected 'asn asn', got {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls.from_edges(edges)
+
+def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
+    """Edge-list form: two ASNs per line, '#' comments allowed; file order kept."""
+    edges = []
+    for i, ln in enumerate(text.splitlines(), 1):
+        ln = ln.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {i}: expected 'asn asn', got {ln!r}")
+        a, b = int(parts[0]), int(parts[1])
+        if a == b:
+            raise ValueError(f"line {i}: self-link {a}-{b} not allowed")
+        edges.append((a, b))
+    return tuple(edges)
 
 
 def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:

@@ -27,7 +27,8 @@ from .adversary import (
     timing_detect,
 )
 from .config import DeploymentMode, ScenarioConfig
-from .covert import SyncPayload, decode_payload, encode_payload, ReverseZone
+from .covert import SyncPayload, decode_payload, ReverseZone
+from .covert import encode_payload  # not called: bench/tracer.py wraps it by name
 from .dwell import (
     DhmmDwell,
     DwellSource,
@@ -60,7 +61,7 @@ class Role(Enum):
 
 
 class EndpointAgent:
-    """One session endpoint; `schedule` is None for a static address."""
+    """One session endpoint; `schedule` stays None for a static address."""
 
     __slots__ = ("role", "internal_ip", "attached_as", "deployment", "schedule", "flow_table")
 
@@ -70,15 +71,13 @@ class EndpointAgent:
         internal_ip: Address,
         attached_as: int,
         deployment: DeploymentMode = DeploymentMode.HOST_AGENT,
-        schedule: HopSchedule | None = None,
-        flow_table: FlowTable | None = None,
     ):
         self.role = role
         self.internal_ip = internal_ip
         self.attached_as = attached_as
         self.deployment = deployment
-        self.schedule = schedule
-        self.flow_table = endpoint_table(internal_ip) if flow_table is None else flow_table
+        self.schedule: HopSchedule | None = None
+        self.flow_table = endpoint_table(internal_ip)
 
 
 def dwell_sequence(source: DwellSource, seed: int, n: int) -> list[float]:
@@ -244,7 +243,7 @@ class Simulation:
         self.config = config
         self.queue = EventQueue()
         self.trace = TraceLog()
-        self.graph = AsGraph.from_text(config.topology_text)
+        self.graph = AsGraph.from_edges(config.edges)
         self.zone = ReverseZone()
 
         self.server = EndpointAgent(
@@ -316,13 +315,14 @@ class Simulation:
             self._schedule_traffic(cfg.gap_ms)
             return
 
-        payload = SyncPayload(cfg.seed, cfg.server_pool, cfg.dwell.model_id, cfg.lead_time_ms)
-        records = encode_payload(payload, cfg.anchor_ip, cfg.domain_tail)
+        # The config encoded the records; publishing, fetching and decoding
+        # them is the simulated covert exchange.
+        records = cfg.sync_records
         self.zone.register(records)
         self._emit_trace("dns", "register", f"anchor={cfg.anchor_ip};names={len(records.names)}")
         fetched = self.zone.lookup(cfg.anchor_ip)
         decoded = decode_payload(fetched, cfg.domain_tail)
-        if decoded != payload:
+        if decoded != cfg.sync_payload:
             raise ScenarioError("the covert round trip changed the sync payload")
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
 
@@ -553,8 +553,3 @@ class Simulation:
         stat = timing_detect(intervals, adv.timing_model, adv.timing_model.alphabet)
         verdict = "detected" if stat > adv.detect_threshold else "clean"
         return [f"{stat!r},{adv.detect_threshold!r},{verdict}"]
-
-
-def run_scenario(config: ScenarioConfig) -> SessionMetrics:
-    """Execute one scenario; a pure, deterministic function of the config."""
-    return Simulation(config).run().metrics

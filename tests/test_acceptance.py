@@ -30,7 +30,7 @@ from hopsim.errors import CovertDecodeError
 from hopsim.hopping import collision_probability
 from hopsim.routing import AsGraph, announce, converge, withdraw
 from hopsim.rng import SplitMix64
-from hopsim.session import Simulation, run_scenario
+from hopsim.session import Simulation
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -80,7 +80,7 @@ def write_repro(tmp_path, text=REPRO_CONFIG):
 def test_criterion_1_paper_experiment_reproduction(tmp_path):
     config = ScenarioConfig.from_file(write_repro(tmp_path))
     started = time.monotonic()
-    metrics = run_scenario(config)
+    metrics = Simulation(config).run().metrics
     wall = time.monotonic() - started
     ok = (
         metrics.packets_delivered == 672
@@ -104,7 +104,7 @@ def test_criterion_2_blocking_resistance(tmp_path):
         "\n[adversary]\ntap = 1-2\npolicy = reactive\ndetect_delay_ms = 5000\n"
     )
     hopping = ScenarioConfig.from_file(write_repro(tmp_path, hopping_text))
-    hm = run_scenario(hopping)
+    hm = Simulation(hopping).run().metrics
     hop_rate = hm.packets_delivered / hm.packets_sent
 
     baseline_text = """

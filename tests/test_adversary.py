@@ -217,13 +217,6 @@ class TestExtractHopIntervals:
         with pytest.raises(ValueError):
             tap.observe(4.0, packet())
 
-    def test_dump_lines_share_trace_format(self):
-        tap = ObserverTap((1, 2))
-        tap.observe(3.25, packet(dst=SERVER2))
-        assert tap.dump_lines() == [
-            "3.250,adversary,observe,src=184.164.242.5;dst=184.164.243.2"
-        ]
-
 
 class TestTimingDetect:
     def test_null_calibration(self):

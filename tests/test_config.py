@@ -1,6 +1,7 @@
 """A config either runs to completion or is rejected when it is parsed."""
 
 import contextlib
+import copy
 import io
 import ipaddress
 import re
@@ -12,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsim.cli import MACHINE_MARKER, main
-from hopsim.config import ScenarioConfig, canonical_config_hash
+import hopsim.config
+import hopsim.covert
+import hopsim.routing
+import hopsim.session
+from hopsim.config import ScenarioConfig
+from hopsim.covert import decode_payload
 from hopsim.dwell import infer_dhmm, quantile_alphabet
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
@@ -49,8 +55,44 @@ def test_unread_key_is_ignored_but_hashed(tmp_path):
     plain = ScenarioConfig.from_file(path)
     path.write_text(path.read_text().replace("[traffic]", "[traffic]\npayload_len = 1500"))
     extra = ScenarioConfig.from_file(path)
-    assert extra.config_sha256 == canonical_config_hash(path.read_text()) != plain.config_sha256
+    digest = ScenarioConfig.from_text(path.read_text(), base_dir=tmp_path).config_sha256
+    assert extra.config_sha256 == digest != plain.config_sha256
     assert Simulation(extra).run().trace == Simulation(plain).run().trace
+
+
+def test_a_replaced_config_derives_its_own_sync_payload(tmp_path):
+    config = ScenarioConfig.from_file(make_config(tmp_path, seed=42))
+    assert decode_payload(config.sync_records, config.domain_tail) == config.sync_payload
+    # `--seed-override` runs take this path: the records must carry the new seed.
+    for seed in (0, 43, (1 << 64) - 1):
+        changed = config.replace(seed=seed)
+        assert changed.sync_payload.seed == seed
+        assert decode_payload(changed.sync_records, config.domain_tail).seed == seed
+    clone = copy.copy(config)
+    assert clone.sync_records == config.sync_records
+    assert clone.sync_payload == config.sync_payload
+    static = ScenarioConfig.from_file(make_config(tmp_path, server_hopping=False))
+    assert static.sync_payload is None and static.sync_records is None
+
+
+def test_a_run_parses_no_topology_and_encodes_no_payload(tmp_path, monkeypatch):
+    path = make_config(tmp_path, extra="[adversary]\ntap = 1-2\n")
+    config = ScenarioConfig.from_file(path)
+    calls = []
+    for module in (hopsim.routing, hopsim.config, hopsim.covert, hopsim.session):
+        for name in ("parse_edges", "encode_payload"):
+            original = getattr(module, name, None)
+            if original is not None:
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    result = Simulation(config).run()
+    assert result.metrics.packets_delivered == result.metrics.packets_sent > 0
+    assert calls == []
+    # The counters are live: parsing the config calls each once.
+    ScenarioConfig.from_file(path)
+    assert sorted(calls) == ["encode_payload", "parse_edges"]
 
 
 # --- generated configs -----------------------------------------------------
@@ -212,3 +254,9 @@ def test_event_times_that_overflow_are_rejected(tmp_path, options, key):
         path.write_text(path.read_text().replace("[traffic]", "model = long.model\n\n[traffic]"))
     code, err = _run(path, tmp_path)
     assert code == 2 and key in err and "overflow" in err, err
+
+
+def test_a_self_link_is_rejected_at_parse_time(tmp_path):
+    path = make_config(tmp_path, topo="1 2\n2 2\n2 3\n")
+    code, err = _run(path, tmp_path)
+    assert code == 2 and "[topology] file" in err and "self-link" in err, err

@@ -18,7 +18,6 @@ from hopsim.flowtable import (
     Packet,
     apply,
     apply_detail,
-    dump_lines,
     endpoint_table,
     expire_external,
     grace_set,
@@ -405,15 +404,6 @@ class TestEndpointTable:
     def test_fixed_internal_reachable(self):
         table = endpoint_table(INTERNAL)
         assert apply(table, packet(dst=INTERNAL), Direction.INBOUND) == packet(dst=INTERNAL)
-
-
-class TestDump:
-    def test_golden_lines(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        assert dump_lines(table) == [
-            "100,out,src,10.0.0.1,rewrite_src,184.164.243.7",
-            "100,in,dst,184.164.243.7,rewrite_dst,10.0.0.1",
-        ]
 
 
 class TestValidation:

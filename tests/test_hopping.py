@@ -155,14 +155,6 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(1, pool24, 2, [1.0, 0.0])
 
-    def test_dump_lines_format(self, pool24):
-        schedule = build_schedule(1, pool24, 2, [5.0, 6.5])
-        for i, line in enumerate(schedule.dump_lines()):
-            idx, addr, dwell = line.split(",")
-            assert int(idx) == i
-            assert pool24.contains(Address.parse(addr))
-            assert float(dwell) == schedule.entries[i].dwell_ms
-
 
 class TestActiveAddress:
     def test_first_window(self, pool24):

@@ -11,6 +11,7 @@ from hopsim.routing import (
     converge,
     longest_match,
     originates,
+    parse_edges,
     process_message,
     route_lookup,
     withdraw,
@@ -216,13 +217,21 @@ class TestRouteLookup:
 
 class TestTopologyLoading:
     def test_parses_edge_list_with_comments(self):
-        g = AsGraph.from_text("# backbone\n1 2\n2 3 # stub\n\n")
-        assert set(g.nodes) == {1, 2, 3}
-        assert g.has_link(2, 3)
+        edges = parse_edges("# backbone\n3 2\n2 1 # stub\n\n")
+        assert edges == ((3, 2), (2, 1))
+        g = AsGraph.from_edges(edges)
+        assert list(g.nodes) == [3, 2, 1]  # created in file order
+        assert g.has_link(1, 2)
 
     def test_rejects_bad_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_edges("1 2\n1 2 3\n")
         with pytest.raises(ValueError):
-            AsGraph.from_text("1 2 3\n")
+            parse_edges("1 x\n")
+
+    def test_rejects_self_link(self):
+        with pytest.raises(ValueError, match="line 2: self-link 2-2"):
+            parse_edges("1 2\n2 2 # loop\n")
 
 
 def test_scheduler_hand_off_reaches_converge_fixed_point():

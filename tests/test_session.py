@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hopsim.addressing import Address, Prefix, PrefixPool
-from hopsim.config import DeploymentMode, ScenarioConfig, canonical_config_hash
+from hopsim.config import DeploymentMode, ScenarioConfig
 from hopsim.covert import SyncPayload
 from hopsim.dwell import FixedDwell, UniformDwell, resolve_dwell_source
 from hopsim.errors import (
@@ -26,7 +26,6 @@ from hopsim.session import (
     SessionMetrics,
     Simulation,
     hop,
-    run_scenario,
     synchronize,
 )
 
@@ -168,13 +167,13 @@ class TestHopOperation:
 class TestRunScenario:
     def test_zero_packets_all_zero_metrics(self, tmp_path):
         path = make_config(tmp_path, packets=0)
-        metrics = run_scenario(ScenarioConfig.from_file(path))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics == SessionMetrics(0, 0, 0, 0, 0.0, ())
 
     def test_all_packets_delivered_within_schedule(self, tmp_path):
         # 45 packets x 100 ms span all five 1 s windows.
         path = make_config(tmp_path, n_hops=5, fixed_ms=1000.0, packets=45, gap_ms="100")
-        metrics = run_scenario(ScenarioConfig.from_file(path))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == metrics.packets_sent == 45
         assert metrics.distinct_external_ips_used == 5
         assert metrics.hop_count == 4
@@ -229,7 +228,7 @@ class TestRunScenario:
         # rewritten destination still in place; a clean run plus full
         # delivery is the illusion invariant.
         path = make_config(tmp_path, n_hops=4, fixed_ms=500.0, packets=15, gap_ms="100")
-        metrics = run_scenario(ScenarioConfig.from_file(path))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == 15
 
     def test_address_count_accounting_against_trace(self, tmp_path):
@@ -255,7 +254,7 @@ class TestRunScenario:
 
     def test_per_hop_delivery_sums_to_total(self, tmp_path):
         path = make_config(tmp_path, n_hops=6, fixed_ms=400.0, packets=20, gap_ms="100")
-        metrics = run_scenario(ScenarioConfig.from_file(path))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert sum(c for _, c in metrics.per_hop_delivery) == metrics.packets_delivered
 
     def test_announcement_log_format(self, tmp_path):
@@ -267,7 +266,7 @@ class TestRunScenario:
 
     def test_gateway_deployment_behaves_like_host(self, tmp_path):
         host_path = make_config(tmp_path, n_hops=3, fixed_ms=500.0, packets=10, gap_ms="100")
-        host_metrics = run_scenario(ScenarioConfig.from_file(host_path))
+        host_metrics = Simulation(ScenarioConfig.from_file(host_path)).run().metrics
         gw_text = host_path.read_text().replace(
             "attached_as = 3", "attached_as = 3\ndeployment = gateway"
         )
@@ -287,7 +286,7 @@ class TestRunScenario:
             "grace_window_ms = 200.0", "grace_window_ms = 200.0\nclock_skew_ms = 350"
         )
         base.write_text(text)
-        metrics = run_scenario(ScenarioConfig.from_file(base))
+        metrics = Simulation(ScenarioConfig.from_file(base)).run().metrics
         assert metrics.packets_delivered < metrics.packets_sent
 
     def test_lossless_over_random_topologies(self, tmp_path):
@@ -328,7 +327,7 @@ class TestRunScenario:
                 "grace_window_ms = 400.0\nwithdraw_lag_ms = 900",
             )
             path.write_text(text)
-            metrics = run_scenario(ScenarioConfig.from_file(path))
+            metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
             assert metrics.packets_delivered == metrics.packets_sent == 20, f"case {case}"
 
     def test_two_way_mode_preserves_delivery_and_illusion(self, tmp_path):
@@ -353,14 +352,14 @@ class TestRunScenario:
 class TestObserverNeutrality:
     def test_passive_tap_leaves_metrics_unchanged(self, tmp_path):
         plain = make_config(tmp_path, n_hops=5, fixed_ms=600.0, packets=25, gap_ms="100")
-        base = run_scenario(ScenarioConfig.from_file(plain))
+        base = Simulation(ScenarioConfig.from_file(plain)).run().metrics
         tapped_dir = tmp_path / "tapped"
         tapped_dir.mkdir()
         tapped = make_config(
             tapped_dir, n_hops=5, fixed_ms=600.0, packets=25, gap_ms="100",
             extra="[adversary]\ntap = 1-2\npolicy = none\n",
         )
-        observed = run_scenario(ScenarioConfig.from_file(tapped))
+        observed = Simulation(ScenarioConfig.from_file(tapped)).run().metrics
         assert observed == base
 
 
@@ -381,7 +380,7 @@ class TestBlocking:
             blocked_dir, n_hops=8, fixed_ms=1000.0, packets=70, gap_ms="100",
             extra=f"[adversary]\ntap = 1-2\npolicy = static\nblocked = {victim}\n",
         )
-        metrics = run_scenario(ScenarioConfig.from_file(blocked))
+        metrics = Simulation(ScenarioConfig.from_file(blocked)).run().metrics
         lost = 70 - metrics.packets_delivered
         assert lost == victim_sends
         assert lost <= max(sends_per_dst.values())
@@ -392,7 +391,7 @@ class TestBlocking:
             packets=60, gap_ms="100",
             extra="[adversary]\ntap = 1-2\npolicy = reactive\ndetect_delay_ms = 2500\n",
         )
-        metrics = run_scenario(ScenarioConfig.from_file(path))
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == metrics.packets_sent
 
     def test_static_server_under_reactive_policy_dies(self, tmp_path):
@@ -460,9 +459,10 @@ class TestScenarioConfig:
         path = make_config(tmp_path)
         text = path.read_text()
         spaced = text.replace("seed = 42", "seed =   42   ; comment")
-        assert canonical_config_hash(text) == canonical_config_hash(spaced)
+        digest = lambda t: ScenarioConfig.from_text(t, base_dir=tmp_path).config_sha256
+        assert digest(text) == digest(spaced)
         changed = text.replace("seed = 42", "seed = 43")
-        assert canonical_config_hash(text) != canonical_config_hash(changed)
+        assert digest(text) != digest(changed)
 
 
 GOLDEN_SCENARIO = """

@@ -197,7 +197,7 @@ class AdversaryConfig:
 class ScenarioConfig:
     seed: int
     n_hops: int
-    topology_text: str
+    edges: tuple
     server_ip: object
     server_as: int
     server_pool: object
