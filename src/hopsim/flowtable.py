@@ -1,4 +1,4 @@
-"""Match-action flow tables for address rewriting.
+"""Flow tables that permit or rewrite packets by one address field.
 
 Models the switch state that swaps a fixed internal address for the
 hop schedule's current external address.
@@ -6,11 +6,14 @@ hop schedule's current external address.
 Tables are immutable values: installs return new tables, so no packet
 event can observe a half-updated table.
 
-Every match is exact on one address field, and each rule computes that
-match as a key once, when it is made. A table holds a handful of rules
-(the benchmark workloads reach 5, or 8 in two-way mode), so a lookup
-scans them for the packet's source key and destination key; installs
-and expiries read the same key instead of the rule's fields.
+A rule matches one address field exactly, on packets going one
+direction, and then either lets the packet through unchanged (a
+permit) or rewrites that same field to its target. A packet that no
+rule matches is dropped. Each rule computes its match as a key once,
+when it is made. A table holds a handful of rules (the benchmark
+workloads reach 5, or 8 in two-way mode), so a lookup scans them for
+the packet's source key and destination key; installs and expiries
+read the same key instead of the rule's fields.
 
 Since a table never changes once built, it also carries a `memo` that
 the session's two-lookup rewrite chain fills per packet shape, as Open
@@ -50,13 +53,6 @@ class AddrField(Enum):
     __hash__ = object.__hash__
 
 
-class ActionKind(Enum):
-    REWRITE_SRC = "rewrite_src"
-    REWRITE_DST = "rewrite_dst"
-    FORWARD = "forward"
-    DROP = "drop"
-
-
 class Packet(Frozen):
     __slots__ = _fields = ("src", "dst", "id")
 
@@ -68,48 +64,31 @@ class Packet(Frozen):
         _set(self, "id", id)
 
 
-class Match(Frozen):
-    __slots__ = _fields = ("direction", "field", "value")
+class FlowRule(Frozen):
+    """Match `field == value` going `direction`; rewrite it to `target`.
 
-    def __init__(self, direction: Direction, field: AddrField, value: Address):
+    With no target the rule is a permit: the packet passes unchanged.
+    """
+
+    # `key` is the match as (direction, field, `Address.key`): equal keys
+    # are equal matches, and the key hashes and compares in C.
+    __slots__ = ("priority", "direction", "field", "value", "target", "key")
+    _fields = ("priority", "direction", "field", "value", "target")
+
+    def __init__(self, priority: int, direction: Direction, field: AddrField,
+                 value: Address, target: Address | None = None):
+        if target is not None and target.version is not value.version:
+            raise VersionMismatch(f"rewrite target {target} vs match {value}")
+        _set(self, "priority", priority)
         _set(self, "direction", direction)
         _set(self, "field", field)
         _set(self, "value", value)
-
-
-class Action(Frozen):
-    __slots__ = _fields = ("kind", "arg")
-
-    def __init__(self, kind: ActionKind, arg: Address | None = None):
-        needs_arg = kind in (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
-        if needs_arg != (arg is not None):
-            raise ValueError(f"action {kind.value} argument mismatch")
-        _set(self, "kind", kind)
-        _set(self, "arg", arg)
-
-    @property
-    def is_rewrite(self) -> bool:
-        return self.arg is not None
-
-
-class FlowRule(Frozen):
-    # `key` is the match as (direction, field, address version, address
-    # bits): equal keys are equal matches, and the key hashes and compares in C.
-    __slots__ = ("priority", "match", "action", "key")
-    _fields = ("priority", "match", "action")
-
-    def __init__(self, priority: int, match: Match, action: Action):
-        value, arg = match.value, action.arg
-        if arg is not None and arg.version is not value.version:
-            raise VersionMismatch(f"rewrite target {arg} vs match {value}")
-        _set(self, "priority", priority)
-        _set(self, "match", match)
-        _set(self, "action", action)
-        _set(self, "key", (match.direction, match.field, value.version, value.bits))
+        _set(self, "target", target)
+        _set(self, "key", (direction, field, value.key))
 
 
 class FlowTable(Frozen):
-    """Priority-ordered rules plus a default for unmatched packets.
+    """Priority-ordered rules; a packet that none matches is dropped.
 
     Among the rules that match a packet the highest priority wins, and
     among equal priorities the earliest in `rules`.
@@ -118,40 +97,17 @@ class FlowTable(Frozen):
     # `memo` is the decision cache that `session._apply_chain` fills; it is
     # exact because the table never changes, and it is not part of the
     # table's value.
-    __slots__ = ("rules", "default_action", "memo")
-    _fields = ("rules", "default_action")
+    __slots__ = ("rules", "memo")
+    _fields = ("rules",)
 
-    def __init__(
-        self, rules: tuple[FlowRule, ...] = (), default_action: ActionKind = ActionKind.FORWARD
-    ):
-        if default_action not in (ActionKind.FORWARD, ActionKind.DROP):
-            raise ValueError("default action must be forward or drop")
+    def __init__(self, rules: tuple[FlowRule, ...] = ()):
         seen = set()
         for r in rules:
             if (r.key, r.priority) in seen:
-                raise ValueError(f"duplicate rule for {(r.match, r.priority)}")
+                raise ValueError(f"duplicate rule for {r}")
             seen.add((r.key, r.priority))
         _set(self, "rules", rules)
-        _set(self, "default_action", default_action)
         _set(self, "memo", {})
-
-
-def _hop_rules(internal: Address, external: Address, priority: int, *, mirror: bool) -> list[FlowRule]:
-    if mirror:
-        # Tracking peer: rewrite destinations on the way out, sources on
-        # the way in, so the local application only ever sees the peer's
-        # fixed internal address.
-        out_field, in_field = AddrField.DST, AddrField.SRC
-        out_action = Action(ActionKind.REWRITE_DST, external)
-        in_action = Action(ActionKind.REWRITE_SRC, internal)
-    else:
-        out_field, in_field = AddrField.SRC, AddrField.DST
-        out_action = Action(ActionKind.REWRITE_SRC, external)
-        in_action = Action(ActionKind.REWRITE_DST, internal)
-    return [
-        FlowRule(priority, Match(Direction.OUTBOUND, out_field, internal), out_action),
-        FlowRule(priority, Match(Direction.INBOUND, in_field, external), in_action),
-    ]
 
 
 def _install(
@@ -167,25 +123,28 @@ def _install(
         raise VersionMismatch(f"{internal} vs {external}")
     if internal == external:
         raise ValueError("internal and external addresses must differ")
-    # The rewrite rules an install replaces match this field outbound and
-    # the other one inbound: sources out for hop rules, destinations out
-    # for the mirrored peer rules.
-    out_field = AddrField.DST if mirror else AddrField.SRC
+    # A hop install rewrites sources out and destinations in. A mirrored
+    # (tracking peer) install rewrites destinations out and sources in,
+    # so the local application only ever sees the peer's fixed internal
+    # address. The rewrite rules an install replaces match the same fields.
+    src, dst = AddrField.SRC, AddrField.DST
+    out_field, in_field = (dst, src) if mirror else (src, dst)
     outbound = Direction.OUTBOUND
-    version, bits = external.version, external.bits
+    external_key = external.key
     kept = []
     for r in table.rules:
-        direction, fld, v, b = r.key
-        if r.action.arg is None or (direction is outbound) is not (fld is out_field):
+        direction, fld, key = r.key
+        if r.target is None or (direction is outbound) is not (fld is out_field):
             kept.append(r)
-        elif grace and direction is not outbound and (b != bits or v is not version):
+        elif grace and direction is not outbound and key != external_key:
             kept.append(r)  # old inbound rules survive until grace expiry
     existing = {(r.key, r.priority) for r in kept}
-    kept.extend(
-        r for r in _hop_rules(internal, external, priority, mirror=mirror)
-        if (r.key, priority) not in existing
+    fresh = (
+        FlowRule(priority, outbound, out_field, internal, external),
+        FlowRule(priority, Direction.INBOUND, in_field, external, internal),
     )
-    return FlowTable(tuple(kept), table.default_action)
+    kept.extend(r for r in fresh if (r.key, priority) not in existing)
+    return FlowTable(tuple(kept))
 
 
 def install_hop_rules(
@@ -211,39 +170,35 @@ def install_peer_rules(
 
 def expire_external(table: FlowTable, external: Address) -> FlowTable:
     """Remove inbound rewrite rules for `external` (end of its grace window)."""
-    version, bits = external.version, external.bits
-    inbound = Direction.INBOUND
+    external_key, inbound = external.key, Direction.INBOUND
     kept = [
         r for r in table.rules
-        if not (r.key[3] == bits and r.key[0] is inbound and r.key[2] is version
-                and r.action.arg is not None)
+        if not (r.key[2] == external_key and r.key[0] is inbound and r.target is not None)
     ]
-    return FlowTable(tuple(kept), table.default_action)
+    return FlowTable(tuple(kept))
 
 
 def endpoint_table(internal: Address) -> FlowTable:
-    """Fresh endpoint table: drop unmatched inbound traffic, permit self.
+    """Fresh endpoint table: permit self, drop everything else.
 
     Unmatched inbound traffic at an endpoint is exactly what an address
-    scanner probes with, so the default is drop; low-priority permits
-    keep the endpoint's own egress and its fixed internal address
-    reachable.
+    scanner probes with, so it is dropped; low-priority permits keep the
+    endpoint's own egress and its fixed internal address reachable.
     """
-    permit = Action(ActionKind.FORWARD)
     return FlowTable((
-        FlowRule(PERMIT_RULE_PRIORITY, Match(Direction.OUTBOUND, AddrField.SRC, internal), permit),
-        FlowRule(PERMIT_RULE_PRIORITY, Match(Direction.INBOUND, AddrField.DST, internal), permit),
-    ), ActionKind.DROP)
+        FlowRule(PERMIT_RULE_PRIORITY, Direction.OUTBOUND, AddrField.SRC, internal),
+        FlowRule(PERMIT_RULE_PRIORITY, Direction.INBOUND, AddrField.DST, internal),
+    ))
 
 
 def apply_detail(
     table: FlowTable, packet: Packet, direction: Direction
 ) -> tuple[Packet | None, FlowRule | None]:
-    """Apply the best-matching rule; returns (result, rule) with rule None on default."""
+    """Apply the best-matching rule; returns (result, rule), (None, None) on no match."""
     src, dst = packet.src, packet.dst
     keys = (
-        (direction, AddrField.SRC, src.version, src.bits),
-        (direction, AddrField.DST, dst.version, dst.bits),
+        (direction, AddrField.SRC, src.key),
+        (direction, AddrField.DST, dst.key),
     )
     best = None
     for r in table.rules:
@@ -251,17 +206,13 @@ def apply_detail(
         if r.key in keys and (best is None or r.priority > best.priority):
             best = r
     if best is None:
-        if table.default_action is ActionKind.DROP:
-            return None, None
-        return packet, None
-    action = best.action
-    if action.kind is ActionKind.DROP:
-        return None, best
-    if action.kind is ActionKind.FORWARD:
+        return None, None
+    target = best.target
+    if target is None:
         return packet, best
-    if action.kind is ActionKind.REWRITE_SRC:
-        return Packet(action.arg, dst, packet.id), best
-    return Packet(src, action.arg, packet.id), best
+    if best.field is AddrField.SRC:
+        return Packet(target, dst, packet.id), best
+    return Packet(src, target, packet.id), best
 
 
 def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | None:
@@ -273,7 +224,6 @@ def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | No
 def grace_set(table: FlowTable) -> frozenset[Address]:
     """External addresses whose inbound rewrite rules are currently live."""
     return frozenset(
-        r.match.value
-        for r in table.rules
-        if r.action.is_rewrite and r.match.direction is Direction.INBOUND
+        r.value for r in table.rules
+        if r.target is not None and r.direction is Direction.INBOUND
     )

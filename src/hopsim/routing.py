@@ -84,7 +84,6 @@ class AsNode:
 class AsGraph:
     def __init__(self):
         self.nodes: dict[int, AsNode] = {}
-        self.links: set[tuple[int, int]] = set()
         # Undelivered updates, one per key; `slots` holds their keys in
         # delivery order until `converge` or a scheduler takes them.
         self.pending: dict[UpdateKey, RouteMessage] = {}
@@ -103,10 +102,6 @@ class AsGraph:
             node = self.add_node(x)
             node.neighbors.add(y)
             node.peers = tuple(sorted(node.neighbors))
-        self.links.add((min(a, b), max(a, b)))
-
-    def has_link(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.links
 
     def send(
         self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None

@@ -185,8 +185,8 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
 
     Two-way sessions rewrite both address fields of a packet (own hop
     rules then peer-tracking rules); the second lookup is only honored
-    if it performs another rewrite, so a rewritten packet never falls
-    through to the table default.
+    if it performs another rewrite, so a packet that the first lookup
+    rewrote is never dropped by the second.
 
     The outcome depends on the packet's addresses only, so it is kept
     in the table's memo: None for a drop, () for a packet that passes
@@ -199,9 +199,9 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
         outcome = memo[key]
     else:
         result, rule = apply_detail(table, packet, direction)
-        if result is not None and rule is not None and rule.action.is_rewrite:
+        if rule is not None and rule.target is not None:
             second, rule2 = apply_detail(table, result, direction)
-            if second is not None and rule2 is not None and rule2.action.is_rewrite:
+            if rule2 is not None and rule2.target is not None:
                 result = second
         if result is None:
             outcome = None
@@ -261,7 +261,6 @@ class Simulation:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
 
         self._prefix_refs: dict[int, int] = {}  # by prefix key
-        self._hops_entered: list[tuple[int, float]] = []  # server-side windows
         self._hop_starts_abs: list[float] = []
         self._sent = 0
         self._delivered = 0
@@ -379,8 +378,6 @@ class Simulation:
         entry = entries[k]
         prev = entries[k - 1].address if k > 0 else None
         hop(end.agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
-        if end.agent is self.server:
-            self._hops_entered.append((k, self.queue.now))
         self._emit_trace(
             "session",
             "hop",
@@ -527,13 +524,11 @@ class Simulation:
                 ((0, self._deliveries_by_window.get(0, 0)),),
             )
         end_t = self._traffic_end if self._traffic_end is not None else 0.0
-        entered = [(k, t) for k, t in self._hops_entered if t <= end_t]
+        entered = [k for k, t in enumerate(self._hop_starts_abs) if t <= end_t]
         schedule = self.server.schedule
-        addresses = {schedule.entries[k].address.key for k, _ in entered}
-        dwells = [schedule.entries[k].dwell_ms for k, _ in entered]
-        per_hop = tuple(
-            (k, self._deliveries_by_window.get(k, 0)) for k, _ in entered
-        )
+        addresses = {schedule.entries[k].address.key for k in entered}
+        dwells = [schedule.entries[k].dwell_ms for k in entered]
+        per_hop = tuple((k, self._deliveries_by_window.get(k, 0)) for k in entered)
         return SessionMetrics(
             packets_sent=self._sent,
             packets_delivered=self._delivered,

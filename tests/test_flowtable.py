@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from hopsim.addressing import Address, IPVersion
 from hopsim.errors import VersionMismatch
 from hopsim.flowtable import (
-    Action,
-    ActionKind,
     AddrField,
     Direction,
     FlowRule,
@@ -14,7 +12,6 @@ from hopsim.flowtable import (
     PEER_RULE_PRIORITY,
     PERMIT_RULE_PRIORITY,
     FlowTable,
-    Match,
     Packet,
     apply,
     apply_detail,
@@ -40,7 +37,7 @@ class TestInstallHopRules:
     def test_empty_table_gets_two_rules(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         assert len(table.rules) == 2
-        assert {r.match.direction for r in table.rules} == set(Direction)
+        assert {r.direction for r in table.rules} == set(Direction)
 
     def test_idempotent(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
@@ -49,9 +46,7 @@ class TestInstallHopRules:
     def test_reinstall_removes_old_external(self):
         t1 = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         t2 = install_hop_rules(t1, INTERNAL, EXT2)
-        referenced = {r.match.value for r in t2.rules} | {
-            r.action.arg for r in t2.rules if r.action.arg
-        }
+        referenced = {r.value for r in t2.rules} | {r.target for r in t2.rules if r.target}
         assert EXT1 not in referenced
         assert len(t2.rules) == 2
 
@@ -82,13 +77,8 @@ class TestApply:
         after = apply(table, packet(dst=EXT1), Direction.INBOUND)
         assert after.dst == INTERNAL
 
-    def test_no_match_default_forward_is_identity(self):
-        table = FlowTable(default_action=ActionKind.FORWARD)
-        before = packet()
-        assert apply(table, before, Direction.OUTBOUND) == before
-
     def test_no_match_default_drop(self):
-        table = FlowTable(default_action=ActionKind.DROP)
+        table = FlowTable()
         assert apply(table, packet(), Direction.INBOUND) is None
 
     def test_round_trip_composition(self):
@@ -102,11 +92,7 @@ class TestApply:
         assert delivered.dst == INTERNAL
 
     def test_priority_wins(self):
-        low = FlowRule(
-            1,
-            Match(Direction.INBOUND, AddrField.DST, EXT1),
-            Action(ActionKind.DROP),
-        )
+        low = FlowRule(1, Direction.INBOUND, AddrField.DST, EXT1)
         table = install_hop_rules(FlowTable(rules=(low,)), INTERNAL, EXT1)
         assert apply(table, packet(dst=EXT1), Direction.INBOUND).dst == INTERNAL
 
@@ -136,16 +122,12 @@ UNIVERSE = {
 @st.composite
 def flow_rules(draw):
     version = draw(st.sampled_from(list(IPVersion)))
-    match = Match(
-        draw(st.sampled_from(list(Direction))),
-        draw(st.sampled_from(list(AddrField))),
-        draw(st.sampled_from(UNIVERSE[version])),
-    )
-    kind = draw(st.sampled_from(list(ActionKind)))
-    rewrite = kind in (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
-    arg = draw(st.sampled_from(UNIVERSE[version])) if rewrite else None
+    direction = draw(st.sampled_from(list(Direction)))
+    field = draw(st.sampled_from(list(AddrField)))
+    value = draw(st.sampled_from(UNIVERSE[version]))
+    target = draw(st.none() | st.sampled_from(UNIVERSE[version]))
     priority = draw(st.sampled_from([PERMIT_RULE_PRIORITY, PEER_RULE_PRIORITY, HOP_RULE_PRIORITY]))
-    return FlowRule(priority, match, Action(kind, arg))
+    return FlowRule(priority, direction, field, value, target)
 
 
 # Every packet the universe allows, in every direction.
@@ -159,33 +141,30 @@ PROBES = [
 
 
 def scan_lookup(table, packet, direction):
-    """Reference classifier: a linear scan, insertion order breaks ties."""
+    """Reference classifier: a linear scan, insertion order breaks ties.
+
+    No match drops the packet, a permit passes it, and a rewrite sets the
+    matched field to the rule's target.
+    """
     best = None
     for rule in table.rules:
-        m = rule.match
-        observed = packet.src if m.field is AddrField.SRC else packet.dst
-        hits = m.direction is direction and observed == m.value
+        observed = packet.src if rule.field is AddrField.SRC else packet.dst
+        hits = rule.direction is direction and observed == rule.value
         if hits and (best is None or rule.priority > best.priority):
             best = rule
     if best is None:
-        return (None if table.default_action is ActionKind.DROP else packet), None
-    action = best.action
-    if action.kind is ActionKind.DROP:
-        return None, best
-    if action.kind is ActionKind.REWRITE_SRC:
-        return Packet(action.arg, packet.dst, packet.id), best
-    if action.kind is ActionKind.REWRITE_DST:
-        return Packet(packet.src, action.arg, packet.id), best
-    return packet, best
+        return None, None
+    if best.target is None:
+        return packet, best
+    if best.field is AddrField.SRC:
+        return Packet(best.target, packet.dst, packet.id), best
+    return Packet(packet.src, best.target, packet.id), best
 
 
 class TestIndexedLookup:
-    @given(
-        st.lists(flow_rules(), max_size=24, unique_by=lambda r: (r.match, r.priority)),
-        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
-    )
-    def test_matches_linear_scan(self, rules, default):
-        table = FlowTable(tuple(rules), default)
+    @given(st.lists(flow_rules(), max_size=24, unique_by=lambda r: (r.key, r.priority)))
+    def test_matches_linear_scan(self, rules):
+        table = FlowTable(tuple(rules))
         for pkt, direction in PROBES:
             result, rule = apply_detail(table, pkt, direction)
             expected, expected_rule = scan_lookup(table, pkt, direction)
@@ -194,23 +173,25 @@ class TestIndexedLookup:
 
 
 # Writes: the rules an install replaces, chosen by predicates on each
-# rule's match and action fields rather than by the rule's key.
+# rule's direction, field and target rather than by the rule's key.
 
 
 def _own_hop_rule(rule):
-    m = rule.match
-    return rule.action.is_rewrite and (
-        (m.direction is Direction.OUTBOUND and m.field is AddrField.SRC)
-        or (m.direction is Direction.INBOUND and m.field is AddrField.DST)
+    return rule.target is not None and (
+        (rule.direction is Direction.OUTBOUND and rule.field is AddrField.SRC)
+        or (rule.direction is Direction.INBOUND and rule.field is AddrField.DST)
     )
 
 
 def _peer_rule(rule):
-    m = rule.match
-    return rule.action.is_rewrite and (
-        (m.direction is Direction.OUTBOUND and m.field is AddrField.DST)
-        or (m.direction is Direction.INBOUND and m.field is AddrField.SRC)
+    return rule.target is not None and (
+        (rule.direction is Direction.OUTBOUND and rule.field is AddrField.DST)
+        or (rule.direction is Direction.INBOUND and rule.field is AddrField.SRC)
     )
+
+
+def _match_and_priority(rule):
+    return rule.direction, rule.field, rule.value, rule.priority
 
 
 def reference_install(table, internal, external, *, mirror, grace):
@@ -223,35 +204,27 @@ def reference_install(table, internal, external, *, mirror, grace):
     kept = [
         r for r in table.rules
         if not selector(r)
-        or (grace and r.match.direction is Direction.INBOUND and r.match.value != external)
+        or (grace and r.direction is Direction.INBOUND and r.value != external)
     ]
     out_field, in_field = (AddrField.DST, AddrField.SRC) if mirror else (AddrField.SRC, AddrField.DST)
-    out_kind, in_kind = (
-        (ActionKind.REWRITE_DST, ActionKind.REWRITE_SRC)
-        if mirror
-        else (ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST)
-    )
     fresh = [
-        FlowRule(priority, Match(Direction.OUTBOUND, out_field, internal), Action(out_kind, external)),
-        FlowRule(priority, Match(Direction.INBOUND, in_field, external), Action(in_kind, internal)),
+        FlowRule(priority, Direction.OUTBOUND, out_field, internal, external),
+        FlowRule(priority, Direction.INBOUND, in_field, external, internal),
     ]
-    existing = {(r.match, r.priority) for r in kept}
-    kept.extend(r for r in fresh if (r.match, r.priority) not in existing)
-    return FlowTable(tuple(kept), table.default_action)
+    existing = {_match_and_priority(r) for r in kept}
+    kept.extend(r for r in fresh if _match_and_priority(r) not in existing)
+    return FlowTable(tuple(kept))
 
 
 def reference_expire(table, external):
-    return FlowTable(
-        tuple(
-            r for r in table.rules
-            if not (
-                r.action.is_rewrite
-                and r.match.direction is Direction.INBOUND
-                and r.match.value == external
-            )
-        ),
-        table.default_action,
-    )
+    return FlowTable(tuple(
+        r for r in table.rules
+        if not (
+            r.target is not None
+            and r.direction is Direction.INBOUND
+            and r.value == external
+        )
+    ))
 
 
 # v6 addresses with the bits of the v4 ones: keys that differ only in version.
@@ -294,12 +267,11 @@ def _outcome(fn, *args):
 
 class TestKeyedWrites:
     @given(
-        st.lists(flow_rules(), max_size=12, unique_by=lambda r: (r.match, r.priority)),
-        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
+        st.lists(flow_rules(), max_size=12, unique_by=lambda r: (r.key, r.priority)),
         st.lists(writes(), min_size=1, max_size=8),
     )
-    def test_matches_predicate_selection(self, rules, default, ops):
-        table = FlowTable(tuple(rules), default)
+    def test_matches_predicate_selection(self, rules, ops):
+        table = FlowTable(tuple(rules))
         for op, internal, external, grace in ops:
             new, error = _outcome(_write, op, table, internal, external, grace, False)
             expected, expected_error = _outcome(
@@ -315,8 +287,8 @@ class TestKeyedWrites:
             table = new
 
     def test_key_is_the_match(self):
-        rule = FlowRule(5, Match(Direction.INBOUND, AddrField.SRC, EXT1), Action(ActionKind.DROP))
-        assert rule.key == (Direction.INBOUND, AddrField.SRC, IPVersion.V4, EXT1.bits)
+        rule = FlowRule(5, Direction.INBOUND, AddrField.SRC, EXT1)
+        assert rule.key == (Direction.INBOUND, AddrField.SRC, EXT1.key)
         assert "key" not in repr(rule)
         assert rule == rule.replace() and hash(rule) == hash(rule.replace())
 
@@ -324,22 +296,21 @@ class TestKeyedWrites:
 def uncached_chain(table, packet, direction):
     """The two-lookup rewrite chain with no memo."""
     result, rule = apply_detail(table, packet, direction)
-    if result is None or rule is None or not rule.action.is_rewrite:
+    if result is None or rule is None or rule.target is None:
         return result
     second, rule2 = apply_detail(table, result, direction)
-    if second is not None and rule2 is not None and rule2.action.is_rewrite:
+    if second is not None and rule2 is not None and rule2.target is not None:
         return second
     return result
 
 
 class TestDecisionCache:
     @given(
-        st.lists(flow_rules(), max_size=16, unique_by=lambda r: (r.match, r.priority)),
-        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
+        st.lists(flow_rules(), max_size=16, unique_by=lambda r: (r.key, r.priority)),
         st.lists(writes(), max_size=4),
     )
-    def test_matches_uncached_chain(self, rules, default, ops):
-        tables = [FlowTable(tuple(rules), default)]
+    def test_matches_uncached_chain(self, rules, ops):
+        tables = [FlowTable(tuple(rules))]
         for op, internal, external, grace in ops:
             new, _ = _outcome(_write, op, tables[-1], internal, external, grace, False)
             if new is not None:
@@ -358,7 +329,7 @@ class TestDecisionCache:
     def test_memo_stays_out_of_identity(self):
         table = install_peer_rules(install_hop_rules(endpoint_table(INTERNAL), INTERNAL, EXT1),
                                    CLIENT, EXT2)
-        twin = FlowTable(table.rules, table.default_action)
+        twin = FlowTable(table.rules)
         _apply_chain(table, packet(src=EXT2, dst=EXT1), Direction.INBOUND)
         assert table.memo and not twin.memo
         assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
@@ -408,26 +379,18 @@ class TestEndpointTable:
 
 class TestValidation:
     def test_duplicate_match_priority_rejected(self):
-        rule = FlowRule(
-            5,
-            Match(Direction.INBOUND, AddrField.DST, EXT1),
-            Action(ActionKind.FORWARD),
-        )
+        rule = FlowRule(5, Direction.INBOUND, AddrField.DST, EXT1)
         with pytest.raises(ValueError):
             FlowTable(rules=(rule, rule))
         with pytest.raises(ValueError):
-            FlowTable(rules=(rule, rule.replace(action=Action(ActionKind.DROP))))
+            FlowTable(rules=(rule, rule.replace(target=EXT2)))
         # Not adjacent: a rule of another priority on the same match between them.
         with pytest.raises(ValueError):
             FlowTable(rules=(rule, rule.replace(priority=7), rule))
 
     def test_rewrite_rule_version_checked(self):
         with pytest.raises(VersionMismatch):
-            FlowRule(
-                5,
-                Match(Direction.INBOUND, AddrField.DST, EXT1),
-                Action(ActionKind.REWRITE_DST, Address.parse("2001:db8::9")),
-            )
+            FlowRule(5, Direction.INBOUND, AddrField.DST, EXT1, Address.parse("2001:db8::9"))
 
     def test_packet_versions_must_agree(self):
         with pytest.raises(VersionMismatch):

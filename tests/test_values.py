@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hopsim import addressing, config, covert, dwell, flowtable, hopping, routing, session
 from hopsim.addressing import IPVersion
 from hopsim.adversary import BlockMode
-from hopsim.flowtable import ActionKind, AddrField, Direction
+from hopsim.flowtable import AddrField, Direction
 from hopsim.values import Frozen
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,29 +62,17 @@ class Packet:
 
 
 @dataclass(frozen=True)
-class Match:
+class FlowRule:
+    priority: int
     direction: Direction
     field: AddrField
     value: object
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    arg: object = None
-
-
-@dataclass(frozen=True)
-class FlowRule:
-    priority: int
-    match: object
-    action: object
+    target: object = None
 
 
 @dataclass(frozen=True)
 class FlowTable:
     rules: tuple = ()
-    default_action: ActionKind = ActionKind.FORWARD
 
 
 @dataclass(frozen=True)
@@ -235,15 +223,10 @@ pools = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).map(
         tuple(addressing.Prefix(addressing.Address(V4, k << 8), 24) for k in ks)
     )
 )
-matches = st.builds(
-    flowtable.Match, st.sampled_from(Direction), st.sampled_from(AddrField), v4
+rule_args = st.tuples(
+    st.integers(0, 2), st.sampled_from(Direction), st.sampled_from(AddrField), v4, st.none() | v4
 )
-REWRITES = [ActionKind.REWRITE_SRC, ActionKind.REWRITE_DST]
-actions = st.one_of(
-    st.builds(flowtable.Action, st.sampled_from(REWRITES), v4),
-    st.builds(flowtable.Action, st.sampled_from([ActionKind.FORWARD, ActionKind.DROP])),
-)
-rules = st.builds(flowtable.FlowRule, st.integers(0, 2), matches, actions)
+rules = rule_args.map(lambda a: flowtable.FlowRule(*a))
 paths = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 uppers = st.lists(st.sampled_from([1.0, 2.0, 5.0]), min_size=1, max_size=3, unique=True)
 bins = uppers.map(sorted).map(
@@ -289,12 +272,9 @@ CASES = [
     (addressing.Prefix, Prefix, prefixes.map(lambda p: (p.base, p.length))),
     (addressing.PrefixPool, PrefixPool, pools.map(lambda p: (p.prefixes,))),
     (flowtable.Packet, Packet, st.tuples(v4, v4, st.integers(0, 2))),
-    (flowtable.Match, Match, st.tuples(st.sampled_from(Direction), st.sampled_from(AddrField), v4)),
-    (flowtable.Action, Action, actions.map(lambda a: (a.kind, a.arg))),
-    (flowtable.FlowRule, FlowRule, st.tuples(st.integers(0, 2), matches, actions)),
+    (flowtable.FlowRule, FlowRule, rule_args),
     (flowtable.FlowTable, FlowTable, st.tuples(
         st.lists(rules, max_size=4, unique_by=lambda r: (r.key, r.priority)).map(tuple),
-        st.sampled_from([ActionKind.FORWARD, ActionKind.DROP]),
     )),
     (routing.Route, Route, st.tuples(paths, st.integers(1, 3))),
     (routing.RouteMessage, RouteMessage, st.tuples(
