@@ -16,10 +16,11 @@ the packet's source key and destination key; installs and expiries
 read the same key instead of the rule's fields.
 
 Since a table never changes once built, it also carries a `memo` that
-the session's two-lookup rewrite chain fills per packet shape, as Open
-vSwitch puts an exact-match cache in front of its classifier (Pfaff et
-al., NSDI 2015), and a lookup scans only on a memo miss. A new table
-starts with an empty memo.
+the session's two-lookup rewrite chain fills per packet header with the
+packet that leaves the chain, or None for a drop, as Open vSwitch puts
+an exact-match cache in front of its classifier (Pfaff et al., NSDI
+2015); a lookup scans only on a memo miss. A new table starts with an
+empty memo.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ class AddrField(Enum):
 
 
 class Packet(Frozen):
-    __slots__ = _fields = ("src", "dst", "id")
+    """The header a table matches; the session passes a packet's id apart."""
 
-    def __init__(self, src: Address, dst: Address, id: int):
+    __slots__ = _fields = ("src", "dst")
+
+    def __init__(self, src: Address, dst: Address):
         if src.version is not dst.version:
             raise VersionMismatch(f"src {src} vs dst {dst}")
         _set(self, "src", src)
         _set(self, "dst", dst)
-        _set(self, "id", id)
 
 
 class FlowRule(Frozen):
@@ -94,7 +96,8 @@ class FlowTable(Frozen):
     among equal priorities the earliest in `rules`.
     """
 
-    # `memo` is the decision cache that `session._apply_chain` fills; it is
+    # `memo` is the decision cache that `session._apply_chain` fills: the
+    # packet that leaves the chain for a header, or None for a drop. It is
     # exact because the table never changes, and it is not part of the
     # table's value.
     __slots__ = ("rules", "memo")
@@ -211,8 +214,8 @@ def apply_detail(
     if target is None:
         return packet, best
     if best.field is AddrField.SRC:
-        return Packet(target, dst, packet.id), best
-    return Packet(src, target, packet.id), best
+        return Packet(target, dst), best
+    return Packet(src, target), best
 
 
 def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | None:

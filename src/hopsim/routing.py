@@ -10,9 +10,11 @@ Messages carry the sender's full advertised path; receivers discard
 paths containing themselves, which gives loop freedom and termination
 for this monotone policy.
 
-Ribs, learned paths, origins and update keys hold a prefix by its int
-`Prefix.key`, so a routing message hashes ints only; messages and
-`longest_match` still carry `Prefix` values.
+A rib maps a prefix to the AS path toward its origin, `()` at the
+origin itself, so the next hop is the path's first ASN. Ribs, learned
+paths, origins and update keys hold a prefix by its int `Prefix.key`,
+so a routing message hashes ints only; messages and `longest_match`
+still carry `Prefix` values.
 
 Updates are coalesced: at most one undelivered update exists per
 (sender, receiver, prefix). A newer update replaces the queued one and
@@ -37,14 +39,6 @@ from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
 from .values import Frozen, _set
 
 
-class Route(Frozen):
-    __slots__ = _fields = ("path", "next_hop")
-
-    def __init__(self, path: tuple[int, ...], next_hop: int):
-        _set(self, "path", path)  # AS path to the origin, empty at the origin itself
-        _set(self, "next_hop", next_hop)
-
-
 class RouteMessage(Frozen):
     __slots__ = _fields = ("sender", "receiver", "prefix", "path")
 
@@ -59,22 +53,22 @@ UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
-    __slots__ = ("asn", "neighbors", "peers", "rib", "learned", "index")
+    __slots__ = ("asn", "peers", "rib", "learned", "index")
 
     def __init__(self, asn: int):
         self.asn = asn
-        self.neighbors: set[int] = set()
-        self.peers: tuple[int, ...] = ()  # `neighbors` sorted: the order updates go out in
-        self.rib: dict[int, Route] = {}  # by prefix key
+        self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted: the order updates go out in
+        # Best AS path by prefix key: `()` at the origin, else next hop first.
+        self.rib: dict[int, tuple[int, ...]] = {}
         # Candidate paths learned per neighbor, as seen from this node.
         self.learned: dict[int, dict[int, tuple[int, ...]]] = {}
         self.index = PrefixIndex()  # over the rib's prefixes
 
-    def install(self, prefix: Prefix, route: Route) -> None:
+    def install(self, prefix: Prefix, path: tuple[int, ...]) -> None:
         key = prefix.key
         if key not in self.rib:
             self.index.add(prefix)
-        self.rib[key] = route
+        self.rib[key] = path
 
     def remove(self, prefix: Prefix) -> None:
         if self.rib.pop(prefix.key, None) is not None:
@@ -100,26 +94,21 @@ class AsGraph:
             raise ValueError("self-links not allowed")
         for x, y in ((a, b), (b, a)):
             node = self.add_node(x)
-            node.neighbors.add(y)
-            node.peers = tuple(sorted(node.neighbors))
+            if y not in node.peers:
+                node.peers = tuple(sorted((*node.peers, y)))
 
-    def send(
-        self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None
-    ) -> list[RouteMessage]:
+    def send(self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> None:
         """Queue `node`'s update on `prefix` to each neighbor.
 
         An update replaces an undelivered one on the same key and keeps
         that one's slot; only a key with nothing queued opens a new slot.
         """
-        msgs = [RouteMessage(node.asn, nbr, prefix, path) for nbr in node.peers]
         pending, asn, pkey = self.pending, node.asn, prefix.key
-        for msg in msgs:
-            key = (asn, msg.receiver, pkey)
-            if pending.setdefault(key, msg) is msg:
+        for nbr in node.peers:
+            key = (asn, nbr, pkey)
+            if key not in pending:
                 self.slots.append(key)
-            else:
-                pending[key] = msg
-        return msgs
+            pending[key] = RouteMessage(asn, nbr, prefix, path)
 
     def take_slots(self) -> list[UpdateKey]:
         """Hand the slots opened since the last call to an external
@@ -157,7 +146,7 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
+def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     """Install the origin route and queue updates to neighbors.
 
     Re-announcing an already-held prefix is a no-op. A second origin for
@@ -168,16 +157,16 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
         raise UnknownAs(f"AS {origin} not in topology")
     holder = graph.origins.get(prefix.key)
     if holder == origin:
-        return []
+        return
     if holder is not None:
         raise MoasConflict(f"{prefix} already announced by AS {holder}")
     node = graph.nodes[origin]
     graph.origins[prefix.key] = origin
-    node.install(prefix, Route((), origin))
-    return graph.send(node, prefix, (origin,))
+    node.install(prefix, ())
+    graph.send(node, prefix, (origin,))
 
 
-def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
+def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     """Remove the origin route and queue withdrawals to neighbors."""
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
@@ -186,7 +175,7 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> list[RouteMessage]:
     node = graph.nodes[origin]
     del graph.origins[prefix.key]
     node.remove(prefix)
-    return graph.send(node, prefix, None)
+    graph.send(node, prefix, None)
 
 
 def _best_path(graph: AsGraph, node: AsNode, key: int) -> tuple[int, ...] | None:
@@ -199,8 +188,9 @@ def _best_path(graph: AsGraph, node: AsNode, key: int) -> tuple[int, ...] | None
     return min(candidates.values(), key=lambda p: (len(p), p[0]))
 
 
-def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
-    """Apply one routing message; returns follow-up messages on best-route change."""
+def process_message(graph: AsGraph, msg: RouteMessage) -> bool:
+    """Apply one routing message; True when the best route changed and
+    updates went out to the neighbors."""
     node = graph.nodes[msg.receiver]
     key = msg.prefix.key
     per_nbr = node.learned.setdefault(key, {})
@@ -213,20 +203,18 @@ def process_message(graph: AsGraph, msg: RouteMessage) -> list[RouteMessage]:
     if not per_nbr:
         node.learned.pop(key, None)
 
-    # Within one node a route's next hop follows from its path, so the
-    # paths (None for no route) decide whether the best route changed.
-    old = node.rib.get(key)
     best = _best_path(graph, node, key)
-    if best == (None if old is None else old.path):
-        return []
+    if best == node.rib.get(key):
+        return False
     if best is None:
         node.remove(msg.prefix)
         advertised = None
     else:
         assert node.asn not in best, "loop-free invariant violated"
-        node.install(msg.prefix, Route(best, best[0] if best else node.asn))
+        node.install(msg.prefix, best)
         advertised = (node.asn,) + best
-    return graph.send(node, msg.prefix, advertised)
+    graph.send(node, msg.prefix, advertised)
+    return True
 
 
 def converge(graph: AsGraph) -> int:
@@ -275,10 +263,10 @@ def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int]:
         prefix = longest_match(node, dst)
         if prefix is None:
             raise Unroutable(f"no route toward {dst} at AS {current}")
-        route = node.rib[prefix.key]
-        if not route.path:
+        as_path = node.rib[prefix.key]
+        if not as_path:
             return path  # arrived at the origin
-        nxt = route.next_hop
+        nxt = as_path[0]
         if nxt in visited:
             raise Unroutable(f"forwarding loop at AS {nxt} toward {dst}")
         path.append(nxt)

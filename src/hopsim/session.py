@@ -188,31 +188,22 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     if it performs another rewrite, so a packet that the first lookup
     rewrote is never dropped by the second.
 
-    The outcome depends on the packet's addresses only, so it is kept
-    in the table's memo: None for a drop, () for a packet that passes
-    unchanged, else the rewritten (src, dst). Tables never change,
-    which makes the memo exact.
+    A packet is only its header, so the table's memo keeps what the
+    chain returns for it: None for a drop, else the packet that leaves
+    the chain, which a hit returns as is. Tables never change, which
+    makes the memo exact.
     """
     key = (direction, packet.src.key, packet.dst.key)
     memo = table.memo
     if key in memo:
-        outcome = memo[key]
-    else:
-        result, rule = apply_detail(table, packet, direction)
-        if rule is not None and rule.target is not None:
-            second, rule2 = apply_detail(table, result, direction)
-            if rule2 is not None and rule2.target is not None:
-                result = second
-        if result is None:
-            outcome = None
-        elif result is packet:
-            outcome = ()
-        else:
-            outcome = (result.src, result.dst)
-        memo[key] = outcome
-    if not outcome:
-        return None if outcome is None else packet
-    return Packet(*outcome, packet.id)
+        return memo[key]
+    result, rule = apply_detail(table, packet, direction)
+    if rule is not None and rule.target is not None:
+        second, rule2 = apply_detail(table, result, direction)
+        if rule2 is not None and rule2.target is not None:
+            result = second
+    memo[key] = result
+    return result
 
 
 class _HopEnd:
@@ -253,6 +244,8 @@ class Simulation:
             Role.CLIENT, config.client_ip, config.client_as, config.client_deployment
         )
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
+        # Every send starts from this header; the client's table rewrites it.
+        self._outbound = Packet(config.client_ip, config.server_ip)
 
         adv = config.adversary
         self.tap: ObserverTap | None = ObserverTap(adv.tap) if adv else None
@@ -417,17 +410,16 @@ class Simulation:
     # -- packet path --
 
     def _emit_packet(self, pkt_id: int) -> None:
-        packet = Packet(self.client.internal_ip, self.server.internal_ip, pkt_id)
         self._sent += 1
-        out = _apply_chain(self.client.flow_table, packet, Direction.OUTBOUND)
+        out = _apply_chain(self.client.flow_table, self._outbound, Direction.OUTBOUND)
         if out is None:
             self._emit_trace("traffic", "drop", f"id={pkt_id};reason=egress")
             self._resolve()
             return
         self._emit_trace("traffic", "send", f"id={pkt_id};src={out.src};dst={out.dst}")
-        self._forward(out, self.client.attached_as, hops=0)
+        self._forward(out, pkt_id, self.client.attached_as, 0)
 
-    def _forward(self, packet: Packet, asn: int, hops: int) -> None:
+    def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int) -> None:
         # One pass per AS. A link crossing is taken inline when no queued
         # event is due by the arrival time. Callers do nothing after this
         # returns, so nothing could run in between, and the event order
@@ -438,20 +430,20 @@ class Simulation:
         tap = self.tap
         while True:
             if hops > len(nodes):
-                self._emit_trace("traffic", "drop", f"id={packet.id};reason=loop;at={asn}")
+                self._emit_trace("traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 self._resolve()
                 return
             node = nodes[asn]
             prefix = longest_match(node, packet.dst)
             if prefix is None:
-                self._emit_trace("traffic", "drop", f"id={packet.id};reason=unroutable;at={asn}")
+                self._emit_trace("traffic", "drop", f"id={pkt_id};reason=unroutable;at={asn}")
                 self._resolve()
                 return
-            route = node.rib[prefix.key]
-            if not route.path:
-                self._deliver_local(packet, asn)
+            as_path = node.rib[prefix.key]
+            if not as_path:
+                self._deliver_local(packet, pkt_id, asn)
                 return
-            nxt = route.next_hop
+            nxt = as_path[0]
             now = queue.now
             if tap is not None and tap.watches(asn, nxt):
                 tap.observe(now, packet)
@@ -459,37 +451,37 @@ class Simulation:
                     if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
                         self._emit_trace(
                             "adversary", "block",
-                            f"id={packet.id};dst={packet.dst};link={asn}-{nxt}",
+                            f"id={pkt_id};dst={packet.dst};link={asn}-{nxt}",
                         )
                         self._resolve()
                         return
             hops += 1
             if not queue.advance_to(now + delay):
-                queue.schedule_in(delay, self._forward, packet, nxt, hops)
+                queue.schedule_in(delay, self._forward, packet, pkt_id, nxt, hops)
                 return
             asn = nxt
 
-    def _deliver_local(self, packet: Packet, asn: int) -> None:
+    def _deliver_local(self, packet: Packet, pkt_id: int, asn: int) -> None:
         agent = self._agents_by_as.get(asn)
         if agent is None:
-            self._emit_trace("traffic", "drop", f"id={packet.id};reason=no_endpoint;at={asn}")
+            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=no_endpoint;at={asn}")
             self._resolve()
             return
         result = _apply_chain(agent.flow_table, packet, Direction.INBOUND)
         if result is None:
-            self._emit_trace("traffic", "drop", f"id={packet.id};reason=no_rule;at={asn}")
+            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=no_rule;at={asn}")
             self._resolve()
             return
         if result.dst.key != agent.internal_ip.key:
             # Half rewritten: a peer-tracking rule rewrote the source, but the
             # hop rule for this destination expired (a skewed peer still sent to it).
-            self._emit_trace("traffic", "drop", f"id={packet.id};reason=stale_rewrite;at={asn}")
+            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=stale_rewrite;at={asn}")
             self._resolve()
             return
         self._delivered += 1
         window = self._window_at(self.queue.now)
         self._deliveries_by_window[window] = self._deliveries_by_window.get(window, 0) + 1
-        self._emit_trace("traffic", "deliver", f"id={packet.id};window={window}")
+        self._emit_trace("traffic", "deliver", f"id={pkt_id};window={window}")
         self._resolve()
 
     def _window_at(self, t: float) -> int:

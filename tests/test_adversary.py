@@ -23,8 +23,8 @@ SERVER2 = Address.parse("184.164.243.2")
 SERVER3 = Address.parse("184.164.243.3")
 
 
-def packet(src=CLIENT, dst=SERVER1, pkt_id=0):
-    return Packet(src, dst, pkt_id)
+def packet(src=CLIENT, dst=SERVER1):
+    return Packet(src, dst)
 
 
 def background_model(seed=2024, n=20_000, bins=8):
@@ -163,8 +163,8 @@ class TestIndexedBlocklist:
             sightings.append((src, dst, t))
         policy = BlockPolicy(blocked, mode, detect_delay_ms=delay, trigger_count=trigger)
         got = [
-            filter_packet(policy, Packet(src, dst, i), at=at)
-            for i, (src, dst, at) in enumerate(sightings)
+            filter_packet(policy, Packet(src, dst), at=at)
+            for src, dst, at in sightings
         ]
         assert got == scan_verdicts(blocked, mode, delay, trigger, sightings)
 
@@ -180,14 +180,14 @@ class TestExtractHopIntervals:
     def test_single_address_session(self):
         tap = ObserverTap((1, 2))
         for i in range(5):
-            tap.observe(float(i), packet(pkt_id=i))
+            tap.observe(float(i), packet())
         assert extract_hop_intervals(tap) == []
 
     def test_constructed_three_hop_trace(self):
         tap = ObserverTap((1, 2))
         plan = [(0.0, SERVER1), (5.0, SERVER1), (10.0, SERVER2), (15.0, SERVER2), (20.0, SERVER3)]
-        for i, (t, dst) in enumerate(plan):
-            tap.observe(t, packet(dst=dst, pkt_id=i))
+        for t, dst in plan:
+            tap.observe(t, packet(dst=dst))
         assert extract_hop_intervals(tap) == [10.0, 10.0]
 
     def test_background_flows_do_not_disturb_grouping(self):
@@ -197,12 +197,12 @@ class TestExtractHopIntervals:
         noise_dst = Address.parse("198.51.100.2")
         plan = [(0.0, SERVER1), (10.0, SERVER2), (20.0, SERVER3)]
         t_noise = 0.0
-        for i, (t, dst) in enumerate(plan):
-            isolated.observe(t, packet(dst=dst, pkt_id=i))
+        for t, dst in plan:
+            isolated.observe(t, packet(dst=dst))
             while t_noise <= t:
                 mixed.observe(t_noise, packet(src=noise_src, dst=noise_dst))
                 t_noise += 3.0
-            mixed.observe(t, packet(dst=dst, pkt_id=i))
+            mixed.observe(t, packet(dst=dst))
         assert extract_hop_intervals(mixed) == extract_hop_intervals(isolated)
 
     def test_explicit_flow_selection(self):

@@ -2,11 +2,14 @@ import copy
 from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopsim.addressing import Address, Prefix
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
 from hopsim.routing import (
     AsGraph,
+    RouteMessage,
     announce,
     converge,
     longest_match,
@@ -28,7 +31,7 @@ def bfs_distances(graph: AsGraph, origin: int) -> dict[int, int]:
     frontier = deque([origin])
     while frontier:
         node = frontier.popleft()
-        for nbr in sorted(graph.nodes[node].neighbors):
+        for nbr in graph.nodes[node].peers:
             if nbr not in dist:
                 dist[nbr] = dist[node] + 1
                 frontier.append(nbr)
@@ -50,24 +53,25 @@ class TestAnnounce:
     def test_single_node_routes_own_prefix(self):
         g = AsGraph()
         g.add_node(1)
-        msgs = announce(g, P24, 1)
-        assert msgs == []
-        assert g.nodes[1].rib[P24.key].path == ()
+        announce(g, P24, 1)
+        assert not g.pending
+        assert g.nodes[1].rib[P24.key] == ()
         assert converge(g) == 0
 
     def test_line_propagation(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
         converge(g)
-        assert g.nodes[1].rib[P24.key].path == (2, 3)
-        assert g.nodes[2].rib[P24.key].path == (3,)
+        assert g.nodes[1].rib[P24.key] == (2, 3)
+        assert g.nodes[2].rib[P24.key] == (3,)
 
     def test_reannounce_is_idempotent(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
         converge(g)
         snapshot = {asn: dict(n.rib) for asn, n in g.nodes.items()}
-        assert announce(g, P24, 3) == []
+        announce(g, P24, 3)
+        assert not g.slots
         assert converge(g) == 0
         assert {asn: dict(n.rib) for asn, n in g.nodes.items()} == snapshot
 
@@ -148,9 +152,9 @@ class TestConverge:
         converge(g)
         # Node 1 sits opposite the origin: both ring directions have
         # length 2, the lower neighbor ASN (2) wins the tie.
-        assert g.nodes[1].rib[P24.key].path == (2, 3)
-        assert g.nodes[2].rib[P24.key].path == (3,)
-        assert g.nodes[4].rib[P24.key].path == (3,)
+        assert g.nodes[1].rib[P24.key] == (2, 3)
+        assert g.nodes[2].rib[P24.key] == (3,)
+        assert g.nodes[4].rib[P24.key] == (3,)
 
     def test_fixed_point_is_stable(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (1, 3)])
@@ -166,7 +170,7 @@ class TestConverge:
         converge(g)
         distances = bfs_distances(g, origin)
         for asn, node in g.nodes.items():
-            assert len(node.rib[P24.key].path) == distances[asn], asn
+            assert len(node.rib[P24.key]) == distances[asn], asn
 
     def test_loop_freedom_invariant(self):
         rng = SplitMix64(11)
@@ -174,8 +178,8 @@ class TestConverge:
         announce(g, P24, 5)
         converge(g)
         for asn, node in g.nodes.items():
-            for route in node.rib.values():
-                assert asn not in route.path
+            for path in node.rib.values():
+                assert asn not in path
 
 
 class TestRouteLookup:
@@ -221,7 +225,7 @@ class TestTopologyLoading:
         assert edges == ((3, 2), (2, 1))
         g = AsGraph.from_edges(edges)
         assert list(g.nodes) == [3, 2, 1]  # created in file order
-        assert 2 in g.nodes[1].neighbors
+        assert 2 in g.nodes[1].peers
 
     def test_rejects_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -240,9 +244,9 @@ def test_scheduler_hand_off_reaches_converge_fixed_point():
     announce(reference, P24, 3)
     converge(reference)
     g = AsGraph.from_edges(edges)
-    msgs = announce(g, P24, 3)
+    announce(g, P24, 3)
     slots = g.take_slots()
-    assert slots == [(m.sender, m.receiver, m.prefix.key) for m in msgs]
+    assert slots == [(3, 2, P24.key), (3, 4, P24.key)]  # one per peer, in `peers` order
     assert not g.slots
     # An external scheduler delivering the slots in order reaches the
     # same ribs as converge(), and leaves nothing undelivered.
@@ -253,6 +257,55 @@ def test_scheduler_hand_off_reaches_converge_fixed_point():
     assert {asn: n.rib for asn, n in g.nodes.items()} == {
         asn: n.rib for asn, n in reference.nodes.items()
     }
+
+
+P16 = Prefix.parse("184.164.0.0/16")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from([P24, P_OTHER, P16]), st.integers(0, 4)), max_size=10),
+)
+def test_process_message_reports_exactly_the_rib_changes(seed, actions):
+    # Each action announces a prefix from a random AS, re-announces it
+    # from its holder, or withdraws it, then delivers a few slots; the
+    # rest are delivered at the end. A delivery returns True exactly when
+    # the receiver's rib entry changed, and then it has queued its new
+    # route to every peer; otherwise nothing new is queued.
+    rng = SplitMix64(seed)
+    size = 2 + rng.below(8)
+    g = random_connected_graph(rng, size)
+
+    def deliver():
+        msg = g.take(g.slots.popleft())
+        node, key = g.nodes[msg.receiver], msg.prefix.key
+        before, pending = node.rib.get(key), dict(g.pending)
+        changed = process_message(g, msg)
+        after = node.rib.get(key)
+        assert changed is (after != before)
+        if not changed:
+            assert g.pending == pending
+            return
+        advertised = None if after is None else (node.asn,) + after
+        for peer in node.peers:
+            update = RouteMessage(node.asn, peer, msg.prefix, advertised)
+            assert g.pending[(node.asn, peer, key)] == update
+
+    for prefix, deliveries in actions:
+        holder = g.origins.get(prefix.key)
+        if holder is None:
+            assert announce(g, prefix, 1 + rng.below(size)) is None
+        elif rng.below(2):
+            slots = list(g.slots)
+            assert announce(g, prefix, holder) is None
+            assert list(g.slots) == slots
+        else:
+            assert withdraw(g, prefix, holder) is None
+        for _ in range(min(deliveries, len(g.slots))):
+            deliver()
+    while g.slots:
+        deliver()
+    assert not g.pending
 
 
 class TestCoalescing:
@@ -267,7 +320,7 @@ class TestCoalescing:
         assert g.pending[(3, 2, P24.key)].path is None
         converge(g)
         assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
-        assert g.nodes[1].rib[P_OTHER.key].path == (2, 3)
+        assert g.nodes[1].rib[P_OTHER.key] == (2, 3)
 
     def test_delivered_key_opens_a_new_slot(self):
         g = AsGraph.from_edges([(1, 2)])

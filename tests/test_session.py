@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixPool
 from hopsim.config import DeploymentMode, ScenarioConfig
 from hopsim.covert import SyncPayload
@@ -16,7 +17,7 @@ from hopsim.errors import (
     UnknownModel,
 )
 from hopsim.events import EventQueue
-from hopsim.flowtable import grace_set
+from hopsim.flowtable import Packet, grace_set
 from hopsim.hopping import build_schedule
 from hopsim.routing import AsGraph, announce, converge
 from hopsim.rng import SplitMix64
@@ -595,7 +596,7 @@ class TestRoutingChurn:
             for prefix, origin in sim.graph.origins.items():
                 distances = bfs_distances(sim.graph, origin)
                 for asn, node in sim.graph.nodes.items():
-                    assert len(node.rib[prefix].path) == distances[asn], (prefix, asn)
+                    assert len(node.rib[prefix]) == distances[asn], (prefix, asn)
             checked.append(sim.queue.now)
 
         # Three quarters into each window: the previous window's prefix was
@@ -734,25 +735,32 @@ class TestInlineCrossing:
         assert metrics.packets_delivered == metrics.packets_sent == 10
 
 
+def _calls(action, targets) -> list[int]:
+    """How often `action()` calls each `(owner, name)` of `targets`."""
+    counts = [0] * len(targets)
+    saved = [getattr(owner, name) for owner, name in targets]
+
+    def counted(i, original):
+        def wrapper(*args, **kwargs):
+            counts[i] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for i, ((owner, name), original) in enumerate(zip(targets, saved)):
+        setattr(owner, name, counted(i, original))
+    try:
+        action()
+    finally:
+        for (owner, name), original in zip(targets, saved):
+            setattr(owner, name, original)
+    return counts
+
+
 def _value_hashes(path) -> int:
     """Python-level `Address.__hash__` and `Prefix.__hash__` calls in one run."""
     sim = Simulation(ScenarioConfig.from_file(path))
-    calls = []
-    saved = Address.__hash__, Prefix.__hash__
-
-    def counted(original):
-        def __hash__(self):
-            calls.append(None)
-            return original(self)
-
-        return __hash__
-
-    Address.__hash__, Prefix.__hash__ = map(counted, saved)
-    try:
-        sim.run()
-    finally:
-        Address.__hash__, Prefix.__hash__ = saved
-    return len(calls)
+    return sum(_calls(sim.run, [(Address, "__hash__"), (Prefix, "__hash__")]))
 
 
 def test_packets_and_routing_messages_hash_no_address_or_prefix(tmp_path):
@@ -775,3 +783,22 @@ def test_packets_and_routing_messages_hash_no_address_or_prefix(tmp_path):
         )
         counts[name] = _value_hashes(path)
     assert counts["line_200_packets"] == counts["mesh"] == counts["line"], counts
+
+
+def test_packets_are_built_only_on_lookups(tmp_path):
+    # A packet is its header: sends start from one prebuilt header, and a
+    # decision-cache hit returns the cached packet, so only a rule lookup
+    # that rewrites a field builds one.
+    shipped = Path(__file__).parents[1] / "configs"
+    (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+    configs = {
+        stem: ScenarioConfig.from_file(shipped / f"{stem}.ini")
+        for stem in ("one_way_hop111", "reactive_block", "baseline_static")
+    }
+    configs["two_way"] = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
+    for name, config in configs.items():
+        built, lookups = _calls(
+            lambda: Simulation(config).run(),
+            [(Packet, "__init__"), (session, "apply_detail")],
+        )
+        assert 0 < lookups and built <= lookups + 1, (name, built, lookups)

@@ -58,7 +58,6 @@ class PrefixPool:
 class Packet:
     src: object
     dst: object
-    id: int
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,6 @@ class FlowRule:
 @dataclass(frozen=True)
 class FlowTable:
     rules: tuple = ()
-
-
-@dataclass(frozen=True)
-class Route:
-    path: tuple
-    next_hop: int
 
 
 @dataclass(frozen=True)
@@ -271,12 +264,11 @@ CASES = [
     )),
     (addressing.Prefix, Prefix, prefixes.map(lambda p: (p.base, p.length))),
     (addressing.PrefixPool, PrefixPool, pools.map(lambda p: (p.prefixes,))),
-    (flowtable.Packet, Packet, st.tuples(v4, v4, st.integers(0, 2))),
+    (flowtable.Packet, Packet, st.tuples(v4, v4)),
     (flowtable.FlowRule, FlowRule, rule_args),
     (flowtable.FlowTable, FlowTable, st.tuples(
         st.lists(rules, max_size=4, unique_by=lambda r: (r.key, r.priority)).map(tuple),
     )),
-    (routing.Route, Route, st.tuples(paths, st.integers(1, 3))),
     (routing.RouteMessage, RouteMessage, st.tuples(
         st.integers(1, 2), st.integers(1, 2), prefixes, st.none() | paths
     )),
