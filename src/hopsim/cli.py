@@ -37,6 +37,7 @@ from .errors import (
     PayloadTooLarge,
 )
 from .config import ScenarioConfig
+from .events import TraceLog
 from .session import Simulation
 
 EXIT_OK = 0
@@ -108,16 +109,25 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
         if not 0 <= seed_override < (1 << 64):
             return _fail(f"--seed-override {seed_override}: must fit in 64 bits", EXIT_INPUT)
         config = config.replace(seed=seed_override)
+    # The trace streams into its file as the run emits it, so an unwritable
+    # path fails before the run, and a failed run leaves what it emitted.
+    try:
+        out = open(trace_path, "w")
+    except OSError as exc:
+        return _unwritable(trace_path, exc)
     started = time.monotonic()
     try:
-        result = Simulation(config).run()
+        with out:
+            result = Simulation(config, TraceLog(out.write)).run()
     except HopsimError as exc:
         return _fail(f"scenario failed: {exc}", EXIT_SCENARIO)
+    except OSError as exc:
+        return _unwritable(trace_path, exc)
     wall = time.monotonic() - started
     report = _report_text(
         config_path, config.config_sha256, result, wall, trace_path, seed_override
     )
-    code = _write(trace_path, result.trace_text()) or _write(report_path, report)
+    code = _write(report_path, report)
     if code:
         return code
     print(

@@ -11,10 +11,21 @@ a config that parses runs to completion.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from enum import Enum
 from pathlib import Path
+
+# The config digest is the only hash a run takes. `hashlib` maps OpenSSL's
+# libcrypto to provide it (several MB of resident set and a few ms of
+# start-up), so take sha256 from CPython's built-in module, as `random`
+# does for sha512, and fall back to `hashlib` only where none is built in.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .addressing import Address, Prefix, PrefixPool
 from .adversary import BlockMode
@@ -354,4 +365,4 @@ def _digest(cp: configparser.ConfigParser) -> str:
             except configparser.Error as exc:  # a '%' interpolation that fails
                 raise ConfigError(where, f"bad value: {exc}") from exc
             lines.append(f"{where}={value.strip()}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return sha256("\n".join(lines).encode()).hexdigest()

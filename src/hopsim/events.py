@@ -27,6 +27,25 @@ class EventQueue:
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
+    def reserve(self, n: int) -> int:
+        """Set aside the next `n` sequence numbers; returns the first.
+
+        An event later queued with `schedule_reserved` in one of them
+        fires where it would have, had it been queued now: its
+        `(time, seq)` key is the same. A caller with a long run of events
+        queues each one only when the one before it fires, and so holds
+        one at a time instead of all of them.
+        """
+        first = self._seq
+        self._seq += n
+        return first
+
+    def schedule_reserved(self, at: float, seq: int, fn: Callable[..., None], *args) -> None:
+        """Queue `fn(*args)` at `at` in the slot `seq` that `reserve` set aside."""
+        if not at >= self.now:
+            raise ValueError(f"cannot schedule at {at} before now {self.now}")
+        heapq.heappush(self._heap, (at, seq, fn, args))
+
     def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
         # `schedule_at` written out: this runs once per routing slot, grace
         # expiry and link crossing that cannot be taken inline.
@@ -70,10 +89,19 @@ class EventQueue:
 
 
 class TraceLog:
-    """Append-only event trace: one ``t,component,event,details`` line each."""
+    """Append-only event trace: one ``t,component,event,details`` line each.
 
-    def __init__(self):
+    By default the lines are kept in `lines`. Given `write` (say, an open
+    text file's `write`), each line is handed to it with its newline as it
+    is emitted, and `lines` stays empty.
+    """
+
+    def __init__(self, write: Callable[[str], object] | None = None):
         self.lines: list[str] = []
+        if write is None:
+            self._write, self._end = self.lines.append, ""
+        else:
+            self._write, self._end = write, "\n"
 
     def emit(self, t: float, component: str, event: str, details: str = "") -> None:
-        self.lines.append(f"{t:.3f},{component},{event},{details}")
+        self._write(f"{t:.3f},{component},{event},{details}{self._end}")

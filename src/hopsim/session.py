@@ -230,10 +230,12 @@ class SimulationResult:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig):
+    """One run of `config`; the trace goes to `trace`, by default kept in memory."""
+
+    def __init__(self, config: ScenarioConfig, trace: TraceLog | None = None):
         self.config = config
         self.queue = EventQueue()
-        self.trace = TraceLog()
+        self.trace = TraceLog() if trace is None else trace
         self.graph = AsGraph.from_edges(config.edges)
         self.zone = ReverseZone()
 
@@ -259,6 +261,8 @@ class Simulation:
         self._delivered = 0
         self._resolved = 0
         self._traffic_end: float | None = None
+        self._send_gap = 0.0
+        self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
         self._deliveries_by_window: dict[int, int] = {}
 
     # -- event helpers --
@@ -401,15 +405,26 @@ class Simulation:
         self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float | None) -> None:
-        cfg = self.config
-        epoch = cfg.lead_time_ms
-        gap = gap_ms or 0.0
-        for j in range(cfg.packets):
-            self.queue.schedule_at(epoch + j * gap, self._emit_packet, j)
+        # The sends keep the queue slots they would take if all were queued
+        # here, but each is queued only when the one before it fires.
+        self._send_gap = gap_ms or 0.0
+        self._send_seq = self.queue.reserve(self.config.packets)
+        if self.config.packets:
+            self._queue_send(0)
+
+    def _queue_send(self, j: int) -> None:
+        self.queue.schedule_reserved(
+            self.config.lead_time_ms + j * self._send_gap,
+            self._send_seq + j, self._emit_packet, j,
+        )
 
     # -- packet path --
 
     def _emit_packet(self, pkt_id: int) -> None:
+        # Queue the next send before forwarding this one, so that
+        # `advance_to` sees the queue it would see had every send been queued.
+        if pkt_id + 1 < self.config.packets:
+            self._queue_send(pkt_id + 1)
         self._sent += 1
         out = _apply_chain(self.client.flow_table, self._outbound, Direction.OUTBOUND)
         if out is None:

@@ -9,12 +9,15 @@ import pytest
 
 import hopsim
 from hopsim.cli import MACHINE_MARKER, main, payload_from_text, payload_to_text
+from hopsim import config as config_module
+from hopsim.config import ScenarioConfig
 from hopsim.covert import SyncPayload, encode_payload, zone_lines
 from hopsim.addressing import Address, PrefixPool
 from hopsim.errors import ScenarioError
 from hopsim.session import Simulation
 
 from conftest import make_config
+from test_session import GOLDEN_TWO_WAY
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
@@ -99,6 +102,41 @@ class TestRun:
         )
         assert code == 3
         assert "scenario failed" in capsys.readouterr().err
+
+    def test_failure_mid_run_exits_3_and_keeps_the_trace_emitted(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        config = make_config(tmp_path, n_hops=6, packets=40, gap_ms="100")
+        full = Simulation(ScenarioConfig.from_file(config)).run().trace_text()
+        do_hop = Simulation._do_hop
+
+        def fail_at_hop_3(self, end, k):
+            if k == 3:
+                raise ScenarioError("hop 3 failed")
+            do_hop(self, end, k)
+
+        monkeypatch.setattr(Simulation, "_do_hop", fail_at_hop_3)
+        trace = tmp_path / "run.trace"
+        code = main(["run", "--config", str(config), "--trace", str(trace),
+                     "--report", str(tmp_path / "run.report")])
+        assert code == 3
+        assert "scenario failed: hop 3 failed" in capsys.readouterr().err
+        partial = trace.read_text()
+        assert ",session,hop,role=server;index=2;" in partial
+        assert partial.endswith("\n") and len(partial) < len(full)
+        assert full.startswith(partial)
+        assert not (tmp_path / "run.report").exists()
+
+    def test_streamed_trace_matches_the_in_memory_trace(self, tmp_path):
+        (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+        two_way = tmp_path / "two_way.ini"
+        two_way.write_text(GOLDEN_TWO_WAY)
+        for path in [*SHIPPED_CONFIGS, two_way]:
+            trace = tmp_path / f"{path.stem}.trace"
+            assert main(["run", "--config", str(path), "--trace", str(trace),
+                         "--report", str(tmp_path / f"{path.stem}.report")]) == 0
+            in_memory = Simulation(ScenarioConfig.from_file(path)).run().trace_text()
+            assert trace.read_bytes() == in_memory.encode(), path.name
 
     @pytest.mark.parametrize(
         "server_pool, client_pool, key",
@@ -290,6 +328,49 @@ class TestRun:
         }
         assert digests == SHIPPED_DIGESTS
 
+    def test_run_never_loads_openssl(self, tmp_path):
+        # `hashlib` maps OpenSSL's libcrypto; the config digest must not need it.
+        src = str(Path(hopsim.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "from hopsim.cli import main\n"
+            "code = main(['run', '--config', sys.argv[1], '--trace', sys.argv[2],"
+            " '--report', sys.argv[3]])\n"
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(SHIPPED_CONFIGS[1]),
+             str(tmp_path / "run.trace"), str(tmp_path / "run.report")],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"abc", b"a" * 55, b"a" * 56, bytes(range(256)) * 5],
+    ids=["empty", "short", "one_block", "two_blocks", "multi_block"],
+)
+def test_config_digest_matches_hashlib(data):
+    assert config_module.sha256(data).hexdigest() == sha256(data)
+
+
+def test_config_digest_falls_back_to_hashlib():
+    # With no built-in sha256 module the config takes hashlib's.
+    script = (
+        "import sys, hashlib\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from hopsim import config\n"
+        "print(config.sha256 is hashlib.sha256)\n"
+    )
+    src = str(Path(hopsim.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "True"
+
 
 class TestTrain:
     def test_constant_trace_single_state_model(self, tmp_path):
@@ -419,7 +500,10 @@ class TestCovert:
 
 
 @pytest.mark.parametrize("case", ["run", "run_many", "train", "covert"])
-def test_unwritable_output_exits_2(tmp_path, capsys, case):
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
+    # An unwritable trace is caught before the run: no event runs.
+    ran = []
+    monkeypatch.setattr(Simulation, "run", lambda self: ran.append(self))
     config = str(SHIPPED_CONFIGS[0])
     missing = tmp_path / "missing" / "out"  # its directory does not exist
     taken = tmp_path / "taken"  # a file where a directory must go
@@ -437,3 +521,4 @@ def test_unwritable_output_exits_2(tmp_path, capsys, case):
     }[case]
     assert main(argv) == 2
     assert f"error: cannot write {path}: " in capsys.readouterr().err
+    assert ran == []

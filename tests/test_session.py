@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixPool
@@ -80,6 +82,55 @@ class TestEventQueue:
                 queue.advance_to(bad)
         assert queue.now == 2.5 and fired == []
         assert queue.run() == 1 and fired == ["queued"]
+
+    def test_reserved_slot_rejects_the_past(self):
+        queue = EventQueue(start=5.0)
+        first = queue.reserve(2)
+        for bad in (4.0, math.nan):
+            with pytest.raises(ValueError):
+                queue.schedule_reserved(bad, first, print, "never")
+        assert not queue._heap
+        queue.schedule_reserved(5.0, first + 1, print, "now")
+        assert queue.now == 5.0 and len(queue._heap) == 1
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=3), max_size=12),
+        st.lists(st.integers(0, 30), max_size=4),
+        st.lists(st.integers(0, 30), max_size=4),
+    )
+    def test_reserved_slots_fire_as_if_queued_up_front(self, gaps, follow_ups, before, after):
+        # A run of events at non-decreasing times (gap 0 ties), each of
+        # whose handlers queues follow-ups; other events sit in the queue
+        # from before and after the run was queued.
+        times = [float(sum(gaps[: j + 1])) for j in range(len(gaps))]
+
+        def fire(one_by_one: bool) -> tuple[int, list]:
+            queue, fired = EventQueue(), []
+
+            def other(label):
+                fired.append((queue.now, label))
+
+            def step(j):
+                if one_by_one and j + 1 < len(times):
+                    queue.schedule_reserved(times[j + 1], first + j + 1, step, j + 1)
+                fired.append((queue.now, "run", j))
+                for i, delay in enumerate(follow_ups[j] if j < len(follow_ups) else ()):
+                    queue.schedule_in(delay, other, ("follow-up", j, i))
+
+            for t in before:
+                queue.schedule_at(float(t), other, ("before", t))
+            if one_by_one:
+                first = queue.reserve(len(times))
+                queue.schedule_reserved(times[0], first, step, 0)
+            else:
+                for j, t in enumerate(times):
+                    queue.schedule_at(t, step, j)
+            for t in after:
+                queue.schedule_at(float(t), other, ("after", t))
+            return queue.run(), fired
+
+        assert fire(one_by_one=True) == fire(one_by_one=False)
 
 
 class TestSynchronize:
