@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -55,6 +56,18 @@ def _fail(message: str, code: int) -> int:
 
 def _unwritable(path: str | Path, exc: OSError) -> int:
     return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT)
+
+
+def _check_writable(path: str) -> int:
+    """EXIT_OK if `path` opens for writing, else an input error; leaves no new file."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        return _unwritable(path, exc)
+    if not existed:
+        os.unlink(path)
+    return EXIT_OK
 
 
 def _write(path: str | Path, text: str) -> int:
@@ -109,8 +122,13 @@ def _run_one(config_path: str, trace_path: str, report_path: str, seed_override:
         if not 0 <= seed_override < (1 << 64):
             return _fail(f"--seed-override {seed_override}: must fit in 64 bits", EXIT_INPUT)
         config = config.replace(seed=seed_override)
-    # The trace streams into its file as the run emits it, so an unwritable
-    # path fails before the run, and a failed run leaves what it emitted.
+    # Both outputs are checked before the run, so an unwritable path fails
+    # before the first event. The trace streams into its file as the run
+    # emits it, and a failed run leaves what it emitted; the report is
+    # written after a whole run only.
+    code = _check_writable(report_path)
+    if code:
+        return code
     try:
         out = open(trace_path, "w")
     except OSError as exc:

@@ -19,14 +19,28 @@ still carry `Prefix` values.
 Updates are coalesced: at most one undelivered update exists per
 (sender, receiver, prefix). A newer update replaces the queued one and
 goes out in that one's delivery slot instead of taking a new slot.
-Without this, every intermediate best-path change reaches every
-neighbour, and a withdrawal explores ever longer dead paths before it
-settles: the delayed convergence of Labovitz et al. (SIGCOMM 2000),
-which BGP bounds with MinRouteAdvertisementInterval (RFC 4271
-§9.2.1.1). Only a neighbour's latest advertisement matters to its
-receiver, so the fixed point is unchanged. `AsGraph` owns the queue;
-`converge` drains it in slot order, and an external scheduler takes the
-slots with `AsGraph.take_slots` and delivers each with `AsGraph.take`.
+Only a neighbour's latest advertisement matters to its receiver, so the
+fixed point is unchanged. Coalescing bounds the work of announcements,
+whose intermediate best paths would otherwise each reach every
+neighbour, as BGP bounds it with MinRouteAdvertisementInterval (RFC
+4271 §9.2.1.1).
+
+Withdrawals name their root cause instead (BGP-RCN: Pei, Azuma, Massey
+and Zhang, Computer Networks 2005). Each announcement of a prefix gets a
+new epoch, and every update carries the epoch of its path. A prefix has
+one origin at a time, so a withdrawal of epoch e proves every path of an
+epoch up to e dead. A node drops all those paths at once, withdraws
+once, and rejects late announcements of the dead epochs. Without the
+cause, a withdrawal explores ever longer dead paths before it settles,
+the delayed convergence of Labovitz et al. (SIGCOMM 2000): n(n-1)^2/2
+messages on an n-clique. With it, a withdrawal costs at most one
+message per link direction. A route whose epoch alone changes is
+withdrawn and taken one delivery later, so every change of epoch
+reaches the neighbours as a change of path.
+
+`AsGraph` owns the queue; `converge` drains it in slot order, and an
+external scheduler takes the slots with `AsGraph.take_slots` and
+delivers each with `AsGraph.take`.
 """
 
 from __future__ import annotations
@@ -40,28 +54,35 @@ from .values import Frozen, _set
 
 
 class RouteMessage(Frozen):
-    __slots__ = _fields = ("sender", "receiver", "prefix", "path")
+    __slots__ = _fields = ("sender", "receiver", "prefix", "path", "epoch")
 
-    def __init__(self, sender: int, receiver: int, prefix: Prefix, path: tuple[int, ...] | None):
+    def __init__(
+        self, sender: int, receiver: int, prefix: Prefix, path: tuple[int, ...] | None, epoch: int
+    ):
         _set(self, "sender", sender)
         _set(self, "receiver", receiver)
         _set(self, "prefix", prefix)
         _set(self, "path", path)  # None = withdraw
+        # The path's announcement; for a withdrawal, the newest one known dead.
+        _set(self, "epoch", epoch)
 
 
 UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
-    __slots__ = ("asn", "peers", "rib", "learned", "index")
+    __slots__ = ("asn", "peers", "rib", "learned", "dead", "index")
 
     def __init__(self, asn: int):
         self.asn = asn
         self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted: the order updates go out in
         # Best AS path by prefix key: `()` at the origin, else next hop first.
         self.rib: dict[int, tuple[int, ...]] = {}
-        # Candidate paths learned per neighbor, as seen from this node.
-        self.learned: dict[int, dict[int, tuple[int, ...]]] = {}
+        # Candidate paths per sender, as seen from this node, each as
+        # (path length, sender, epoch, path): the order the best-path choice
+        # compares them in. The origin holds its own route under its ASN.
+        self.learned: dict[int, dict[int, tuple[int, int, int, tuple[int, ...]]]] = {}
+        self.dead: dict[int, int] = {}  # the newest epoch known withdrawn, by prefix key
         self.index = PrefixIndex()  # over the rib's prefixes
 
     def install(self, prefix: Prefix, path: tuple[int, ...]) -> None:
@@ -83,6 +104,7 @@ class AsGraph:
         self.pending: dict[UpdateKey, RouteMessage] = {}
         self.slots: deque[UpdateKey] = deque()
         self.origins: dict[int, int] = {}  # prefix key -> origin ASN
+        self.epochs: dict[int, int] = {}  # prefix key -> its last announcement's epoch
 
     def add_node(self, asn: int) -> AsNode:
         if asn not in self.nodes:
@@ -97,7 +119,9 @@ class AsGraph:
             if y not in node.peers:
                 node.peers = tuple(sorted((*node.peers, y)))
 
-    def send(self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> None:
+    def send(
+        self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None, epoch: int
+    ) -> None:
         """Queue `node`'s update on `prefix` to each neighbor.
 
         An update replaces an undelivered one on the same key and keeps
@@ -108,7 +132,13 @@ class AsGraph:
             key = (asn, nbr, pkey)
             if key not in pending:
                 self.slots.append(key)
-            pending[key] = RouteMessage(asn, nbr, prefix, path)
+            pending[key] = RouteMessage(asn, nbr, prefix, path, epoch)
+
+    def defer(self, msg: RouteMessage) -> None:
+        """Queue a delivered `msg` again, in a new slot."""
+        key = (msg.sender, msg.receiver, msg.prefix.key)
+        self.slots.append(key)
+        self.pending[key] = msg
 
     def take_slots(self) -> list[UpdateKey]:
         """Hand the slots opened since the last call to an external
@@ -147,7 +177,7 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Install the origin route and queue updates to neighbors.
+    """Install the origin route under a new epoch and queue updates to neighbors.
 
     Re-announcing an already-held prefix is a no-op. A second origin for
     the same prefix is rejected: ephemeral prefixes have one holder at a
@@ -155,65 +185,84 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     """
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
-    holder = graph.origins.get(prefix.key)
+    key = prefix.key
+    holder = graph.origins.get(key)
     if holder == origin:
         return
     if holder is not None:
         raise MoasConflict(f"{prefix} already announced by AS {holder}")
-    node = graph.nodes[origin]
-    graph.origins[prefix.key] = origin
-    node.install(prefix, ())
-    graph.send(node, prefix, (origin,))
+    graph.origins[key] = origin
+    epoch = graph.epochs[key] = graph.epochs.get(key, 0) + 1
+    _learn(graph, graph.nodes[origin], prefix, origin, (), epoch)
 
 
 def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Remove the origin route and queue withdrawals to neighbors."""
+    """Remove the origin route and queue withdrawals naming its epoch."""
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
     if graph.origins.get(prefix.key) != origin:
         raise NotAnnounced(f"{prefix} not announced by AS {origin}")
-    node = graph.nodes[origin]
     del graph.origins[prefix.key]
-    node.remove(prefix)
-    graph.send(node, prefix, None)
-
-
-def _best_path(graph: AsGraph, node: AsNode, key: int) -> tuple[int, ...] | None:
-    if graph.origins.get(key) == node.asn:
-        return ()
-    candidates = node.learned.get(key)
-    if not candidates:
-        return None
-    # Shortest AS-path; ties go to the lowest neighbor ASN (path[0]).
-    return min(candidates.values(), key=lambda p: (len(p), p[0]))
+    node = graph.nodes[origin]
+    _learn(graph, node, prefix, origin, None, node.learned[prefix.key][origin][2])
 
 
 def process_message(graph: AsGraph, msg: RouteMessage) -> bool:
     """Apply one routing message; True when the best route changed and
     updates went out to the neighbors."""
-    node = graph.nodes[msg.receiver]
-    key = msg.prefix.key
-    per_nbr = node.learned.setdefault(key, {})
-    if msg.path is None or node.asn in msg.path:
-        # Withdrawal, or a path through ourselves: either way the
-        # sender's route is unusable from here.
-        per_nbr.pop(msg.sender, None)
-    else:
-        per_nbr[msg.sender] = msg.path
-    if not per_nbr:
-        node.learned.pop(key, None)
+    node, path, epoch = graph.nodes[msg.receiver], msg.path, msg.epoch
+    if path is not None and path == node.rib.get(msg.prefix.key):
+        if node.learned[msg.prefix.key][msg.sender][2] < epoch:
+            # Only the best route's epoch would change, which no neighbor
+            # would hear of, so a later withdrawal of the old epoch would
+            # kill their copies of a live route. A prefix has one origin at
+            # a time, so the new epoch proves the old ones withdrawn: drop
+            # them now, withdraw, and take the message again one delivery
+            # later.
+            changed = _learn(graph, node, msg.prefix, msg.sender, None, epoch - 1)
+            graph.defer(msg)
+            return changed
+    return _learn(graph, node, msg.prefix, msg.sender, path, epoch)
 
-    best = _best_path(graph, node, key)
+
+def _learn(
+    graph: AsGraph, node: AsNode, prefix: Prefix, sender: int, path: tuple[int, ...] | None,
+    epoch: int,
+) -> bool:
+    """Take `sender`'s path of `epoch`, or its withdrawal naming `epoch`, at
+    `node`; the origin sends to itself. True as for `process_message`."""
+    key = prefix.key
+    learned = node.learned.setdefault(key, {})
+    dead = node.dead.get(key, 0)
+    if path is None and epoch > dead:
+        # The root cause: every path of an epoch up to this one is dead.
+        node.dead[key] = dead = epoch
+        for nbr, candidate in list(learned.items()):
+            if candidate[2] <= epoch:
+                del learned[nbr]
+    if path is None or epoch <= dead or node.asn in path:
+        # Withdrawn, dead, or through ourselves: either way the sender's
+        # route is unusable from here.
+        learned.pop(sender, None)
+    else:
+        learned[sender] = (len(path), sender, epoch, path)
+
+    if learned:
+        # Shortest AS path; ties go to the lowest sender, the path's next hop.
+        _, _, epoch, best = min(learned.values())
+    else:
+        del node.learned[key]
+        epoch, best = dead, None
     if best == node.rib.get(key):
         return False
     if best is None:
-        node.remove(msg.prefix)
+        node.remove(prefix)
         advertised = None
     else:
         assert node.asn not in best, "loop-free invariant violated"
-        node.install(msg.prefix, best)
+        node.install(prefix, best)
         advertised = (node.asn,) + best
-    graph.send(node, msg.prefix, advertised)
+    graph.send(node, prefix, advertised, epoch)
     return True
 
 

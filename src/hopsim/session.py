@@ -271,13 +271,19 @@ class Simulation:
         self.trace.emit(self.queue.now, component, event, details)
 
     def _flush_routing(self) -> None:
-        # One event per delivery slot: an update that replaces a queued
-        # one rides in that one's slot (see the routing module).
-        for key in self.graph.take_slots():
-            self.queue.schedule_in(self.config.link_delay_ms, self._deliver_routing, key)
+        # One event per delivery instant, carrying the slots opened since
+        # the last flush; an update that replaces a queued one rides in
+        # that one's slot (see the routing module). Nothing can run
+        # between the slots of one event, so they fire in the order that
+        # one event per slot would give.
+        slots = self.graph.take_slots()
+        if slots:
+            self.queue.schedule_in(self.config.link_delay_ms, self._deliver_routing, slots)
 
-    def _deliver_routing(self, key) -> None:
-        process_message(self.graph, self.graph.take(key))
+    def _deliver_routing(self, slots: list) -> None:
+        graph = self.graph
+        for key in slots:
+            process_message(graph, graph.take(key))
         self._flush_routing()
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:

@@ -499,9 +499,9 @@ class TestCovert:
         assert isinstance(payload, SyncPayload)
 
 
-@pytest.mark.parametrize("case", ["run", "run_many", "train", "covert"])
+@pytest.mark.parametrize("case", ["run", "report", "run_many", "train", "covert"])
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
-    # An unwritable trace is caught before the run: no event runs.
+    # An unwritable trace or report is caught before the run: no event runs.
     ran = []
     monkeypatch.setattr(Simulation, "run", lambda self: ran.append(self))
     config = str(SHIPPED_CONFIGS[0])
@@ -514,6 +514,8 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
     argv, path = {
         "run": (["run", "--config", config, "--trace", str(missing),
                  "--report", str(tmp_path / "r")], missing),
+        "report": (["run", "--config", config, "--trace", str(tmp_path / "t"),
+                    "--report", str(missing)], missing),
         "run_many": (["run", "--config", config, config, "--trace", str(taken),
                       "--report", str(tmp_path / "reports")], taken),
         "train": (["train", "--trace", str(intervals), "--out", str(missing)], missing),

@@ -2,7 +2,7 @@ import copy
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsim.addressing import Address, Prefix
@@ -287,8 +287,11 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
             assert g.pending == pending
             return
         advertised = None if after is None else (node.asn,) + after
+        # An announcement carries its route's epoch; a withdrawal, the
+        # newest epoch the node knows withdrawn.
+        epoch = node.dead[key] if after is None else node.learned[key][after[0]][2]
         for peer in node.peers:
-            update = RouteMessage(node.asn, peer, msg.prefix, advertised)
+            update = RouteMessage(node.asn, peer, msg.prefix, advertised, epoch)
             assert g.pending[(node.asn, peer, key)] == update
 
     for prefix, deliveries in actions:
@@ -330,6 +333,84 @@ class TestCoalescing:
         assert g.take_slots() == [(2, 1, P24.key)]  # AS 2's reply
         withdraw(g, P24, 1)
         assert g.take_slots() == [key]
+
+
+def clique(size: int) -> AsGraph:
+    return AsGraph.from_edges([(a, b) for a in range(1, size + 1) for b in range(a + 1, size + 1)])
+
+
+def assert_bfs_ribs(g: AsGraph, prefix: Prefix, origin: int) -> None:
+    distances = bfs_distances(g, origin)
+    for asn, node in g.nodes.items():
+        assert len(node.rib[prefix.key]) == distances[asn], asn
+
+
+graphs = st.one_of(
+    st.integers(4, 12).map(clique),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 24)).map(
+        lambda a: random_connected_graph(SplitMix64(a[0]), a[1])
+    ),
+)
+
+
+class TestRootCause:
+    @settings(max_examples=300)
+    @given(graphs, st.integers(0, 2**32 - 1))
+    def test_withdrawal_is_linear_and_reannouncement_converges(self, g, seed):
+        # A withdrawal names its root cause, so each node drops the prefix
+        # at the first one it hears and sends one of its own: at most one
+        # message per link direction. Re-announcing, from the same origin
+        # or another, while the withdrawal and the announcement before it
+        # are still in flight converges to the shortest paths all the same.
+        rng = SplitMix64(seed)
+        asns = sorted(g.nodes)
+        edges = sum(len(n.peers) for n in g.nodes.values()) // 2
+        taken: list = []  # slots taken by a scheduler, in delivery order
+
+        def deliver(count):
+            for _ in range(count):
+                taken.extend(g.take_slots())
+                if not taken:
+                    return
+                process_message(g, g.take(taken.pop(0)))
+
+        origin = asns[rng.below(len(asns))]
+        for _ in range(3):
+            announce(g, P24, origin)
+            deliver(rng.below(4 * edges))  # an announcement takes 2E deliveries
+            withdraw(g, P24, origin)
+            deliver(rng.below(edges // 2 + 1))
+            if rng.below(2):
+                origin = asns[rng.below(len(asns))]
+            announce(g, P24, origin)
+            for key in taken:  # then the rest, in slot order
+                process_message(g, g.take(key))
+            taken.clear()
+            converge(g)
+            assert_bfs_ribs(g, P24, origin)
+            withdraw(g, P24, origin)
+            assert converge(g) <= 2 * edges
+            assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
+
+    def test_only_a_new_epoch_is_taken_one_delivery_later(self):
+        # AS 2 hears the origin's re-announcement before its withdrawal:
+        # the route is the same, only its epoch is new. AS 2 drops the old
+        # route and withdraws it, then takes the new one from the same
+        # message, delivered again; AS 3 never keeps a route the old
+        # epoch's withdrawal killed.
+        g = AsGraph.from_edges([(1, 2), (2, 3)])
+        announce(g, P24, 1)
+        converge(g)
+        withdraw(g, P24, 1)
+        announce(g, P24, 1)
+        (key,) = g.take_slots()
+        msg = g.take(key)
+        assert (msg.path, msg.epoch) == ((1,), 2)
+        assert process_message(g, msg)
+        assert P24.key not in g.nodes[2].rib
+        assert g.take_slots() == [(2, 1, P24.key), (2, 3, P24.key), key]
+        converge(g)
+        assert g.nodes[3].rib[P24.key] == (2, 1)
 
 
 class TestPrefixIndex:

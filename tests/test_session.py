@@ -660,9 +660,10 @@ class TestRoutingChurn:
         assert not sim.graph.origins and not sim.graph.pending
         assert all(not n.rib and not n.learned for n in sim.graph.nodes.values())
 
-    def test_200_as_graph_session_is_bounded(self, tmp_path, monkeypatch):
+    def test_200_as_graph_session_is_bounded(self, tmp_path, processed, routing_calls):
         # Uncoalesced, a single withdrawal on this kind of graph ran past
-        # 3M routing messages; the whole session stays far below that now.
+        # 3M routing messages, and coalesced, 47,765 on this one. Naming its
+        # root cause, it costs at most one message per link direction: 798.
         rng = SplitMix64(200)
         size = 200
         edges = {(1 + rng.below(i), i + 1) for i in range(1, size)}
@@ -680,17 +681,27 @@ class TestRoutingChurn:
             topo="".join(f"{a} {b}\n" for a, b in sorted(edges)),
             server_as=server_as, client_as=client_as,
         )
-        processed = []
-        run_queue = EventQueue.run
-
-        def counted_run(queue):
-            processed.append(run_queue(queue))
-            return processed[-1]
-
-        monkeypatch.setattr(EventQueue, "run", counted_run)
         metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == metrics.packets_sent == 8
-        assert len(processed) == 1 and processed[0] <= 250_000
+        assert len(processed) == 1 and processed[0] <= 1_000
+        actions = routing_calls["announce"] + routing_calls["withdraw"]
+        assert routing_calls["process_message"] <= actions * 2 * len(edges)
+
+    def test_mesh_session_routing_is_linear_in_the_graph(self, tmp_path, routing_calls):
+        # A withdrawal that names its root cause costs, like an announcement,
+        # at most one message per link direction. Path exploration made each
+        # withdrawal on this mesh cost several times that.
+        pool = ",".join(f"100.64.{i}.0/24" for i in range(32))
+        path = make_config(
+            tmp_path, n_hops=12, pool=pool, fixed_ms=1000.0, packets=24, gap_ms="auto",
+            topo=MESH_CHURN_TOPOLOGY, server_as=16, client_as=1,
+        )
+        metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
+        assert metrics.packets_delivered == metrics.packets_sent == 24
+        edges = MESH_CHURN_TOPOLOGY.count("\n")
+        actions = routing_calls["announce"] + routing_calls["withdraw"]
+        assert actions >= 16
+        assert routing_calls["process_message"] <= actions * 2 * edges
 
 
 # The 16-AS graph of the mesh_churn benchmark workload.
@@ -705,6 +716,20 @@ class _QueueEveryCrossing(EventQueue):
 
     def advance_to(self, at: float) -> bool:
         return False
+
+
+@pytest.fixture
+def routing_calls(monkeypatch):
+    """How often the session called each routing entry point."""
+    calls = dict.fromkeys(("process_message", "announce", "withdraw"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(session, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(session, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -773,7 +798,7 @@ class TestInlineCrossing:
         configs = Path(__file__).parents[1] / "configs"
         for stem in ("one_way_hop111", "reactive_block", "baseline_static"):
             Simulation(ScenarioConfig.from_file(configs / f"{stem}.ini")).run()
-        assert processed == [1137, 1146, 677]
+        assert processed == [1135, 1144, 676]
 
     def test_line_longer_than_the_recursion_limit(self, tmp_path):
         size = sys.getrecursionlimit() + 100

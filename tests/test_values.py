@@ -80,6 +80,7 @@ class RouteMessage:
     receiver: int
     prefix: object
     path: tuple | None
+    epoch: int
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ CASES = [
         st.lists(rules, max_size=4, unique_by=lambda r: (r.key, r.priority)).map(tuple),
     )),
     (routing.RouteMessage, RouteMessage, st.tuples(
-        st.integers(1, 2), st.integers(1, 2), prefixes, st.none() | paths
+        st.integers(1, 2), st.integers(1, 2), prefixes, st.none() | paths, st.integers(0, 2)
     )),
     (dwell.IntervalBin, IntervalBin, st.tuples(st.integers(0, 2), floats, floats)),
     (dwell.IntervalAlphabet, IntervalAlphabet, bins.map(lambda b: (b,))),
