@@ -70,6 +70,14 @@ def _check_writable(path: str) -> int:
     return EXIT_OK
 
 
+def _read(path: Path) -> str:
+    """`path`'s text; a file that cannot be read raises ValueError naming it."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
 def _write(path: str | Path, text: str) -> int:
     """Write `text` to `path`: EXIT_OK, or an input error that names the path."""
     try:
@@ -183,7 +191,7 @@ def cmd_train(args) -> int:
     if not path.is_file():
         return _fail(f"trace file not found: {path}", EXIT_INPUT)
     try:
-        trace = load_trace_text(path.read_text())
+        trace = load_trace_text(_read(path))
         if not trace:
             return _fail("trace holds no intervals", EXIT_INPUT)
         alphabet = quantile_alphabet(trace, args.bins)
@@ -240,7 +248,7 @@ def cmd_covert(args) -> int:
         return _fail(f"input file not found: {src}", EXIT_INPUT)
     if args.mode == "encode":
         try:
-            payload = payload_from_text(src.read_text())
+            payload = payload_from_text(_read(src))
             anchor = Address.parse(args.anchor)
             records = encode_payload(payload, anchor, args.tail)
         except (ValueError, PayloadTooLarge, HopsimError) as exc:
@@ -251,7 +259,7 @@ def cmd_covert(args) -> int:
         print(f"{args.out}: {len(records.names)} records at {anchor}")
         return EXIT_OK
     try:
-        records = parse_zone(src.read_text())
+        records = parse_zone(_read(src))
         payload = decode_payload(records, args.tail)
     except (IncompleteSet, IntegrityFailure) as exc:
         return _fail(str(exc), EXIT_INTEGRITY)

@@ -16,13 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .errors import (
-    AbsorbingState,
-    EmptyAlphabet,
-    EmptyModel,
-    InsufficientData,
-    UnknownModel,
-)
+from .errors import AbsorbingState, EmptyAlphabet, EmptyModel, InsufficientData
 from .rng import SplitMix64
 from .values import Frozen, _set
 
@@ -222,22 +216,6 @@ class DhmmDwell(Frozen):
 
 
 DwellSource = FixedDwell | UniformDwell | DhmmDwell
-
-
-def resolve_dwell_source(model_id: str, models: dict[str, DhmmModel]) -> DwellSource:
-    """Turn a payload's dwell-model id back into a usable source.
-
-    Registered names are looked up first, so a model whose name happens
-    to start with ``fixed:`` or ``uniform:`` still resolves to itself.
-    """
-    if model_id in models:
-        return DhmmDwell(model_id, models[model_id])
-    if model_id.startswith("fixed:"):
-        return FixedDwell(float(model_id.split(":", 1)[1]))
-    if model_id.startswith("uniform:"):
-        _, lo, hi = model_id.split(":")
-        return UniformDwell(float(lo), float(hi))
-    raise UnknownModel(f"no dwell model registered under {model_id!r}")
 
 
 def infer_dhmm(trace: list[float], alphabet: IntervalAlphabet, order: int = 1) -> DhmmModel:

@@ -37,10 +37,6 @@ class AbsorbingState(HopsimError):
     """Sampler reached a state with no outgoing transitions."""
 
 
-class UnknownModel(HopsimError):
-    """Dwell source references a model id that is not registered."""
-
-
 # --- flow rewriting ---
 
 class VersionMismatch(HopsimError):

@@ -34,9 +34,10 @@ once, and rejects late announcements of the dead epochs. Without the
 cause, a withdrawal explores ever longer dead paths before it settles,
 the delayed convergence of Labovitz et al. (SIGCOMM 2000): n(n-1)^2/2
 messages on an n-clique. With it, a withdrawal costs at most one
-message per link direction. A route whose epoch alone changes is
-withdrawn and taken one delivery later, so every change of epoch
-reaches the neighbours as a change of path.
+message per link direction. A node's route is the pair it advertises,
+its best path and that path's epoch, so a change of epoch alone goes to
+every neighbour like any other change. A live route is then never held
+anywhere under an epoch that a later withdrawal kills.
 
 `AsGraph` owns the queue; `converge` drains it in slot order, and an
 external scheduler takes the slots with `AsGraph.take_slots` and
@@ -71,13 +72,14 @@ UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
-    __slots__ = ("asn", "peers", "rib", "learned", "dead", "index")
+    __slots__ = ("asn", "peers", "rib", "epochs", "learned", "dead", "index")
 
     def __init__(self, asn: int):
         self.asn = asn
         self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted: the order updates go out in
         # Best AS path by prefix key: `()` at the origin, else next hop first.
         self.rib: dict[int, tuple[int, ...]] = {}
+        self.epochs: dict[int, int] = {}  # the epoch of each rib route, by prefix key
         # Candidate paths per sender, as seen from this node, each as
         # (path length, sender, epoch, path): the order the best-path choice
         # compares them in. The origin holds its own route under its ASN.
@@ -85,14 +87,16 @@ class AsNode:
         self.dead: dict[int, int] = {}  # the newest epoch known withdrawn, by prefix key
         self.index = PrefixIndex()  # over the rib's prefixes
 
-    def install(self, prefix: Prefix, path: tuple[int, ...]) -> None:
+    def install(self, prefix: Prefix, path: tuple[int, ...], epoch: int) -> None:
         key = prefix.key
         if key not in self.rib:
             self.index.add(prefix)
         self.rib[key] = path
+        self.epochs[key] = epoch
 
     def remove(self, prefix: Prefix) -> None:
         if self.rib.pop(prefix.key, None) is not None:
+            del self.epochs[prefix.key]
             self.index.discard(prefix)
 
 
@@ -133,12 +137,6 @@ class AsGraph:
             if key not in pending:
                 self.slots.append(key)
             pending[key] = RouteMessage(asn, nbr, prefix, path, epoch)
-
-    def defer(self, msg: RouteMessage) -> None:
-        """Queue a delivered `msg` again, in a new slot."""
-        key = (msg.sender, msg.receiver, msg.prefix.key)
-        self.slots.append(key)
-        self.pending[key] = msg
 
     def take_slots(self) -> list[UpdateKey]:
         """Hand the slots opened since the last call to an external
@@ -208,21 +206,10 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
 
 
 def process_message(graph: AsGraph, msg: RouteMessage) -> bool:
-    """Apply one routing message; True when the best route changed and
-    updates went out to the neighbors."""
-    node, path, epoch = graph.nodes[msg.receiver], msg.path, msg.epoch
-    if path is not None and path == node.rib.get(msg.prefix.key):
-        if node.learned[msg.prefix.key][msg.sender][2] < epoch:
-            # Only the best route's epoch would change, which no neighbor
-            # would hear of, so a later withdrawal of the old epoch would
-            # kill their copies of a live route. A prefix has one origin at
-            # a time, so the new epoch proves the old ones withdrawn: drop
-            # them now, withdraw, and take the message again one delivery
-            # later.
-            changed = _learn(graph, node, msg.prefix, msg.sender, None, epoch - 1)
-            graph.defer(msg)
-            return changed
-    return _learn(graph, node, msg.prefix, msg.sender, path, epoch)
+    """Apply one routing message; True when the receiver's route, its best
+    path and that path's epoch, changed and updates went out to the
+    neighbors."""
+    return _learn(graph, graph.nodes[msg.receiver], msg.prefix, msg.sender, msg.path, msg.epoch)
 
 
 def _learn(
@@ -253,14 +240,14 @@ def _learn(
     else:
         del node.learned[key]
         epoch, best = dead, None
-    if best == node.rib.get(key):
+    if best == node.rib.get(key) and (best is None or epoch == node.epochs[key]):
         return False
     if best is None:
         node.remove(prefix)
         advertised = None
     else:
         assert node.asn not in best, "loop-free invariant violated"
-        node.install(prefix, best)
+        node.install(prefix, best, epoch)
         advertised = (node.asn,) + best
     graph.send(node, prefix, advertised, epoch)
     return True

@@ -29,14 +29,7 @@ from .adversary import (
 from .config import DeploymentMode, ScenarioConfig
 from .covert import SyncPayload, decode_payload, ReverseZone
 from .covert import encode_payload  # not called: bench/tracer.py wraps it by name
-from .dwell import (
-    DhmmDwell,
-    DwellSource,
-    FixedDwell,
-    UniformDwell,
-    resolve_dwell_source,
-    start_sampler,
-)
+from .dwell import DwellSource, FixedDwell, UniformDwell, start_sampler
 from .errors import ScenarioError, ScheduleExhausted, VersionMismatch
 from .events import EventQueue, TraceLog
 from .flowtable import (
@@ -329,10 +322,9 @@ class Simulation:
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
 
         # Both ends derive this schedule from the one payload; `synchronize`
-        # is a pure function of it, so it is derived once.
-        models = {cfg.dwell.name: cfg.dwell.model} if isinstance(cfg.dwell, DhmmDwell) else {}
-        source = resolve_dwell_source(decoded.dwell_model_id, models)
-        schedule = self.server.schedule = synchronize(self.server, decoded, source, cfg.n_hops)
+        # is a pure function of it, so it is derived once. The payload
+        # names the config's own dwell source, as the check above proves.
+        schedule = self.server.schedule = synchronize(self.server, decoded, cfg.dwell, cfg.n_hops)
         self._emit_trace(
             "session",
             "sync",
@@ -344,7 +336,7 @@ class Simulation:
             client_payload = SyncPayload(
                 cfg.client_seed, cfg.client_pool, cfg.dwell.model_id, cfg.lead_time_ms
             )
-            self.client.schedule = synchronize(self.client, client_payload, source, cfg.n_hops)
+            self.client.schedule = synchronize(self.client, client_payload, cfg.dwell, cfg.n_hops)
             ends.append(_HopEnd(self.client, self.server, cfg.client_pool))
 
         for end in ends:

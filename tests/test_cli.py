@@ -524,3 +524,24 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
     assert main(argv) == 2
     assert f"error: cannot write {path}: " in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize("mode", ["train", "encode", "decode"])
+def test_unreadable_input_exits_2(tmp_path, monkeypatch, capsys, mode):
+    # Root reads files whatever their mode, so the read itself is made to fail.
+    src = tmp_path / "input.txt"
+    src.write_text(PAYLOAD_TEXT)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--trace", str(src), "--out", str(out)],
+        "encode": ["covert", "encode", "--in", str(src), "--out", str(out)],
+        "decode": ["covert", "decode", "--in", str(src), "--out", str(out)],
+    }[mode]
+    assert main(argv) == 2
+    assert f"error: cannot read {src}: " in capsys.readouterr().err
+    assert not out.exists()

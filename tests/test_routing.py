@@ -270,8 +270,9 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
     # Each action announces a prefix from a random AS, re-announces it
     # from its holder, or withdraws it, then delivers a few slots; the
     # rest are delivered at the end. A delivery returns True exactly when
-    # the receiver's rib entry changed, and then it has queued its new
-    # route to every peer; otherwise nothing new is queued.
+    # the receiver's route, its rib entry and that entry's epoch, changed,
+    # and then it has queued its new route to every peer; otherwise
+    # nothing new is queued.
     rng = SplitMix64(seed)
     size = 2 + rng.below(8)
     g = random_connected_graph(rng, size)
@@ -279,17 +280,23 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
     def deliver():
         msg = g.take(g.slots.popleft())
         node, key = g.nodes[msg.receiver], msg.prefix.key
-        before, pending = node.rib.get(key), dict(g.pending)
+        before = node.rib.get(key), node.epochs.get(key)
+        pending = dict(g.pending)
         changed = process_message(g, msg)
-        after = node.rib.get(key)
-        assert changed is (after != before)
+        after, epoch = node.rib.get(key), node.epochs.get(key)
+        assert changed is ((after, epoch) != before)
         if not changed:
             assert g.pending == pending
             return
         advertised = None if after is None else (node.asn,) + after
-        # An announcement carries its route's epoch; a withdrawal, the
-        # newest epoch the node knows withdrawn.
-        epoch = node.dead[key] if after is None else node.learned[key][after[0]][2]
+        # An announcement carries its route's epoch, the one its best
+        # candidate holds; a withdrawal, the newest epoch the node knows
+        # withdrawn.
+        if after is None:
+            assert epoch is None
+            epoch = node.dead[key]
+        else:
+            assert epoch == node.learned[key][after[0]][2]
         for peer in node.peers:
             update = RouteMessage(node.asn, peer, msg.prefix, advertised, epoch)
             assert g.pending[(node.asn, peer, key)] == update
@@ -367,12 +374,17 @@ class TestRootCause:
         edges = sum(len(n.peers) for n in g.nodes.values()) // 2
         taken: list = []  # slots taken by a scheduler, in delivery order
 
+        def deliver_one():
+            process_message(g, g.take(taken.pop(0)))
+            # Every queued update has exactly one slot, taken or not.
+            assert sorted(taken + list(g.slots)) == sorted(g.pending)
+
         def deliver(count):
             for _ in range(count):
                 taken.extend(g.take_slots())
                 if not taken:
                     return
-                process_message(g, g.take(taken.pop(0)))
+                deliver_one()
 
         origin = asns[rng.below(len(asns))]
         for _ in range(3):
@@ -383,34 +395,41 @@ class TestRootCause:
             if rng.below(2):
                 origin = asns[rng.below(len(asns))]
             announce(g, P24, origin)
-            for key in taken:  # then the rest, in slot order
-                process_message(g, g.take(key))
-            taken.clear()
+            while taken:  # then the rest, in slot order
+                deliver_one()
             converge(g)
             assert_bfs_ribs(g, P24, origin)
             withdraw(g, P24, origin)
             assert converge(g) <= 2 * edges
             assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
 
-    def test_only_a_new_epoch_is_taken_one_delivery_later(self):
-        # AS 2 hears the origin's re-announcement before its withdrawal:
-        # the route is the same, only its epoch is new. AS 2 drops the old
-        # route and withdraws it, then takes the new one from the same
-        # message, delivered again; AS 3 never keeps a route the old
-        # epoch's withdrawal killed.
+    def test_a_new_epoch_alone_is_advertised_and_the_route_kept(self):
+        # The origin re-announces before its withdrawal has left, so the
+        # re-announcement takes the withdrawal's slot and AS 2 hears the
+        # path it holds under a new epoch. AS 2 keeps the route and
+        # advertises it under the new epoch; AS 3 takes it, and a later
+        # withdrawal still reaches everyone in one message per link
+        # direction.
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 1)
         converge(g)
         withdraw(g, P24, 1)
         announce(g, P24, 1)
-        (key,) = g.take_slots()
-        msg = g.take(key)
+        two, three = g.nodes[2], g.nodes[3]
+        slots = g.take_slots()
+        assert slots == [(1, 2, P24.key)]  # the re-announcement replaced the withdrawal
+        msg = g.pending[slots[0]]
         assert (msg.path, msg.epoch) == ((1,), 2)
-        assert process_message(g, msg)
-        assert P24.key not in g.nodes[2].rib
-        assert g.take_slots() == [(2, 1, P24.key), (2, 3, P24.key), key]
-        converge(g)
-        assert g.nodes[3].rib[P24.key] == (2, 1)
+        while slots:
+            assert two.rib[P24.key] == (1,)
+            process_message(g, g.take(slots.pop(0)))
+            slots.extend(g.take_slots())
+        assert not g.pending
+        assert two.rib[P24.key] == (1,) and two.epochs[P24.key] == 2
+        assert three.rib[P24.key] == (2, 1) and three.epochs[P24.key] == 2
+        withdraw(g, P24, 1)
+        assert converge(g) <= 4  # 2E messages on E = 2 links
+        assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
 
 
 class TestPrefixIndex:

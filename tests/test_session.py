@@ -11,13 +11,8 @@ from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixPool
 from hopsim.config import DeploymentMode, ScenarioConfig
 from hopsim.covert import SyncPayload
-from hopsim.dwell import FixedDwell, UniformDwell, resolve_dwell_source
-from hopsim.errors import (
-    ConfigError,
-    ScenarioError,
-    ScheduleExhausted,
-    UnknownModel,
-)
+from hopsim.dwell import DhmmDwell, FixedDwell, UniformDwell
+from hopsim.errors import ConfigError, ScenarioError, ScheduleExhausted
 from hopsim.events import EventQueue
 from hopsim.flowtable import Packet, grace_set
 from hopsim.hopping import build_schedule
@@ -148,7 +143,7 @@ class TestSynchronize:
         model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
         server, client = agents()
         payload = SyncPayload(7, POOL, "bg", 0.0)
-        source = resolve_dwell_source("bg", {"bg": model})
+        source = DhmmDwell("bg", model)
         a = synchronize(server, payload, source, 50)
         b = synchronize(client, payload, source, 50)
         assert a == b
@@ -160,10 +155,6 @@ class TestSynchronize:
         a = synchronize(server, SyncPayload(1, POOL, source.model_id, 0.0), source, 3)
         b = synchronize(server, SyncPayload(2, POOL, source.model_id, 0.0), source, 3)
         assert [e.address for e in a.entries] != [e.address for e in b.entries]
-
-    def test_unknown_model(self):
-        with pytest.raises(UnknownModel):
-            resolve_dwell_source("missing-model", {})
 
     def test_schedule_addresses_distinct(self):
         server, _ = agents()
