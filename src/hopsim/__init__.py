@@ -19,17 +19,13 @@ from .flowtable import (
     FlowRule,
     FlowTable,
     Packet,
-    apply,
-    grace_set,
     install_hop_rules,
     install_peer_rules,
 )
 from .hopping import (
     HopSchedule,
-    active_address,
     build_schedule,
     collision_probability,
-    generate_addresses,
     generate_unique_addresses,
 )
 from .routing import AsGraph, announce, converge, route_lookup, withdraw

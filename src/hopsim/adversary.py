@@ -3,7 +3,8 @@
 The observer sits on one inter-AS link and sees every packet crossing
 it. Blocking is the baseline attack: a static list of known addresses,
 or a reactive list that adds any sufficiently-used destination after a
-detection delay. Timing analysis symbolizes the observed inter-hop
+detection delay. Timing analysis takes the packets bound for the
+hopping peer's announced pool, symbolizes the observed inter-hop
 intervals and compares them against a background dwell model; the
 statistic is the same L1 distance the dwell module uses, so both sides
 of the arms race measure with one ruler.
@@ -14,8 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 
-from .addressing import Address, Prefix, PrefixIndex
-from .dwell import DhmmModel, IntervalAlphabet, distribution_distance, start_sampler
+from .addressing import Address, Prefix, PrefixIndex, PrefixPool
+from .dwell import DhmmModel, distribution_distance, start_sampler
 from .errors import HopsimError
 from .flowtable import Packet
 
@@ -118,48 +119,30 @@ def filter_packet(policy: BlockPolicy, packet: Packet, at: float) -> Verdict:
     return Verdict.PASS
 
 
-def extract_hop_intervals(tap: ObserverTap, flow_src: Address | None = None) -> list[float]:
-    """Inter-hop intervals of the hopping peer as seen from one flow.
+def extract_hop_intervals(tap: ObserverTap, pool: PrefixPool) -> list[float]:
+    """Inter-hop intervals of the peer that hops within `pool`.
 
-    Observed packets are grouped by source; within the selected group,
-    the peer (destination) address changing marks a hop. When no source
-    is given, the group with the most distinct destinations is taken:
-    that is the flow tracking a hopping peer, and unrelated background
-    flows do not disturb it.
+    The pool is public: routing announces its prefixes. The observed
+    packets bound for it form the flow, and a change of their
+    destination marks a hop; flows to other destinations are ignored.
     """
-    # Keyed by `Address.key`, whose top bits are the address bits: ties
-    # between groups go to the lowest source address.
-    groups: dict[int, list[tuple[float, int]]] = {}
-    for t, src, dst in tap.log:
-        groups.setdefault(src.key, []).append((t, dst.key))
-    if flow_src is not None:
-        sequence = groups.get(flow_src.key, [])
-    elif groups:
-        chosen = max(groups, key=lambda s: (len({d for _, d in groups[s]}), -(s >> 1)))
-        sequence = groups[chosen]
-    else:
-        sequence = []
     change_times: list[float] = []
     last_dst: int | None = None
-    for t, dst in sequence:
-        if dst != last_dst:
+    for t, _, dst in tap.log:
+        # The key test comes first, so the pool is probed once per hop.
+        if dst.key != last_dst and pool.contains(dst):
             change_times.append(t)
-            last_dst = dst
+            last_dst = dst.key
     return [b - a for a, b in zip(change_times, change_times[1:])]
 
 
-def timing_detect(
-    intervals: list[float],
-    background: DhmmModel,
-    alphabet: IntervalAlphabet,
-    reference_seed: int = 0,
-) -> float:
+def timing_detect(intervals: list[float], background: DhmmModel, reference_seed: int = 0) -> float:
     """Distance between observed intervals and an equal-size background sample.
 
-    The caller compares the statistic against its own threshold; this
-    function only measures.
+    Both are symbolized over the model's own alphabet. The caller compares
+    the statistic against its own threshold; this function only measures.
     """
     if not intervals:
         raise EmptyInput("no intervals to analyze")
     reference = start_sampler(background, reference_seed).take(len(intervals))
-    return distribution_distance(intervals, reference, alphabet)
+    return distribution_distance(intervals, reference, background.alphabet)

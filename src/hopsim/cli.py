@@ -21,6 +21,8 @@ from pathlib import Path
 
 from .addressing import Address
 from .covert import (
+    DEFAULT_ANCHOR,
+    DEFAULT_DOMAIN_TAIL,
     SyncPayload,
     decode_payload,
     encode_payload,
@@ -298,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     covert.add_argument("mode", choices=("encode", "decode"))
     covert.add_argument("--in", dest="infile", required=True)
     covert.add_argument("--out", required=True)
-    covert.add_argument("--anchor", default="203.0.113.53", help="anchor IP for encode")
-    covert.add_argument("--tail", default="example-cdn.net")
+    covert.add_argument("--anchor", default=DEFAULT_ANCHOR, help="anchor IP for encode")
+    covert.add_argument("--tail", default=DEFAULT_DOMAIN_TAIL)
     covert.set_defaults(fn=cmd_covert)
     return parser
 

@@ -29,7 +29,7 @@ except ImportError:
 
 from .addressing import Address, Prefix, PrefixPool
 from .adversary import BlockMode
-from .covert import SyncPayload, encode_payload
+from .covert import DEFAULT_ANCHOR, DEFAULT_DOMAIN_TAIL, SyncPayload, encode_payload
 from .dwell import DhmmDwell, DhmmModel, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidPool, NameTooLong, PayloadTooLarge
 from .routing import parse_edges
@@ -230,8 +230,8 @@ class ScenarioConfig(Frozen):
             )
 
         lead_time_ms = need("scenario", "lead_time_ms", _positive, 1000.0)
-        anchor_ip = need("covert", "anchor_ip", Address.parse, Address.parse("203.0.113.53"))
-        domain_tail = need("covert", "domain_tail", str, "example-cdn.net")
+        anchor_ip = need("covert", "anchor_ip", Address.parse, Address.parse(DEFAULT_ANCHOR))
+        domain_tail = need("covert", "domain_tail", str, DEFAULT_DOMAIN_TAIL)
 
         # Every event time must be a finite number: an infinite schedule
         # makes the auto gap infinite and stamps packets at 0 * inf = nan.

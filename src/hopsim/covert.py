@@ -34,6 +34,9 @@ MAX_PAYLOAD_BYTES = 4096
 CHUNK_BYTES = 40
 MAX_NAME_LENGTH = 253
 MAX_LABEL_LENGTH = 63
+# Where a config or `hopsim covert encode` names neither, the records sit
+# at this documentation address (RFC 5737) under this tail.
+DEFAULT_ANCHOR = "203.0.113.53"
 DEFAULT_DOMAIN_TAIL = "example-cdn.net"
 
 _B32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"

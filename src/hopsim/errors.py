@@ -15,10 +15,6 @@ class LengthMismatch(HopsimError):
     """Dwell list length does not match the requested address count."""
 
 
-class OutOfSchedule(HopsimError):
-    """Queried time falls outside the schedule's dwell windows."""
-
-
 # --- dwell models ---
 
 class InsufficientData(HopsimError):

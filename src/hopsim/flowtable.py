@@ -217,16 +217,3 @@ def apply_detail(
         return Packet(target, dst), best
     return Packet(src, target), best
 
-
-def apply(table: FlowTable, packet: Packet, direction: Direction) -> Packet | None:
-    """Pure single-lookup application; None means the packet was dropped."""
-    result, _ = apply_detail(table, packet, direction)
-    return result
-
-
-def grace_set(table: FlowTable) -> frozenset[Address]:
-    """External addresses whose inbound rewrite rules are currently live."""
-    return frozenset(
-        r.value for r in table.rules
-        if r.target is not None and r.direction is Direction.INBOUND
-    )

@@ -2,9 +2,10 @@
 
 The address draw picks a pool slot uniformly over the union of all
 prefixes (so each prefix is weighted by its size), then redraws whenever
-the result equals the immediately preceding address. Network/broadcast
-host values are not excluded; the simulator does not model subnet
-semantics, which differs from what a deployable rewriter would do.
+the result is an address the sequence already used, so a schedule never
+repeats an address. Network/broadcast host values are not excluded; the
+simulator does not model subnet semantics, which differs from what a
+deployable rewriter would do.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from bisect import bisect_right
 
 from .addressing import Address, PrefixPool
-from .errors import InvalidPool, LengthMismatch, OutOfSchedule
+from .errors import InvalidPool, LengthMismatch
 from .rng import SplitMix64
 from .values import Frozen
 
@@ -30,33 +31,12 @@ def _draw(rng: SplitMix64, pool: PrefixPool) -> Address:
     return Address(prefix.base.version, prefix.base.bits | (slot - offsets[i]))
 
 
-def generate_addresses(seed: int, pool: PrefixPool, n: int) -> list[Address]:
-    """Deterministic list of `n` pool addresses; consecutive entries differ.
+def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Address]:
+    """Deterministic list of `n` distinct pool addresses.
 
     Pure in (seed, pool, n): the output for `n` is a prefix of the output
-    for any larger count, and repeated calls are identical.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > 1 and pool.total_addresses < 2:
-        raise InvalidPool("pool holds a single address; consecutive draws cannot differ")
-    rng = SplitMix64(seed)
-    out: list[Address] = []
-    prev = None
-    for _ in range(n):
-        addr = _draw(rng, pool)
-        while addr == prev:
-            addr = _draw(rng, pool)
-        out.append(addr)
-        prev = addr
-    return out
-
-
-def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Address]:
-    """Like :func:`generate_addresses` but with globally distinct results.
-
-    Used for scenario schedules, where the distinct-address count is an
-    exact metric. Redraws on any previously used address.
+    for any larger count. Distinct, so a session's external-address count
+    is exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -108,20 +88,6 @@ def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> 
     addresses = generate_unique_addresses(seed, pool, n)
     entries = tuple(HopEntry(a, float(d)) for a, d in zip(addresses, dwells))
     return HopSchedule(seed=seed, entries=entries)
-
-
-def active_address(schedule: HopSchedule, t_ms: float) -> tuple[int, Address]:
-    """Entry whose half-open window [start, start+dwell) contains `t_ms`."""
-    if t_ms < 0:
-        raise OutOfSchedule(f"time {t_ms} before schedule start")
-    starts = schedule.start_times()
-    if not starts:
-        raise OutOfSchedule("schedule is empty")
-    idx = bisect_right(starts, t_ms) - 1
-    entry = schedule.entries[idx]
-    if t_ms >= starts[idx] + entry.dwell_ms:
-        raise OutOfSchedule(f"time {t_ms} beyond schedule end")
-    return idx, entry.address
 
 
 def collision_probability(n: int, space_bits: int) -> float:

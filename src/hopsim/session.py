@@ -547,9 +547,9 @@ class Simulation:
         adv = self.config.adversary
         if not adv or adv.timing_model is None:
             return []
-        intervals = extract_hop_intervals(self.tap, flow_src=self.client.internal_ip)
+        intervals = extract_hop_intervals(self.tap, self.config.server_pool)
         if not intervals:
             return [f"nan,{adv.detect_threshold!r},no-hops-observed"]
-        stat = timing_detect(intervals, adv.timing_model, adv.timing_model.alphabet)
+        stat = timing_detect(intervals, adv.timing_model)
         verdict = "detected" if stat > adv.detect_threshold else "clean"
         return [f"{stat!r},{adv.detect_threshold!r},{verdict}"]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hopsim.addressing import Address, PrefixPool
+from hopsim.flowtable import Direction, Packet, apply_detail
 
 settings.register_profile(
     "ci",
@@ -11,6 +12,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def rewritten_inbound(table, internal, externals):
+    """The `externals` whose inbound packets `table` rewrites to `internal`."""
+    found = set()
+    for external in externals:
+        result, _ = apply_detail(table, Packet(internal, external), Direction.INBOUND)
+        if result is not None and result.dst == internal:
+            found.add(external)
+    return found
 
 
 @pytest.fixture

@@ -174,21 +174,20 @@ def _background():
             trace.append(rng.uniform(2000.0, 8000.0))
         else:
             trace.append(rng.uniform(8000.0, 20000.0))
-    alphabet = quantile_alphabet(trace, 8)
-    return infer_dhmm(trace, alphabet, order=1), alphabet
+    return infer_dhmm(trace, quantile_alphabet(trace, 8), order=1)
 
 
 def test_criterion_3_massage_efficacy():
-    model, alphabet = _background()
+    model = _background()
     massaged = start_sampler(model, 4242).take(10_000)
-    stat_massaged = timing_detect(massaged, model, alphabet, reference_seed=77)
+    stat_massaged = timing_detect(massaged, model, reference_seed=77)
 
-    stat_fixed = timing_detect([10_000.0] * 10_000, model, alphabet, reference_seed=78)
+    stat_fixed = timing_detect([10_000.0] * 10_000, model, reference_seed=78)
 
     null_hits = 0
     for trial in range(100):
         sample = start_sampler(model, 1_000 + trial).take(10_000)
-        if timing_detect(sample, model, alphabet, reference_seed=50_000 + trial) < 0.05:
+        if timing_detect(sample, model, reference_seed=50_000 + trial) < 0.05:
             null_hits += 1
 
     ok = stat_massaged < 0.05 and stat_fixed > 0.5 and null_hits >= 95

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopsim.addressing import Address, IPVersion, Prefix
+from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
 from hopsim.adversary import (
     BlockMode,
     BlockPolicy,
@@ -21,6 +21,7 @@ CLIENT = Address.parse("184.164.242.5")
 SERVER1 = Address.parse("184.164.243.1")
 SERVER2 = Address.parse("184.164.243.2")
 SERVER3 = Address.parse("184.164.243.3")
+SERVER_POOL = PrefixPool.parse("184.164.243.0/24")
 
 
 def packet(src=CLIENT, dst=SERVER1):
@@ -38,8 +39,7 @@ def background_model(seed=2024, n=20_000, bins=8):
             trace.append(rng.uniform(2000.0, 8000.0))
         else:
             trace.append(rng.uniform(8000.0, 20000.0))
-    alphabet = quantile_alphabet(trace, bins)
-    return infer_dhmm(trace, alphabet, order=1), alphabet
+    return infer_dhmm(trace, quantile_alphabet(trace, bins), order=1)
 
 
 class TestFilter:
@@ -181,35 +181,42 @@ class TestExtractHopIntervals:
         tap = ObserverTap((1, 2))
         for i in range(5):
             tap.observe(float(i), packet())
-        assert extract_hop_intervals(tap) == []
+        assert extract_hop_intervals(tap, SERVER_POOL) == []
 
     def test_constructed_three_hop_trace(self):
+        # The source hops too, as the client's does in two-way mode.
         tap = ObserverTap((1, 2))
         plan = [(0.0, SERVER1), (5.0, SERVER1), (10.0, SERVER2), (15.0, SERVER2), (20.0, SERVER3)]
-        for t, dst in plan:
-            tap.observe(t, packet(dst=dst))
-        assert extract_hop_intervals(tap) == [10.0, 10.0]
+        for i, (t, dst) in enumerate(plan):
+            tap.observe(t, packet(src=Address.parse(f"184.164.242.{i}"), dst=dst))
+        assert extract_hop_intervals(tap, SERVER_POOL) == [10.0, 10.0]
 
     def test_background_flows_do_not_disturb_grouping(self):
+        # Unrelated flows to changing destinations outside the pool, one of
+        # them from the session's own client, interleave with the session.
         isolated = ObserverTap((1, 2))
         mixed = ObserverTap((1, 2))
         noise_src = Address.parse("198.51.100.1")
-        noise_dst = Address.parse("198.51.100.2")
+        noise_dsts = [Address.parse(f"198.51.100.{i}") for i in (2, 3)]
         plan = [(0.0, SERVER1), (10.0, SERVER2), (20.0, SERVER3)]
-        t_noise = 0.0
+        t_noise, n = 0.0, 0
         for t, dst in plan:
             isolated.observe(t, packet(dst=dst))
             while t_noise <= t:
-                mixed.observe(t_noise, packet(src=noise_src, dst=noise_dst))
+                src = noise_src if n % 2 else CLIENT
+                mixed.observe(t_noise, packet(src=src, dst=noise_dsts[n % 2]))
                 t_noise += 3.0
+                n += 1
             mixed.observe(t, packet(dst=dst))
-        assert extract_hop_intervals(mixed) == extract_hop_intervals(isolated)
+        assert extract_hop_intervals(isolated, SERVER_POOL) == [10.0, 10.0]
+        assert extract_hop_intervals(mixed, SERVER_POOL) == [10.0, 10.0]
 
-    def test_explicit_flow_selection(self):
+    def test_return_traffic_is_not_a_hop(self):
         tap = ObserverTap((1, 2))
         tap.observe(0.0, packet(dst=SERVER1))
         tap.observe(1.0, packet(src=SERVER1, dst=CLIENT))
-        assert extract_hop_intervals(tap, flow_src=CLIENT) == []
+        tap.observe(2.0, packet(dst=SERVER1))
+        assert extract_hop_intervals(tap, SERVER_POOL) == []
 
     def test_log_must_stay_ordered(self):
         tap = ObserverTap((1, 2))
@@ -220,30 +227,30 @@ class TestExtractHopIntervals:
 
 class TestTimingDetect:
     def test_null_calibration(self):
-        model, alphabet = background_model()
+        model = background_model()
         sample = start_sampler(model, 7).take(10_000)
-        stat = timing_detect(sample, model, alphabet, reference_seed=1234)
+        stat = timing_detect(sample, model, reference_seed=1234)
         assert stat < 0.05
 
     def test_fixed_rate_sticks_out(self):
-        model, alphabet = background_model()
-        stat = timing_detect([10_000.0] * 10_000, model, alphabet, reference_seed=1)
+        model = background_model()
+        stat = timing_detect([10_000.0] * 10_000, model, reference_seed=1)
         assert stat > 0.5
 
     def test_massaged_intervals_blend_in(self):
-        model, alphabet = background_model()
+        model = background_model()
         massaged = start_sampler(model, 4242).take(10_000)
-        assert timing_detect(massaged, model, alphabet, reference_seed=77) < 0.05
+        assert timing_detect(massaged, model, reference_seed=77) < 0.05
 
     def test_empty_input(self):
-        model, alphabet = background_model(n=2000)
+        model = background_model(n=2000)
         with pytest.raises(EmptyInput):
-            timing_detect([], model, alphabet)
+            timing_detect([], model)
 
     def test_statistic_is_the_shared_distance(self):
-        model, alphabet = background_model(n=2000)
+        model = background_model(n=2000)
         intervals = start_sampler(model, 3).take(500)
         reference = start_sampler(model, 0).take(500)
-        assert timing_detect(intervals, model, alphabet, reference_seed=0) == pytest.approx(
-            distribution_distance(intervals, reference, alphabet)
+        assert timing_detect(intervals, model, reference_seed=0) == pytest.approx(
+            distribution_distance(intervals, reference, model.alphabet)
         )

@@ -11,7 +11,7 @@ import hopsim
 from hopsim.cli import MACHINE_MARKER, main, payload_from_text, payload_to_text
 from hopsim import config as config_module
 from hopsim.config import ScenarioConfig
-from hopsim.covert import SyncPayload, encode_payload, zone_lines
+from hopsim.covert import SyncPayload, encode_payload, parse_zone, zone_lines
 from hopsim.addressing import Address, PrefixPool
 from hopsim.errors import ScenarioError
 from hopsim.session import Simulation
@@ -491,6 +491,14 @@ class TestCovert:
         src = tmp_path / "payload.txt"
         src.write_text("seed=1\n")
         assert main(["covert", "encode", "--in", str(src), "--out", str(tmp_path / "z")]) == 2
+
+    def test_default_anchor_and_tail_match_a_config_without_covert_section(self, tmp_path):
+        config = ScenarioConfig.from_file(make_config(tmp_path))
+        src = tmp_path / "payload.txt"
+        src.write_text(payload_to_text(config.sync_payload))
+        zone = tmp_path / "zone.txt"
+        assert main(["covert", "encode", "--in", str(src), "--out", str(zone)]) == 0
+        assert parse_zone(zone.read_text()) == config.sync_records
 
     def test_payload_text_canonical_round_trip(self):
         payload = payload_from_text(PAYLOAD_TEXT)

@@ -13,15 +13,15 @@ from hopsim.flowtable import (
     PERMIT_RULE_PRIORITY,
     FlowTable,
     Packet,
-    apply,
     apply_detail,
     endpoint_table,
     expire_external,
-    grace_set,
     install_hop_rules,
     install_peer_rules,
 )
 from hopsim.session import _apply_chain
+
+from conftest import rewritten_inbound
 
 INTERNAL = Address.parse("10.0.0.1")
 EXT1 = Address.parse("184.164.243.7")
@@ -68,45 +68,45 @@ class TestApply:
     def test_outbound_rewrites_src_only(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         before = packet(src=INTERNAL, dst=CLIENT)
-        after = apply(table, before, Direction.OUTBOUND)
+        after = apply_detail(table, before, Direction.OUTBOUND)[0]
         assert after.src == EXT1
         assert after.dst == before.dst
 
     def test_inbound_restores_internal(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        after = apply(table, packet(dst=EXT1), Direction.INBOUND)
+        after = apply_detail(table, packet(dst=EXT1), Direction.INBOUND)[0]
         assert after.dst == INTERNAL
 
     def test_no_match_default_drop(self):
         table = FlowTable()
-        assert apply(table, packet(), Direction.INBOUND) is None
+        assert apply_detail(table, packet(), Direction.INBOUND)[0] is None
 
     def test_round_trip_composition(self):
         # Outbound rewrite at the tracking sender, inbound rewrite at the
         # hopping receiver: the application-layer addressing is restored.
         sender = install_peer_rules(FlowTable(), INTERNAL, EXT1)
         receiver = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        wire = apply(sender, packet(dst=INTERNAL), Direction.OUTBOUND)
+        wire = apply_detail(sender, packet(dst=INTERNAL), Direction.OUTBOUND)[0]
         assert wire.dst == EXT1
-        delivered = apply(receiver, wire, Direction.INBOUND)
+        delivered = apply_detail(receiver, wire, Direction.INBOUND)[0]
         assert delivered.dst == INTERNAL
 
     def test_priority_wins(self):
         low = FlowRule(1, Direction.INBOUND, AddrField.DST, EXT1)
         table = install_hop_rules(FlowTable(rules=(low,)), INTERNAL, EXT1)
-        assert apply(table, packet(dst=EXT1), Direction.INBOUND).dst == INTERNAL
+        assert apply_detail(table, packet(dst=EXT1), Direction.INBOUND)[0].dst == INTERNAL
 
     def test_deterministic(self):
         table = install_hop_rules(endpoint_table(INTERNAL), INTERNAL, EXT1)
         pkt = packet(dst=EXT1)
-        results = {apply(table, pkt, Direction.INBOUND) for _ in range(5)}
+        results = {apply_detail(table, pkt, Direction.INBOUND)[0] for _ in range(5)}
         assert len(results) == 1
 
     @given(st.integers(0, 2**32 - 1))
     def test_rewrite_preserves_every_other_field(self, dst_bits):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         before = Packet(INTERNAL, Address(IPVersion.V4, dst_bits))
-        after = apply(table, before, Direction.OUTBOUND)
+        after = apply_detail(table, before, Direction.OUTBOUND)[0]
         assert after.src == EXT1
         assert after.dst == before.dst
 
@@ -340,42 +340,42 @@ class TestDecisionCache:
 class TestGraceSet:
     def test_fresh_install(self):
         table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        assert grace_set(table) == {EXT1}
+        assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {EXT1}
 
     def test_empty_table(self):
-        assert grace_set(FlowTable()) == frozenset()
+        assert rewritten_inbound(FlowTable(), INTERNAL, (EXT1, EXT2)) == set()
 
     def test_grace_window_holds_both_addresses(self):
         t1 = install_hop_rules(FlowTable(), INTERNAL, EXT1)
         t2 = install_hop_rules(t1, INTERNAL, EXT2, grace=True)
-        assert grace_set(t2) == {EXT1, EXT2}
         # Old external still accepts in-flight packets...
-        assert apply(t2, packet(dst=EXT1), Direction.INBOUND).dst == INTERNAL
+        assert rewritten_inbound(t2, INTERNAL, (EXT1, EXT2)) == {EXT1, EXT2}
         # ...until the grace window expires.
         t3 = expire_external(t2, EXT1)
-        assert grace_set(t3) == {EXT2}
+        assert rewritten_inbound(t3, INTERNAL, (EXT1, EXT2)) == {EXT2}
 
     def test_outside_grace_single_resident(self):
         table = FlowTable()
         for ext in (EXT1, EXT2, EXT1):
             table = install_hop_rules(table, INTERNAL, ext)
-            assert len(grace_set(table)) == 1
+            assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {ext}
 
 
 class TestEndpointTable:
     def test_unmatched_inbound_dropped(self):
         table = endpoint_table(INTERNAL)
         probe = packet(dst=Address.parse("184.164.243.250"))
-        assert apply(table, probe, Direction.INBOUND) is None
+        assert apply_detail(table, probe, Direction.INBOUND)[0] is None
 
     def test_own_egress_permitted(self):
         table = endpoint_table(INTERNAL)
         before = packet(src=INTERNAL, dst=CLIENT)
-        assert apply(table, before, Direction.OUTBOUND) == before
+        assert apply_detail(table, before, Direction.OUTBOUND)[0] == before
 
     def test_fixed_internal_reachable(self):
         table = endpoint_table(INTERNAL)
-        assert apply(table, packet(dst=INTERNAL), Direction.INBOUND) == packet(dst=INTERNAL)
+        own = packet(dst=INTERNAL)
+        assert apply_detail(table, own, Direction.INBOUND)[0] == own
 
 
 class TestValidation:

@@ -6,64 +6,61 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
-from hopsim.errors import InvalidPool, LengthMismatch, OutOfSchedule
+from hopsim.errors import InvalidPool, LengthMismatch
 from hopsim.hopping import (
     EXACT_COLLISION_LIMIT,
     _draw,
-    active_address,
     build_schedule,
     collision_probability,
-    generate_addresses,
     generate_unique_addresses,
 )
 from hopsim.rng import SplitMix64
 
 
 class TestGenerateAddresses:
+    """The schedule's address draw, `generate_unique_addresses`."""
+
     def test_empty_request(self, pool24):
-        assert generate_addresses(7, pool24, 0) == []
+        assert generate_unique_addresses(7, pool24, 0) == []
 
     def test_paper_scale_draw_contained_in_pool(self, pool24):
-        addrs = generate_addresses(42, pool24, 111)
+        addrs = generate_unique_addresses(42, pool24, 111)
         assert len(addrs) == 111
         assert all(pool24.contains(a) for a in addrs)
 
     def test_determinism(self, pool24):
-        assert generate_addresses(42, pool24, 10) == generate_addresses(42, pool24, 10)
+        first = generate_unique_addresses(42, pool24, 10)
+        assert generate_unique_addresses(42, pool24, 10) == first
 
     def test_small_prefix_hits_every_member(self, pool30):
         # Oracle: enumerate the /30's four member addresses directly.
         base = pool30.prefixes[0].base.bits
         members = {Address(IPVersion.V4, base + i) for i in range(4)}
-        addrs = generate_addresses(7, pool30, 8)
-        assert set(addrs) <= members
-        assert len(addrs) == 8
-
-    def test_consecutive_addresses_differ(self, pool30):
-        addrs = generate_addresses(3, pool30, 200)
-        assert all(a != b for a, b in zip(addrs, addrs[1:]))
+        addrs = generate_unique_addresses(7, pool30, 4)
+        assert len(addrs) == 4
+        assert set(addrs) == members
 
     def test_prefix_extension(self, pool24):
-        short = generate_addresses(9, pool24, 20)
-        long = generate_addresses(9, pool24, 50)
+        short = generate_unique_addresses(9, pool24, 20)
+        long = generate_unique_addresses(9, pool24, 50)
         assert long[:20] == short
 
     def test_single_address_pool_rejected_for_multiple_draws(self):
         pool = PrefixPool((Prefix.parse("192.0.2.1/32"),))
-        assert len(generate_addresses(1, pool, 1)) == 1
+        assert len(generate_unique_addresses(1, pool, 1)) == 1
         with pytest.raises(InvalidPool):
-            generate_addresses(1, pool, 2)
+            generate_unique_addresses(1, pool, 2)
 
     def test_multi_prefix_pool_draws_from_all(self):
         pool = PrefixPool.parse("184.164.243.0/24, 184.164.242.0/24")
-        addrs = generate_addresses(23, pool, 400)
+        addrs = generate_unique_addresses(23, pool, 400)
         hit = {pool.covering_prefix(a) for a in addrs}
         assert len(hit) == 2
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 40))
     def test_containment_property(self, seed, n):
         pool = PrefixPool.parse("198.51.100.0/28, 203.0.113.64/26")
-        for a in generate_addresses(seed, pool, n):
+        for a in generate_unique_addresses(seed, pool, n):
             assert pool.contains(a)
 
 
@@ -109,6 +106,8 @@ class TestDraw:
 
 
 class TestGenerateUnique:
+    """No address repeats within one draw."""
+
     def test_all_distinct(self, pool24):
         addrs = generate_unique_addresses(42, pool24, 111)
         assert len(set(addrs)) == 111
@@ -155,36 +154,12 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(1, pool24, 2, [1.0, 0.0])
 
-
-class TestActiveAddress:
-    def test_first_window(self, pool24):
-        schedule = build_schedule(1, pool24, 2, [5.0, 5.0])
-        idx, addr = active_address(schedule, 0.0)
-        assert idx == 0 and addr == schedule.entries[0].address
-
-    def test_boundary_belongs_to_next_window(self, pool24):
-        schedule = build_schedule(1, pool24, 2, [5.0, 5.0])
-        assert active_address(schedule, 5.0)[0] == 1
-
-    def test_cumulative_windows(self, pool24):
-        # Cumulative starts 0, 3, 7; t=8 falls in [7, 12).
-        schedule = build_schedule(1, pool24, 3, [3.0, 4.0, 5.0])
-        assert active_address(schedule, 8.0)[0] == 2
-
-    def test_beyond_end(self, pool24):
-        schedule = build_schedule(1, pool24, 2, [5.0, 5.0])
-        with pytest.raises(OutOfSchedule):
-            active_address(schedule, 10.0)
-
     def test_windows_partition_total(self, pool24):
         dwells = [3.0, 4.0, 5.0, 2.5]
         schedule = build_schedule(8, pool24, 4, dwells)
         starts = schedule.start_times()
         assert starts == [0.0, 3.0, 7.0, 12.0]
         assert starts[-1] + dwells[-1] == schedule.total_ms
-        probes = [0.0, 2.999, 3.0, 6.9, 7.0, 11.9, 12.0, 14.4]
-        indices = [active_address(schedule, t)[0] for t in probes]
-        assert indices == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def _enumeration_oracle(n: int, m: int) -> float:

@@ -14,7 +14,7 @@ from hopsim.covert import SyncPayload
 from hopsim.dwell import DhmmDwell, FixedDwell, UniformDwell
 from hopsim.errors import ConfigError, ScenarioError, ScheduleExhausted
 from hopsim.events import EventQueue
-from hopsim.flowtable import Packet, grace_set
+from hopsim.flowtable import Packet
 from hopsim.hopping import build_schedule
 from hopsim.routing import AsGraph, announce, converge
 from hopsim.rng import SplitMix64
@@ -27,7 +27,7 @@ from hopsim.session import (
     synchronize,
 )
 
-from conftest import make_config
+from conftest import make_config, rewritten_inbound
 
 POOL = PrefixPool.parse("184.164.243.0/24")
 SERVER_IP = Address.parse("10.0.0.1")
@@ -169,23 +169,28 @@ class TestHopOperation:
         agent.schedule = build_schedule(9, POOL, n, [1000.0] * n)
         return agent
 
+    def accepted(self, agent):
+        """The scheduled addresses whose inbound packets reach the agent."""
+        externals = [e.address for e in agent.schedule.entries]
+        return rewritten_inbound(agent.flow_table, agent.internal_ip, externals)
+
     def test_first_hop_has_no_grace_entry(self):
         agent = self.make_agent()
         hop(agent, 0, grace_window_ms=200.0)
-        assert grace_set(agent.flow_table) == {agent.schedule.entries[0].address}
+        assert self.accepted(agent) == {agent.schedule.entries[0].address}
 
     def test_mid_schedule_hop_keeps_previous_address_in_grace(self):
         agent = self.make_agent()
         hop(agent, 0, grace_window_ms=200.0)
         hop(agent, 1, grace_window_ms=200.0)
         first, second = agent.schedule.entries[0].address, agent.schedule.entries[1].address
-        assert grace_set(agent.flow_table) == {first, second}
+        assert self.accepted(agent) == {first, second}
 
     def test_zero_grace_drops_old_address_immediately(self):
         agent = self.make_agent()
         hop(agent, 0, grace_window_ms=0.0)
         hop(agent, 1, grace_window_ms=0.0)
-        assert grace_set(agent.flow_table) == {agent.schedule.entries[1].address}
+        assert self.accepted(agent) == {agent.schedule.entries[1].address}
 
     def test_schedule_exhausted(self):
         agent = self.make_agent(2)
@@ -390,6 +395,20 @@ class TestRunScenario:
         # Client's wire source must differ from its internal address.
         sends = [ln for ln in result.trace if ",traffic,send," in ln]
         assert all("src=10.0.0.2" not in ln for ln in sends)
+
+    def test_two_way_session_reports_a_timing_statistic(self, tmp_path):
+        # No observed packet carries the client's internal address in
+        # two-way mode; the adversary follows the server's public pool.
+        from test_dwell import symbol_chain
+
+        model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
+        (tmp_path / "bg.model").write_text(model.to_text())
+        (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+        text = GOLDEN_TWO_WAY + "\n[adversary]\ntap = 1-2\ntiming_model = bg.model\n"
+        result = Simulation(ScenarioConfig.from_text(text, base_dir=tmp_path)).run()
+        stat, _, verdict = result.verdicts[0].split(",")
+        assert math.isfinite(float(stat))
+        assert verdict in ("clean", "detected")
 
 
 class TestObserverNeutrality:
