@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixPool
+from hopsim.adversary import ObserverTap
 from hopsim.config import DeploymentMode, ScenarioConfig
 from hopsim.covert import SyncPayload
 from hopsim.dwell import DhmmDwell, FixedDwell, UniformDwell
 from hopsim.errors import ConfigError, ScenarioError, ScheduleExhausted
-from hopsim.events import EventQueue
+from hopsim.events import EventQueue, TraceLog
 from hopsim.flowtable import Packet
 from hopsim.hopping import build_schedule
 from hopsim.routing import AsGraph, announce, converge
@@ -888,3 +889,64 @@ def test_packets_are_built_only_on_lookups(tmp_path):
             [(Packet, "__init__"), (session, "apply_detail")],
         )
         assert 0 < lookups and built <= lookups + 1, (name, built, lookups)
+
+
+# The names the benchmark's span recorder (bench/tracer.py) wraps on the
+# packet and flow-write paths, called through the module global or class
+# attribute that it replaces.
+TRACED = (
+    (session, "longest_match"), (session, "apply_detail"), (session, "filter_packet"),
+    (ObserverTap, "observe"), (TraceLog, "emit"),
+    (session, "install_hop_rules"), (session, "install_peer_rules"), (session, "expire_external"),
+)
+
+
+def test_traced_call_counts(tmp_path):
+    # longest_match once per AS visited, observe and filter_packet once
+    # per tapped crossing, apply_detail once per decision-cache miss, emit
+    # once per trace line, and one call per flow-table write: the span
+    # counts the benchmark reports rest on these.
+    shipped = Path(__file__).parents[1] / "configs"
+    (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+    configs = {
+        stem: ScenarioConfig.from_file(shipped / f"{stem}.ini")
+        for stem in ("one_way_hop111", "reactive_block", "baseline_static")
+    }
+    configs["two_way"] = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
+    counts = {
+        name: _calls(lambda: Simulation(config).run(), TRACED)
+        for name, config in configs.items()
+    }
+    assert counts == {
+        "one_way_hop111": [2016, 548, 0, 0, 1572, 111, 111, 220],
+        "reactive_block": [2016, 620, 672, 672, 1572, 111, 111, 220],
+        "baseline_static": [698, 2, 672, 672, 1347, 0, 0, 0],
+        "two_way": [82, 54, 0, 0, 87, 10, 10, 16],
+    }
+
+
+class TestUnroutable:
+    """A send that finds no route where it stands dies there as unroutable."""
+
+    @staticmethod
+    def _traffic(path):
+        result = Simulation(ScenarioConfig.from_file(path)).run()
+        lines = [ln.split(",", 3) for ln in result.trace if ",traffic," in ln]
+        return result.metrics, [(event, details.split(";", 1)[1]) for _, _, event, details in lines]
+
+    def test_sends_before_the_route_arrives(self, tmp_path):
+        # Announced at 0 ms from AS 3, the route reaches AS 1 at 20 ms;
+        # every send (1 to 20 ms) leaves before it.
+        path = make_config(tmp_path, gap_ms="1")
+        path.write_text(path.read_text().replace("[topology]", "lead_time_ms = 1\n\n[topology]"))
+        metrics, traffic = self._traffic(path)
+        assert metrics.packets_sent == 20 and metrics.packets_delivered == 0
+        drops = [details for event, details in traffic if event == "drop"]
+        assert drops == ["reason=unroutable;at=1"] * 20
+
+    def test_client_on_a_disconnected_as(self, tmp_path):
+        path = make_config(tmp_path, topo="1 2\n2 3\n4 5\n", client_as=4)
+        metrics, traffic = self._traffic(path)
+        assert metrics.packets_sent == 20 and metrics.packets_delivered == 0
+        drops = [details for event, details in traffic if event == "drop"]
+        assert drops == ["reason=unroutable;at=4"] * 20
