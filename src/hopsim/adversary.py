@@ -33,16 +33,13 @@ class Verdict(Enum):
 class ObserverTap:
     """Passive log of packets crossing one link, in time order."""
 
-    __slots__ = ("link", "log")
+    __slots__ = ("link", "crossings", "log")
 
     def __init__(self, link: tuple[int, int]):
         self.link = link
+        # The (from AS, to AS) pairs it watches: its link, crossed either way.
+        self.crossings = frozenset((link, link[::-1]))
         self.log: list[tuple[float, Address, Address]] = []
-
-    def watches(self, a: int, b: int) -> bool:
-        """True if (a, b) is the tapped link, in either direction."""
-        x, y = self.link
-        return (a == x and b == y) or (a == y and b == x)
 
     def observe(self, t: float, packet: Packet) -> None:
         if self.log and t < self.log[-1][0]:

@@ -3,8 +3,10 @@
 Models the switch state that swaps a fixed internal address for the
 hop schedule's current external address.
 
-Tables are immutable values: installs return new tables, so no packet
-event can observe a half-updated table.
+A table is one switch's state, written in place: an install or an
+expiry edits its rules, as a flow-mod edits an Open vSwitch table. Each
+write is one call between packet events, so no packet sees a
+half-written table.
 
 A rule matches one address field exactly, on packets going one
 direction, and then either lets the packet through unchanged (a
@@ -15,16 +17,17 @@ workloads reach 5, or 8 in two-way mode), so a lookup scans them for
 the packet's source key and destination key; installs and expiries
 read the same key instead of the rule's fields.
 
-Since a table never changes once built, it also carries a `memo` that
-the session's two-lookup rewrite chain fills per packet header with the
-packet that leaves the chain, or None for a drop, as Open vSwitch puts
-an exact-match cache in front of its classifier (Pfaff et al., NSDI
-2015); a lookup scans only on a memo miss. A new table starts with an
-empty memo.
+A table also carries a `memo` that the session's two-lookup rewrite
+chain fills per packet header with the packet that leaves the chain,
+or None for a drop, as Open vSwitch puts an exact-match cache in front
+of its classifier (Pfaff et al., NSDI 2015); a lookup scans only on a
+memo miss. Every write clears the memo, as Open vSwitch drops its cache
+on a flow-mod, so an entry never outlives the rules that gave it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 
 from .addressing import Address
@@ -89,7 +92,7 @@ class FlowRule(Frozen):
         _set(self, "key", (direction, field, value.key))
 
 
-class FlowTable(Frozen):
+class FlowTable:
     """Priority-ordered rules; a packet that none matches is dropped.
 
     Among the rules that match a packet the highest priority wins, and
@@ -97,20 +100,18 @@ class FlowTable(Frozen):
     """
 
     # `memo` is the decision cache that `session._apply_chain` fills: the
-    # packet that leaves the chain for a header, or None for a drop. It is
-    # exact because the table never changes, and it is not part of the
-    # table's value.
+    # packet that leaves the chain for a header, or None for a drop. The
+    # writes below edit `rules` in place and clear it, so it stays exact.
     __slots__ = ("rules", "memo")
-    _fields = ("rules",)
 
-    def __init__(self, rules: tuple[FlowRule, ...] = ()):
+    def __init__(self, rules: Iterable[FlowRule] = ()):
+        self.rules: list[FlowRule] = list(rules)
         seen = set()
-        for r in rules:
+        for r in self.rules:
             if (r.key, r.priority) in seen:
                 raise ValueError(f"duplicate rule for {r}")
             seen.add((r.key, r.priority))
-        _set(self, "rules", rules)
-        _set(self, "memo", {})
+        self.memo: dict[tuple, Packet | None] = {}
 
 
 def _install(
@@ -121,7 +122,7 @@ def _install(
     mirror: bool,
     grace: bool,
     priority: int,
-) -> FlowTable:
+) -> None:
     if internal.version is not external.version:
         raise VersionMismatch(f"{internal} vs {external}")
     if internal == external:
@@ -147,38 +148,38 @@ def _install(
         FlowRule(priority, Direction.INBOUND, in_field, external, internal),
     )
     kept.extend(r for r in fresh if (r.key, priority) not in existing)
-    return FlowTable(tuple(kept))
+    table.rules[:] = kept
+    table.memo.clear()
 
 
 def install_hop_rules(
     table: FlowTable, internal: Address, external: Address, *, grace: bool = False
-) -> FlowTable:
-    """Install the hopping endpoint's two rewrite rules.
+) -> None:
+    """Install the hopping endpoint's two rewrite rules in `table`.
 
     Outbound src internal->external and inbound dst external->internal.
     Replaces previous hop rules in one step; with `grace` the previous
     external's inbound rules stay until explicitly expired.
     """
-    return _install(table, internal, external, mirror=False, grace=grace,
-                    priority=HOP_RULE_PRIORITY)
+    _install(table, internal, external, mirror=False, grace=grace, priority=HOP_RULE_PRIORITY)
 
 
 def install_peer_rules(
     table: FlowTable, peer_internal: Address, peer_external: Address, *, grace: bool = False
-) -> FlowTable:
-    """Install the tracking side's mirror rules for a hopping peer."""
-    return _install(table, peer_internal, peer_external, mirror=True, grace=grace,
-                    priority=PEER_RULE_PRIORITY)
+) -> None:
+    """Install the tracking side's mirror rules for a hopping peer in `table`."""
+    _install(table, peer_internal, peer_external, mirror=True, grace=grace,
+             priority=PEER_RULE_PRIORITY)
 
 
-def expire_external(table: FlowTable, external: Address) -> FlowTable:
-    """Remove inbound rewrite rules for `external` (end of its grace window)."""
+def expire_external(table: FlowTable, external: Address) -> None:
+    """Remove `table`'s inbound rewrite rules for `external` (end of its grace window)."""
     external_key, inbound = external.key, Direction.INBOUND
-    kept = [
+    table.rules[:] = [
         r for r in table.rules
         if not (r.key[2] == external_key and r.key[0] is inbound and r.target is not None)
     ]
-    return FlowTable(tuple(kept))
+    table.memo.clear()
 
 
 def endpoint_table(internal: Address) -> FlowTable:

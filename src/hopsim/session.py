@@ -47,6 +47,8 @@ from .rng import DWELL_SEED_SALT, SplitMix64
 from .routing import AsGraph, announce, longest_match, originates, process_message, withdraw
 from .values import Frozen
 
+OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
+
 
 class Role(Enum):
     CLIENT = "client"
@@ -127,7 +129,7 @@ def hop(
         raise ScenarioError(
             f"hop {index}: {address} has no announced route from AS {agent.attached_as}"
         )
-    agent.flow_table = install_hop_rules(
+    install_hop_rules(
         agent.flow_table, agent.internal_ip, address, grace=index > 0 and grace_window_ms > 0
     )
 
@@ -182,20 +184,17 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     rewrote is never dropped by the second.
 
     A packet is only its header, so the table's memo keeps what the
-    chain returns for it: None for a drop, else the packet that leaves
-    the chain, which a hit returns as is. Tables never change, which
-    makes the memo exact.
+    chain returns for it, by `(direction, src key, dst key)`: None for a
+    drop, else the packet that leaves the chain, which a hit returns as
+    is. The packet path probes the memo and calls this on a miss. Every
+    write to a table clears its memo, so the memo stays exact.
     """
-    key = (direction, packet.src.key, packet.dst.key)
-    memo = table.memo
-    if key in memo:
-        return memo[key]
     result, rule = apply_detail(table, packet, direction)
     if rule is not None and rule.target is not None:
         second, rule2 = apply_detail(table, result, direction)
         if rule2 is not None and rule2.target is not None:
             result = second
-    memo[key] = result
+    table.memo[(direction, packet.src.key, packet.dst.key)] = result
     return result
 
 
@@ -241,6 +240,7 @@ class Simulation:
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
         # Every send starts from this header; the client's table rewrites it.
         self._outbound = Packet(config.client_ip, config.server_ip)
+        self._outbound_key = (OUTBOUND, config.client_ip.key, config.server_ip.key)
 
         adv = config.adversary
         self.tap: ObserverTap | None = ObserverTap(adv.tap) if adv else None
@@ -391,15 +391,11 @@ class Simulation:
             self.queue.schedule_in(cfg.grace_window_ms, self._expire_grace, end, prev)
 
     def _update_peer(self, end: _HopEnd, external: Address, grace: bool) -> None:
-        peer = end.peer
-        peer.flow_table = install_peer_rules(
-            peer.flow_table, end.agent.internal_ip, external, grace=grace
-        )
+        install_peer_rules(end.peer.flow_table, end.agent.internal_ip, external, grace=grace)
 
     def _expire_grace(self, end: _HopEnd, old: Address) -> None:
-        own, peer = end.agent, end.peer
-        own.flow_table = expire_external(own.flow_table, old)
-        peer.flow_table = expire_external(peer.flow_table, old)
+        expire_external(end.agent.flow_table, old)
+        expire_external(end.peer.flow_table, old)
         self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float | None) -> None:
@@ -424,88 +420,80 @@ class Simulation:
         if pkt_id + 1 < self.config.packets:
             self._queue_send(pkt_id + 1)
         self._sent += 1
-        out = _apply_chain(self.client.flow_table, self._outbound, Direction.OUTBOUND)
-        if out is None:
-            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=egress")
-            self._resolve()
-            return
-        self._emit_trace("traffic", "send", f"id={pkt_id};src={out.src};dst={out.dst}")
-        self._forward(out, pkt_id, self.client.attached_as, 0)
+        self._forward(self._outbound, pkt_id, self.client.attached_as, -1)
 
     def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int) -> None:
-        # One pass per AS. A link crossing is taken inline when no queued
-        # event is due by the arrival time. Callers do nothing after this
-        # returns, so nothing could run in between, and the event order
-        # is the one queueing the crossing would give.
-        nodes = self.graph.nodes
+        # One pass per packet: a send (hops -1) first leaves the client
+        # through its table, then each turn of the loop is one AS, until
+        # the packet is delivered or dropped. A link crossing is taken
+        # inline when no queued event is due by the arrival time, else it
+        # is queued to resume here. Callers do nothing after this returns,
+        # so nothing could run in between, and the event order is the one
+        # queueing every crossing would give. A table's memo is probed
+        # here; `_apply_chain` is the miss path.
         queue = self.queue
+        trace = self.trace
+        nodes = self.graph.nodes
         delay = self.config.link_delay_ms
         tap = self.tap
         while True:
+            now = queue.now
+            if hops < 0:
+                table, key = self.client.flow_table, self._outbound_key
+                memo = table.memo
+                packet = memo[key] if key in memo else _apply_chain(table, packet, OUTBOUND)
+                if packet is None:
+                    trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
+                    break
+                trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
+                hops = 0
             if hops > len(nodes):
-                self._emit_trace("traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
-                self._resolve()
-                return
+                trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
+                break
             node = nodes[asn]
             prefix = longest_match(node, packet.dst)
             if prefix is None:
-                self._emit_trace("traffic", "drop", f"id={pkt_id};reason=unroutable;at={asn}")
-                self._resolve()
-                return
+                trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=unroutable;at={asn}")
+                break
             as_path = node.rib[prefix.key]
             if not as_path:
-                self._deliver_local(packet, pkt_id, asn)
-                return
+                agent = self._agents_by_as.get(asn)
+                if agent is None:
+                    trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=no_endpoint;at={asn}")
+                    break
+                table, key = agent.flow_table, (INBOUND, packet.src.key, packet.dst.key)
+                memo = table.memo
+                result = memo[key] if key in memo else _apply_chain(table, packet, INBOUND)
+                if result is None:
+                    trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=no_rule;at={asn}")
+                elif result.dst.key != agent.internal_ip.key:
+                    # Half rewritten: a peer-tracking rule rewrote the source, but the
+                    # hop rule for this destination expired (a skewed peer still sent to it).
+                    trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=stale_rewrite;at={asn}")
+                else:
+                    self._delivered += 1
+                    window = max(0, bisect_right(self._hop_starts_abs, now) - 1)
+                    by_window = self._deliveries_by_window
+                    by_window[window] = by_window.get(window, 0) + 1
+                    trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
+                break
             nxt = as_path[0]
-            now = queue.now
-            if tap is not None and tap.watches(asn, nxt):
+            if tap is not None and (asn, nxt) in tap.crossings:
                 tap.observe(now, packet)
-                if self.policy is not None:
-                    if filter_packet(self.policy, packet, at=now) is Verdict.BLOCK:
-                        self._emit_trace(
-                            "adversary", "block",
-                            f"id={pkt_id};dst={packet.dst};link={asn}-{nxt}",
-                        )
-                        self._resolve()
-                        return
+                policy = self.policy
+                if policy is not None and filter_packet(policy, packet, at=now) is Verdict.BLOCK:
+                    trace.emit(
+                        now, "adversary", "block", f"id={pkt_id};dst={packet.dst};link={asn}-{nxt}"
+                    )
+                    break
             hops += 1
             if not queue.advance_to(now + delay):
                 queue.schedule_in(delay, self._forward, packet, pkt_id, nxt, hops)
                 return
             asn = nxt
-
-    def _deliver_local(self, packet: Packet, pkt_id: int, asn: int) -> None:
-        agent = self._agents_by_as.get(asn)
-        if agent is None:
-            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=no_endpoint;at={asn}")
-            self._resolve()
-            return
-        result = _apply_chain(agent.flow_table, packet, Direction.INBOUND)
-        if result is None:
-            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=no_rule;at={asn}")
-            self._resolve()
-            return
-        if result.dst.key != agent.internal_ip.key:
-            # Half rewritten: a peer-tracking rule rewrote the source, but the
-            # hop rule for this destination expired (a skewed peer still sent to it).
-            self._emit_trace("traffic", "drop", f"id={pkt_id};reason=stale_rewrite;at={asn}")
-            self._resolve()
-            return
-        self._delivered += 1
-        window = self._window_at(self.queue.now)
-        self._deliveries_by_window[window] = self._deliveries_by_window.get(window, 0) + 1
-        self._emit_trace("traffic", "deliver", f"id={pkt_id};window={window}")
-        self._resolve()
-
-    def _window_at(self, t: float) -> int:
-        if not self._hop_starts_abs:
-            return 0
-        return max(0, bisect_right(self._hop_starts_abs, t) - 1)
-
-    def _resolve(self) -> None:
         self._resolved += 1
         if self._resolved == self.config.packets:
-            self._traffic_end = self.queue.now
+            self._traffic_end = queue.now
 
     # -- run --
 

@@ -172,8 +172,8 @@ class TestIndexedBlocklist:
 class TestObserverTap:
     def test_watches_its_link_in_either_direction(self):
         tap = ObserverTap((2, 1))
-        assert tap.watches(1, 2) and tap.watches(2, 1)
-        assert not (tap.watches(1, 3) or tap.watches(1, 1) or tap.watches(2, 2))
+        assert (1, 2) in tap.crossings and (2, 1) in tap.crossings
+        assert not {(1, 3), (1, 1), (2, 2)} & tap.crossings
 
 
 class TestExtractHopIntervals:

@@ -33,47 +33,64 @@ def packet(src=CLIENT, dst=INTERNAL):
     return Packet(src, dst)
 
 
+def installed(install, internal, external, table=None, **options):
+    """`table` (by default a new empty one) once `install` has written to it."""
+    table = FlowTable() if table is None else table
+    assert install(table, internal, external, **options) is None
+    return table
+
+
 class TestInstallHopRules:
     def test_empty_table_gets_two_rules(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
         assert len(table.rules) == 2
         assert {r.direction for r in table.rules} == set(Direction)
 
     def test_idempotent(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        assert install_hop_rules(table, INTERNAL, EXT1) == table
+        table = installed(install_hop_rules, INTERNAL, EXT1)
+        before = list(table.rules)
+        install_hop_rules(table, INTERNAL, EXT1)
+        assert table.rules == before
 
     def test_reinstall_removes_old_external(self):
-        t1 = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        t2 = install_hop_rules(t1, INTERNAL, EXT2)
-        referenced = {r.value for r in t2.rules} | {r.target for r in t2.rules if r.target}
+        table = installed(install_hop_rules, INTERNAL, EXT1)
+        install_hop_rules(table, INTERNAL, EXT2)
+        referenced = {r.value for r in table.rules} | {r.target for r in table.rules if r.target}
         assert EXT1 not in referenced
-        assert len(t2.rules) == 2
+        assert len(table.rules) == 2
 
     def test_version_mismatch(self):
+        table = endpoint_table(INTERNAL)
+        before = list(table.rules)
         with pytest.raises(VersionMismatch):
-            install_hop_rules(FlowTable(), INTERNAL, Address.parse("2001:db8::1"))
+            install_hop_rules(table, INTERNAL, Address.parse("2001:db8::1"))
+        assert table.rules == before
 
     def test_equal_addresses_rejected(self):
+        table = endpoint_table(INTERNAL)
+        before = list(table.rules)
         with pytest.raises(ValueError):
-            install_hop_rules(FlowTable(), INTERNAL, INTERNAL)
+            install_hop_rules(table, INTERNAL, INTERNAL)
+        assert table.rules == before
 
     def test_preserves_unrelated_rules(self):
-        base = endpoint_table(INTERNAL)
-        table = install_hop_rules(base, INTERNAL, EXT1)
-        assert len(table.rules) == len(base.rules) + 2
+        table = endpoint_table(INTERNAL)
+        base = list(table.rules)
+        install_hop_rules(table, INTERNAL, EXT1)
+        assert len(table.rules) == len(base) + 2
+        assert table.rules[:len(base)] == base
 
 
 class TestApply:
     def test_outbound_rewrites_src_only(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
         before = packet(src=INTERNAL, dst=CLIENT)
         after = apply_detail(table, before, Direction.OUTBOUND)[0]
         assert after.src == EXT1
         assert after.dst == before.dst
 
     def test_inbound_restores_internal(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
         after = apply_detail(table, packet(dst=EXT1), Direction.INBOUND)[0]
         assert after.dst == INTERNAL
 
@@ -84,8 +101,8 @@ class TestApply:
     def test_round_trip_composition(self):
         # Outbound rewrite at the tracking sender, inbound rewrite at the
         # hopping receiver: the application-layer addressing is restored.
-        sender = install_peer_rules(FlowTable(), INTERNAL, EXT1)
-        receiver = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        sender = installed(install_peer_rules, INTERNAL, EXT1)
+        receiver = installed(install_hop_rules, INTERNAL, EXT1)
         wire = apply_detail(sender, packet(dst=INTERNAL), Direction.OUTBOUND)[0]
         assert wire.dst == EXT1
         delivered = apply_detail(receiver, wire, Direction.INBOUND)[0]
@@ -93,18 +110,18 @@ class TestApply:
 
     def test_priority_wins(self):
         low = FlowRule(1, Direction.INBOUND, AddrField.DST, EXT1)
-        table = install_hop_rules(FlowTable(rules=(low,)), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1, FlowTable(rules=(low,)))
         assert apply_detail(table, packet(dst=EXT1), Direction.INBOUND)[0].dst == INTERNAL
 
     def test_deterministic(self):
-        table = install_hop_rules(endpoint_table(INTERNAL), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1, endpoint_table(INTERNAL))
         pkt = packet(dst=EXT1)
         results = {apply_detail(table, pkt, Direction.INBOUND)[0] for _ in range(5)}
         assert len(results) == 1
 
     @given(st.integers(0, 2**32 - 1))
     def test_rewrite_preserves_every_other_field(self, dst_bits):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
         before = Packet(INTERNAL, Address(IPVersion.V4, dst_bits))
         after = apply_detail(table, before, Direction.OUTBOUND)[0]
         assert after.src == EXT1
@@ -164,7 +181,7 @@ def scan_lookup(table, packet, direction):
 class TestIndexedLookup:
     @given(st.lists(flow_rules(), max_size=24, unique_by=lambda r: (r.key, r.priority)))
     def test_matches_linear_scan(self, rules):
-        table = FlowTable(tuple(rules))
+        table = FlowTable(rules)
         for pkt, direction in PROBES:
             result, rule = apply_detail(table, pkt, direction)
             expected, expected_rule = scan_lookup(table, pkt, direction)
@@ -213,18 +230,18 @@ def reference_install(table, internal, external, *, mirror, grace):
     ]
     existing = {_match_and_priority(r) for r in kept}
     kept.extend(r for r in fresh if _match_and_priority(r) not in existing)
-    return FlowTable(tuple(kept))
+    return FlowTable(kept)
 
 
 def reference_expire(table, external):
-    return FlowTable(tuple(
+    return FlowTable(
         r for r in table.rules
         if not (
             r.target is not None
             and r.direction is Direction.INBOUND
             and r.value == external
         )
-    ))
+    )
 
 
 # v6 addresses with the bits of the v4 ones: keys that differ only in version.
@@ -250,6 +267,7 @@ def writes(draw):
 
 
 def _write(op, table, internal, external, grace, reference):
+    """The reference returns a new table; the write under test edits `table`."""
     if op == "expire":
         return (reference_expire if reference else expire_external)(table, external)
     if reference:
@@ -271,20 +289,23 @@ class TestKeyedWrites:
         st.lists(writes(), min_size=1, max_size=8),
     )
     def test_matches_predicate_selection(self, rules, ops):
-        table = FlowTable(tuple(rules))
+        table = FlowTable(rules)
         for op, internal, external, grace in ops:
-            new, error = _outcome(_write, op, table, internal, external, grace, False)
-            expected, expected_error = _outcome(
-                _write, op, table, internal, external, grace, True
-            )
-            assert error is expected_error
-            if error is not None:
-                continue
-            assert new.rules == expected.rules
-            assert [r.key for r in new.rules] == [r.key for r in expected.rules]
             for pkt, direction in WRITE_PROBES:
-                assert apply_detail(new, pkt, direction) == apply_detail(expected, pkt, direction)
-            table = new
+                _apply_chain(table, pkt, direction)
+            before = FlowTable(table.rules)
+            result, error = _outcome(_write, op, table, internal, external, grace, False)
+            expected, expected_error = _outcome(
+                _write, op, before, internal, external, grace, True
+            )
+            assert error is expected_error and result is None
+            if error is not None:
+                assert table.rules == before.rules
+                continue
+            assert table.rules == expected.rules and not table.memo
+            assert [r.key for r in table.rules] == [r.key for r in expected.rules]
+            for pkt, direction in WRITE_PROBES:
+                assert apply_detail(table, pkt, direction) == apply_detail(expected, pkt, direction)
 
     def test_key_is_the_match(self):
         rule = FlowRule(5, Direction.INBOUND, AddrField.SRC, EXT1)
@@ -310,54 +331,57 @@ class TestDecisionCache:
         st.lists(writes(), max_size=4),
     )
     def test_matches_uncached_chain(self, rules, ops):
-        tables = [FlowTable(tuple(rules))]
-        for op, internal, external, grace in ops:
-            new, _ = _outcome(_write, op, tables[-1], internal, external, grace, False)
-            if new is not None:
-                assert not new.memo
-                tables.append(new)
-        for table in tables:
-            # Rounds two and three hit the memo with equal but distinct packets.
-            for round_number in range(3):
-                for pkt, direction in WRITE_PROBES:
-                    if round_number:
-                        pkt = pkt.replace()
-                    assert _apply_chain(table, pkt, direction) == uncached_chain(
-                        table, pkt, direction
-                    )
+        table = FlowTable(rules)
+        for write in [None, *ops]:
+            if write is not None:
+                op, internal, external, grace = write
+                _, error = _outcome(_write, op, table, internal, external, grace, False)
+                if error is None:
+                    assert not table.memo
+            for pkt, direction in WRITE_PROBES:
+                assert _apply_chain(table, pkt, direction) == uncached_chain(table, pkt, direction)
+            # The memo keeps each answer by header value, so an equal but
+            # distinct packet, probed as the packet path probes, hits it.
+            for pkt, direction in WRITE_PROBES:
+                key = (direction, pkt.src.key, pkt.dst.key)
+                assert table.memo[key] == uncached_chain(table, pkt.replace(), direction)
             assert len(table.memo) == len(WRITE_PROBES)
 
     def test_memo_stays_out_of_identity(self):
-        table = install_peer_rules(install_hop_rules(endpoint_table(INTERNAL), INTERNAL, EXT1),
-                                   CLIENT, EXT2)
+        # Tables with equal rules are distinct holders: each has its own
+        # memo, and a write to one leaves the other as it was.
+        table = installed(install_hop_rules, INTERNAL, EXT1, endpoint_table(INTERNAL))
+        install_peer_rules(table, CLIENT, EXT2)
         twin = FlowTable(table.rules)
+        assert twin.rules == table.rules and twin.rules is not table.rules
         _apply_chain(table, packet(src=EXT2, dst=EXT1), Direction.INBOUND)
         assert table.memo and not twin.memo
-        assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
-        assert "memo" not in repr(table)
+        expire_external(twin, EXT1)
+        assert table.memo and twin.rules != table.rules
+        assert rewritten_inbound(table, INTERNAL, (EXT1,)) == {EXT1}
 
 
 class TestGraceSet:
     def test_fresh_install(self):
-        table = install_hop_rules(FlowTable(), INTERNAL, EXT1)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
         assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {EXT1}
 
     def test_empty_table(self):
         assert rewritten_inbound(FlowTable(), INTERNAL, (EXT1, EXT2)) == set()
 
     def test_grace_window_holds_both_addresses(self):
-        t1 = install_hop_rules(FlowTable(), INTERNAL, EXT1)
-        t2 = install_hop_rules(t1, INTERNAL, EXT2, grace=True)
+        table = installed(install_hop_rules, INTERNAL, EXT1)
+        install_hop_rules(table, INTERNAL, EXT2, grace=True)
         # Old external still accepts in-flight packets...
-        assert rewritten_inbound(t2, INTERNAL, (EXT1, EXT2)) == {EXT1, EXT2}
+        assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {EXT1, EXT2}
         # ...until the grace window expires.
-        t3 = expire_external(t2, EXT1)
-        assert rewritten_inbound(t3, INTERNAL, (EXT1, EXT2)) == {EXT2}
+        assert expire_external(table, EXT1) is None
+        assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {EXT2}
 
     def test_outside_grace_single_resident(self):
         table = FlowTable()
         for ext in (EXT1, EXT2, EXT1):
-            table = install_hop_rules(table, INTERNAL, ext)
+            install_hop_rules(table, INTERNAL, ext)
             assert rewritten_inbound(table, INTERNAL, (EXT1, EXT2)) == {ext}
 
 

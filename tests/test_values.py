@@ -70,11 +70,6 @@ class FlowRule:
 
 
 @dataclass(frozen=True)
-class FlowTable:
-    rules: tuple = ()
-
-
-@dataclass(frozen=True)
 class RouteMessage:
     sender: int
     receiver: int
@@ -220,7 +215,6 @@ pools = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).map(
 rule_args = st.tuples(
     st.integers(0, 2), st.sampled_from(Direction), st.sampled_from(AddrField), v4, st.none() | v4
 )
-rules = rule_args.map(lambda a: flowtable.FlowRule(*a))
 paths = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 uppers = st.lists(st.sampled_from([1.0, 2.0, 5.0]), min_size=1, max_size=3, unique=True)
 bins = uppers.map(sorted).map(
@@ -267,9 +261,6 @@ CASES = [
     (addressing.PrefixPool, PrefixPool, pools.map(lambda p: (p.prefixes,))),
     (flowtable.Packet, Packet, st.tuples(v4, v4)),
     (flowtable.FlowRule, FlowRule, rule_args),
-    (flowtable.FlowTable, FlowTable, st.tuples(
-        st.lists(rules, max_size=4, unique_by=lambda r: (r.key, r.priority)).map(tuple),
-    )),
     (routing.RouteMessage, RouteMessage, st.tuples(
         st.integers(1, 2), st.integers(1, 2), prefixes, st.none() | paths, st.integers(0, 2)
     )),
