@@ -21,8 +21,13 @@ A table also carries a `memo` that the session's two-lookup rewrite
 chain fills per packet header with the packet that leaves the chain,
 or None for a drop, as Open vSwitch puts an exact-match cache in front
 of its classifier (Pfaff et al., NSDI 2015); a lookup scans only on a
-memo miss. Every write clears the memo, as Open vSwitch drops its cache
-on a flow-mod, so an entry never outlives the rules that gave it.
+memo miss. An install clears the memo, as Open vSwitch drops its cache
+on a flow-mod. An expiry only removes inbound rules that match the
+expired external, and such a rule only decides lookups of packets that
+hold that address: an inbound header, or a packet that an inbound rule
+rewrote to it. So an expiry drops the inbound entries whose header
+holds the address, or every inbound entry when some inbound rule
+rewrites to it. Either way no entry outlives the rules that gave it.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ class FlowTable:
 
     # `memo` is the decision cache that `session._apply_chain` fills: the
     # packet that leaves the chain for a header, or None for a drop. The
-    # writes below edit `rules` in place and clear it, so it stays exact.
+    # writes below edit `rules` in place and drop every entry they could
+    # change (see the module docstring), so it stays exact.
     __slots__ = ("rules", "memo")
 
     def __init__(self, rules: Iterable[FlowRule] = ()):
@@ -131,23 +137,33 @@ def _install(
     # (tracking peer) install rewrites destinations out and sources in,
     # so the local application only ever sees the peer's fixed internal
     # address. The rewrite rules an install replaces match the same fields.
+    # A fresh rule is added unless a kept rule has its key and priority.
     src, dst = AddrField.SRC, AddrField.DST
     out_field, in_field = (dst, src) if mirror else (src, dst)
     outbound = Direction.OUTBOUND
+    fresh_out = FlowRule(priority, outbound, out_field, internal, external)
+    fresh_in = FlowRule(priority, Direction.INBOUND, in_field, external, internal)
+    out_key, in_key = fresh_out.key, fresh_in.key
     external_key = external.key
     kept = []
+    add_out = add_in = True
     for r in table.rules:
-        direction, fld, key = r.key
+        direction, fld, key = rule_key = r.key
         if r.target is None or (direction is outbound) is not (fld is out_field):
             kept.append(r)
         elif grace and direction is not outbound and key != external_key:
             kept.append(r)  # old inbound rules survive until grace expiry
-    existing = {(r.key, r.priority) for r in kept}
-    fresh = (
-        FlowRule(priority, outbound, out_field, internal, external),
-        FlowRule(priority, Direction.INBOUND, in_field, external, internal),
-    )
-    kept.extend(r for r in fresh if (r.key, priority) not in existing)
+        else:
+            continue
+        if r.priority == priority:
+            if rule_key == out_key:
+                add_out = False
+            elif rule_key == in_key:
+                add_in = False
+    if add_out:
+        kept.append(fresh_out)
+    if add_in:
+        kept.append(fresh_in)
     table.rules[:] = kept
     table.memo.clear()
 
@@ -175,11 +191,24 @@ def install_peer_rules(
 def expire_external(table: FlowTable, external: Address) -> None:
     """Remove `table`'s inbound rewrite rules for `external` (end of its grace window)."""
     external_key, inbound = external.key, Direction.INBOUND
-    table.rules[:] = [
-        r for r in table.rules
-        if not (r.key[2] == external_key and r.key[0] is inbound and r.target is not None)
+    kept = []
+    chained = False  # some inbound rule rewrites to `external`
+    for r in table.rules:
+        direction, _, key = r.key
+        target = r.target
+        if direction is inbound and target is not None:
+            if key == external_key:
+                continue
+            chained = chained or target.key == external_key
+        kept.append(r)
+    table.rules[:] = kept
+    memo = table.memo
+    stale = [
+        header for header in memo
+        if header[0] is inbound and (chained or external_key in (header[1], header[2]))
     ]
-    table.memo.clear()
+    for header in stale:
+        del memo[header]
 
 
 def endpoint_table(internal: Address) -> FlowTable:

@@ -16,6 +16,10 @@ paths, origins and update keys hold a prefix by its int `Prefix.key`,
 so a routing message hashes ints only; messages and `longest_match`
 still carry `Prefix` values.
 
+An advertisement is one `RouteMessage`, built once and queued to every
+neighbour; the receiver is the middle ASN of the update key it is
+queued under, not a field of the message.
+
 Updates are coalesced: at most one undelivered update exists per
 (sender, receiver, prefix). A newer update replaces the queued one and
 goes out in that one's delivery slot instead of taking a new slot.
@@ -41,7 +45,7 @@ anywhere under an epoch that a later withdrawal kills.
 
 `AsGraph` owns the queue; `converge` drains it in slot order, and an
 external scheduler takes the slots with `AsGraph.take_slots` and
-delivers each with `AsGraph.take`.
+delivers each by popping its key from `AsGraph.pending`.
 """
 
 from __future__ import annotations
@@ -55,13 +59,12 @@ from .values import Frozen, _set
 
 
 class RouteMessage(Frozen):
-    __slots__ = _fields = ("sender", "receiver", "prefix", "path", "epoch")
+    """One advertisement of `sender`'s route, shared by every neighbour it goes to."""
 
-    def __init__(
-        self, sender: int, receiver: int, prefix: Prefix, path: tuple[int, ...] | None, epoch: int
-    ):
+    __slots__ = _fields = ("sender", "prefix", "path", "epoch")
+
+    def __init__(self, sender: int, prefix: Prefix, path: tuple[int, ...] | None, epoch: int):
         _set(self, "sender", sender)
-        _set(self, "receiver", receiver)
         _set(self, "prefix", prefix)
         _set(self, "path", path)  # None = withdraw
         # The path's announcement; for a withdrawal, the newest one known dead.
@@ -126,28 +129,27 @@ class AsGraph:
     def send(
         self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None, epoch: int
     ) -> None:
-        """Queue `node`'s update on `prefix` to each neighbor.
+        """Queue `node`'s update on `prefix` to each neighbor: one message,
+        queued under one key per neighbor.
 
         An update replaces an undelivered one on the same key and keeps
         that one's slot; only a key with nothing queued opens a new slot.
         """
-        pending, asn, pkey = self.pending, node.asn, prefix.key
+        pending, slots, asn, pkey = self.pending, self.slots, node.asn, prefix.key
+        msg = RouteMessage(asn, prefix, path, epoch)
         for nbr in node.peers:
             key = (asn, nbr, pkey)
             if key not in pending:
-                self.slots.append(key)
-            pending[key] = RouteMessage(asn, nbr, prefix, path, epoch)
+                slots.append(key)
+            pending[key] = msg
 
     def take_slots(self) -> list[UpdateKey]:
         """Hand the slots opened since the last call to an external
-        scheduler (the event loop), which delivers each with `take`."""
+        scheduler (the event loop), which delivers each key `k` with
+        `process_message(graph, graph.pending.pop(k), k[1])`."""
         out = list(self.slots)
         self.slots.clear()
         return out
-
-    def take(self, key: UpdateKey) -> RouteMessage:
-        """Remove and return the update now queued on `key`."""
-        return self.pending.pop(key)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
@@ -205,11 +207,11 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     _learn(graph, node, prefix, origin, None, node.learned[prefix.key][origin][2])
 
 
-def process_message(graph: AsGraph, msg: RouteMessage) -> bool:
-    """Apply one routing message; True when the receiver's route, its best
-    path and that path's epoch, changed and updates went out to the
-    neighbors."""
-    return _learn(graph, graph.nodes[msg.receiver], msg.prefix, msg.sender, msg.path, msg.epoch)
+def process_message(graph: AsGraph, msg: RouteMessage, receiver: int) -> bool:
+    """Apply one routing message at `receiver`; True when the receiver's
+    route, its best path and that path's epoch, changed and updates went
+    out to the neighbors."""
+    return _learn(graph, graph.nodes[receiver], msg.prefix, msg.sender, msg.path, msg.epoch)
 
 
 def _learn(
@@ -219,7 +221,9 @@ def _learn(
     """Take `sender`'s path of `epoch`, or its withdrawal naming `epoch`, at
     `node`; the origin sends to itself. True as for `process_message`."""
     key = prefix.key
-    learned = node.learned.setdefault(key, {})
+    learned = node.learned.get(key)
+    if learned is None:
+        learned = node.learned[key] = {}
     dead = node.dead.get(key, 0)
     if path is None and epoch > dead:
         # The root cause: every path of an epoch up to this one is dead.
@@ -256,8 +260,10 @@ def _learn(
 def converge(graph: AsGraph) -> int:
     """Deliver queued updates in slot order to a fixed point; returns steps taken."""
     steps = 0
-    while graph.slots:
-        process_message(graph, graph.take(graph.slots.popleft()))
+    slots, pending = graph.slots, graph.pending
+    while slots:
+        key = slots.popleft()
+        process_message(graph, pending.pop(key), key[1])
         steps += 1
     return steps
 
@@ -277,9 +283,12 @@ def originates(graph: AsGraph, asn: int, address: Address) -> bool:
     """True if some announced prefix containing `address` has origin `asn`."""
     # An origin's rib holds every prefix it announces, so its index finds them.
     node = graph.nodes.get(asn)
-    return node is not None and any(
-        graph.origins.get(p.key) == asn for p in node.index.matches(address)
-    )
+    if node is not None:
+        origins = graph.origins
+        for prefix in node.index.matches(address):
+            if origins.get(prefix.key) == asn:
+                return True
+    return False
 
 
 def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int]:

@@ -201,12 +201,16 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
 class _HopEnd:
     """Internal: one hopping endpoint plus the peer tracking it."""
 
-    __slots__ = ("agent", "peer", "pool")
+    # `hop_head` and `hop_tail` are the fixed text around a hop line's
+    # index and address, formatted once per run rather than once per hop.
+    __slots__ = ("agent", "peer", "pool", "hop_head", "hop_tail")
 
     def __init__(self, agent: EndpointAgent, peer: EndpointAgent, pool: PrefixPool):
         self.agent = agent
         self.peer = peer
         self.pool = pool
+        self.hop_head = f"role={agent.role.value};index="
+        self.hop_tail = f";via={agent.deployment.value}"
 
 
 class SimulationResult:
@@ -264,20 +268,33 @@ class Simulation:
         self.trace.emit(self.queue.now, component, event, details)
 
     def _flush_routing(self) -> None:
-        # One event per delivery instant, carrying the slots opened since
-        # the last flush; an update that replaces a queued one rides in
-        # that one's slot (see the routing module). Nothing can run
-        # between the slots of one event, so they fire in the order that
-        # one event per slot would give.
+        # One delivery instant per link delay, carrying the slots opened
+        # since the last flush; an update that replaces a queued one rides
+        # in that one's slot (see the routing module). Nothing can run
+        # between the slots of one instant, so they fire in the order that
+        # one event per slot would give. An announcement or withdrawal
+        # queues its first instant here; `_deliver_routing` takes each
+        # later one inline when it can.
         slots = self.graph.take_slots()
         if slots:
             self.queue.schedule_in(self.config.link_delay_ms, self._deliver_routing, slots)
 
     def _deliver_routing(self, slots: list) -> None:
-        graph = self.graph
-        for key in slots:
-            process_message(graph, graph.take(key))
-        self._flush_routing()
+        # A wave's next instant runs inline, as a link crossing does, when
+        # no queued event is due by then; else it is queued. The event
+        # loop does nothing after this returns, so the order of events is
+        # the one queueing every instant would give.
+        graph, queue, delay = self.graph, self.queue, self.config.link_delay_ms
+        pending = graph.pending
+        while True:
+            for key in slots:
+                process_message(graph, pending.pop(key), key[1])
+            slots = graph.take_slots()
+            if not slots:
+                return
+            if not queue.advance_to(queue.now + delay):
+                queue.schedule_in(delay, self._deliver_routing, slots)
+                return
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
         key = prefix.key
@@ -374,10 +391,7 @@ class Simulation:
         prev = entries[k - 1].address if k > 0 else None
         hop(end.agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
         self._emit_trace(
-            "session",
-            "hop",
-            f"role={end.agent.role.value};index={k};external={entry.address}"
-            f";via={end.agent.deployment.value}",
+            "session", "hop", f"{end.hop_head}{k};external={entry.address}{end.hop_tail}"
         )
 
         use_grace = prev is not None and cfg.grace_window_ms > 0

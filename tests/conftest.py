@@ -66,9 +66,15 @@ def make_config(
     server_as=3,
     client_as=1,
     server_ip="10.0.0.1",
+    client_pool=None,
 ):
-    """Write a scenario config (plus topology) into tmp_path; returns the path."""
+    """Write a scenario config (plus topology) into tmp_path; returns the path.
+
+    A `client_pool` goes into `[client]`; two-way mode also needs
+    `two_way = true` in `[scenario]`.
+    """
     (tmp_path / "topo.txt").write_text(topo)
+    client_pool = "" if client_pool is None else f"pool = {client_pool}\n"
     text = f"""
 [scenario]
 seed = {seed}
@@ -87,7 +93,7 @@ hopping = {"true" if server_hopping else "false"}
 [client]
 internal_ip = 184.164.242.77
 attached_as = {client_as}
-
+{client_pool}
 [dwell]
 source = {dwell}
 fixed_ms = {fixed_ms}

@@ -294,6 +294,7 @@ class TestKeyedWrites:
             for pkt, direction in WRITE_PROBES:
                 _apply_chain(table, pkt, direction)
             before = FlowTable(table.rules)
+            memo = dict(table.memo)
             result, error = _outcome(_write, op, table, internal, external, grace, False)
             expected, expected_error = _outcome(
                 _write, op, before, internal, external, grace, True
@@ -302,7 +303,11 @@ class TestKeyedWrites:
             if error is not None:
                 assert table.rules == before.rules
                 continue
-            assert table.rules == expected.rules and not table.memo
+            assert table.rules == expected.rules
+            if op == "expire":
+                assert_expiry_kept_exact_entries(table, memo, external)
+            else:
+                assert not table.memo
             assert [r.key for r in table.rules] == [r.key for r in expected.rules]
             for pkt, direction in WRITE_PROBES:
                 assert apply_detail(table, pkt, direction) == apply_detail(expected, pkt, direction)
@@ -325,6 +330,26 @@ def uncached_chain(table, packet, direction):
     return result
 
 
+def assert_expiry_kept_exact_entries(table, memo_before, external):
+    """After an expiry of `external`: the memo kept every outbound entry
+    and no inbound one that names `external` in its header or result, and
+    each entry it kept is the uncached answer for the rules now held."""
+    for header, result in memo_before.items():
+        if header[0] is Direction.OUTBOUND:
+            assert table.memo[header] == result
+    for header, result in table.memo.items():
+        assert memo_before[header] == result
+        if header[0] is Direction.INBOUND:
+            named = {header[1], header[2]}
+            if result is not None:
+                named |= {result.src.key, result.dst.key}
+            assert external.key not in named
+    for pkt, direction in WRITE_PROBES:
+        key = (direction, pkt.src.key, pkt.dst.key)
+        if key in table.memo:
+            assert table.memo[key] == uncached_chain(table, pkt, direction)
+
+
 class TestDecisionCache:
     @given(
         st.lists(flow_rules(), max_size=16, unique_by=lambda r: (r.key, r.priority)),
@@ -335,8 +360,11 @@ class TestDecisionCache:
         for write in [None, *ops]:
             if write is not None:
                 op, internal, external, grace = write
+                memo = dict(table.memo)
                 _, error = _outcome(_write, op, table, internal, external, grace, False)
-                if error is None:
+                if error is None and op == "expire":
+                    assert_expiry_kept_exact_entries(table, memo, external)
+                elif error is None:
                     assert not table.memo
             for pkt, direction in WRITE_PROBES:
                 assert _apply_chain(table, pkt, direction) == uncached_chain(table, pkt, direction)
@@ -346,6 +374,43 @@ class TestDecisionCache:
                 key = (direction, pkt.src.key, pkt.dst.key)
                 assert table.memo[key] == uncached_chain(table, pkt.replace(), direction)
             assert len(table.memo) == len(WRITE_PROBES)
+
+    def test_expiry_keeps_the_entries_it_cannot_change(self):
+        # The session's expiry: after a hop from EXT1 to EXT2 with grace,
+        # EXT1's inbound rule goes, and only EXT1's entries with it.
+        table = installed(install_hop_rules, INTERNAL, EXT1, endpoint_table(INTERNAL))
+        install_hop_rules(table, INTERNAL, EXT2, grace=True)
+        headers = [
+            (packet(src=INTERNAL, dst=CLIENT), Direction.OUTBOUND),
+            (packet(dst=EXT1), Direction.INBOUND),
+            (packet(dst=EXT2), Direction.INBOUND),
+        ]
+        for pkt, direction in headers:
+            _apply_chain(table, pkt, direction)
+        expire_external(table, EXT1)
+        assert set(table.memo) == {
+            (Direction.OUTBOUND, INTERNAL.key, CLIENT.key),
+            (Direction.INBOUND, CLIENT.key, EXT2.key),
+        }
+        assert table.memo[(Direction.INBOUND, CLIENT.key, EXT2.key)] == packet()
+
+    def test_expiry_of_a_chain_middle_drops_every_inbound_entry(self):
+        # dst A -> B, then dst B -> C: the memo keeps (s, A) -> (s, C), and
+        # neither names B. Expiring B ends the chain at (s, B), so an
+        # inbound rule rewriting to the expired address empties the
+        # inbound memo.
+        a, b, c = INTERNAL, EXT1, EXT2
+        inbound, dst = Direction.INBOUND, AddrField.DST
+        table = FlowTable([
+            FlowRule(HOP_RULE_PRIORITY, inbound, dst, a, b),
+            FlowRule(HOP_RULE_PRIORITY, inbound, dst, b, c),
+            FlowRule(PERMIT_RULE_PRIORITY, Direction.OUTBOUND, AddrField.SRC, a),
+        ])
+        assert _apply_chain(table, packet(dst=a), inbound) == packet(dst=c)
+        _apply_chain(table, packet(src=a), Direction.OUTBOUND)
+        expire_external(table, b)
+        assert list(table.memo) == [(Direction.OUTBOUND, a.key, INTERNAL.key)]
+        assert _apply_chain(table, packet(dst=a), inbound) == packet(dst=b)
 
     def test_memo_stays_out_of_identity(self):
         # Tables with equal rules are distinct holders: each has its own

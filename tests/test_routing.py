@@ -38,6 +38,11 @@ def bfs_distances(graph: AsGraph, origin: int) -> dict[int, int]:
     return dist
 
 
+def deliver_slot(g: AsGraph, key) -> bool:
+    """Deliver the update queued on `key` (sender, receiver, prefix key)."""
+    return process_message(g, g.pending.pop(key), key[1])
+
+
 def random_connected_graph(rng: SplitMix64, size: int) -> AsGraph:
     """Random spanning tree plus a sprinkle of extra edges."""
     edges = [(rng.below(i) + 1, i + 1) for i in range(1, size)]
@@ -251,7 +256,7 @@ def test_scheduler_hand_off_reaches_converge_fixed_point():
     # An external scheduler delivering the slots in order reaches the
     # same ribs as converge(), and leaves nothing undelivered.
     while slots:
-        process_message(g, g.take(slots.pop(0)))
+        deliver_slot(g, slots.pop(0))
         slots.extend(g.take_slots())
     assert not g.pending
     assert {asn: n.rib for asn, n in g.nodes.items()} == {
@@ -278,11 +283,13 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
     g = random_connected_graph(rng, size)
 
     def deliver():
-        msg = g.take(g.slots.popleft())
-        node, key = g.nodes[msg.receiver], msg.prefix.key
+        slot = g.slots.popleft()
+        msg = g.pending.pop(slot)
+        node, key = g.nodes[slot[1]], msg.prefix.key
+        assert (msg.sender, key) == (slot[0], slot[2])
         before = node.rib.get(key), node.epochs.get(key)
         pending = dict(g.pending)
-        changed = process_message(g, msg)
+        changed = process_message(g, msg, slot[1])
         after, epoch = node.rib.get(key), node.epochs.get(key)
         assert changed is ((after, epoch) != before)
         if not changed:
@@ -297,8 +304,8 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
             epoch = node.dead[key]
         else:
             assert epoch == node.learned[key][after[0]][2]
+        update = RouteMessage(node.asn, msg.prefix, advertised, epoch)
         for peer in node.peers:
-            update = RouteMessage(node.asn, peer, msg.prefix, advertised, epoch)
             assert g.pending[(node.asn, peer, key)] == update
 
     for prefix, deliveries in actions:
@@ -336,7 +343,7 @@ class TestCoalescing:
         g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
         (key,) = g.take_slots()
-        process_message(g, g.take(key))
+        deliver_slot(g, key)
         assert g.take_slots() == [(2, 1, P24.key)]  # AS 2's reply
         withdraw(g, P24, 1)
         assert g.take_slots() == [key]
@@ -375,7 +382,7 @@ class TestRootCause:
         taken: list = []  # slots taken by a scheduler, in delivery order
 
         def deliver_one():
-            process_message(g, g.take(taken.pop(0)))
+            deliver_slot(g, taken.pop(0))
             # Every queued update has exactly one slot, taken or not.
             assert sorted(taken + list(g.slots)) == sorted(g.pending)
 
@@ -422,7 +429,7 @@ class TestRootCause:
         assert (msg.path, msg.epoch) == ((1,), 2)
         while slots:
             assert two.rib[P24.key] == (1,)
-            process_message(g, g.take(slots.pop(0)))
+            deliver_slot(g, slots.pop(0))
             slots.extend(g.take_slots())
         assert not g.pending
         assert two.rib[P24.key] == (1,) and two.epochs[P24.key] == 2
@@ -430,6 +437,37 @@ class TestRootCause:
         withdraw(g, P24, 1)
         assert converge(g) <= 4  # 2E messages on E = 2 links
         assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
+
+
+class TestSharedAdvertisement:
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    def test_send_builds_one_message_for_all_peers(self, size, monkeypatch):
+        # Every send, at the origin or after a best-path change, builds
+        # one message and queues it to each peer under that peer's key.
+        sends, built = [], []
+        real_send, real_init = AsGraph.send, RouteMessage.__init__
+
+        def send(graph, node, prefix, path, epoch):
+            sends.append(len(node.peers))
+            real_send(graph, node, prefix, path, epoch)
+            msgs = [graph.pending[(node.asn, peer, prefix.key)] for peer in node.peers]
+            assert all(msg is msgs[0] for msg in msgs)
+            assert (msgs[0].sender, msgs[0].path, msgs[0].epoch) == (node.asn, path, epoch)
+
+        def init(msg, *args):
+            built.append(msg)
+            real_init(msg, *args)
+
+        monkeypatch.setattr(AsGraph, "send", send)
+        monkeypatch.setattr(RouteMessage, "__init__", init)
+        g = clique(size)
+        announce(g, P24, 1)
+        steps = converge(g)
+        withdraw(g, P24, 1)
+        steps += converge(g)
+        assert len(built) == len(sends) and set(sends) == {size - 1}
+        # Each message still reaches every peer: one delivery per peer.
+        assert steps == sum(sends)
 
 
 class TestPrefixIndex:

@@ -766,19 +766,27 @@ REACTIVE_TAP = (
 # At zero delay such a send crosses every link at that instant, and a
 # 300 ms skew still points the send at each grace expiry to the expiring
 # address: the crossing must queue behind the expiry and die on arrival.
+# In two-way mode on the mesh, both ends announce and withdraw /24s
+# from opposite corners, so routing waves overlap each other and the
+# packets.
 INLINE_CASES = {
     "mesh": (dict(topo=MESH_CHURN_TOPOLOGY, server_as=16, extra=REACTIVE_TAP.format("1-2"),
                   pool=",".join(f"100.64.{i}.0/24" for i in range(4))), ""),
     "zero_delay": ({}, "link_delay_ms = 0\nclock_skew_ms = 300\n"),
     "reactive_tap": (dict(extra=REACTIVE_TAP.format("2-3")), ""),
+    "two_way_mesh": (dict(topo=MESH_CHURN_TOPOLOGY, server_as=16,
+                          pool=",".join(f"100.64.{i}.0/24" for i in range(4)),
+                          client_pool=",".join(f"100.65.{i}.0/24" for i in range(4))),
+                     "two_way = true\nclient_seed = 7\nclock_skew_ms = 300\n"),
 }
 
 
 class TestInlineCrossing:
-    """Taking a link crossing inline gives the run that queueing it gives."""
+    """Taking a link crossing or a routing wave's next instant inline gives
+    the run that queueing it gives."""
 
     @pytest.mark.parametrize("case", [*INLINE_CASES, "two_way_skew"])
-    def test_inline_crossing_matches_queued(self, tmp_path, processed, case):
+    def test_inline_crossing_matches_queued(self, tmp_path, processed, routing_calls, case):
         from test_dwell import symbol_chain
 
         if case == "two_way_skew":
@@ -792,6 +800,7 @@ class TestInlineCrossing:
             path.write_text(path.read_text().replace("[topology]", scenario + "\n[topology]"))
             config = ScenarioConfig.from_file(path)
         inline = Simulation(config).run()
+        messages = routing_calls["process_message"]
         sim = Simulation(config)
         sim.queue = _QueueEveryCrossing()
         queued = sim.run()
@@ -799,17 +808,20 @@ class TestInlineCrossing:
         assert inline.metrics.to_dict() == queued.metrics.to_dict()
         assert inline.verdicts == queued.verdicts
         assert processed[0] < processed[1]
+        assert routing_calls["process_message"] == 2 * messages
         assert ",traffic,deliver," in inline.trace_text()
         if case == "zero_delay":
             assert ";reason=no_rule;" in inline.trace_text()
-        elif case != "two_way_skew":
+        elif case in ("two_way_mesh", "two_way_skew"):
+            assert ";reason=stale_rewrite;" in inline.trace_text()
+        else:
             assert ",adversary,block," in inline.trace_text() and inline.verdicts
 
     def test_shipped_configs_event_counts(self, processed):
         configs = Path(__file__).parents[1] / "configs"
         for stem in ("one_way_hop111", "reactive_block", "baseline_static"):
             Simulation(ScenarioConfig.from_file(configs / f"{stem}.ini")).run()
-        assert processed == [1135, 1144, 676]
+        assert processed == [1131, 1140, 674]
 
     def test_line_longer_than_the_recursion_limit(self, tmp_path):
         size = sys.getrecursionlimit() + 100
@@ -892,20 +904,23 @@ def test_packets_are_built_only_on_lookups(tmp_path):
 
 
 # The names the benchmark's span recorder (bench/tracer.py) wraps on the
-# packet and flow-write paths, called through the module global or class
-# attribute that it replaces.
+# packet, flow-write and routing paths, called through the module global
+# or class attribute that it replaces.
 TRACED = (
     (session, "longest_match"), (session, "apply_detail"), (session, "filter_packet"),
     (ObserverTap, "observe"), (TraceLog, "emit"),
     (session, "install_hop_rules"), (session, "install_peer_rules"), (session, "expire_external"),
+    (session, "process_message"),
 )
 
 
 def test_traced_call_counts(tmp_path):
     # longest_match once per AS visited, observe and filter_packet once
     # per tapped crossing, apply_detail once per decision-cache miss, emit
-    # once per trace line, and one call per flow-table write: the span
-    # counts the benchmark reports rest on these.
+    # once per trace line, one call per flow-table write, and
+    # process_message once per update a receiver takes, though one
+    # advertisement goes to all of a sender's peers: the span counts the
+    # benchmark reports rest on these.
     shipped = Path(__file__).parents[1] / "configs"
     (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
     configs = {
@@ -918,10 +933,10 @@ def test_traced_call_counts(tmp_path):
         for name, config in configs.items()
     }
     assert counts == {
-        "one_way_hop111": [2016, 548, 0, 0, 1572, 111, 111, 220],
-        "reactive_block": [2016, 620, 672, 672, 1572, 111, 111, 220],
-        "baseline_static": [698, 2, 672, 672, 1347, 0, 0, 0],
-        "two_way": [82, 54, 0, 0, 87, 10, 10, 16],
+        "one_way_hop111": [2016, 446, 0, 0, 1572, 111, 111, 220, 8],
+        "reactive_block": [2016, 450, 672, 672, 1572, 111, 111, 220, 8],
+        "baseline_static": [698, 2, 672, 672, 1347, 0, 0, 0, 4],
+        "two_way": [82, 46, 0, 0, 87, 10, 10, 16, 16],
     }
 
 

@@ -72,7 +72,6 @@ class FlowRule:
 @dataclass(frozen=True)
 class RouteMessage:
     sender: int
-    receiver: int
     prefix: object
     path: tuple | None
     epoch: int
@@ -262,7 +261,7 @@ CASES = [
     (flowtable.Packet, Packet, st.tuples(v4, v4)),
     (flowtable.FlowRule, FlowRule, rule_args),
     (routing.RouteMessage, RouteMessage, st.tuples(
-        st.integers(1, 2), st.integers(1, 2), prefixes, st.none() | paths, st.integers(0, 2)
+        st.integers(1, 2), prefixes, st.none() | paths, st.integers(0, 2)
     )),
     (dwell.IntervalBin, IntervalBin, st.tuples(st.integers(0, 2), floats, floats)),
     (dwell.IntervalAlphabet, IntervalAlphabet, bins.map(lambda b: (b,))),
