@@ -28,7 +28,7 @@ from .hopping import (
     collision_probability,
     generate_unique_addresses,
 )
-from .routing import AsGraph, announce, converge, route_lookup, withdraw
+from .routing import AsGraph, announce, converge, withdraw
 from .session import (
     EndpointAgent,
     SessionMetrics,

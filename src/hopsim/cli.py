@@ -39,7 +39,7 @@ from .errors import (
     MalformedRecord,
     PayloadTooLarge,
 )
-from .config import ScenarioConfig
+from .config import ScenarioConfig, read_input
 from .events import TraceLog
 from .session import Simulation
 
@@ -70,14 +70,6 @@ def _check_writable(path: str) -> int:
     if not existed:
         os.unlink(path)
     return EXIT_OK
-
-
-def _read(path: Path) -> str:
-    """`path`'s text; a file that cannot be read raises ValueError naming it."""
-    try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str | Path, text: str) -> int:
@@ -189,11 +181,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_train(args) -> int:
-    path = Path(args.trace)
-    if not path.is_file():
-        return _fail(f"trace file not found: {path}", EXIT_INPUT)
     try:
-        trace = load_trace_text(_read(path))
+        trace = load_trace_text(read_input(Path(args.trace)))
         if not trace:
             return _fail("trace holds no intervals", EXIT_INPUT)
         alphabet = quantile_alphabet(trace, args.bins)
@@ -246,11 +235,9 @@ def payload_from_text(text: str) -> SyncPayload:
 
 def cmd_covert(args) -> int:
     src = Path(args.infile)
-    if not src.is_file():
-        return _fail(f"input file not found: {src}", EXIT_INPUT)
     if args.mode == "encode":
         try:
-            payload = payload_from_text(_read(src))
+            payload = payload_from_text(read_input(src))
             anchor = Address.parse(args.anchor)
             records = encode_payload(payload, anchor, args.tail)
         except (ValueError, PayloadTooLarge, HopsimError) as exc:
@@ -261,7 +248,7 @@ def cmd_covert(args) -> int:
         print(f"{args.out}: {len(records.names)} records at {anchor}")
         return EXIT_OK
     try:
-        records = parse_zone(_read(src))
+        records = parse_zone(read_input(src))
         payload = decode_payload(records, args.tail)
     except (IncompleteSet, IntegrityFailure) as exc:
         return _fail(str(exc), EXIT_INTEGRITY)

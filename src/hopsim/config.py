@@ -111,7 +111,7 @@ class ScenarioConfig(Frozen):
             raise ConfigError("[scenario] n_hops", "must be >= 1 for a hopping server")
 
         try:
-            edges = parse_edges(_read(base / need("topology", "file", str), "[topology] file"))
+            edges = parse_edges(read_input(base / need("topology", "file", str)))
         except ValueError as exc:
             raise ConfigError("[topology] file", str(exc)) from exc
         ases = {asn for edge in edges for asn in edge}
@@ -326,13 +326,21 @@ def _blocklist(raw: str) -> frozenset[Address | Prefix]:
     return frozenset(Prefix.parse(i) if "/" in i else Address.parse(i) for i in items if i)
 
 
-def _read(path: Path, where: str) -> str:
+def read_input(path: Path) -> str:
+    """`path`'s text; a missing or unreadable file raises ValueError naming it."""
     if not path.is_file():
-        raise ConfigError(where, f"{path} not found")
+        raise ValueError(f"{path} not found")
     try:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(where, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(path: Path, where: str) -> str:
+    try:
+        return read_input(path)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
 
 
 def _load_model(path: Path, where: str) -> DhmmModel:

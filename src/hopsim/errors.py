@@ -53,10 +53,6 @@ class MoasConflict(HopsimError):
     """Prefix already announced by a different origin."""
 
 
-class Unroutable(HopsimError):
-    """No rib entry covers the destination address."""
-
-
 # --- covert channel ---
 
 class PayloadTooLarge(HopsimError):

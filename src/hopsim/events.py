@@ -46,16 +46,6 @@ class EventQueue:
             raise ValueError(f"cannot schedule at {at} before now {self.now}")
         heapq.heappush(self._heap, (at, seq, fn, args))
 
-    def schedule_in(self, delay: float, fn: Callable[..., None], *args) -> None:
-        # `schedule_at` written out: this runs once per routing slot, grace
-        # expiry and link crossing that cannot be taken inline.
-        now = self.now
-        at = now + delay
-        if not at >= now:
-            raise ValueError(f"cannot schedule at {at} before now {now}")
-        heapq.heappush(self._heap, (at, self._seq, fn, args))
-        self._seq += 1
-
     def advance_to(self, at: float) -> bool:
         """Move the clock to `at` if no queued event is due at or before it.
 

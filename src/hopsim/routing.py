@@ -43,18 +43,18 @@ its best path and that path's epoch, so a change of epoch alone goes to
 every neighbour like any other change. A live route is then never held
 anywhere under an epoch that a later withdrawal kills.
 
-`AsGraph` owns the queue; `converge` drains it in slot order, and an
-external scheduler takes the slots with `AsGraph.take_slots` and
-delivers each by popping its key from `AsGraph.pending`.
+`AsGraph` owns the queue. `converge` and an external scheduler alike
+take the slots one batch at a time with `AsGraph.take_slots` and deliver
+each by popping its key from `AsGraph.pending`; the slots that a batch's
+deliveries open form the next batch, so the order is first in, first out.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
 from .addressing import Address, Prefix, PrefixIndex
-from .errors import MoasConflict, NotAnnounced, UnknownAs, Unroutable
+from .errors import MoasConflict, NotAnnounced, UnknownAs
 from .values import Frozen, _set
 
 
@@ -109,7 +109,7 @@ class AsGraph:
         # Undelivered updates, one per key; `slots` holds their keys in
         # delivery order until `converge` or a scheduler takes them.
         self.pending: dict[UpdateKey, RouteMessage] = {}
-        self.slots: deque[UpdateKey] = deque()
+        self.slots: list[UpdateKey] = []
         self.origins: dict[int, int] = {}  # prefix key -> origin ASN
         self.epochs: dict[int, int] = {}  # prefix key -> its last announcement's epoch
 
@@ -144,12 +144,11 @@ class AsGraph:
             pending[key] = msg
 
     def take_slots(self) -> list[UpdateKey]:
-        """Hand the slots opened since the last call to an external
-        scheduler (the event loop), which delivers each key `k` with
-        `process_message(graph, graph.pending.pop(k), k[1])`."""
-        out = list(self.slots)
-        self.slots.clear()
-        return out
+        """Hand over the slots opened since the last call, in the order
+        they opened, and start a fresh list; the taker delivers each key
+        `k` with `process_message(graph, graph.pending.pop(k), k[1])`."""
+        slots, self.slots = self.slots, []
+        return slots
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
@@ -260,11 +259,13 @@ def _learn(
 def converge(graph: AsGraph) -> int:
     """Deliver queued updates in slot order to a fixed point; returns steps taken."""
     steps = 0
-    slots, pending = graph.slots, graph.pending
+    pending = graph.pending
+    slots = graph.take_slots()
     while slots:
-        key = slots.popleft()
-        process_message(graph, pending.pop(key), key[1])
-        steps += 1
+        for key in slots:
+            process_message(graph, pending.pop(key), key[1])
+        steps += len(slots)
+        slots = graph.take_slots()
     return steps
 
 
@@ -290,30 +291,3 @@ def originates(graph: AsGraph, asn: int, address: Address) -> bool:
                 return True
     return False
 
-
-def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int]:
-    """Forward hop-by-hop from `from_asn` toward `dst`'s origin.
-
-    Each node applies longest-prefix match in its own rib, so the result
-    reflects what packets actually experience, including transient
-    inconsistencies mid-convergence (surfaced as Unroutable).
-    """
-    if from_asn not in graph.nodes:
-        raise UnknownAs(f"AS {from_asn} not in topology")
-    path: list[int] = []
-    visited = {from_asn}
-    current = from_asn
-    while True:
-        node = graph.nodes[current]
-        prefix = longest_match(node, dst)
-        if prefix is None:
-            raise Unroutable(f"no route toward {dst} at AS {current}")
-        as_path = node.rib[prefix.key]
-        if not as_path:
-            return path  # arrived at the origin
-        nxt = as_path[0]
-        if nxt in visited:
-            raise Unroutable(f"forwarding loop at AS {nxt} toward {dst}")
-        path.append(nxt)
-        visited.add(nxt)
-        current = nxt

@@ -186,8 +186,9 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     A packet is only its header, so the table's memo keeps what the
     chain returns for it, by `(direction, src key, dst key)`: None for a
     drop, else the packet that leaves the chain, which a hit returns as
-    is. The packet path probes the memo and calls this on a miss. Every
-    write to a table clears its memo, so the memo stays exact.
+    is. The packet path probes the memo and calls this on a miss. The
+    flowtable module docstring says which entries each write drops, so
+    that the memo stays exact.
     """
     result, rule = apply_detail(table, packet, direction)
     if rule is not None and rule.target is not None:
@@ -277,7 +278,8 @@ class Simulation:
         # later one inline when it can.
         slots = self.graph.take_slots()
         if slots:
-            self.queue.schedule_in(self.config.link_delay_ms, self._deliver_routing, slots)
+            at = self.queue.now + self.config.link_delay_ms
+            self.queue.schedule_at(at, self._deliver_routing, slots)
 
     def _deliver_routing(self, slots: list) -> None:
         # A wave's next instant runs inline, as a link crossing does, when
@@ -292,8 +294,9 @@ class Simulation:
             slots = graph.take_slots()
             if not slots:
                 return
-            if not queue.advance_to(queue.now + delay):
-                queue.schedule_in(delay, self._deliver_routing, slots)
+            at = queue.now + delay
+            if not queue.advance_to(at):
+                queue.schedule_at(at, self._deliver_routing, slots)
                 return
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
@@ -394,15 +397,16 @@ class Simulation:
             "session", "hop", f"{end.hop_head}{k};external={entry.address}{end.hop_tail}"
         )
 
+        queue = self.queue
         use_grace = prev is not None and cfg.grace_window_ms > 0
         if cfg.clock_skew_ms > 0 and end.peer is self.client:
-            self.queue.schedule_in(
-                cfg.clock_skew_ms, self._update_peer, end, entry.address, use_grace
+            queue.schedule_at(
+                queue.now + cfg.clock_skew_ms, self._update_peer, end, entry.address, use_grace
             )
         else:
             self._update_peer(end, entry.address, use_grace)
         if use_grace and prev != entry.address:
-            self.queue.schedule_in(cfg.grace_window_ms, self._expire_grace, end, prev)
+            queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, end, prev)
 
     def _update_peer(self, end: _HopEnd, external: Address, grace: bool) -> None:
         install_peer_rules(end.peer.flow_table, end.agent.internal_ip, external, grace=grace)
@@ -501,8 +505,9 @@ class Simulation:
                     )
                     break
             hops += 1
-            if not queue.advance_to(now + delay):
-                queue.schedule_in(delay, self._forward, packet, pkt_id, nxt, hops)
+            at = now + delay
+            if not queue.advance_to(at):
+                queue.schedule_at(at, self._forward, packet, pkt_id, nxt, hops)
                 return
             asn = nxt
         self._resolved += 1

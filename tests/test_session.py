@@ -47,7 +47,7 @@ class TestEventQueue:
         queue.schedule_at(2.0, fired.append, "late")
         queue.schedule_at(1.0, lambda: fired.append("no-args"))
         queue.schedule_at(1.0, fired.extend, ("a", "b"))
-        queue.schedule_in(1.0, fired.append, "tied")
+        queue.schedule_at(queue.now + 1.0, fired.append, "tied")
         assert queue.run() == 4
         assert fired == ["no-args", "a", "b", "tied", "late"]
         assert queue.now == 2.0
@@ -57,12 +57,12 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             queue.schedule_at(4.0, print, "never")
         with pytest.raises(ValueError):
-            queue.schedule_in(-0.5, print, "never")
+            queue.schedule_at(queue.now - 0.5, print, "never")
         with pytest.raises(ValueError):
             queue.schedule_at(math.nan, print, "never")
         with pytest.raises(ValueError):
-            queue.schedule_in(math.nan, print, "never")
-        queue.schedule_in(0.0, print, "now")
+            queue.schedule_at(queue.now + math.nan, print, "never")
+        queue.schedule_at(queue.now + 0.0, print, "now")
         assert queue.now == 5.0 and len(queue._heap) == 1
 
     def test_advance_to(self):
@@ -112,7 +112,7 @@ class TestEventQueue:
                     queue.schedule_reserved(times[j + 1], first + j + 1, step, j + 1)
                 fired.append((queue.now, "run", j))
                 for i, delay in enumerate(follow_ups[j] if j < len(follow_ups) else ()):
-                    queue.schedule_in(delay, other, ("follow-up", j, i))
+                    queue.schedule_at(queue.now + delay, other, ("follow-up", j, i))
 
             for t in before:
                 queue.schedule_at(float(t), other, ("before", t))
