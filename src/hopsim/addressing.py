@@ -197,16 +197,18 @@ class PrefixIndex:
                 if prefix is not None:
                     yield prefix
 
-    def longest(self, address: Address) -> Prefix | None:
-        """The longest held prefix that contains `address`, or None."""
-        # `matches` as a plain loop: no generator per probe.
-        version, bits = address.version, address.bits
-        for v, host, table in self.buckets:
-            if v is version:
-                prefix = table.get(bits >> host)
-                if prefix is not None:
-                    return prefix
-        return None
+
+def longest_match(index: PrefixIndex, address: Address) -> Prefix | None:
+    """The longest prefix in `index` that contains `address`, or None."""
+    # `PrefixIndex.matches` as a plain loop: no generator per probe, as
+    # this runs per packet per AS.
+    version, bits = address.version, address.bits
+    for v, host, table in index.buckets:
+        if v is version:
+            prefix = table.get(bits >> host)
+            if prefix is not None:
+                return prefix
+    return None
 
 
 class PrefixPool(Frozen):
@@ -244,10 +246,10 @@ class PrefixPool(Frozen):
         return self.prefixes[0].version
 
     def contains(self, address: Address) -> bool:
-        return self._index.longest(address) is not None
+        return longest_match(self._index, address) is not None
 
     def covering_prefix(self, address: Address) -> Prefix:
-        prefix = self._index.longest(address)
+        prefix = longest_match(self._index, address)
         if prefix is None:
             raise InvalidPool(f"{address} not covered by pool")
         return prefix

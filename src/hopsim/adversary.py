@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 
-from .addressing import Address, Prefix, PrefixIndex, PrefixPool
+from .addressing import Address, Prefix, PrefixIndex, PrefixPool, longest_match
 from .dwell import DhmmModel, distribution_distance, start_sampler
 from .errors import HopsimError
 from .flowtable import Packet
@@ -33,10 +33,9 @@ class Verdict(Enum):
 class ObserverTap:
     """Passive log of packets crossing one link, in time order."""
 
-    __slots__ = ("link", "crossings", "log")
+    __slots__ = ("crossings", "log")
 
     def __init__(self, link: tuple[int, int]):
-        self.link = link
         # The (from AS, to AS) pairs it watches: its link, crossed either way.
         self.crossings = frozenset((link, link[::-1]))
         self.log: list[tuple[float, Address, Address]] = []
@@ -56,9 +55,9 @@ class BlockPolicy:
     """Address filter; reactive mode learns destinations it has seen.
 
     `blocked` is fixed at construction (any iterable is frozen), and is
-    indexed then: its addresses as a set of `Address.key`, its prefixes
-    by length. The reactive state is keyed by `Address.key` too, so a
-    filtered packet hashes ints only.
+    indexed then: one `PrefixIndex` holds its prefixes, and each of its
+    addresses as a host-length prefix. The reactive state is keyed by
+    `Address.key`, so a filtered packet hashes ints only.
 
     In reactive mode a destination observed `trigger_count` times is
     added to the blocked set `detect_delay_ms` after its first
@@ -68,7 +67,7 @@ class BlockPolicy:
 
     __slots__ = (
         "blocked", "mode", "detect_delay_ms", "trigger_count",
-        "_dst_counts", "_pending", "_addresses", "_prefixes",
+        "_dst_counts", "_pending", "_index",
     )
 
     def __init__(
@@ -88,14 +87,14 @@ class BlockPolicy:
         self.trigger_count = trigger_count
         self._dst_counts: dict[int, int] = {}
         self._pending: dict[int, float] = {}  # destination key -> time its block starts
-        self._addresses = frozenset(e.key for e in self.blocked if not isinstance(e, Prefix))
-        self._prefixes = PrefixIndex(e for e in self.blocked if isinstance(e, Prefix))
+        self._index = PrefixIndex(
+            e if isinstance(e, Prefix) else Prefix(e, e.width) for e in self.blocked
+        )
 
     def _listed(self, address: Address, at: float) -> bool:
-        key = address.key
-        if key in self._addresses or self._prefixes.longest(address) is not None:
+        if longest_match(self._index, address) is not None:
             return True
-        activation = self._pending.get(key)
+        activation = self._pending.get(address.key)
         return activation is not None and at >= activation
 
     def observe(self, packet: Packet, at: float) -> None:

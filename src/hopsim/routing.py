@@ -13,8 +13,9 @@ for this monotone policy.
 A rib maps a prefix to the AS path toward its origin, `()` at the
 origin itself, so the next hop is the path's first ASN. Ribs, learned
 paths, origins and update keys hold a prefix by its int `Prefix.key`,
-so a routing message hashes ints only; messages and `longest_match`
-still carry `Prefix` values.
+so a routing message hashes ints only; messages and each node's
+`index` still carry `Prefix` values. The packet path searches that index
+with `addressing.longest_match`.
 
 An advertisement is one `RouteMessage`, built once and queued to every
 neighbour; the receiver is the middle ASN of the update key it is
@@ -267,17 +268,6 @@ def converge(graph: AsGraph) -> int:
         steps += len(slots)
         slots = graph.take_slots()
     return steps
-
-
-def longest_match(node: AsNode, dst: Address) -> Prefix | None:
-    # `PrefixIndex.longest` inlined: this runs per packet per AS.
-    version, bits = dst.version, dst.bits
-    for v, host, table in node.index.buckets:
-        if v is version:
-            prefix = table.get(bits >> host)
-            if prefix is not None:
-                return prefix
-    return None
 
 
 def originates(graph: AsGraph, asn: int, address: Address) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 
-from .addressing import Address, Prefix, PrefixPool
+from .addressing import Address, Prefix, PrefixPool, longest_match
 from .adversary import (
     BlockPolicy,
     ObserverTap,
@@ -44,7 +44,7 @@ from .flowtable import (
 )
 from .hopping import HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
-from .routing import AsGraph, announce, longest_match, originates, process_message, withdraw
+from .routing import AsGraph, announce, originates, process_message, withdraw
 from .values import Frozen
 
 OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
@@ -258,7 +258,7 @@ class Simulation:
         self._sent = 0
         self._delivered = 0
         self._resolved = 0
-        self._traffic_end: float | None = None
+        self._traffic_end = 0.0  # when the last send resolved
         self._send_gap = 0.0
         self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
         self._deliveries_by_window: dict[int, int] = {}
@@ -405,7 +405,7 @@ class Simulation:
             )
         else:
             self._update_peer(end, entry.address, use_grace)
-        if use_grace and prev != entry.address:
+        if use_grace:
             queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, end, prev)
 
     def _update_peer(self, end: _HopEnd, external: Address, grace: bool) -> None:
@@ -416,10 +416,10 @@ class Simulation:
         expire_external(end.peer.flow_table, old)
         self._emit_trace("session", "grace_expire", f"external={old}")
 
-    def _schedule_traffic(self, gap_ms: float | None) -> None:
+    def _schedule_traffic(self, gap_ms: float) -> None:
         # The sends keep the queue slots they would take if all were queued
         # here, but each is queued only when the one before it fires.
-        self._send_gap = gap_ms or 0.0
+        self._send_gap = gap_ms
         self._send_seq = self.queue.reserve(self.config.packets)
         if self.config.packets:
             self._queue_send(0)
@@ -469,7 +469,7 @@ class Simulation:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 break
             node = nodes[asn]
-            prefix = longest_match(node, packet.dst)
+            prefix = longest_match(node.index, packet.dst)
             if prefix is None:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=unroutable;at={asn}")
                 break
@@ -535,8 +535,7 @@ class Simulation:
                 self._sent, self._delivered, 1, 0, 0.0,
                 ((0, self._deliveries_by_window.get(0, 0)),),
             )
-        end_t = self._traffic_end if self._traffic_end is not None else 0.0
-        entered = [k for k, t in enumerate(self._hop_starts_abs) if t <= end_t]
+        entered = [k for k, t in enumerate(self._hop_starts_abs) if t <= self._traffic_end]
         schedule = self.server.schedule
         addresses = {schedule.entries[k].address.key for k in entered}
         dwells = [schedule.entries[k].dwell_ms for k in entered]

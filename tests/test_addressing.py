@@ -10,7 +10,9 @@ from hopsim.addressing import (
     Address,
     IPVersion,
     Prefix,
+    PrefixIndex,
     PrefixPool,
+    longest_match,
     parse_reverse_pointer,
 )
 from hopsim.errors import InvalidPool
@@ -116,6 +118,49 @@ class TestPrefix:
         probe = Address(IPVersion.V4, bits)
         shift = 32 - length
         assert p.contains(probe) == (probe.bits >> shift == base.bits >> shift)
+
+
+@st.composite
+def twin_prefixes(draw):
+    """Up to 4 prefixes among the lowest 256 addresses, from host length
+    to /0, each as a v4 and a v6 twin with equal bits: they often nest,
+    and only the version tells twins apart."""
+    prefixes = []
+    for host, low in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 255)),
+                                   min_size=1, max_size=4)):
+        for version in IPVersion:
+            h = host if host <= 8 else version.width  # 9 stands for /0
+            prefixes.append(Prefix(Address(version, low >> h << h), version.width - h))
+    return prefixes
+
+
+class TestLongestMatch:
+    @given(
+        twin_prefixes(),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=30),
+        st.lists(st.integers(0, 255), max_size=4),
+    )
+    def test_agrees_with_brute_force_under_adds_and_discards(self, prefixes, ops, lows):
+        probes = [
+            Address(version, low)
+            for low in [p.base.bits for p in prefixes] + lows
+            for version in IPVersion
+        ]
+        index, held = PrefixIndex(), set()
+        for add, i in ops:
+            prefix = prefixes[i % len(prefixes)]
+            if add:
+                index.add(prefix)
+                held.add(prefix)
+            else:
+                index.discard(prefix)
+                held.discard(prefix)
+            for address in probes:
+                expected = sorted(
+                    (p for p in held if p.contains(address)), key=lambda p: -p.length
+                )
+                assert list(index.matches(address)) == expected
+                assert longest_match(index, address) == (expected[0] if expected else None)
 
 
 class TestPrefixPool:

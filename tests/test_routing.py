@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopsim.addressing import Address, Prefix
+from hopsim.addressing import Address, Prefix, longest_match
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
 from hopsim.routing import (
     AsGraph,
     RouteMessage,
     announce,
     converge,
-    longest_match,
     originates,
     parse_edges,
     process_message,
@@ -43,7 +42,7 @@ def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int] | Non
     path, current = [], from_asn
     while True:
         node = graph.nodes[current]
-        prefix = longest_match(node, dst)
+        prefix = longest_match(node.index, dst)
         if prefix is None:
             return None
         as_path = node.rib[prefix.key]
@@ -492,7 +491,7 @@ class TestPrefixIndex:
         assert list(index.matches(Address.parse("b8a4:f3ff::1"))) == [v6]
         withdraw(g, P24, 1)
         assert list(index.matches(DST)) == [p16]
-        assert longest_match(g.nodes[1], Address.parse("10.0.0.1")) is None
+        assert longest_match(g.nodes[1].index, Address.parse("10.0.0.1")) is None
 
     def test_originates_needs_the_agents_own_announcement(self):
         g = AsGraph.from_edges([(1, 2)])
