@@ -21,6 +21,9 @@ from .errors import HopsimError
 from .flowtable import Packet
 
 
+_NEVER = float("inf")  # the start of a reactive block that is not pending
+
+
 class EmptyInput(HopsimError):
     """Timing analysis invoked on an empty interval list."""
 
@@ -52,7 +55,7 @@ class BlockMode(Enum):
 
 
 class BlockPolicy:
-    """Address filter; reactive mode learns destinations it has seen.
+    """Address filter state; reactive mode learns destinations it has seen.
 
     `blocked` is fixed at construction (any iterable is frozen), and is
     indexed then: one `PrefixIndex` holds its prefixes, and each of its
@@ -62,7 +65,7 @@ class BlockPolicy:
     In reactive mode a destination observed `trigger_count` times is
     added to the blocked set `detect_delay_ms` after its first
     qualifying observation — the knob that models how fast the filter
-    operator reacts.
+    operator reacts. `filter_packet` reads and advances this state.
     """
 
     __slots__ = (
@@ -91,26 +94,30 @@ class BlockPolicy:
             e if isinstance(e, Prefix) else Prefix(e, e.width) for e in self.blocked
         )
 
-    def _listed(self, address: Address, at: float) -> bool:
-        if longest_match(self._index, address) is not None:
-            return True
-        activation = self._pending.get(address.key)
-        return activation is not None and at >= activation
-
-    def observe(self, packet: Packet, at: float) -> None:
-        if self.mode is not BlockMode.REACTIVE:
-            return
-        dst = packet.dst.key
-        count = self._dst_counts.get(dst, 0) + 1
-        self._dst_counts[dst] = count
-        if count == self.trigger_count and dst not in self._pending:
-            self._pending[dst] = at + self.detect_delay_ms
-
 
 def filter_packet(policy: BlockPolicy, packet: Packet, at: float) -> Verdict:
-    """Verdict for one packet observed at time `at`; advances reactive state."""
-    policy.observe(packet, at)
-    if policy._listed(packet.src, at) or policy._listed(packet.dst, at):
+    """Verdict for one packet observed at time `at`; advances reactive state.
+
+    A packet is blocked when its source or destination is listed: inside
+    a blocked prefix or address, or a reactive block that has started by
+    `at`. The packet path calls this once per tapped crossing, so the
+    reactive count and both checks are done here, each skipped when
+    there is nothing to look in.
+    """
+    src, dst = packet.src, packet.dst
+    pending = policy._pending
+    if policy.mode is BlockMode.REACTIVE:
+        key = dst.key
+        counts = policy._dst_counts
+        count = counts[key] = counts.get(key, 0) + 1
+        if count == policy.trigger_count:  # true once per destination
+            pending[key] = at + policy.detect_delay_ms
+    index = policy._index
+    if index.buckets and (
+        longest_match(index, src) is not None or longest_match(index, dst) is not None
+    ):
+        return Verdict.BLOCK
+    if pending and (at >= pending.get(src.key, _NEVER) or at >= pending.get(dst.key, _NEVER)):
         return Verdict.BLOCK
     return Verdict.PASS
 

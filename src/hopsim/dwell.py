@@ -18,7 +18,7 @@ from bisect import bisect_left
 
 from .errors import AbsorbingState, EmptyAlphabet, EmptyModel, InsufficientData
 from .rng import SplitMix64
-from .values import Frozen, _set
+from .values import Frozen, _set, left_sum
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -141,7 +141,7 @@ class DhmmModel(Frozen):
             seen.add((t.from_state, t.symbol))
             by_state.setdefault(t.from_state, []).append(t)
         for state, ts in by_state.items():
-            total = sum(t.probability for t in ts)
+            total = left_sum(t.probability for t in ts)
             if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                 raise ValueError(f"state {state} probabilities sum to {total}")
         if len(alphabet) != num_symbols:
@@ -316,7 +316,7 @@ def distribution_distance(
     if not sample_a or not sample_b:
         raise ValueError("samples must be non-empty")
     pa, pb = alphabet.histogram(sample_a), alphabet.histogram(sample_b)
-    return sum(abs(x - y) for x, y in zip(pa, pb))
+    return left_sum(abs(x - y) for x, y in zip(pa, pb))
 
 
 def load_trace_text(text: str) -> list[float]:

@@ -33,8 +33,10 @@ class EventQueue:
         An event later queued with `schedule_reserved` in one of them
         fires where it would have, had it been queued now: its
         `(time, seq)` key is the same. A caller with a long run of events
-        queues each one only when the one before it fires, and so holds
-        one at a time instead of all of them.
+        takes each one only when the one before it has run: inline, when
+        `advance_to` lets it, else queued in its slot. It so holds one at
+        a time instead of all of them, and queues only those that must
+        wait for another event.
         """
         first = self._seq
         self._seq += n

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from .addressing import Address, PrefixPool
 from .errors import InvalidPool, LengthMismatch
 from .rng import SplitMix64
-from .values import Frozen
+from .values import Frozen, left_sum
 
 # Above this draw count the exact no-collision product is replaced by
 # the birthday-bound approximation.
@@ -68,7 +68,7 @@ class HopSchedule(Frozen):
 
     @property
     def total_ms(self) -> float:
-        return sum(e.dwell_ms for e in self.entries)
+        return left_sum(e.dwell_ms for e in self.entries)
 
     def start_times(self) -> list[float]:
         starts, t = [], 0.0

@@ -14,6 +14,7 @@ runs of one config produce byte-identical traces.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from enum import Enum
 
@@ -45,7 +46,7 @@ from .flowtable import (
 from .hopping import HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
 from .routing import AsGraph, announce, originates, process_message, withdraw
-from .values import Frozen
+from .values import Frozen, left_sum
 
 OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
 
@@ -249,6 +250,9 @@ class Simulation:
 
         adv = config.adversary
         self.tap: ObserverTap | None = ObserverTap(adv.tap) if adv else None
+        # The tapped link as {a: b, b: a}: a crossing from `asn` is tapped
+        # when it goes to `_tap_next[asn]`.
+        self._tap_next = dict(self.tap.crossings) if self.tap else {}
         self.policy: BlockPolicy | None = None
         if adv and adv.mode is not None:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
@@ -261,6 +265,7 @@ class Simulation:
         self._traffic_end = 0.0  # when the last send resolved
         self._send_gap = 0.0
         self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
+        self._next_send = math.inf  # when the next send not yet made is due
         self._deliveries_by_window: dict[int, int] = {}
 
     # -- event helpers --
@@ -418,42 +423,62 @@ class Simulation:
 
     def _schedule_traffic(self, gap_ms: float) -> None:
         # The sends keep the queue slots they would take if all were queued
-        # here, but each is queued only when the one before it fires.
+        # here, but each is made inline or queued only when the one before
+        # it is made (see `_emit_packet`).
         self._send_gap = gap_ms
         self._send_seq = self.queue.reserve(self.config.packets)
         if self.config.packets:
+            self._next_send = self.config.lead_time_ms
             self._queue_send(0)
 
     def _queue_send(self, j: int) -> None:
-        self.queue.schedule_reserved(
-            self.config.lead_time_ms + j * self._send_gap,
-            self._send_seq + j, self._emit_packet, j,
-        )
+        # Send j is the next one not yet made, so it is due at `_next_send`.
+        self.queue.schedule_reserved(self._next_send, self._send_seq + j, self._emit_packet, j)
 
     # -- packet path --
 
     def _emit_packet(self, pkt_id: int) -> None:
-        # Queue the next send before forwarding this one, so that
-        # `advance_to` sees the queue it would see had every send been queued.
-        if pkt_id + 1 < self.config.packets:
-            self._queue_send(pkt_id + 1)
-        self._sent += 1
-        self._forward(self._outbound, pkt_id, self.client.attached_as, -1)
+        # Sends follow the rule link crossings follow: after this packet's
+        # pass, the next send is made in this call if no queued event is
+        # due by its time (a crossing of this packet that `_forward` queued
+        # counts), else it is queued in its reserved slot. Until it is made,
+        # `_forward` refuses every crossing due at or after `_next_send`,
+        # as that queued send would. So the event order is the one
+        # queueing every send would give.
+        cfg, queue = self.config, self.queue
+        packets, start, gap = cfg.packets, cfg.lead_time_ms, self._send_gap
+        client_as = self.client.attached_as
+        while True:
+            nxt = pkt_id + 1
+            last = nxt == packets
+            self._next_send = math.inf if last else start + nxt * gap
+            self._sent += 1
+            self._forward(self._outbound, pkt_id, client_as, -1)
+            if last:
+                return
+            if not queue.advance_to(self._next_send):
+                self._queue_send(nxt)
+                return
+            pkt_id = nxt
 
     def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int) -> None:
         # One pass per packet: a send (hops -1) first leaves the client
         # through its table, then each turn of the loop is one AS, until
         # the packet is delivered or dropped. A link crossing is taken
-        # inline when no queued event is due by the arrival time, else it
-        # is queued to resume here. Callers do nothing after this returns,
+        # inline when it arrives before the next send and no queued event
+        # is due by then; else it is queued to resume here. At a tie the
+        # send goes first: its reserved slot is lower. Callers do nothing
+        # after this returns but make the next send under the same rule,
         # so nothing could run in between, and the event order is the one
         # queueing every crossing would give. A table's memo is probed
         # here; `_apply_chain` is the miss path.
         queue = self.queue
         trace = self.trace
         nodes = self.graph.nodes
+        max_hops = len(nodes)  # a packet that crossed more links is looping
         delay = self.config.link_delay_ms
-        tap = self.tap
+        next_send = self._next_send
+        tap, tap_next = self.tap, self._tap_next
         while True:
             now = queue.now
             if hops < 0:
@@ -465,7 +490,7 @@ class Simulation:
                     break
                 trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
                 hops = 0
-            if hops > len(nodes):
+            if hops > max_hops:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 break
             node = nodes[asn]
@@ -496,7 +521,7 @@ class Simulation:
                     trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
                 break
             nxt = as_path[0]
-            if tap is not None and (asn, nxt) in tap.crossings:
+            if tap is not None and tap_next.get(asn) == nxt:
                 tap.observe(now, packet)
                 policy = self.policy
                 if policy is not None and filter_packet(policy, packet, at=now) is Verdict.BLOCK:
@@ -506,7 +531,7 @@ class Simulation:
                     break
             hops += 1
             at = now + delay
-            if not queue.advance_to(at):
+            if at >= next_send or not queue.advance_to(at):
                 queue.schedule_at(at, self._forward, packet, pkt_id, nxt, hops)
                 return
             asn = nxt
@@ -545,7 +570,7 @@ class Simulation:
             packets_delivered=self._delivered,
             distinct_external_ips_used=len(addresses),
             hop_count=max(0, len(entered) - 1),
-            mean_dwell_ms=sum(dwells) / len(dwells) if dwells else 0.0,
+            mean_dwell_ms=left_sum(dwells) / len(dwells) if dwells else 0.0,
             per_hop_delivery=per_hop,
         )
 

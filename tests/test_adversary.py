@@ -69,6 +69,14 @@ class TestFilter:
         # A fresh destination starts its own clock.
         assert filter_packet(policy, packet(dst=SERVER2), at=6000.0) is Verdict.PASS
 
+    def test_reactive_block_covers_the_source_too(self):
+        # Return traffic from a destination under a reactive block is
+        # blocked once that block starts.
+        policy = BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=10.0)
+        filter_packet(policy, packet(dst=SERVER1), at=0.0)
+        assert filter_packet(policy, packet(src=SERVER1, dst=CLIENT), at=9.0) is Verdict.PASS
+        assert filter_packet(policy, packet(src=SERVER1, dst=CLIENT), at=10.0) is Verdict.BLOCK
+
     def test_reactive_trigger_count(self):
         policy = BlockPolicy(mode=BlockMode.REACTIVE, detect_delay_ms=10.0, trigger_count=3)
         for t in (0.0, 1.0):

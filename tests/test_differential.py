@@ -52,7 +52,7 @@ def random_config(seed: int, root) -> ScenarioConfig:
         dwell = f"source = uniform\nlow_ms = {low}\nhigh_ms = {low + 1 + rng.below(900)}"
     else:
         dwell = f"source = fixed\nfixed_ms = {pick((100, 250, 1000))}"
-    gap = pick(("auto", "7", "25", "100"))
+    gap = pick(("auto", "7", "10", "22", "25", "100"))
     adversary = ""
     if rng.below(3) == 0:
         a, b = pick(edges)

@@ -15,6 +15,7 @@ from hopsim.hopping import (
     generate_unique_addresses,
 )
 from hopsim.rng import SplitMix64
+from hopsim.values import left_sum
 
 
 class TestGenerateAddresses:
@@ -141,6 +142,14 @@ class TestBuildSchedule:
         dwells = [float(d) for d in range(1, 112)]
         schedule = build_schedule(42, pool24, 111, dwells)
         assert schedule.total_ms == pytest.approx(sum(dwells))
+
+    def test_total_adds_dwells_left_to_right(self, pool24):
+        # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (built-in
+        # `sum` from Python 3.12 on) gives 1e16 + 2. The total sets the auto
+        # gap, so it must be the same float on every interpreter.
+        dwells = [1e16, 1.0, 1.0]
+        assert left_sum(dwells) == 1e16
+        assert build_schedule(1, pool24, 3, dwells).total_ms == 1e16
 
     def test_addresses_are_globally_distinct(self, pool30):
         schedule = build_schedule(11, pool30, 4, [1.0] * 4)

@@ -768,12 +768,15 @@ REACTIVE_TAP = (
 # address: the crossing must queue behind the expiry and die on arrival.
 # In two-way mode on the mesh, both ends announce and withdraw /24s
 # from opposite corners, so routing waves overlap each other and the
-# packets.
+# packets. A 20 ms gap, two link delays, lands each delivery on the
+# instant of the next send, which must go first: its queue slot was
+# reserved earlier.
 INLINE_CASES = {
     "mesh": (dict(topo=MESH_CHURN_TOPOLOGY, server_as=16, extra=REACTIVE_TAP.format("1-2"),
                   pool=",".join(f"100.64.{i}.0/24" for i in range(4))), ""),
     "zero_delay": ({}, "link_delay_ms = 0\nclock_skew_ms = 300\n"),
     "reactive_tap": (dict(extra=REACTIVE_TAP.format("2-3")), ""),
+    "send_ties_delivery": (dict(gap_ms="20", extra=REACTIVE_TAP.format("1-2")), ""),
     "two_way_mesh": (dict(topo=MESH_CHURN_TOPOLOGY, server_as=16,
                           pool=",".join(f"100.64.{i}.0/24" for i in range(4)),
                           client_pool=",".join(f"100.65.{i}.0/24" for i in range(4))),
@@ -796,7 +799,7 @@ class TestInlineCrossing:
             model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
             (tmp_path / "bg.model").write_text(model.to_text())
             options, scenario = INLINE_CASES[case]
-            path = make_config(tmp_path, n_hops=8, packets=60, gap_ms="100", **options)
+            path = make_config(tmp_path, n_hops=8, packets=60, **{"gap_ms": "100", **options})
             path.write_text(path.read_text().replace("[topology]", scenario + "\n[topology]"))
             config = ScenarioConfig.from_file(path)
         inline = Simulation(config).run()
@@ -821,7 +824,7 @@ class TestInlineCrossing:
         configs = Path(__file__).parents[1] / "configs"
         for stem in ("one_way_hop111", "reactive_block", "baseline_static"):
             Simulation(ScenarioConfig.from_file(configs / f"{stem}.ini")).run()
-        assert processed == [1131, 1140, 674]
+        assert processed == [725, 788, 3]
 
     def test_line_longer_than_the_recursion_limit(self, tmp_path):
         size = sys.getrecursionlimit() + 100
