@@ -34,19 +34,23 @@ class Verdict(Enum):
 
 
 class ObserverTap:
-    """Passive log of packets crossing one link, in time order."""
+    """Passive log of packets crossing one link, in time order.
+
+    `log` holds one `(time, destination)` entry per packet: the two values
+    timing analysis reads.
+    """
 
     __slots__ = ("crossings", "log")
 
     def __init__(self, link: tuple[int, int]):
         # The (from AS, to AS) pairs it watches: its link, crossed either way.
         self.crossings = frozenset((link, link[::-1]))
-        self.log: list[tuple[float, Address, Address]] = []
+        self.log: list[tuple[float, Address]] = []
 
     def observe(self, t: float, packet: Packet) -> None:
         if self.log and t < self.log[-1][0]:
             raise ValueError("tap log must stay time-ordered")
-        self.log.append((t, packet.src, packet.dst))
+        self.log.append((t, packet.dst))
 
 
 class BlockMode(Enum):
@@ -57,9 +61,9 @@ class BlockMode(Enum):
 class BlockPolicy:
     """Address filter state; reactive mode learns destinations it has seen.
 
-    `blocked` is fixed at construction (any iterable is frozen), and is
-    indexed then: one `PrefixIndex` holds its prefixes, and each of its
-    addresses as a host-length prefix. The reactive state is keyed by
+    `blocked` is read once, at construction, into the one thing the
+    policy keeps of it: a `PrefixIndex` of its prefixes, and of each of
+    its addresses as a host-length prefix. The reactive state is keyed by
     `Address.key`, so a filtered packet hashes ints only.
 
     In reactive mode a destination observed `trigger_count` times is
@@ -68,10 +72,7 @@ class BlockPolicy:
     operator reacts. `filter_packet` reads and advances this state.
     """
 
-    __slots__ = (
-        "blocked", "mode", "detect_delay_ms", "trigger_count",
-        "_dst_counts", "_pending", "_index",
-    )
+    __slots__ = ("mode", "detect_delay_ms", "trigger_count", "_dst_counts", "_pending", "_index")
 
     def __init__(
         self,
@@ -84,14 +85,13 @@ class BlockPolicy:
             raise ValueError("reactive mode requires a positive detect delay")
         if trigger_count < 1:
             raise ValueError("trigger count must be at least 1")
-        self.blocked = frozenset(blocked)
         self.mode = mode
         self.detect_delay_ms = detect_delay_ms
         self.trigger_count = trigger_count
         self._dst_counts: dict[int, int] = {}
         self._pending: dict[int, float] = {}  # destination key -> time its block starts
         self._index = PrefixIndex(
-            e if isinstance(e, Prefix) else Prefix(e, e.width) for e in self.blocked
+            e if isinstance(e, Prefix) else Prefix(e, e.width) for e in blocked
         )
 
 
@@ -131,7 +131,7 @@ def extract_hop_intervals(tap: ObserverTap, pool: PrefixPool) -> list[float]:
     """
     change_times: list[float] = []
     last_dst: int | None = None
-    for t, _, dst in tap.log:
+    for t, dst in tap.log:
         # The key test comes first, so the pool is probed once per hop.
         if dst.key != last_dst and pool.contains(dst):
             change_times.append(t)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from enum import Enum
 from pathlib import Path
 
 # The config digest is the only hash a run takes. `hashlib` maps OpenSSL's
@@ -38,11 +37,6 @@ from .values import Frozen, _set
 _REQUIRED = object()
 
 
-class DeploymentMode(Enum):
-    HOST_AGENT = "host"
-    GATEWAY = "gateway"
-
-
 class AdversaryConfig(Frozen):
     __slots__ = _fields = (
         "tap",
@@ -62,9 +56,9 @@ class ScenarioConfig(Frozen):
         "server_ip", "server_as", "server_pool", "client_ip", "client_as", "dwell", "packets",
         "gap_ms",  # None = spread traffic across the schedule
         "config_sha256",  # canonical digest of the config text
-        "server_deployment", "client_deployment", "server_hopping", "grace_window_ms",
-        "lead_time_ms", "withdraw_lag_ms", "link_delay_ms", "clock_skew_ms", "two_way",
-        "client_seed", "client_pool", "anchor_ip", "domain_tail", "adversary",
+        "server_hopping", "grace_window_ms", "lead_time_ms", "withdraw_lag_ms",
+        "link_delay_ms", "clock_skew_ms", "two_way", "client_seed", "client_pool",
+        "anchor_ip", "domain_tail", "adversary",
     )
     __slots__ = _fields + ("sync_payload", "sync_records")
 
@@ -121,9 +115,6 @@ class ScenarioConfig(Frozen):
         server_pool = need("server", "pool", PrefixPool.parse)
         client_ip = need("client", "internal_ip", Address.parse)
         client_as = need("client", "attached_as", int)
-        deployment = lambda raw: DeploymentMode(raw.strip().lower())
-        server_dep = need("server", "deployment", deployment, DeploymentMode.HOST_AGENT)
-        client_dep = need("client", "deployment", deployment, DeploymentMode.HOST_AGENT)
 
         for asn, where in ((server_as, "[server] attached_as"), (client_as, "[client] attached_as")):
             if asn not in ases:
@@ -262,8 +253,6 @@ class ScenarioConfig(Frozen):
                 packets=packets,
                 gap_ms=gap_ms,
                 config_sha256=config_sha256,
-                server_deployment=server_dep,
-                client_deployment=client_dep,
                 server_hopping=server_hopping,
                 grace_window_ms=grace_window_ms,
                 lead_time_ms=lead_time_ms,

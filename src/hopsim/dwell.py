@@ -136,13 +136,14 @@ class DhmmModel(Frozen):
                 raise ValueError(f"transition references unknown symbol: {t}")
             if (t.from_state, t.symbol) in seen:
                 raise ValueError(f"duplicate (state, symbol) pair: {t}")
-            if t.probability <= 0:
+            # This check and the sum's below are negated so that NaN fails them.
+            if not t.probability > 0:
                 raise ValueError("transition probabilities must be positive")
             seen.add((t.from_state, t.symbol))
             by_state.setdefault(t.from_state, []).append(t)
         for state, ts in by_state.items():
             total = left_sum(t.probability for t in ts)
-            if abs(total - 1.0) > PROBABILITY_TOLERANCE:
+            if not abs(total - 1.0) <= PROBABILITY_TOLERANCE:
                 raise ValueError(f"state {state} probabilities sum to {total}")
         if len(alphabet) != num_symbols:
             raise ValueError("alphabet size disagrees with num_symbols")
@@ -330,7 +331,7 @@ def load_trace_text(text: str) -> list[float]:
             value = float(ln)
         except ValueError as exc:
             raise ValueError(f"line {i}: not a duration: {ln!r}") from exc
-        if value <= 0:
-            raise ValueError(f"line {i}: durations must be positive")
+        if not 0 < value < math.inf:  # refuses NaN too
+            raise ValueError(f"line {i}: durations must be positive and finite")
         out.append(value)
     return out

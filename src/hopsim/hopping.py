@@ -61,7 +61,7 @@ class HopEntry(Frozen):
 class HopSchedule(Frozen):
     """Ordered (address, dwell) sequence derived from a seed."""
 
-    __slots__ = _fields = ("seed", "entries")
+    __slots__ = _fields = ("entries",)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,7 +87,7 @@ def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> 
             raise ValueError("dwells must be positive")
     addresses = generate_unique_addresses(seed, pool, n)
     entries = tuple(HopEntry(a, float(d)) for a, d in zip(addresses, dwells))
-    return HopSchedule(seed=seed, entries=entries)
+    return HopSchedule(entries)
 
 
 def collision_probability(n: int, space_bits: int) -> float:

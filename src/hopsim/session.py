@@ -27,7 +27,7 @@ from .adversary import (
     filter_packet,
     timing_detect,
 )
-from .config import DeploymentMode, ScenarioConfig
+from .config import ScenarioConfig
 from .covert import SyncPayload, decode_payload, ReverseZone
 from .covert import encode_payload  # not called: bench/tracer.py wraps it by name
 from .dwell import DwellSource, FixedDwell, UniformDwell, start_sampler
@@ -57,21 +57,22 @@ class Role(Enum):
 
 
 class EndpointAgent:
-    """One session endpoint; `schedule` stays None for a static address."""
+    """One session endpoint; `schedule` stays None for a static address.
 
-    __slots__ = ("role", "internal_ip", "attached_as", "deployment", "schedule", "flow_table")
+    `pool` is the prefix pool a hopping end draws its addresses from, and
+    `peer` the other end, whose flow table tracks those addresses.
+    """
+
+    __slots__ = ("role", "internal_ip", "attached_as", "pool", "peer", "schedule", "flow_table")
 
     def __init__(
-        self,
-        role: Role,
-        internal_ip: Address,
-        attached_as: int,
-        deployment: DeploymentMode = DeploymentMode.HOST_AGENT,
+        self, role: Role, internal_ip: Address, attached_as: int, pool: PrefixPool | None = None
     ):
         self.role = role
         self.internal_ip = internal_ip
         self.attached_as = attached_as
-        self.deployment = deployment
+        self.pool = pool
+        self.peer: EndpointAgent | None = None
         self.schedule: HopSchedule | None = None
         self.flow_table = endpoint_table(internal_ip)
 
@@ -200,21 +201,6 @@ def _apply_chain(table: FlowTable, packet: Packet, direction: Direction) -> Pack
     return result
 
 
-class _HopEnd:
-    """Internal: one hopping endpoint plus the peer tracking it."""
-
-    # `hop_head` and `hop_tail` are the fixed text around a hop line's
-    # index and address, formatted once per run rather than once per hop.
-    __slots__ = ("agent", "peer", "pool", "hop_head", "hop_tail")
-
-    def __init__(self, agent: EndpointAgent, peer: EndpointAgent, pool: PrefixPool):
-        self.agent = agent
-        self.peer = peer
-        self.pool = pool
-        self.hop_head = f"role={agent.role.value};index="
-        self.hop_tail = f";via={agent.deployment.value}"
-
-
 class SimulationResult:
     __slots__ = ("metrics", "trace", "verdicts")
 
@@ -238,11 +224,12 @@ class Simulation:
         self.zone = ReverseZone()
 
         self.server = EndpointAgent(
-            Role.SERVER, config.server_ip, config.server_as, config.server_deployment
+            Role.SERVER, config.server_ip, config.server_as, config.server_pool
         )
         self.client = EndpointAgent(
-            Role.CLIENT, config.client_ip, config.client_as, config.client_deployment
+            Role.CLIENT, config.client_ip, config.client_as, config.client_pool
         )
+        self.server.peer, self.client.peer = self.client, self.server
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
         # Every send starts from this header; the client's table rewrites it.
         self._outbound = Packet(config.client_ip, config.server_ip)
@@ -356,16 +343,13 @@ class Simulation:
             f"hops={len(schedule)};total_ms={schedule.total_ms:.3f}",
         )
 
-        ends = [_HopEnd(self.server, self.client, cfg.server_pool)]
+        self._setup_hopping_end(self.server)
         if cfg.two_way:
             client_payload = SyncPayload(
                 cfg.client_seed, cfg.client_pool, cfg.dwell.model_id, cfg.lead_time_ms
             )
             self.client.schedule = synchronize(self.client, client_payload, cfg.dwell, cfg.n_hops)
-            ends.append(_HopEnd(self.client, self.server, cfg.client_pool))
-
-        for end in ends:
-            self._setup_hopping_end(end)
+            self._setup_hopping_end(self.client)
 
         gap = cfg.gap_ms
         if gap is None:
@@ -373,52 +357,52 @@ class Simulation:
             self._emit_trace("session", "auto_gap", f"gap_ms={gap:.3f}")
         self._schedule_traffic(gap)
 
-    def _setup_hopping_end(self, end: _HopEnd) -> None:
+    def _setup_hopping_end(self, agent: EndpointAgent) -> None:
         cfg = self.config
         epoch = cfg.lead_time_ms
-        schedule = end.agent.schedule
+        schedule = agent.schedule
         starts = schedule.start_times()
-        if end.agent is self.server:
+        if agent is self.server:
             self._hop_starts_abs = [epoch + s for s in starts]
         for k, entry in enumerate(schedule.entries):
-            prefix = end.pool.covering_prefix(entry.address)
-            origin = end.agent.attached_as
+            prefix = agent.pool.covering_prefix(entry.address)
+            origin = agent.attached_as
             self.queue.schedule_at(
                 epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, prefix, origin
             )
-            self.queue.schedule_at(epoch + starts[k], self._do_hop, end, k)
+            self.queue.schedule_at(epoch + starts[k], self._do_hop, agent, k)
             self.queue.schedule_at(
                 epoch + starts[k] + entry.dwell_ms + cfg.withdraw_lag_ms,
                 self._release_prefix, prefix, origin,
             )
 
-    def _do_hop(self, end: _HopEnd, k: int) -> None:
+    def _do_hop(self, agent: EndpointAgent, k: int) -> None:
         cfg = self.config
-        entries = end.agent.schedule.entries
+        entries = agent.schedule.entries
         entry = entries[k]
         prev = entries[k - 1].address if k > 0 else None
-        hop(end.agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
+        hop(agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
         self._emit_trace(
-            "session", "hop", f"{end.hop_head}{k};external={entry.address}{end.hop_tail}"
+            "session", "hop", f"role={agent.role.value};index={k};external={entry.address}"
         )
 
         queue = self.queue
         use_grace = prev is not None and cfg.grace_window_ms > 0
-        if cfg.clock_skew_ms > 0 and end.peer is self.client:
+        if cfg.clock_skew_ms > 0 and agent.peer is self.client:
             queue.schedule_at(
-                queue.now + cfg.clock_skew_ms, self._update_peer, end, entry.address, use_grace
+                queue.now + cfg.clock_skew_ms, self._update_peer, agent, entry.address, use_grace
             )
         else:
-            self._update_peer(end, entry.address, use_grace)
+            self._update_peer(agent, entry.address, use_grace)
         if use_grace:
-            queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, end, prev)
+            queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, agent, prev)
 
-    def _update_peer(self, end: _HopEnd, external: Address, grace: bool) -> None:
-        install_peer_rules(end.peer.flow_table, end.agent.internal_ip, external, grace=grace)
+    def _update_peer(self, agent: EndpointAgent, external: Address, grace: bool) -> None:
+        install_peer_rules(agent.peer.flow_table, agent.internal_ip, external, grace=grace)
 
-    def _expire_grace(self, end: _HopEnd, old: Address) -> None:
-        expire_external(end.agent.flow_table, old)
-        expire_external(end.peer.flow_table, old)
+    def _expire_grace(self, agent: EndpointAgent, old: Address) -> None:
+        expire_external(agent.flow_table, old)
+        expire_external(agent.peer.flow_table, old)
         self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float) -> None:

@@ -101,8 +101,10 @@ class TestFilter:
         entries = [SERVER1, Prefix.parse("184.164.242.0/24")]
         policy = BlockPolicy(blocked=entries)
         entries.clear()
-        assert policy.blocked == frozenset({SERVER1, Prefix.parse("184.164.242.0/24")})
         assert filter_packet(policy, packet(src=SERVER2, dst=SERVER1), at=0.0) is Verdict.BLOCK
+        inside = Address.parse("184.164.242.9")
+        assert filter_packet(policy, packet(src=SERVER2, dst=inside), at=0.0) is Verdict.BLOCK
+        assert filter_packet(policy, packet(src=SERVER2, dst=SERVER3), at=0.0) is Verdict.PASS
 
 
 # Addresses and prefixes inside one /24 (v4) or /120 (v6), so that

@@ -36,11 +36,11 @@ SHIPPED_DIGESTS = {
         "662fb0daed667a82bd80f62f6e7dfbcf4ba8186ec561934f7ec76be12973e3a7",
     ),
     "01_one_way_hop111": (
-        "32531b7da84bd87db437e24e2954646be8c602d4dd358579908bceb70f5672f6",
+        "6179797e4afada934c47e079de5b991a06e3cf9828183437afa7e1b6dbb34daa",
         "c1910fc74ba85c04f065e2efddd68ea28bdfc268fd0808d91855aacbbf0968dc",
     ),
     "02_reactive_block": (
-        "f2d2b6d94d439bba92f0a0b409ff29bb24d7765055b95c725babbdbd3f5e0b91",
+        "1bb42144484ed94bbf546aab66fbe97d37f877fcdc4992657eca17018a736ea8",
         "0841511560836698808145737c02bae3d565c05ae82f66d4b123d6f121c125a2",
     ),
 }
@@ -426,6 +426,15 @@ class TestTrain:
         trace = tmp_path / "trace.txt"
         trace.write_text("12\nnonsense\n")
         assert main(["train", "--trace", str(trace), "--out", str(tmp_path / "m")]) == 2
+
+    def test_nan_line_exits_2(self, tmp_path, capsys):
+        # Read as a duration, the NaN line once made a 1-state, 1-symbol model.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("100\n200\nnan\n300\n400\n")
+        out = tmp_path / "m.model"
+        assert main(["train", "--trace", str(trace), "--bins", "2", "--out", str(out)]) == 2
+        assert "line 3: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 PAYLOAD_TEXT = """seed=42

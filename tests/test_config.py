@@ -256,6 +256,18 @@ def test_event_times_that_overflow_are_rejected(tmp_path, options, key):
     assert code == 2 and key in err and "overflow" in err, err
 
 
+def test_a_nan_model_is_rejected_at_parse_time(tmp_path):
+    # A model whose transitions read NaN once ran: every step of the walk
+    # took the state's last transition.
+    model = trained_model([100.0, 900.0] * 5, 2).replace(",1.0\n", ",nan\n")
+    assert model.count(",nan\n") == 2
+    (tmp_path / "nan.model").write_text(model)
+    path = make_config(tmp_path, dwell="dhmm", n_hops=6, packets=30, gap_ms="auto")
+    path.write_text(path.read_text().replace("[traffic]", "model = nan.model\n\n[traffic]"))
+    code, err = _run(path, tmp_path)
+    assert code == 2 and "[dwell] model" in err, err
+
+
 def test_a_self_link_is_rejected_at_parse_time(tmp_path):
     path = make_config(tmp_path, topo="1 2\n2 2\n2 3\n")
     code, err = _run(path, tmp_path)

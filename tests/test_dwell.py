@@ -244,6 +244,13 @@ class TestModelSerialization:
         with pytest.raises(ValueError):
             DhmmModel.from_text("not a model\n")
 
+    def test_rejects_nan_probabilities(self):
+        # For NaN both `p <= 0` and `abs(total - 1) > tol` are False; a walk
+        # of such a model always took the state's last transition.
+        text = "states=2 symbols=2\n0,1,1,nan\n1,0,0,nan\n0,0.0,100.0\n1,100.0,900.0\n"
+        with pytest.raises(ValueError, match="must be positive"):
+            DhmmModel.from_text(text)
+
     def test_sampling_identical_after_reload(self):
         m = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
         m2 = DhmmModel.from_text(m.to_text())
@@ -261,6 +268,12 @@ class TestTraceLoading:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             load_trace_text("12\n-1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite(self, value):
+        # `nan <= 0` is False, so a positive check alone lets NaN through.
+        with pytest.raises(ValueError, match="line 3: "):
+            load_trace_text(f"100\n200\n{value}\n300\n")
 
 
 def test_massage_property_sampled_dwells_match_training_distribution():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixPool
 from hopsim.adversary import ObserverTap
-from hopsim.config import DeploymentMode, ScenarioConfig
+from hopsim.config import ScenarioConfig
 from hopsim.covert import SyncPayload
 from hopsim.dwell import DhmmDwell, FixedDwell, UniformDwell
 from hopsim.errors import ConfigError, ScenarioError, ScheduleExhausted
@@ -313,19 +313,20 @@ class TestRunScenario:
         assert routes[0] == "0.000,route,announce,prefix=184.164.243.0/24;origin=3"
         assert routes[-1].split(",", 1)[1] == "route,withdraw,prefix=184.164.243.0/24;origin=3"
 
-    def test_gateway_deployment_behaves_like_host(self, tmp_path):
-        host_path = make_config(tmp_path, n_hops=3, fixed_ms=500.0, packets=10, gap_ms="100")
-        host_metrics = Simulation(ScenarioConfig.from_file(host_path)).run().metrics
-        gw_text = host_path.read_text().replace(
+    def test_old_deployment_key_is_ignored(self, tmp_path):
+        # `deployment` is no longer read: a config that still sets it runs
+        # as the one without it, and only its digest tells them apart.
+        path = make_config(tmp_path, n_hops=3, fixed_ms=500.0, packets=10, gap_ms="100")
+        old_path = path.parent / "gw.ini"
+        old_path.write_text(path.read_text().replace(
             "attached_as = 3", "attached_as = 3\ndeployment = gateway"
-        )
-        gw_path = host_path.parent / "gw.ini"
-        gw_path.write_text(gw_text)
-        gw_config = ScenarioConfig.from_file(gw_path)
-        assert gw_config.server_deployment is DeploymentMode.GATEWAY
-        gw_result = Simulation(gw_config).run()
-        assert gw_result.metrics == host_metrics
-        assert any("via=gateway" in ln for ln in gw_result.trace)
+        ).replace("attached_as = 1", "attached_as = 1\ndeployment = gateway"))
+        assert old_path.read_text().count("deployment = gateway") == 2
+        config, old_config = ScenarioConfig.from_file(path), ScenarioConfig.from_file(old_path)
+        result, old_result = Simulation(config).run(), Simulation(old_config).run()
+        assert old_result.trace_text() == result.trace_text()
+        assert old_result.metrics == result.metrics
+        assert old_config.config_sha256 != config.config_sha256
 
     def test_clock_skew_causes_losses(self, tmp_path):
         # Client updates its rewrite rules 350 ms late while grace covers
@@ -568,12 +569,12 @@ def test_golden_event_trace(tmp_path):
         "0.000,dns,decode,seed=3;model=fixed:1000.0",
         "0.000,session,sync,hops=2;total_ms=2000.000",
         "0.000,route,announce,prefix=184.164.243.0/24;origin=3",
-        "1000.000,session,hop,role=server;index=0;external=184.164.243.237;via=host",
+        "1000.000,session,hop,role=server;index=0;external=184.164.243.237",
         "1000.000,traffic,send,id=0;src=184.164.242.77;dst=184.164.243.237",
         "1020.000,traffic,deliver,id=0;window=0",
         "1400.000,traffic,send,id=1;src=184.164.242.77;dst=184.164.243.237",
         "1420.000,traffic,deliver,id=1;window=0",
-        "2000.000,session,hop,role=server;index=1;external=184.164.243.137;via=host",
+        "2000.000,session,hop,role=server;index=1;external=184.164.243.137",
         "2200.000,session,grace_expire,external=184.164.243.237",
         "3500.000,route,withdraw,prefix=184.164.243.0/24;origin=3",
         "3530.000,session,end,sent=2;delivered=2",
@@ -631,7 +632,7 @@ def test_golden_two_way_digests(tmp_path):
         "per_hop_delivery": [[0, 2], [1, 5], [2, 5], [3, 5], [4, 5]],
     }
     assert hashlib.sha256(result.trace_text().encode()).hexdigest() == (
-        "2187eff10c0b83dfb60cf4cbff3b6d65a6fc435f4228055b851185595430492c"
+        "81936d69410699f38f80170a5f976519396562095179476d0502b0437464ff13"
     )
 
 

@@ -130,7 +130,6 @@ class HopEntry:
 
 @dataclass(frozen=True)
 class HopSchedule:
-    seed: int
     entries: tuple
 
 
@@ -183,8 +182,6 @@ class ScenarioConfig:
     packets: int
     gap_ms: float | None
     config_sha256: str
-    server_deployment: object
-    client_deployment: object
     server_hopping: bool
     grace_window_ms: float
     lead_time_ms: float
@@ -275,9 +272,7 @@ CASES = [
     (dwell.UniformDwell, UniformDwell, st.tuples(floats, floats)),
     (dwell.DhmmDwell, DhmmDwell, st.tuples(st.sampled_from(["bg", "fg"]), models)),
     (hopping.HopEntry, HopEntry, st.tuples(v4, floats)),
-    (hopping.HopSchedule, HopSchedule, st.tuples(
-        st.integers(0, 2), st.lists(entries, max_size=3).map(tuple)
-    )),
+    (hopping.HopSchedule, HopSchedule, st.tuples(st.lists(entries, max_size=3).map(tuple))),
     (covert.SyncPayload, SyncPayload, st.tuples(
         st.integers(0, 2) | st.integers(0, 2**64 - 1),
         pools,
