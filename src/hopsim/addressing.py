@@ -1,9 +1,12 @@
 """IP addresses, CIDR prefixes and prefix pools.
 
 Addresses are plain unsigned integers tagged with an IP version, so the
-same arithmetic drives v4 (32-bit) and v6 (128-bit) hopping. Text
-parsing and v6 formatting delegate to the stdlib ``ipaddress`` module;
-v4 text is formatted here, in the same dotted-quad form.
+same arithmetic drives v4 (32-bit) and v6 (128-bit) hopping. Canonical
+v4 text (dotted-quad octets without leading zeros, an optional decimal
+length) is parsed and formatted here; any other text, v6 included, is
+parsed by the stdlib ``ipaddress`` module, which also formats v6. Both
+paths accept the same text, give the same values and, through
+``ipaddress``, the same errors.
 """
 
 from __future__ import annotations
@@ -14,6 +17,29 @@ from enum import Enum
 
 from .errors import InvalidPool
 from .values import Frozen, _set
+
+
+def _decimal(text: str, limit: int) -> int | None:
+    """`text` as an int if it is 1-3 ASCII digits, no leading zero, <= `limit`."""
+    if text.isdigit() and text.isascii() and len(text) <= 3 and (text[0] != "0" or text == "0"):
+        value = int(text)
+        if value <= limit:
+            return value
+    return None
+
+
+def _v4_bits(text: str) -> int | None:
+    """The value of canonical dotted-quad `text`, or None for any other text."""
+    octets = text.split(".")
+    if len(octets) != 4:
+        return None
+    bits = 0
+    for octet in octets:
+        value = _decimal(octet, 255)
+        if value is None:
+            return None
+        bits = bits << 8 | value
+    return bits
 
 
 class IPVersion(Enum):
@@ -59,7 +85,11 @@ class Address(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Address":
-        addr = ipaddress.ip_address(text.strip())
+        text = text.strip()
+        bits = _v4_bits(text)
+        if bits is not None:
+            return cls(IPVersion.V4, bits)
+        addr = ipaddress.ip_address(text)
         version = IPVersion.V4 if addr.version == 4 else IPVersion.V6
         return cls(version, int(addr))
 
@@ -146,7 +176,13 @@ class Prefix(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
-        net = ipaddress.ip_network(text.strip(), strict=True)
+        text = text.strip()
+        base, slash, length_text = text.partition("/")
+        bits = _v4_bits(base)
+        length = _decimal(length_text, 32) if slash else 32
+        if bits is not None and length is not None and not bits & ((1 << (32 - length)) - 1):
+            return cls(Address(IPVersion.V4, bits), length)
+        net = ipaddress.ip_network(text, strict=True)
         version = IPVersion.V4 if net.version == 4 else IPVersion.V6
         return cls(Address(version, int(net.network_address)), net.prefixlen)
 

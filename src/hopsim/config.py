@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from functools import lru_cache
 from pathlib import Path
 
 # The config digest is the only hash a run takes. `hashlib` maps OpenSSL's
@@ -336,10 +337,18 @@ def _load_model(path: Path, where: str) -> DhmmModel:
     """A DHMM file whose model can start a walk in any state and keep going."""
     text = _read(path, where)
     try:
-        model = DhmmModel.from_text(text)
-        check_walkable(model)
+        return _walkable_model(text)
     except (ValueError, KeyError, HopsimError) as exc:
         raise ConfigError(where, f"unusable model {path.name}: {exc!r}") from exc
+
+
+@lru_cache(maxsize=None)
+def _walkable_model(text: str) -> DhmmModel:
+    # One model per distinct text for the life of the process: a model is
+    # immutable and `from_text` pure, and a text that fails raises again
+    # on every call, as a raise is not cached.
+    model = DhmmModel.from_text(text)
+    check_walkable(model)
     return model
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import math
 import struct
 import zlib
 
@@ -53,6 +54,9 @@ class SyncPayload(Frozen):
             raise ValueError("seed must fit in 64 bits")
         if len(dwell_model_id.encode()) > 255:
             raise ValueError("dwell model id too long")
+        # Negated so that NaN fails it too.
+        if not 0 <= epoch_ms < math.inf:
+            raise ValueError(f"epoch_ms must be finite and not negative, got {epoch_ms!r}")
         super().__init__(seed, pool, dwell_model_id, epoch_ms)
 
     def to_bytes(self) -> bytes:

@@ -236,10 +236,14 @@ class Simulation:
         self._outbound_key = (OUTBOUND, config.client_ip.key, config.server_ip.key)
 
         adv = config.adversary
-        self.tap: ObserverTap | None = ObserverTap(adv.tap) if adv else None
+        # The tap's log is read only by timing analysis, so a tap exists only
+        # where a timing model will read it.
+        self.tap: ObserverTap | None = (
+            ObserverTap(adv.tap) if adv and adv.timing_model is not None else None
+        )
         # The tapped link as {a: b, b: a}: a crossing from `asn` is tapped
         # when it goes to `_tap_next[asn]`.
-        self._tap_next = dict(self.tap.crossings) if self.tap else {}
+        self._tap_next = dict((adv.tap, adv.tap[::-1])) if adv else {}
         self.policy: BlockPolicy | None = None
         if adv and adv.mode is not None:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
@@ -505,8 +509,9 @@ class Simulation:
                     trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
                 break
             nxt = as_path[0]
-            if tap is not None and tap_next.get(asn) == nxt:
-                tap.observe(now, packet)
+            if tap_next.get(asn) == nxt:
+                if tap is not None:
+                    tap.observe(now, packet)
                 policy = self.policy
                 if policy is not None and filter_packet(policy, packet, at=now) is Verdict.BLOCK:
                     trace.emit(

@@ -120,6 +120,122 @@ class TestPrefix:
         assert p.contains(probe) == (probe.bits >> shift == base.bits >> shift)
 
 
+# --- text parsing ----------------------------------------------------------
+#
+# Canonical v4 text is parsed without `ipaddress`; all other text goes to
+# it. Either way a parse must give what `ipaddress` gives for the same
+# text (stripped, as `parse` strips it): the same value, or the same
+# exception type with the same message.
+
+_OCTETS = st.one_of(
+    st.integers(0, 255).map(str),
+    st.integers(0, 999).map(str),  # above 255
+    st.integers(0, 99).map(lambda i: f"0{i}"),  # leading zeros
+    st.sampled_from(["", "00", "0x1", "+1", "-1", "1_0", "1 ", "\u0663", "\uff11", "\u00b2", "1\u0663"]),
+)
+_LENGTHS = st.one_of(
+    st.none(),  # no slash
+    st.integers(0, 40).map(str),  # /33 and above too
+    st.sampled_from([
+        "", "024", "00", "033", "+8", " 8", "8 ", "\u0661\u0666",
+        "255.0.0.0", "255.255.255.0", "0.0.0.255", "255.0.255.0", "255.255.255.255",
+    ]),
+)
+_DOTTED = st.one_of(
+    st.lists(_OCTETS, min_size=4, max_size=4),
+    st.lists(_OCTETS, min_size=1, max_size=6),
+).map(".".join)
+# Canonical networks, most of which the hand-written path accepts.
+_NETWORKS = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32)).map(
+    lambda t: str(ipaddress.IPv4Network((t[0] >> (32 - t[1]) << (32 - t[1]), t[1])))
+)
+_V6 = st.sampled_from([
+    "::", "::1", "2001:db8::", "2001:db8::1", "::ffff:1.2.3.4", "1.2.3.4::",
+    "2001:db8::/32", "2001:db8::1/32", "2001:db8::/129", "fe80::1%eth0", "2001:db8:::1",
+])
+_SPACE = st.sampled_from(["", " ", "\t", "\n "])
+
+
+_BASES = _NETWORKS.map(lambda n: n.split("/")[0])
+
+
+def _pad_octet(network: str, i: int) -> str:
+    octets = network.split(".")
+    octets[i] = "0" + octets[i]
+    return ".".join(octets)
+
+
+# Canonical networks but for a leading zero in one octet.
+_PADDED = st.tuples(_NETWORKS, st.integers(0, 3)).map(lambda t: _pad_octet(*t))
+
+
+@st.composite
+def address_texts(draw) -> str:
+    text = draw(st.one_of(_DOTTED, _BASES, _PADDED.map(lambda n: n.split("/")[0]), _V6))
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+@st.composite
+def prefix_texts(draw) -> str:
+    if draw(st.booleans()):
+        text = draw(st.one_of(_NETWORKS, _PADDED, _V6))
+    else:
+        length = draw(_LENGTHS)
+        text = draw(st.one_of(_DOTTED, _BASES)) + ("" if length is None else "/" + length)
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+def _outcome(parse, text):
+    """`parse(text)`, or the type and message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc.__class__, str(exc)
+
+
+def _assert_address_parity(text: str) -> None:
+    def ours(t):
+        a = Address.parse(t)
+        return a.version.value, a.bits
+
+    def theirs(t):
+        a = ipaddress.ip_address(t)
+        return a.version, int(a)
+
+    assert _outcome(ours, text) == _outcome(theirs, text.strip())
+
+
+def _assert_prefix_parity(text: str) -> None:
+    def ours(t):
+        p = Prefix.parse(t)
+        return p.version.value, p.base.bits, p.length
+
+    def theirs(t):
+        n = ipaddress.ip_network(t, strict=True)
+        return n.version, int(n.network_address), n.prefixlen
+
+    assert _outcome(ours, text) == _outcome(theirs, text.strip())
+
+
+class TestParseMatchesIpaddress:
+    @given(address_texts())
+    def test_address(self, text):
+        _assert_address_parity(text)
+
+    @given(prefix_texts())
+    def test_prefix(self, text):
+        _assert_prefix_parity(text)
+
+    @pytest.mark.parametrize("text", [
+        "10.0.0.1/024", "10.0.0.0/33", "10.0.0.0/", "/", "10.0.0.0/255.0.0.0", "10.0.0.1/24",
+        "010.0.0.0/8", "10.0.0.256", "10..0.1", "\u0661.2.3.4", " 10.0.0.0/8 ", "10.0.0.0 /8",
+        "0.0.0.0/0", "2001:db8::/32", "::ffff:10.0.0.1",
+    ])
+    def test_examples(self, text):
+        _assert_address_parity(text)
+        _assert_prefix_parity(text)
+
+
 @st.composite
 def twin_prefixes(draw):
     """Up to 4 prefixes among the lowest 256 addresses, from host length

@@ -15,6 +15,7 @@ from hopsim.covert import SyncPayload, encode_payload, parse_zone, zone_lines
 from hopsim.addressing import Address, PrefixPool
 from hopsim.errors import ScenarioError
 from hopsim.session import Simulation
+from hopsim.values import _set
 
 from conftest import make_config
 from test_session import GOLDEN_TWO_WAY
@@ -508,6 +509,28 @@ class TestCovert:
         zone = tmp_path / "zone.txt"
         assert main(["covert", "encode", "--in", str(src), "--out", str(zone)]) == 0
         assert parse_zone(zone.read_text()) == config.sync_records
+
+    @pytest.mark.parametrize("epoch", ["nan", "inf", "-5"])
+    def test_unusable_epoch_exits_2(self, tmp_path, capsys, epoch):
+        src = tmp_path / "payload.txt"
+        src.write_text(PAYLOAD_TEXT.replace("epoch_ms=1000.0", f"epoch_ms={epoch}"))
+        zone = tmp_path / "zone.txt"
+        assert main(["covert", "encode", "--in", str(src), "--out", str(zone)]) == 2
+        assert "epoch_ms must be finite and not negative" in capsys.readouterr().err
+        assert not zone.exists()
+
+    @pytest.mark.parametrize("epoch", [float("nan"), float("inf"), -5.0])
+    def test_records_carrying_an_unusable_epoch_exit_2(self, tmp_path, capsys, epoch):
+        # Records a checked payload cannot give: bypass the check to make them.
+        payload = payload_from_text(PAYLOAD_TEXT)
+        _set(payload, "epoch_ms", epoch)
+        zone = tmp_path / "zone.txt"
+        records = encode_payload(payload, Address.parse("203.0.113.5"))
+        zone.write_text("\n".join(zone_lines(records)) + "\n")
+        out = tmp_path / "decoded.txt"
+        assert main(["covert", "decode", "--in", str(zone), "--out", str(out)]) == 2
+        assert "epoch_ms must be finite and not negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_payload_text_canonical_round_trip(self):
         payload = payload_from_text(PAYLOAD_TEXT)

@@ -19,7 +19,8 @@ import hopsim.routing
 import hopsim.session
 from hopsim.config import ScenarioConfig
 from hopsim.covert import decode_payload
-from hopsim.dwell import infer_dhmm, quantile_alphabet
+from hopsim.dwell import DhmmModel, infer_dhmm, quantile_alphabet
+from hopsim.errors import ConfigError
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
@@ -272,3 +273,80 @@ def test_a_self_link_is_rejected_at_parse_time(tmp_path):
     path = make_config(tmp_path, topo="1 2\n2 2\n2 3\n")
     code, err = _run(path, tmp_path)
     assert code == 2 and "[topology] file" in err and "self-link" in err, err
+
+
+# --- dwell models ----------------------------------------------------------
+
+
+def _dhmm_config(tmp_path) -> Path:
+    """A config whose `[dwell] model` and `[adversary] timing_model` name bg.model."""
+    path = make_config(
+        tmp_path, dwell="dhmm", n_hops=6, packets=30, gap_ms="auto",
+        extra="[adversary]\ntap = 1-2\ntiming_model = bg.model\n",
+    )
+    path.write_text(path.read_text().replace("[traffic]", "model = bg.model\n\n[traffic]"))
+    return path
+
+
+def _count_model_loads(monkeypatch) -> list[str]:
+    hopsim.config._walkable_model.cache_clear()
+    loads = []
+    from_text = DhmmModel.from_text
+
+    def counted(text):
+        loads.append(text)
+        return from_text(text)
+
+    monkeypatch.setattr(DhmmModel, "from_text", counted)
+    return loads
+
+
+def test_one_model_text_is_loaded_once(tmp_path, monkeypatch):
+    rng = SplitMix64(11)
+    (tmp_path / "bg.model").write_text(trained_model([rng.uniform(200, 3000) for _ in range(300)], 4))
+    loads = _count_model_loads(monkeypatch)
+    config = ScenarioConfig.from_file(_dhmm_config(tmp_path))
+    assert len(loads) == 1
+    assert config.dwell.model is config.adversary.timing_model
+    ScenarioConfig.from_file(tmp_path / "scenario.ini")
+    assert len(loads) == 1
+
+
+def test_a_rewritten_model_file_gives_the_new_model(tmp_path, monkeypatch):
+    path = _dhmm_config(tmp_path)
+    loads = _count_model_loads(monkeypatch)
+    models = []
+    for trace in ([100.0, 900.0] * 5, [300.0, 700.0, 1500.0] * 5):
+        (tmp_path / "bg.model").write_text(trained_model(trace, 2))
+        config = ScenarioConfig.from_file(path)
+        assert config.dwell.model.to_text() == (tmp_path / "bg.model").read_text()
+        models.append(config.dwell.model)
+    assert models[0] != models[1] and len(loads) == 2
+
+
+@pytest.mark.parametrize("key", ["[dwell] model", "[adversary] timing_model"])
+def test_an_unusable_model_fails_on_every_load(tmp_path, monkeypatch, key):
+    good = trained_model([100.0, 900.0] * 5, 2)
+    path = _dhmm_config(tmp_path)
+    (tmp_path / "bad.model").write_text(good.replace(",1.0\n", ",nan\n"))
+    (tmp_path / "bg.model").write_text(good)
+    name = "model" if key == "[dwell] model" else "timing_model"
+    path.write_text(path.read_text().replace(f"{name} = bg.model", f"{name} = bad.model"))
+    loads = _count_model_loads(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unusable model bad.model")):
+            ScenarioConfig.from_file(path)
+    # The usable file is parsed once at most; the unusable one on every load.
+    assert sum(text != good for text in loads) == 3
+
+
+def test_a_bad_blocklist_entry_names_its_key_and_the_parser_error(tmp_path):
+    path = make_config(
+        tmp_path, extra="[adversary]\ntap = 1-2\npolicy = static\nblocked = 45.1.2.0/24, 45.01.2.0/24\n"
+    )
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_file(path)
+    assert str(info.value) == (
+        "[adversary] blocked: bad value '45.1.2.0/24, 45.01.2.0/24': "
+        "'45.01.2.0/24' does not appear to be an IPv4 or IPv6 network"
+    )

@@ -919,8 +919,10 @@ TRACED = (
 
 
 def test_traced_call_counts(tmp_path):
-    # longest_match once per AS visited, observe and filter_packet once
-    # per tapped crossing, apply_detail once per decision-cache miss, emit
+    # longest_match once per AS visited, filter_packet once per tapped
+    # crossing under a blocking policy, observe once per tapped crossing
+    # where a timing model reads the tap's log (none of the shipped
+    # configs names one), apply_detail once per decision-cache miss, emit
     # once per trace line, one call per flow-table write, and
     # process_message once per update a receiver takes, though one
     # advertisement goes to all of a sender's peers: the span counts the
@@ -932,15 +934,25 @@ def test_traced_call_counts(tmp_path):
         for stem in ("one_way_hop111", "reactive_block", "baseline_static")
     }
     configs["two_way"] = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
+    # reactive_block with a timing model, whose analysis reads the tap's log.
+    from test_dwell import symbol_chain
+
+    model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
+    (tmp_path / "bg.model").write_text(model.to_text())
+    timed = (shipped / "reactive_block.ini").read_text().replace("topo_line3.txt", "topo.txt")
+    configs["reactive_timed"] = ScenarioConfig.from_text(
+        timed + "timing_model = bg.model\n", base_dir=tmp_path
+    )
     counts = {
         name: _calls(lambda: Simulation(config).run(), TRACED)
         for name, config in configs.items()
     }
     assert counts == {
         "one_way_hop111": [2016, 446, 0, 0, 1572, 111, 111, 220, 8],
-        "reactive_block": [2016, 450, 672, 672, 1572, 111, 111, 220, 8],
-        "baseline_static": [698, 2, 672, 672, 1347, 0, 0, 0, 4],
+        "reactive_block": [2016, 450, 672, 0, 1572, 111, 111, 220, 8],
+        "baseline_static": [698, 2, 672, 0, 1347, 0, 0, 0, 4],
         "two_way": [82, 46, 0, 0, 87, 10, 10, 16, 16],
+        "reactive_timed": [2016, 450, 672, 672, 1572, 111, 111, 220, 8],
     }
 
 
