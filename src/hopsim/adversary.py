@@ -40,11 +40,9 @@ class ObserverTap:
     timing analysis reads.
     """
 
-    __slots__ = ("crossings", "log")
+    __slots__ = ("log",)
 
-    def __init__(self, link: tuple[int, int]):
-        # The (from AS, to AS) pairs it watches: its link, crossed either way.
-        self.crossings = frozenset((link, link[::-1]))
+    def __init__(self) -> None:
         self.log: list[tuple[float, Address]] = []
 
     def observe(self, t: float, packet: Packet) -> None:

@@ -37,6 +37,12 @@ from .values import Frozen, _set
 
 _REQUIRED = object()
 
+# The most packets and hops a config may ask for. At 15 us a packet and
+# 70 us and 1.3 KB a hop (measured on 2 vCPUs, Python 3.11), a run at
+# either cap takes minutes at most and under 1.5 GB.
+MAX_PACKETS = 10_000_000
+MAX_HOPS = 1_000_000
+
 
 class AdversaryConfig(Frozen):
     __slots__ = _fields = (
@@ -101,6 +107,8 @@ class ScenarioConfig(Frozen):
 
         seed = need("scenario", "seed", _u64)
         n_hops = need("scenario", "n_hops", int)
+        if n_hops > MAX_HOPS:
+            raise ConfigError("[scenario] n_hops", f"must be <= {MAX_HOPS}")
         server_hopping = need("server", "hopping", as_bool, True)
         if server_hopping and n_hops < 1:
             raise ConfigError("[scenario] n_hops", "must be >= 1 for a hopping server")
@@ -148,8 +156,8 @@ class ScenarioConfig(Frozen):
             raise ConfigError("[dwell] source", f"unknown source {dwell_kind!r}")
 
         packets = need("traffic", "packets", int)
-        if packets < 0:
-            raise ConfigError("[traffic] packets", "must be >= 0")
+        if not 0 <= packets <= MAX_PACKETS:
+            raise ConfigError("[traffic] packets", f"must be in 0..{MAX_PACKETS}")
         gap = lambda raw: None if raw.strip().lower() == "auto" else _positive(raw)
         gap_ms = need("traffic", "gap_ms", gap)
         if gap_ms is None and not server_hopping:

@@ -239,7 +239,7 @@ class Simulation:
         # The tap's log is read only by timing analysis, so a tap exists only
         # where a timing model will read it.
         self.tap: ObserverTap | None = (
-            ObserverTap(adv.tap) if adv and adv.timing_model is not None else None
+            ObserverTap() if adv and adv.timing_model is not None else None
         )
         # The tapped link as {a: b, b: a}: a crossing from `asn` is tapped
         # when it goes to `_tap_next[asn]`.

@@ -7,7 +7,6 @@ per criterion; any failure is reported by pytest as usual.
 import json
 import re
 import time
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +27,11 @@ from hopsim.dwell import (
 )
 from hopsim.errors import CovertDecodeError
 from hopsim.hopping import collision_probability
-from hopsim.routing import AsGraph, announce, converge, withdraw
+from hopsim.routing import announce, converge, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
+
+from test_routing import bfs_distances, random_connected_graph
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -199,28 +200,12 @@ def test_criterion_3_massage_efficacy():
     )
 
 
-def _bfs(graph: AsGraph, origin: int) -> dict[int, int]:
-    dist, frontier = {origin: 0}, deque([origin])
-    while frontier:
-        node = frontier.popleft()
-        for nbr in graph.nodes[node].peers:
-            if nbr not in dist:
-                dist[nbr] = dist[node] + 1
-                frontier.append(nbr)
-    return dist
-
-
 def _criterion_4_graphs():
     """The 50 seeded random graphs of criterion 4, each with its origin."""
     rng = SplitMix64(0xBEEF)
     for case in range(50):
         size = 2 + rng.below(49)  # up to 50 nodes
-        edges = [(rng.below(i) + 1, i + 1) for i in range(1, size)]
-        for _ in range(rng.below(size)):
-            a, b = rng.below(size) + 1, rng.below(size) + 1
-            if a != b:
-                edges.append((a, b))
-        yield case, AsGraph.from_edges(edges), rng.below(size) + 1
+        yield case, random_connected_graph(rng, size), rng.below(size) + 1
 
 
 def test_criterion_4_route_simulator_oracle():
@@ -230,7 +215,7 @@ def test_criterion_4_route_simulator_oracle():
         initial_ribs = {asn: dict(n.rib) for asn, n in graph.nodes.items()}
         announce(graph, prefix, origin)
         converge(graph)
-        distances = _bfs(graph, origin)
+        distances = bfs_distances(graph, origin)
         for asn, node in graph.nodes.items():
             assert len(node.rib[prefix.key]) == distances[asn], (case, asn)
             checked_nodes += 1

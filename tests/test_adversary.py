@@ -15,7 +15,12 @@ from hopsim.adversary import (
 )
 from hopsim.dwell import distribution_distance, infer_dhmm, quantile_alphabet, start_sampler
 from hopsim.flowtable import Packet
+from hopsim.config import ScenarioConfig
 from hopsim.rng import SplitMix64
+from hopsim.session import Simulation
+
+from conftest import make_config
+from scenario_gen import trained_model
 
 CLIENT = Address.parse("184.164.242.5")
 SERVER1 = Address.parse("184.164.243.1")
@@ -180,22 +185,34 @@ class TestIndexedBlocklist:
 
 
 class TestObserverTap:
-    def test_watches_its_link_in_either_direction(self):
-        tap = ObserverTap((2, 1))
-        assert (1, 2) in tap.crossings and (2, 1) in tap.crossings
-        assert not {(1, 3), (1, 1), (2, 2)} & tap.crossings
+    def test_watches_its_link_in_either_direction(self, tmp_path):
+        # A run taps `1-2` as it taps `2-1`: the same log, verdicts and blocks.
+        (tmp_path / "bg.model").write_text(trained_model([200.0, 700.0, 1500.0] * 4, 3))
+        runs = []
+        for tap in ("1-2", "2-1"):
+            adversary = (
+                f"[adversary]\ntap = {tap}\npolicy = static\n"
+                "blocked = 184.164.243.0/25\ntiming_model = bg.model\n"
+            )
+            path = make_config(tmp_path, n_hops=6, packets=30, gap_ms="auto", extra=adversary)
+            sim = Simulation(ScenarioConfig.from_file(path))
+            runs.append((sim.run(), sim.tap.log))
+        (first, log), (second, other_log) = runs
+        assert log and log == other_log
+        assert first.verdicts and first.verdicts == second.verdicts
+        assert first.trace == second.trace and ",adversary,block," in first.trace_text()
 
 
 class TestExtractHopIntervals:
     def test_single_address_session(self):
-        tap = ObserverTap((1, 2))
+        tap = ObserverTap()
         for i in range(5):
             tap.observe(float(i), packet())
         assert extract_hop_intervals(tap, SERVER_POOL) == []
 
     def test_constructed_three_hop_trace(self):
         # The source hops too, as the client's does in two-way mode.
-        tap = ObserverTap((1, 2))
+        tap = ObserverTap()
         plan = [(0.0, SERVER1), (5.0, SERVER1), (10.0, SERVER2), (15.0, SERVER2), (20.0, SERVER3)]
         for i, (t, dst) in enumerate(plan):
             tap.observe(t, packet(src=Address.parse(f"184.164.242.{i}"), dst=dst))
@@ -204,8 +221,8 @@ class TestExtractHopIntervals:
     def test_background_flows_do_not_disturb_grouping(self):
         # Unrelated flows to changing destinations outside the pool, one of
         # them from the session's own client, interleave with the session.
-        isolated = ObserverTap((1, 2))
-        mixed = ObserverTap((1, 2))
+        isolated = ObserverTap()
+        mixed = ObserverTap()
         noise_src = Address.parse("198.51.100.1")
         noise_dsts = [Address.parse(f"198.51.100.{i}") for i in (2, 3)]
         plan = [(0.0, SERVER1), (10.0, SERVER2), (20.0, SERVER3)]
@@ -222,14 +239,14 @@ class TestExtractHopIntervals:
         assert extract_hop_intervals(mixed, SERVER_POOL) == [10.0, 10.0]
 
     def test_return_traffic_is_not_a_hop(self):
-        tap = ObserverTap((1, 2))
+        tap = ObserverTap()
         tap.observe(0.0, packet(dst=SERVER1))
         tap.observe(1.0, packet(src=SERVER1, dst=CLIENT))
         tap.observe(2.0, packet(dst=SERVER1))
         assert extract_hop_intervals(tap, SERVER_POOL) == []
 
     def test_log_must_stay_ordered(self):
-        tap = ObserverTap((1, 2))
+        tap = ObserverTap()
         tap.observe(5.0, packet())
         with pytest.raises(ValueError):
             tap.observe(4.0, packet())

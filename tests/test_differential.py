@@ -13,88 +13,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsim import routing, session
+from hopsim.addressing import IPVersion
 from hopsim.config import ScenarioConfig
+from hopsim.dwell import DhmmDwell
+from hopsim.errors import ConfigError
 from hopsim.routing import announce, converge, process_message, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
-from test_dwell import symbol_chain
+from scenario_gen import random_scenario
 from test_routing import P16, P24, P_OTHER, random_connected_graph
 from test_session import _QueueEveryCrossing
 
-CONFIGS = 300
-LINK_DELAYS = (0, 1, 5, 11)
-
-
-def random_config(seed: int, root) -> ScenarioConfig:
-    """A legal config drawn from `seed`: 3 to 12 ASes on a random tree plus
-    up to 2n extra links, 1 to 4 /24s per pool, two-way mode half the time,
-    uniform dwells or fixed ones whose round times make events tie, and
-    random link delay, clock skew, grace and lead time, sometimes with a
-    tap and a reactive block or timing judge on it."""
-    rng = SplitMix64(seed)
-    pick = lambda options: options[rng.below(len(options))]
-    n = 3 + rng.below(10)
-    edges = {(1 + rng.below(i), i + 1) for i in range(1, n)}
-    for _ in range(rng.below(2 * n + 1)):
-        a, b = 1 + rng.below(n), 1 + rng.below(n)
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    edges = sorted(edges)
-    (root / "topo.txt").write_text("".join(f"{a} {b}\n" for a, b in edges))
-    server_as = 1 + rng.below(n)
-    client_as = 1 + (server_as + rng.below(n - 1)) % n
-    pool = lambda octet: ",".join(f"100.{octet}.{i}.0/24" for i in range(1 + rng.below(4)))
-    two_way = rng.below(2) == 1
-    client = f"pool = {pool(65)}\n" if two_way else ""
-    if rng.below(2):
-        low = 50 + rng.below(400)
-        dwell = f"source = uniform\nlow_ms = {low}\nhigh_ms = {low + 1 + rng.below(900)}"
-    else:
-        dwell = f"source = fixed\nfixed_ms = {pick((100, 250, 1000))}"
-    gap = pick(("auto", "7", "10", "22", "25", "100"))
-    adversary = ""
-    if rng.below(3) == 0:
-        a, b = pick(edges)
-        tap = f"{a}-{b}" if rng.below(2) else f"{b}-{a}"
-        adversary = f"[adversary]\ntap = {tap}\n"
-        if rng.below(2):
-            adversary += f"policy = reactive\ndetect_delay_ms = {pick((20, 300))}\n"
-        if rng.below(2):
-            adversary += "timing_model = bg.model\n"
-    text = f"""
-[scenario]
-seed = {rng.below(1 << 32)}
-n_hops = {2 + rng.below(7)}
-grace_window_ms = {pick((0, 50, 200, 700))}
-clock_skew_ms = {pick((0, 30, 300))}
-link_delay_ms = {pick(LINK_DELAYS)}
-lead_time_ms = {pick((5, 40, 1000))}
-withdraw_lag_ms = {pick((0, 20, 500))}
-two_way = {str(two_way).lower()}
-client_seed = {rng.below(1 << 32)}
-
-[topology]
-file = topo.txt
-
-[server]
-internal_ip = 10.0.0.1
-attached_as = {server_as}
-pool = {pool(64)}
-
-[client]
-internal_ip = 10.0.0.2
-attached_as = {client_as}
-{client}
-[dwell]
-{dwell}
-
-[traffic]
-packets = {1 + rng.below(40)}
-gap_ms = {gap}
-
-{adversary}"""
-    return ScenarioConfig.from_text(text, base_dir=root)
+CONFIGS = 500
+# The least number of the CONFIGS seeds whose config parses: 232 do.
+LEGAL = 200
+# Every key a generated config is rejected on.
+REJECTED = {
+    "[scenario] client_seed", "[scenario] n_hops", "[server] internal_ip",
+    "[client] internal_ip", "[client] pool", "[dwell] low_ms", "[dwell] model",
+    "[covert] domain_tail", "[adversary] detect_delay_ms", "[adversary] timing_model",
+    "[traffic] gap_ms", "[traffic] packets", "[scenario] two_way",
+}
 
 
 def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
@@ -105,11 +45,16 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(session, "process_message", counted)
-    model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
-    (tmp_path / "bg.model").write_text(model.to_text())
-    seen = Counter()
+    seen, rejected = Counter(), set()
     for seed in range(CONFIGS):
-        config = random_config(seed, tmp_path)
+        text, files = random_scenario(seed)
+        for name, body in files.items():
+            (tmp_path / name).write_bytes(body)
+        try:
+            config = ScenarioConfig.from_text(text, base_dir=tmp_path)
+        except ConfigError as exc:
+            rejected.add(exc.field)
+            continue
         runs = []
         for queue in (None, _QueueEveryCrossing()):
             sim = Simulation(config)
@@ -118,20 +63,25 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
             messages.append(0)
             runs.append(sim.run())
         inline, queued = runs
-        text = inline.trace_text()
-        assert text == queued.trace_text(), seed
+        assert inline.trace_text() == queued.trace_text(), seed
         assert inline.metrics.to_dict() == queued.metrics.to_dict(), seed
         assert inline.verdicts == queued.verdicts, seed
         assert messages[-2] == messages[-1], seed
         seen.update(ln.split(",", 3)[2] for ln in inline.trace)
         seen.update(ln.split(";")[1] for ln in inline.trace if ";reason=" in ln)
-        seen["two_way"] += config.two_way
-        seen["verdicts"] += bool(inline.verdicts)
-    # The oracle is not vacuous: the configs deliver, drop for every reason
-    # a legal config reaches, block, judge timing and hop both ways.
-    for what in ("deliver", "block", "reason=unroutable", "reason=no_rule",
-                 "reason=stale_rewrite", "two_way", "verdicts"):
+        seen.update(legal=1, two_way=config.two_way, verdicts=bool(inline.verdicts),
+                    v6=config.server_ip.version is IPVersion.V6,
+                    static_server=not config.server_hopping,
+                    dhmm=isinstance(config.dwell, DhmmDwell), zero_packets=config.packets == 0)
+    # The oracle is not vacuous: enough configs run, among them v6 pools,
+    # static servers, DHMM dwells, zero packets and two-way runs; they
+    # deliver, drop for every reason a legal config reaches, block and
+    # judge timing; and the rest are rejected on every key drawn to fail.
+    assert seen["legal"] >= LEGAL, seen["legal"]
+    for what in ("v6", "static_server", "dhmm", "zero_packets", "two_way", "deliver", "block",
+                 "reason=unroutable", "reason=no_rule", "reason=stale_rewrite", "verdicts"):
         assert seen[what] > 0, what
+    assert REJECTED <= rejected, REJECTED - rejected
     assert sum(messages) > 0
 
 

@@ -19,6 +19,8 @@ from hopsim.routing import (
 )
 from hopsim.rng import SplitMix64
 
+from scenario_gen import random_edges
+
 P24 = Prefix.parse("184.164.243.0/24")
 P_OTHER = Prefix.parse("184.164.242.0/24")
 DST = Address.parse("184.164.243.9")
@@ -61,13 +63,7 @@ def deliver_slot(g: AsGraph, key) -> bool:
 
 def random_connected_graph(rng: SplitMix64, size: int) -> AsGraph:
     """Random spanning tree plus a sprinkle of extra edges."""
-    edges = [(rng.below(i) + 1, i + 1) for i in range(1, size)]
-    extras = rng.below(size)
-    for _ in range(extras):
-        a, b = rng.below(size) + 1, rng.below(size) + 1
-        if a != b and (min(a, b), max(a, b)) not in [(min(x, y), max(x, y)) for x, y in edges]:
-            edges.append((a, b))
-    return AsGraph.from_edges(edges)
+    return AsGraph.from_edges(random_edges(rng, size, size))
 
 
 class TestAnnounce:

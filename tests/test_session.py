@@ -29,6 +29,7 @@ from hopsim.session import (
 )
 
 from conftest import make_config, rewritten_inbound
+from scenario_gen import random_edges
 
 POOL = PrefixPool.parse("184.164.243.0/24")
 SERVER_IP = Address.parse("10.0.0.1")
@@ -345,12 +346,7 @@ class TestRunScenario:
         rng = SplitMix64(31337)
         for case in range(6):
             size = 6 + rng.below(15)  # up to 20 ASes
-            edges = [(rng.below(i) + 1, i + 1) for i in range(1, size)]
-            for _ in range(rng.below(size)):
-                a, b = rng.below(size) + 1, rng.below(size) + 1
-                if a != b:
-                    edges.append((min(a, b), max(a, b)))
-            topo = "\n".join(f"{a} {b}" for a, b in sorted(set(edges))) + "\n"
+            topo = "".join(f"{a} {b}\n" for a, b in random_edges(rng, size, size))
             client_as = rng.below(size) + 1
             server_as = rng.below(size) + 1
             while server_as == client_as:
