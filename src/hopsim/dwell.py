@@ -80,7 +80,8 @@ def quantile_alphabet(trace: list[float], bins: int = 8) -> IntervalAlphabet:
 
     Duplicate quantile edges collapse, so a constant trace yields a
     single bin. The first bin starts at 0 and the last ends at the trace
-    maximum.
+    maximum. With at least as many bins as samples, each distinct value
+    ends one bin.
     """
     if not trace:
         raise InsufficientData("empty trace")
@@ -89,6 +90,9 @@ def quantile_alphabet(trace: list[float], bins: int = 8) -> IntervalAlphabet:
     if min(trace) <= 0:
         raise ValueError("durations must be positive")
     ordered = sorted(trace)
+    # From one bin per sample on, every distinct value is an edge, so
+    # more bins give the same alphabet: the loop stays within the trace.
+    bins = min(bins, len(ordered))
     edges = [0.0]
     for k in range(1, bins):
         # Upper edge of the k-th equal-count slice: the last element whose

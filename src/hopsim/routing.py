@@ -1,48 +1,40 @@
-"""Prefix-based path-vector routing over an AS graph.
+"""Prefix routing over an AS graph, down each origin's shortest-path tree.
 
 Announce a prefix before its dwell window opens, withdraw it after use,
-and every node converges on shortest AS-paths (ties to the lowest
-next-hop ASN). Policy knobs of real inter-domain routing — local
-preference, MED, business relationships — are out of scope; the
+and every node converges on a shortest AS path to the origin (ties to
+the lowest next-hop ASN). Policy knobs of real inter-domain routing —
+local preference, MED, business relationships — are out of scope; the
 simulator only needs reachability for ephemeral prefixes.
 
-Messages carry the sender's full advertised path; receivers discard
-paths containing themselves, which gives loop freedom and termination
-for this monotone policy.
+Each origin's BFS tree is built once, when first used. An AS's parent
+is its lowest-ASN neighbour one hop nearer the origin, so the path a
+rib holds is the chain of parents up to the origin. An update goes from
+an AS to its tree children only, as in reverse-path forwarding
+broadcast (Dalal and Metcalfe, CACM 1978). The receiver's rib entry
+becomes the path it is sent, or goes with a withdrawal, and it passes
+the update on only if that changed its entry. So an announcement or a
+withdrawal costs one message per tree edge, and every message changes
+a rib.
+
+A prefix keeps its first origin for the graph's life: another AS
+announcing it raises `MoasConflict`, even after a withdrawal. Every
+update on a prefix thus goes down one tree, and a late update can never
+be mistaken for a newer origin's.
 
 A rib maps a prefix to the AS path toward its origin, `()` at the
-origin itself, so the next hop is the path's first ASN. Ribs, learned
-paths, origins and update keys hold a prefix by its int `Prefix.key`,
-so a routing message hashes ints only; messages and each node's
-`index` still carry `Prefix` values. The packet path searches that index
-with `addressing.longest_match`.
+origin itself, so the next hop is the path's first ASN. Ribs, origins
+and update keys hold a prefix by its int `Prefix.key`, so a routing
+message hashes ints only; messages and each node's `index` still carry
+`Prefix` values. The packet path searches that index with
+`addressing.longest_match`.
 
-An advertisement is one `RouteMessage`, built once and queued to every
-neighbour; the receiver is the middle ASN of the update key it is
-queued under, not a field of the message.
-
-Updates are coalesced: at most one undelivered update exists per
-(sender, receiver, prefix). A newer update replaces the queued one and
-goes out in that one's delivery slot instead of taking a new slot.
-Only a neighbour's latest advertisement matters to its receiver, so the
-fixed point is unchanged. Coalescing bounds the work of announcements,
-whose intermediate best paths would otherwise each reach every
-neighbour, as BGP bounds it with MinRouteAdvertisementInterval (RFC
-4271 §9.2.1.1).
-
-Withdrawals name their root cause instead (BGP-RCN: Pei, Azuma, Massey
-and Zhang, Computer Networks 2005). Each announcement of a prefix gets a
-new epoch, and every update carries the epoch of its path. A prefix has
-one origin at a time, so a withdrawal of epoch e proves every path of an
-epoch up to e dead. A node drops all those paths at once, withdraws
-once, and rejects late announcements of the dead epochs. Without the
-cause, a withdrawal explores ever longer dead paths before it settles,
-the delayed convergence of Labovitz et al. (SIGCOMM 2000): n(n-1)^2/2
-messages on an n-clique. With it, a withdrawal costs at most one
-message per link direction. A node's route is the pair it advertises,
-its best path and that path's epoch, so a change of epoch alone goes to
-every neighbour like any other change. A live route is then never held
-anywhere under an epoch that a later withdrawal kills.
+An update is one `RouteMessage`, built once and queued to every child;
+the receiver is the middle ASN of the update key it is queued under,
+not a field of the message. Updates are coalesced: at most one
+undelivered update exists per (sender, receiver, prefix). A newer
+update replaces the queued one and goes out in that one's delivery slot
+instead of taking a new slot. So a re-announcement made before the
+withdrawal left rides in its slot and changes no rib downstream.
 
 `AsGraph` owns the queue. `converge` and an external scheduler alike
 take the slots one batch at a time with `AsGraph.take_slots` and deliver
@@ -60,48 +52,28 @@ from .values import Frozen, _set
 
 
 class RouteMessage(Frozen):
-    """One advertisement of `sender`'s route, shared by every neighbour it goes to."""
+    """One update of `sender`'s route, shared by every child it goes to."""
 
-    __slots__ = _fields = ("sender", "prefix", "path", "epoch")
+    __slots__ = _fields = ("sender", "prefix", "path")
 
-    def __init__(self, sender: int, prefix: Prefix, path: tuple[int, ...] | None, epoch: int):
+    def __init__(self, sender: int, prefix: Prefix, path: tuple[int, ...] | None):
         _set(self, "sender", sender)
         _set(self, "prefix", prefix)
         _set(self, "path", path)  # None = withdraw
-        # The path's announcement; for a withdrawal, the newest one known dead.
-        _set(self, "epoch", epoch)
 
 
 UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
-    __slots__ = ("asn", "peers", "rib", "epochs", "learned", "dead", "index")
+    __slots__ = ("asn", "peers", "rib", "index")
 
     def __init__(self, asn: int):
         self.asn = asn
-        self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted: the order updates go out in
-        # Best AS path by prefix key: `()` at the origin, else next hop first.
+        self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted
+        # AS path by prefix key: `()` at the origin, else next hop first.
         self.rib: dict[int, tuple[int, ...]] = {}
-        self.epochs: dict[int, int] = {}  # the epoch of each rib route, by prefix key
-        # Candidate paths per sender, as seen from this node, each as
-        # (path length, sender, epoch, path): the order the best-path choice
-        # compares them in. The origin holds its own route under its ASN.
-        self.learned: dict[int, dict[int, tuple[int, int, int, tuple[int, ...]]]] = {}
-        self.dead: dict[int, int] = {}  # the newest epoch known withdrawn, by prefix key
         self.index = PrefixIndex()  # over the rib's prefixes
-
-    def install(self, prefix: Prefix, path: tuple[int, ...], epoch: int) -> None:
-        key = prefix.key
-        if key not in self.rib:
-            self.index.add(prefix)
-        self.rib[key] = path
-        self.epochs[key] = epoch
-
-    def remove(self, prefix: Prefix) -> None:
-        if self.rib.pop(prefix.key, None) is not None:
-            del self.epochs[prefix.key]
-            self.index.discard(prefix)
 
 
 class AsGraph:
@@ -111,8 +83,8 @@ class AsGraph:
         # delivery order until `converge` or a scheduler takes them.
         self.pending: dict[UpdateKey, RouteMessage] = {}
         self.slots: list[UpdateKey] = []
-        self.origins: dict[int, int] = {}  # prefix key -> origin ASN
-        self.epochs: dict[int, int] = {}  # prefix key -> its last announcement's epoch
+        self.origins: dict[int, int] = {}  # prefix key -> origin ASN, kept after withdrawal
+        self._trees: dict[int, dict[int, tuple[int, ...]]] = {}  # origin -> ASN -> children
 
     def add_node(self, asn: int) -> AsNode:
         if asn not in self.nodes:
@@ -126,20 +98,39 @@ class AsGraph:
             node = self.add_node(x)
             if y not in node.peers:
                 node.peers = tuple(sorted((*node.peers, y)))
+        self._trees.clear()
 
-    def send(
-        self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None, epoch: int
-    ) -> None:
-        """Queue `node`'s update on `prefix` to each neighbor: one message,
-        queued under one key per neighbor.
+    def children(self, origin: int) -> dict[int, tuple[int, ...]]:
+        """Each AS's children, sorted, in `origin`'s shortest-path tree;
+        an AS without children is absent."""
+        tree = self._trees.get(origin)
+        if tree is None:
+            nodes, tree, seen, layer = self.nodes, {}, {origin}, [origin]
+            while layer:
+                # Taken in ASN order, a layer gives each AS of the next
+                # its lowest-ASN parent: the first to reach it.
+                below = []
+                for asn in layer:
+                    new = tuple(nbr for nbr in nodes[asn].peers if nbr not in seen)
+                    if new:
+                        seen.update(new)
+                        tree[asn] = new
+                        below += new
+                layer = sorted(below)
+            self._trees[origin] = tree
+        return tree
+
+    def send(self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> None:
+        """Queue `node`'s update on `prefix` to its children in the tree
+        of the prefix's origin: one message, queued under one key per child.
 
         An update replaces an undelivered one on the same key and keeps
         that one's slot; only a key with nothing queued opens a new slot.
         """
         pending, slots, asn, pkey = self.pending, self.slots, node.asn, prefix.key
-        msg = RouteMessage(asn, prefix, path, epoch)
-        for nbr in node.peers:
-            key = (asn, nbr, pkey)
+        msg = RouteMessage(asn, prefix, path)
+        for child in self.children(self.origins[pkey]).get(asn, ()):
+            key = (asn, child, pkey)
             if key not in pending:
                 slots.append(key)
             pending[key] = msg
@@ -177,83 +168,50 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Install the origin route under a new epoch and queue updates to neighbors.
+    """Install the origin route and queue updates to its tree children.
 
-    Re-announcing an already-held prefix is a no-op. A second origin for
-    the same prefix is rejected: ephemeral prefixes have one holder at a
-    time.
+    Re-announcing an already-held prefix is a no-op. Another origin for
+    the same prefix is rejected, even after a withdrawal.
     """
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
-    key = prefix.key
-    holder = graph.origins.get(key)
-    if holder == origin:
-        return
-    if holder is not None:
-        raise MoasConflict(f"{prefix} already announced by AS {holder}")
-    graph.origins[key] = origin
-    epoch = graph.epochs[key] = graph.epochs.get(key, 0) + 1
-    _learn(graph, graph.nodes[origin], prefix, origin, (), epoch)
+    holder = graph.origins.setdefault(prefix.key, origin)
+    if holder != origin:
+        raise MoasConflict(f"{prefix} belongs to AS {holder}")
+    _set_route(graph, graph.nodes[origin], prefix, ())
 
 
 def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Remove the origin route and queue withdrawals naming its epoch."""
+    """Remove the origin route and queue withdrawals to its tree children."""
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
-    if graph.origins.get(prefix.key) != origin:
-        raise NotAnnounced(f"{prefix} not announced by AS {origin}")
-    del graph.origins[prefix.key]
     node = graph.nodes[origin]
-    _learn(graph, node, prefix, origin, None, node.learned[prefix.key][origin][2])
+    if graph.origins.get(prefix.key) != origin or prefix.key not in node.rib:
+        raise NotAnnounced(f"{prefix} not announced by AS {origin}")
+    _set_route(graph, node, prefix, None)
 
 
 def process_message(graph: AsGraph, msg: RouteMessage, receiver: int) -> bool:
     """Apply one routing message at `receiver`; True when the receiver's
-    route, its best path and that path's epoch, changed and updates went
-    out to the neighbors."""
-    return _learn(graph, graph.nodes[receiver], msg.prefix, msg.sender, msg.path, msg.epoch)
+    rib entry changed and the update went on to its children."""
+    return _set_route(graph, graph.nodes[receiver], msg.prefix, msg.path)
 
 
-def _learn(
-    graph: AsGraph, node: AsNode, prefix: Prefix, sender: int, path: tuple[int, ...] | None,
-    epoch: int,
-) -> bool:
-    """Take `sender`'s path of `epoch`, or its withdrawal naming `epoch`, at
-    `node`; the origin sends to itself. True as for `process_message`."""
-    key = prefix.key
-    learned = node.learned.get(key)
-    if learned is None:
-        learned = node.learned[key] = {}
-    dead = node.dead.get(key, 0)
-    if path is None and epoch > dead:
-        # The root cause: every path of an epoch up to this one is dead.
-        node.dead[key] = dead = epoch
-        for nbr, candidate in list(learned.items()):
-            if candidate[2] <= epoch:
-                del learned[nbr]
-    if path is None or epoch <= dead or node.asn in path:
-        # Withdrawn, dead, or through ourselves: either way the sender's
-        # route is unusable from here.
-        learned.pop(sender, None)
-    else:
-        learned[sender] = (len(path), sender, epoch, path)
-
-    if learned:
-        # Shortest AS path; ties go to the lowest sender, the path's next hop.
-        _, _, epoch, best = min(learned.values())
-    else:
-        del node.learned[key]
-        epoch, best = dead, None
-    if best == node.rib.get(key) and (best is None or epoch == node.epochs[key]):
+def _set_route(graph: AsGraph, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> bool:
+    """Make `path` `node`'s rib entry for `prefix`, None to remove it; if
+    that changed the entry, queue `node`'s update to its children."""
+    key, rib = prefix.key, node.rib
+    if rib.get(key) == path:
         return False
-    if best is None:
-        node.remove(prefix)
-        advertised = None
+    if path is None:
+        del rib[key]
+        node.index.discard(prefix)
     else:
-        assert node.asn not in best, "loop-free invariant violated"
-        node.install(prefix, best, epoch)
-        advertised = (node.asn,) + best
-    graph.send(node, prefix, advertised, epoch)
+        if key not in rib:
+            node.index.add(prefix)
+        rib[key] = path
+        path = (node.asn,) + path
+    graph.send(node, prefix, path)
     return True
 
 
@@ -272,7 +230,8 @@ def converge(graph: AsGraph) -> int:
 
 def originates(graph: AsGraph, asn: int, address: Address) -> bool:
     """True if some announced prefix containing `address` has origin `asn`."""
-    # An origin's rib holds every prefix it announces, so its index finds them.
+    # An origin's rib holds a prefix of its own exactly while it announces
+    # it, so its index finds them.
     node = graph.nodes.get(asn)
     if node is not None:
         origins = graph.origins
@@ -280,4 +239,3 @@ def originates(graph: AsGraph, asn: int, address: Address) -> bool:
             if origins.get(prefix.key) == asn:
                 return True
     return False
-

@@ -5,24 +5,22 @@ per criterion; any failure is reported by pytest as usual.
 """
 
 import json
-import re
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
+from hopsim.addressing import Address, Prefix
 from hopsim.adversary import timing_detect
 from hopsim.cli import MACHINE_MARKER, main
 from hopsim.config import ScenarioConfig
-from hopsim.covert import PtrRecordSet, SyncPayload, decode_payload, encode_payload
+from hopsim.covert import PtrRecordSet, decode_payload, encode_payload
 from hopsim.dwell import (
     Transition,
     DhmmModel,
     IntervalAlphabet,
     IntervalBin,
     infer_dhmm,
-    quantile_alphabet,
     start_sampler,
 )
 from hopsim.errors import CovertDecodeError
@@ -31,6 +29,8 @@ from hopsim.routing import announce, converge, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
+from test_adversary import background_model
+from test_covert import dns_name_valid, random_payload
 from test_routing import bfs_distances, random_connected_graph
 
 
@@ -164,22 +164,8 @@ detect_delay_ms = 5000
     )
 
 
-def _background():
-    rng = SplitMix64(2024)
-    trace = []
-    for _ in range(20_000):
-        u = rng.random()
-        if u < 0.5:
-            trace.append(rng.uniform(200.0, 2000.0))
-        elif u < 0.8:
-            trace.append(rng.uniform(2000.0, 8000.0))
-        else:
-            trace.append(rng.uniform(8000.0, 20000.0))
-    return infer_dhmm(trace, quantile_alphabet(trace, 8), order=1)
-
-
 def test_criterion_3_massage_efficacy():
-    model = _background()
+    model = background_model()
     massaged = start_sampler(model, 4242).take(10_000)
     stat_massaged = timing_detect(massaged, model, reference_seed=77)
 
@@ -281,38 +267,16 @@ def test_criterion_5_collision_probability():
     )
 
 
-_LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?$")
-
-
-def _dns_valid(name: str) -> bool:
-    return len(name) <= 253 and all(_LABEL_RE.fullmatch(l) for l in name.split("."))
-
-
-def _random_payload(rng: SplitMix64) -> SyncPayload:
-    version = IPVersion.V4 if rng.below(2) else IPVersion.V6
-    width = version.width
-    length = 16 + rng.below(9)
-    prefixes = []
-    for _ in range(rng.below(4) + 1):
-        base_bits = (rng.below(1 << 14)) << (width - 14)
-        mask = ((1 << length) - 1) << (width - length)
-        candidate = Prefix(Address(version, base_bits & mask), length)
-        if not any(p.covers(candidate) or candidate.covers(p) for p in prefixes):
-            prefixes.append(candidate)
-    model = "".join("abcdefgh"[rng.below(8)] for _ in range(rng.below(12) + 1))
-    return SyncPayload(rng.next_u64(), PrefixPool(tuple(prefixes)), model, float(rng.below(10**7)))
-
-
 def test_criterion_6_covert_channel():
     anchor = Address.parse("203.0.113.9")
     rng = SplitMix64(0xC0FFEE)
 
     names_checked = 0
     for _ in range(10_000):
-        payload = _random_payload(rng)
+        payload = random_payload(rng)
         records = encode_payload(payload, anchor)
         for name in records.names:
-            assert _dns_valid(name), name
+            assert dns_name_valid(name), name
             names_checked += 1
         shuffled = list(records.names)
         for i in range(len(shuffled) - 1, 0, -1):
@@ -321,7 +285,7 @@ def test_criterion_6_covert_channel():
         assert decode_payload(PtrRecordSet(anchor, tuple(shuffled))) == payload
 
     corruption_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-."
-    payload = _random_payload(rng)
+    payload = random_payload(rng)
     records = encode_payload(payload, anchor)
     detected = 0
     trials = 10_000

@@ -37,11 +37,11 @@ SHIPPED_DIGESTS = {
         "662fb0daed667a82bd80f62f6e7dfbcf4ba8186ec561934f7ec76be12973e3a7",
     ),
     "01_one_way_hop111": (
-        "6179797e4afada934c47e079de5b991a06e3cf9828183437afa7e1b6dbb34daa",
+        "907f228bceac59d9522a8038ecba1b2b291e08436db6d14069a2a51f139e2128",
         "c1910fc74ba85c04f065e2efddd68ea28bdfc268fd0808d91855aacbbf0968dc",
     ),
     "02_reactive_block": (
-        "1bb42144484ed94bbf546aab66fbe97d37f877fcdc4992657eca17018a736ea8",
+        "bac8a98147dcad2fe0bfae22cf0e60e93033631fb16471fea95a4dc887b90b16",
         "0841511560836698808145737c02bae3d565c05ae82f66d4b123d6f121c125a2",
     ),
 }
@@ -394,6 +394,22 @@ class TestTrain:
         assert model.num_states == 2
         probs = {(t.from_state, t.symbol): t.probability for t in model.transitions}
         assert probs == {(0, 1): 1.0, (1, 0): 1.0}
+
+    def test_huge_bin_count_gives_the_one_bin_per_sample_model(self, tmp_path):
+        # Bins beyond the trace's length change nothing, and the count does
+        # not bound the work: 2**64 bins return as soon as 200 do.
+        from hopsim.rng import SplitMix64
+
+        rng = SplitMix64(9)
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(f"{100 * (1 + rng.below(5))}\n" for _ in range(200)))
+        models = []
+        for bins in ("200", str(2**64)):
+            out = tmp_path / f"{len(bins)}.dhmm"
+            assert main(["train", "--trace", str(trace), "--bins", bins, "--out", str(out)]) == 0
+            models.append(out.read_text())
+        assert models[0] == models[1]
+        assert models[0].startswith("states=5 symbols=5")
 
     def test_reload_reproduces_inference_exactly(self, tmp_path):
         from hopsim.dwell import DhmmModel, infer_dhmm, load_trace_text, quantile_alphabet

@@ -72,6 +72,14 @@ class TestIntervalAlphabet:
         a = quantile_alphabet([10_000.0] * 40, 8)
         assert len(a) == 1
 
+    @pytest.mark.parametrize("bins", [1_000, 10**5, 10**6, 2**64])
+    def test_quantile_bins_beyond_the_trace_end_at_each_distinct_value(self, bins):
+        rng = SplitMix64(6)
+        trace = [float(1 + rng.below(700)) for _ in range(1_000)]  # ties among them
+        a = quantile_alphabet(trace, bins)
+        assert [b.upper_ms for b in a.bins] == sorted(set(trace))
+        assert a.bins[0].lower_ms == 0.0
+
 
 class TestInference:
     def test_constant_trace_single_self_loop(self):

@@ -19,6 +19,7 @@ from hopsim.routing import (
 )
 from hopsim.rng import SplitMix64
 
+import reference_routing as ref
 from scenario_gen import random_edges
 
 P24 = Prefix.parse("184.164.243.0/24")
@@ -56,14 +57,16 @@ def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int] | Non
         path.append(current)
 
 
-def deliver_slot(g: AsGraph, key) -> bool:
-    """Deliver the update queued on `key` (sender, receiver, prefix key)."""
-    return process_message(g, g.pending.pop(key), key[1])
+def deliver_slot(g, key) -> bool:
+    """Deliver the update queued on `key` (sender, receiver, prefix key),
+    with the router that `g` belongs to."""
+    process = ref.process_message if isinstance(g, ref.AsGraph) else process_message
+    return process(g, g.pending.pop(key), key[1])
 
 
-def random_connected_graph(rng: SplitMix64, size: int) -> AsGraph:
+def random_connected_graph(rng: SplitMix64, size: int, graph_type=AsGraph):
     """Random spanning tree plus a sprinkle of extra edges."""
-    return AsGraph.from_edges(random_edges(rng, size, size))
+    return graph_type.from_edges(random_edges(rng, size, size))
 
 
 class TestAnnounce:
@@ -285,7 +288,7 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
     # nothing new is queued.
     rng = SplitMix64(seed)
     size = 2 + rng.below(8)
-    g = random_connected_graph(rng, size)
+    g = random_connected_graph(rng, size, ref.AsGraph)
 
     def deliver():
         slot = g.slots.pop(0)
@@ -294,7 +297,7 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
         assert (msg.sender, key) == (slot[0], slot[2])
         before = node.rib.get(key), node.epochs.get(key)
         pending = dict(g.pending)
-        changed = process_message(g, msg, slot[1])
+        changed = ref.process_message(g, msg, slot[1])
         after, epoch = node.rib.get(key), node.epochs.get(key)
         assert changed is ((after, epoch) != before)
         if not changed:
@@ -309,20 +312,20 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
             epoch = node.dead[key]
         else:
             assert epoch == node.learned[key][after[0]][2]
-        update = RouteMessage(node.asn, msg.prefix, advertised, epoch)
+        update = ref.RouteMessage(node.asn, msg.prefix, advertised, epoch)
         for peer in node.peers:
             assert g.pending[(node.asn, peer, key)] == update
 
     for prefix, deliveries in actions:
         holder = g.origins.get(prefix.key)
         if holder is None:
-            assert announce(g, prefix, 1 + rng.below(size)) is None
+            assert ref.announce(g, prefix, 1 + rng.below(size)) is None
         elif rng.below(2):
             slots = list(g.slots)
-            assert announce(g, prefix, holder) is None
+            assert ref.announce(g, prefix, holder) is None
             assert list(g.slots) == slots
         else:
-            assert withdraw(g, prefix, holder) is None
+            assert ref.withdraw(g, prefix, holder) is None
         for _ in range(min(deliveries, len(g.slots))):
             deliver()
     while g.slots:
@@ -332,44 +335,49 @@ def test_process_message_reports_exactly_the_rib_changes(seed, actions):
 
 class TestCoalescing:
     def test_newer_update_replaces_queued_one_in_its_slot(self):
-        g = AsGraph.from_edges([(1, 2), (2, 3)])
-        announce(g, P24, 3)
-        announce(g, P_OTHER, 3)
-        withdraw(g, P24, 3)
+        g = ref.AsGraph.from_edges([(1, 2), (2, 3)])
+        ref.announce(g, P24, 3)
+        ref.announce(g, P_OTHER, 3)
+        ref.withdraw(g, P24, 3)
         # Two keys, in the order they were first queued; the withdrawal
         # took over the announcement's slot instead of opening a third.
         assert list(g.slots) == [(3, 2, P24.key), (3, 2, P_OTHER.key)]
         assert g.pending[(3, 2, P24.key)].path is None
-        converge(g)
+        ref.converge(g)
         assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
         assert g.nodes[1].rib[P_OTHER.key] == (2, 3)
 
     def test_delivered_key_opens_a_new_slot(self):
-        g = AsGraph.from_edges([(1, 2)])
-        announce(g, P24, 1)
+        g = ref.AsGraph.from_edges([(1, 2)])
+        ref.announce(g, P24, 1)
         (key,) = g.take_slots()
         deliver_slot(g, key)
         assert g.take_slots() == [(2, 1, P24.key)]  # AS 2's reply
-        withdraw(g, P24, 1)
+        ref.withdraw(g, P24, 1)
         assert g.take_slots() == [key]
 
 
-def clique(size: int) -> AsGraph:
-    return AsGraph.from_edges([(a, b) for a in range(1, size + 1) for b in range(a + 1, size + 1)])
+def clique(size: int, graph_type=AsGraph):
+    return graph_type.from_edges([(a, b) for a in range(1, size + 1) for b in range(a + 1, size + 1)])
 
 
-def assert_bfs_ribs(g: AsGraph, prefix: Prefix, origin: int) -> None:
+def assert_bfs_ribs(g, prefix: Prefix, origin: int) -> None:
     distances = bfs_distances(g, origin)
     for asn, node in g.nodes.items():
         assert len(node.rib[prefix.key]) == distances[asn], asn
 
 
-graphs = st.one_of(
-    st.integers(4, 12).map(clique),
-    st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 24)).map(
-        lambda a: random_connected_graph(SplitMix64(a[0]), a[1])
-    ),
-)
+def graph_strategy(graph_type):
+    """Cliques of 4 to 12 ASes and random connected graphs of 2 to 24."""
+    return st.one_of(
+        st.integers(4, 12).map(lambda size: clique(size, graph_type)),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 24)).map(
+            lambda a: random_connected_graph(SplitMix64(a[0]), a[1], graph_type)
+        ),
+    )
+
+
+graphs = graph_strategy(ref.AsGraph)
 
 
 class TestRootCause:
@@ -400,19 +408,19 @@ class TestRootCause:
 
         origin = asns[rng.below(len(asns))]
         for _ in range(3):
-            announce(g, P24, origin)
+            ref.announce(g, P24, origin)
             deliver(rng.below(4 * edges))  # an announcement takes 2E deliveries
-            withdraw(g, P24, origin)
+            ref.withdraw(g, P24, origin)
             deliver(rng.below(edges // 2 + 1))
             if rng.below(2):
                 origin = asns[rng.below(len(asns))]
-            announce(g, P24, origin)
+            ref.announce(g, P24, origin)
             while taken:  # then the rest, in slot order
                 deliver_one()
-            converge(g)
+            ref.converge(g)
             assert_bfs_ribs(g, P24, origin)
-            withdraw(g, P24, origin)
-            assert converge(g) <= 2 * edges
+            ref.withdraw(g, P24, origin)
+            assert ref.converge(g) <= 2 * edges
             assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
 
     def test_a_new_epoch_alone_is_advertised_and_the_route_kept(self):
@@ -422,11 +430,11 @@ class TestRootCause:
         # advertises it under the new epoch; AS 3 takes it, and a later
         # withdrawal still reaches everyone in one message per link
         # direction.
-        g = AsGraph.from_edges([(1, 2), (2, 3)])
-        announce(g, P24, 1)
-        converge(g)
-        withdraw(g, P24, 1)
-        announce(g, P24, 1)
+        g = ref.AsGraph.from_edges([(1, 2), (2, 3)])
+        ref.announce(g, P24, 1)
+        ref.converge(g)
+        ref.withdraw(g, P24, 1)
+        ref.announce(g, P24, 1)
         two, three = g.nodes[2], g.nodes[3]
         slots = g.take_slots()
         assert slots == [(1, 2, P24.key)]  # the re-announcement replaced the withdrawal
@@ -439,9 +447,119 @@ class TestRootCause:
         assert not g.pending
         assert two.rib[P24.key] == (1,) and two.epochs[P24.key] == 2
         assert three.rib[P24.key] == (2, 1) and three.epochs[P24.key] == 2
-        withdraw(g, P24, 1)
-        assert converge(g) <= 4  # 2E messages on E = 2 links
+        ref.withdraw(g, P24, 1)
+        assert ref.converge(g) <= 4  # 2E messages on E = 2 links
         assert all(P24.key not in n.rib and P24.key not in n.learned for n in g.nodes.values())
+
+
+def tree_paths(g: AsGraph, origin: int) -> dict[int, tuple[int, ...]]:
+    """The path each AS reaching `origin` should hold: its lowest-ASN
+    neighbour one hop nearer the origin, then that one's path."""
+    distances = bfs_distances(g, origin)
+    paths = {origin: ()}
+    for asn in sorted(distances, key=distances.get):
+        if asn != origin:
+            nearer = distances[asn] - 1
+            parent = min(n for n in g.nodes[asn].peers if distances.get(n) == nearer)
+            paths[asn] = (parent,) + paths[parent]
+    return paths
+
+
+class TestTree:
+    @settings(max_examples=200)
+    @given(graph_strategy(AsGraph), st.integers(0, 2**32 - 1))
+    def test_an_action_costs_one_message_per_tree_edge(self, g, seed):
+        # A connected graph's tree has an edge into every AS but the
+        # origin, and each AS's rib changes once per action: so every
+        # message changes a rib.
+        asns = sorted(g.nodes)
+        origin = asns[SplitMix64(seed).below(len(asns))]
+        announce(g, P24, origin)
+        assert converge(g) == len(asns) - 1
+        assert {asn: n.rib[P24.key] for asn, n in g.nodes.items()} == tree_paths(g, origin)
+        withdraw(g, P24, origin)
+        assert converge(g) == len(asns) - 1
+        assert all(not n.rib and longest_match(n.index, DST) is None for n in g.nodes.values())
+
+    def test_a_prefix_keeps_its_origin_after_withdrawal(self):
+        g = AsGraph.from_edges([(1, 2)])
+        announce(g, P24, 1)
+        converge(g)
+        withdraw(g, P24, 1)
+        converge(g)
+        with pytest.raises(MoasConflict):
+            announce(g, P24, 2)
+        with pytest.raises(NotAnnounced):
+            withdraw(g, P24, 1)
+        announce(g, P24, 1)
+        converge(g)
+        assert g.nodes[2].rib[P24.key] == (1,)
+
+    def test_reannouncement_rides_in_the_withdrawals_slot(self):
+        g = AsGraph.from_edges([(1, 2), (2, 3)])
+        announce(g, P24, 1)
+        converge(g)
+        ribs = {asn: dict(n.rib) for asn, n in g.nodes.items()}
+        withdraw(g, P24, 1)
+        announce(g, P24, 1)
+        slots = g.take_slots()
+        assert slots == [(1, 2, P24.key)]  # the re-announcement replaced the withdrawal
+        assert g.pending[slots[0]].path == (1,)
+        assert not deliver_slot(g, slots[0])  # AS 2 holds that path already
+        assert not g.pending and not g.slots
+        assert {asn: dict(n.rib) for asn, n in g.nodes.items()} == ribs
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from([P24, P_OTHER, P16]), st.integers(0, 4)), max_size=10),
+)
+def test_tree_message_is_passed_on_exactly_when_it_changes_a_rib(seed, actions):
+    # Each action announces a prefix from its origin (a random AS the
+    # first time), re-announces it or withdraws it, then delivers a few
+    # slots; the rest are delivered at the end. A delivery returns True
+    # exactly when the receiver's rib entry changed, and then it has
+    # queued its new entry to exactly its children in the origin's
+    # tree; otherwise nothing new is queued. The ribs end on the tree's
+    # paths.
+    rng = SplitMix64(seed)
+    size = 2 + rng.below(8)
+    g = random_connected_graph(rng, size)
+
+    def deliver():
+        slot = g.slots.pop(0)
+        msg = g.pending.pop(slot)
+        node, key = g.nodes[slot[1]], msg.prefix.key
+        assert (msg.sender, key) == (slot[0], slot[2])
+        before = node.rib.get(key)
+        pending = dict(g.pending)
+        changed = process_message(g, msg, slot[1])
+        after = node.rib.get(key)
+        assert changed is (after != before)
+        if changed:
+            advertised = None if after is None else (node.asn,) + after
+            update = RouteMessage(node.asn, msg.prefix, advertised)
+            paths = tree_paths(g, g.origins[key])
+            for child, path in paths.items():
+                if path[:1] == (node.asn,):
+                    pending[(node.asn, child, key)] = update
+        assert g.pending == pending
+
+    for prefix, deliveries in actions:
+        origin = g.origins.get(prefix.key, 1 + rng.below(size))
+        if prefix.key in g.nodes[origin].rib and rng.below(2):
+            assert withdraw(g, prefix, origin) is None
+        else:
+            assert announce(g, prefix, origin) is None
+        for _ in range(min(deliveries, len(g.slots))):
+            deliver()
+    while g.slots:
+        deliver()
+    assert not g.pending
+    for key, origin in g.origins.items():
+        held = key in g.nodes[origin].rib
+        paths = tree_paths(g, origin) if held else {}
+        assert {asn: n.rib[key] for asn, n in g.nodes.items() if key in n.rib} == paths
 
 
 class TestSharedAdvertisement:
@@ -450,7 +568,7 @@ class TestSharedAdvertisement:
         # Every send, at the origin or after a best-path change, builds
         # one message and queues it to each peer under that peer's key.
         sends, built = [], []
-        real_send, real_init = AsGraph.send, RouteMessage.__init__
+        real_send, real_init = ref.AsGraph.send, ref.RouteMessage.__init__
 
         def send(graph, node, prefix, path, epoch):
             sends.append(len(node.peers))
@@ -463,13 +581,13 @@ class TestSharedAdvertisement:
             built.append(msg)
             real_init(msg, *args)
 
-        monkeypatch.setattr(AsGraph, "send", send)
-        monkeypatch.setattr(RouteMessage, "__init__", init)
-        g = clique(size)
-        announce(g, P24, 1)
-        steps = converge(g)
-        withdraw(g, P24, 1)
-        steps += converge(g)
+        monkeypatch.setattr(ref.AsGraph, "send", send)
+        monkeypatch.setattr(ref.RouteMessage, "__init__", init)
+        g = clique(size, ref.AsGraph)
+        ref.announce(g, P24, 1)
+        steps = ref.converge(g)
+        ref.withdraw(g, P24, 1)
+        steps += ref.converge(g)
         assert len(built) == len(sends) and set(sends) == {size - 1}
         # Each message still reaches every peer: one delivery per peer.
         assert steps == sum(sends)

@@ -573,7 +573,7 @@ def test_golden_event_trace(tmp_path):
         "2000.000,session,hop,role=server;index=1;external=184.164.243.137",
         "2200.000,session,grace_expire,external=184.164.243.237",
         "3500.000,route,withdraw,prefix=184.164.243.0/24;origin=3",
-        "3530.000,session,end,sent=2;delivered=2",
+        "3520.000,session,end,sent=2;delivered=2",
     ]
 
 
@@ -628,12 +628,12 @@ def test_golden_two_way_digests(tmp_path):
         "per_hop_delivery": [[0, 2], [1, 5], [2, 5], [3, 5], [4, 5]],
     }
     assert hashlib.sha256(result.trace_text().encode()).hexdigest() == (
-        "81936d69410699f38f80170a5f976519396562095179476d0502b0437464ff13"
+        "c0544378dbdec2998e31147d3cbf1cf14347b60ecf784e75c945a3953573b014"
     )
 
 
 class TestRoutingChurn:
-    """Sessions on meshes, where coalesced route updates bound the work."""
+    """Sessions on meshes, where each update goes down the origin's tree only."""
 
     def test_mesh_ribs_follow_bfs_mid_window_and_end_empty(self, tmp_path):
         from test_routing import bfs_distances
@@ -649,10 +649,14 @@ class TestRoutingChurn:
         checked = []
 
         def check():
-            assert sim.graph.origins
-            for asn, node in sim.graph.nodes.items():
-                assert set(node.rib) == set(sim.graph.origins), asn
-            for prefix, origin in sim.graph.origins.items():
+            # A prefix keeps its origin after withdrawal; the origin's rib
+            # holds it while it is announced.
+            nodes = sim.graph.nodes
+            announced = {key: asn for key, asn in sim.graph.origins.items() if key in nodes[asn].rib}
+            assert announced
+            for asn, node in nodes.items():
+                assert set(node.rib) == set(announced), asn
+            for prefix, origin in announced.items():
                 distances = bfs_distances(sim.graph, origin)
                 for asn, node in sim.graph.nodes.items():
                     assert len(node.rib[prefix]) == distances[asn], (prefix, asn)
@@ -665,13 +669,13 @@ class TestRoutingChurn:
         result = sim.run()
         assert len(checked) == 6
         assert result.metrics.packets_delivered == result.metrics.packets_sent == 30
-        assert not sim.graph.origins and not sim.graph.pending
-        assert all(not n.rib and not n.learned for n in sim.graph.nodes.values())
+        assert set(sim.graph.origins.values()) == {7} and not sim.graph.pending
+        assert all(not n.rib for n in sim.graph.nodes.values())
 
     def test_200_as_graph_session_is_bounded(self, tmp_path, processed, routing_calls):
-        # Uncoalesced, a single withdrawal on this kind of graph ran past
-        # 3M routing messages, and coalesced, 47,765 on this one. Naming its
-        # root cause, it costs at most one message per link direction: 798.
+        # Path exploration ran a single withdrawal on this kind of graph
+        # past 3M routing messages. Down the origin's tree, an action costs
+        # one message per tree edge, one per AS but the origin: 199.
         rng = SplitMix64(200)
         size = 200
         edges = {(1 + rng.below(i), i + 1) for i in range(1, size)}
@@ -693,12 +697,11 @@ class TestRoutingChurn:
         assert metrics.packets_delivered == metrics.packets_sent == 8
         assert len(processed) == 1 and processed[0] <= 1_000
         actions = routing_calls["announce"] + routing_calls["withdraw"]
-        assert routing_calls["process_message"] <= actions * 2 * len(edges)
+        assert routing_calls["process_message"] == actions * (size - 1)
 
     def test_mesh_session_routing_is_linear_in_the_graph(self, tmp_path, routing_calls):
-        # A withdrawal that names its root cause costs, like an announcement,
-        # at most one message per link direction. Path exploration made each
-        # withdrawal on this mesh cost several times that.
+        # A withdrawal costs, like an announcement, one message per edge of
+        # the origin's tree.
         pool = ",".join(f"100.64.{i}.0/24" for i in range(32))
         path = make_config(
             tmp_path, n_hops=12, pool=pool, fixed_ms=1000.0, packets=24, gap_ms="auto",
@@ -706,10 +709,10 @@ class TestRoutingChurn:
         )
         metrics = Simulation(ScenarioConfig.from_file(path)).run().metrics
         assert metrics.packets_delivered == metrics.packets_sent == 24
-        edges = MESH_CHURN_TOPOLOGY.count("\n")
+        ases = len(set(MESH_CHURN_TOPOLOGY.split()))
         actions = routing_calls["announce"] + routing_calls["withdraw"]
         assert actions >= 16
-        assert routing_calls["process_message"] <= actions * 2 * edges
+        assert routing_calls["process_message"] == actions * (ases - 1)
 
 
 # The 16-AS graph of the mesh_churn benchmark workload.
@@ -921,7 +924,7 @@ def test_traced_call_counts(tmp_path):
     # configs names one), apply_detail once per decision-cache miss, emit
     # once per trace line, one call per flow-table write, and
     # process_message once per update a receiver takes, though one
-    # advertisement goes to all of a sender's peers: the span counts the
+    # update goes to all of a sender's tree children: the span counts the
     # benchmark reports rest on these.
     shipped = Path(__file__).parents[1] / "configs"
     (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
@@ -944,11 +947,11 @@ def test_traced_call_counts(tmp_path):
         for name, config in configs.items()
     }
     assert counts == {
-        "one_way_hop111": [2016, 446, 0, 0, 1572, 111, 111, 220, 8],
-        "reactive_block": [2016, 450, 672, 0, 1572, 111, 111, 220, 8],
-        "baseline_static": [698, 2, 672, 0, 1347, 0, 0, 0, 4],
-        "two_way": [82, 46, 0, 0, 87, 10, 10, 16, 16],
-        "reactive_timed": [2016, 450, 672, 672, 1572, 111, 111, 220, 8],
+        "one_way_hop111": [2016, 446, 0, 0, 1572, 111, 111, 220, 4],
+        "reactive_block": [2016, 450, 672, 0, 1572, 111, 111, 220, 4],
+        "baseline_static": [698, 2, 672, 0, 1347, 0, 0, 0, 2],
+        "two_way": [82, 46, 0, 0, 87, 10, 10, 16, 8],
+        "reactive_timed": [2016, 450, 672, 672, 1572, 111, 111, 220, 4],
     }
 
 

@@ -74,7 +74,6 @@ class RouteMessage:
     sender: int
     prefix: object
     path: tuple | None
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -257,9 +256,7 @@ CASES = [
     (addressing.PrefixPool, PrefixPool, pools.map(lambda p: (p.prefixes,))),
     (flowtable.Packet, Packet, st.tuples(v4, v4)),
     (flowtable.FlowRule, FlowRule, rule_args),
-    (routing.RouteMessage, RouteMessage, st.tuples(
-        st.integers(1, 2), prefixes, st.none() | paths, st.integers(0, 2)
-    )),
+    (routing.RouteMessage, RouteMessage, st.tuples(st.integers(1, 2), prefixes, st.none() | paths)),
     (dwell.IntervalBin, IntervalBin, st.tuples(st.integers(0, 2), floats, floats)),
     (dwell.IntervalAlphabet, IntervalAlphabet, bins.map(lambda b: (b,))),
     (dwell.Transition, Transition, st.tuples(
