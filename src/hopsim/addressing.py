@@ -12,7 +12,7 @@ paths accept the same text, give the same values and, through
 from __future__ import annotations
 
 import ipaddress
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from enum import Enum
 
 from .errors import InvalidPool
@@ -193,9 +193,9 @@ class Prefix(Frozen):
 class PrefixIndex:
     """Prefixes bucketed by (version, length), longest first.
 
-    Finding the prefixes that contain an address costs one dict probe
-    per distinct length held, keyed by the address's top bits, instead
-    of a containment test per prefix.
+    Finding the longest prefix that contains an address costs at most one
+    dict probe per distinct length held, keyed by the address's top bits,
+    instead of a containment test per prefix.
     """
 
     __slots__ = ("buckets",)
@@ -224,20 +224,9 @@ class PrefixIndex:
                     del self.buckets[i]
                 return
 
-    def matches(self, address: Address) -> Iterator[Prefix]:
-        """The held prefixes that contain `address`, longest first."""
-        version, bits = address.version, address.bits
-        for v, host, table in self.buckets:
-            if v is version:
-                prefix = table.get(bits >> host)
-                if prefix is not None:
-                    yield prefix
-
 
 def longest_match(index: PrefixIndex, address: Address) -> Prefix | None:
     """The longest prefix in `index` that contains `address`, or None."""
-    # `PrefixIndex.matches` as a plain loop: no generator per probe, as
-    # this runs per packet per AS.
     version, bits = address.version, address.bits
     for v, host, table in index.buckets:
         if v is version:
@@ -283,12 +272,6 @@ class PrefixPool(Frozen):
 
     def contains(self, address: Address) -> bool:
         return longest_match(self._index, address) is not None
-
-    def covering_prefix(self, address: Address) -> Prefix:
-        prefix = longest_match(self._index, address)
-        if prefix is None:
-            raise InvalidPool(f"{address} not covered by pool")
-        return prefix
 
     @classmethod
     def parse(cls, text: str) -> "PrefixPool":

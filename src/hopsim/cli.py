@@ -72,6 +72,14 @@ def _check_writable(path: str) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True if paths `a` and `b` name one file, through symlinks too."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write(path: str | Path, text: str) -> int:
     """Write `text` to `path`: EXIT_OK, or an input error that names the path."""
     try:
@@ -116,6 +124,12 @@ def _report_text(
 
 
 def _run_one(config_path: str, trace_path: str, report_path: str, seed_override: int | None) -> int:
+    # An output that is the other output or the config would overwrite it.
+    for flag, path in (("--trace", trace_path), ("--report", report_path)):
+        if _same_file(path, config_path):
+            return _fail(f"{flag} {path} is the config file", EXIT_INPUT)
+    if _same_file(trace_path, report_path):
+        return _fail(f"--trace and --report name one file: {trace_path}", EXIT_INPUT)
     try:
         config = ScenarioConfig.from_file(config_path)
     except ConfigError as exc:

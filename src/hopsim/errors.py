@@ -89,9 +89,5 @@ class ConfigError(HopsimError):
         self.field = field
 
 
-class ScheduleExhausted(HopsimError):
-    """Hop index beyond the end of the schedule."""
-
-
 class ScenarioError(HopsimError):
     """A scenario invariant failed at run time."""

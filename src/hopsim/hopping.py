@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .addressing import Address, PrefixPool
+from .addressing import Address, Prefix, PrefixPool
 from .errors import InvalidPool, LengthMismatch
 from .rng import SplitMix64
 from .values import Frozen, left_sum
@@ -23,16 +23,17 @@ from .values import Frozen, left_sum
 EXACT_COLLISION_LIMIT = 1_000_000
 
 
-def _draw(rng: SplitMix64, pool: PrefixPool) -> Address:
+def _draw(rng: SplitMix64, pool: PrefixPool) -> tuple[Address, Prefix]:
     slot = rng.below(pool.total_addresses)
     offsets = pool.offsets
     i = bisect_right(offsets, slot) - 1
     prefix = pool.prefixes[i]
-    return Address(prefix.base.version, prefix.base.bits | (slot - offsets[i]))
+    return Address(prefix.base.version, prefix.base.bits | (slot - offsets[i])), prefix
 
 
-def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Address]:
-    """Deterministic list of `n` distinct pool addresses.
+def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[tuple[Address, Prefix]]:
+    """Deterministic list of `n` distinct pool addresses, each with the
+    pool prefix it was drawn from.
 
     Pure in (seed, pool, n): the output for `n` is a prefix of the output
     for any larger count. Distinct, so a session's external-address count
@@ -43,23 +44,26 @@ def generate_unique_addresses(seed: int, pool: PrefixPool, n: int) -> list[Addre
     if n > pool.total_addresses:
         raise InvalidPool(f"pool holds {pool.total_addresses} addresses, {n} requested")
     rng = SplitMix64(seed)
-    out: list[Address] = []
+    out: list[tuple[Address, Prefix]] = []
     used: set[Address] = set()
     for _ in range(n):
-        addr = _draw(rng, pool)
-        while addr in used:
-            addr = _draw(rng, pool)
-        out.append(addr)
-        used.add(addr)
+        address, prefix = _draw(rng, pool)
+        while address in used:
+            address, prefix = _draw(rng, pool)
+        out.append((address, prefix))
+        used.add(address)
     return out
 
 
 class HopEntry(Frozen):
-    __slots__ = _fields = ("address", "dwell_ms")
+    """One dwell window: its address and the pool prefix that holds it,
+    which is announced for the window."""
+
+    __slots__ = _fields = ("address", "prefix", "dwell_ms")
 
 
 class HopSchedule(Frozen):
-    """Ordered (address, dwell) sequence derived from a seed."""
+    """Ordered (address, prefix, dwell) sequence derived from a seed."""
 
     __slots__ = _fields = ("entries",)
 
@@ -85,8 +89,8 @@ def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> 
     for d in dwells:
         if d <= 0:
             raise ValueError("dwells must be positive")
-    addresses = generate_unique_addresses(seed, pool, n)
-    entries = tuple(HopEntry(a, float(d)) for a, d in zip(addresses, dwells))
+    drawn = generate_unique_addresses(seed, pool, n)
+    entries = tuple(HopEntry(a, p, float(d)) for (a, p), d in zip(drawn, dwells))
     return HopSchedule(entries)
 
 

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 
-from .addressing import Address, Prefix, PrefixPool, longest_match
+from .addressing import Address, Prefix, longest_match
 from .adversary import (
     BlockPolicy,
     ObserverTap,
@@ -31,7 +31,7 @@ from .config import ScenarioConfig
 from .covert import SyncPayload, decode_payload, ReverseZone
 from .covert import encode_payload  # not called: bench/tracer.py wraps it by name
 from .dwell import DwellSource, FixedDwell, UniformDwell, start_sampler
-from .errors import ScenarioError, ScheduleExhausted, VersionMismatch
+from .errors import ScenarioError, VersionMismatch
 from .events import EventQueue, TraceLog
 from .flowtable import (
     Direction,
@@ -43,9 +43,9 @@ from .flowtable import (
     install_hop_rules,
     install_peer_rules,
 )
-from .hopping import HopSchedule, build_schedule
+from .hopping import HopEntry, HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
-from .routing import AsGraph, announce, originates, process_message, withdraw
+from .routing import AsGraph, announce, process_message, withdraw
 from .values import Frozen, left_sum
 
 OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
@@ -59,19 +59,16 @@ class Role(Enum):
 class EndpointAgent:
     """One session endpoint; `schedule` stays None for a static address.
 
-    `pool` is the prefix pool a hopping end draws its addresses from, and
-    `peer` the other end, whose flow table tracks those addresses.
+    `peer` is the other end, whose flow table tracks this end's external
+    addresses.
     """
 
-    __slots__ = ("role", "internal_ip", "attached_as", "pool", "peer", "schedule", "flow_table")
+    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table")
 
-    def __init__(
-        self, role: Role, internal_ip: Address, attached_as: int, pool: PrefixPool | None = None
-    ):
+    def __init__(self, role: Role, internal_ip: Address, attached_as: int):
         self.role = role
         self.internal_ip = internal_ip
         self.attached_as = attached_as
-        self.pool = pool
         self.peer: EndpointAgent | None = None
         self.schedule: HopSchedule | None = None
         self.flow_table = endpoint_table(internal_ip)
@@ -107,33 +104,19 @@ def synchronize(
     return build_schedule(payload.seed, payload.pool, n_hops, dwells)
 
 
-def hop(
-    agent: EndpointAgent,
-    index: int,
-    *,
-    graph: AsGraph | None = None,
-    grace_window_ms: float = 0.0,
-) -> None:
-    """Execute one scheduled address transition on `agent`.
+def hop(agent: EndpointAgent, entry: HopEntry, graph: AsGraph, *, grace: bool) -> None:
+    """Move `agent` to the address of schedule `entry`.
 
-    With a `graph`, first checks that the new address's route was
-    announced (lead-time earlier) from the agent's AS; then installs its
-    flow rules. The caller schedules the timed follow-ups: grace expiry
-    and withdrawal of the previous address.
+    First checks that the agent's AS announces the entry's prefix (lead
+    time earlier), which its rib then holds with path `()`; then installs
+    the flow rules, keeping the previous address in grace if `grace`. The
+    caller schedules the timed follow-ups: grace expiry and withdrawal of
+    the previous address.
     """
-    schedule = agent.schedule
-    if schedule is None:
-        raise ScenarioError("agent has no hop schedule")
-    if index >= len(schedule):
-        raise ScheduleExhausted(f"hop {index} of {len(schedule)}")
-    address = schedule.entries[index].address
-    if graph is not None and not originates(graph, agent.attached_as, address):
-        raise ScenarioError(
-            f"hop {index}: {address} has no announced route from AS {agent.attached_as}"
-        )
-    install_hop_rules(
-        agent.flow_table, agent.internal_ip, address, grace=index > 0 and grace_window_ms > 0
-    )
+    asn = agent.attached_as
+    if graph.nodes[asn].rib.get(entry.prefix.key) != ():
+        raise ScenarioError(f"{entry.address}: AS {asn} does not announce {entry.prefix}")
+    install_hop_rules(agent.flow_table, agent.internal_ip, entry.address, grace=grace)
 
 
 # --- metrics ---------------------------------------------------------------
@@ -164,14 +147,9 @@ class SessionMetrics(Frozen):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "packets_sent": self.packets_sent,
-            "packets_delivered": self.packets_delivered,
-            "distinct_external_ips_used": self.distinct_external_ips_used,
-            "hop_count": self.hop_count,
-            "mean_dwell_ms": self.mean_dwell_ms,
-            "per_hop_delivery": [list(p) for p in self.per_hop_delivery],
-        }
+        out = {name: getattr(self, name) for name in self._fields}
+        out["per_hop_delivery"] = [list(p) for p in self.per_hop_delivery]
+        return out
 
 
 # --- the simulation --------------------------------------------------------
@@ -223,12 +201,8 @@ class Simulation:
         self.graph = AsGraph.from_edges(config.edges)
         self.zone = ReverseZone()
 
-        self.server = EndpointAgent(
-            Role.SERVER, config.server_ip, config.server_as, config.server_pool
-        )
-        self.client = EndpointAgent(
-            Role.CLIENT, config.client_ip, config.client_as, config.client_pool
-        )
+        self.server = EndpointAgent(Role.SERVER, config.server_ip, config.server_as)
+        self.client = EndpointAgent(Role.CLIENT, config.client_ip, config.client_as)
         self.server.peer, self.client.peer = self.client, self.server
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
         # Every send starts from this header; the client's table rewrites it.
@@ -368,30 +342,28 @@ class Simulation:
         starts = schedule.start_times()
         if agent is self.server:
             self._hop_starts_abs = [epoch + s for s in starts]
+        origin = agent.attached_as
         for k, entry in enumerate(schedule.entries):
-            prefix = agent.pool.covering_prefix(entry.address)
-            origin = agent.attached_as
             self.queue.schedule_at(
-                epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, prefix, origin
+                epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, entry.prefix, origin
             )
             self.queue.schedule_at(epoch + starts[k], self._do_hop, agent, k)
             self.queue.schedule_at(
                 epoch + starts[k] + entry.dwell_ms + cfg.withdraw_lag_ms,
-                self._release_prefix, prefix, origin,
+                self._release_prefix, entry.prefix, origin,
             )
 
     def _do_hop(self, agent: EndpointAgent, k: int) -> None:
         cfg = self.config
         entries = agent.schedule.entries
         entry = entries[k]
-        prev = entries[k - 1].address if k > 0 else None
-        hop(agent, k, graph=self.graph, grace_window_ms=cfg.grace_window_ms)
+        use_grace = k > 0 and cfg.grace_window_ms > 0
+        hop(agent, entry, self.graph, grace=use_grace)
         self._emit_trace(
             "session", "hop", f"role={agent.role.value};index={k};external={entry.address}"
         )
 
         queue = self.queue
-        use_grace = prev is not None and cfg.grace_window_ms > 0
         if cfg.clock_skew_ms > 0 and agent.peer is self.client:
             queue.schedule_at(
                 queue.now + cfg.clock_skew_ms, self._update_peer, agent, entry.address, use_grace
@@ -399,6 +371,7 @@ class Simulation:
         else:
             self._update_peer(agent, entry.address, use_grace)
         if use_grace:
+            prev = entries[k - 1].address
             queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, agent, prev)
 
     def _update_peer(self, agent: EndpointAgent, external: Address, grace: bool) -> None:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from hopsim.addressing import Address, Prefix, PrefixIndex
+from hopsim.addressing import Prefix, PrefixIndex
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
 from hopsim.values import Frozen, _set
 
@@ -242,16 +242,3 @@ def converge(graph: AsGraph) -> int:
         steps += len(slots)
         slots = graph.take_slots()
     return steps
-
-
-def originates(graph: AsGraph, asn: int, address: Address) -> bool:
-    """True if some announced prefix containing `address` has origin `asn`."""
-    # An origin's rib holds every prefix it announces, so its index finds them.
-    node = graph.nodes.get(asn)
-    if node is not None:
-        origins = graph.origins
-        for prefix in node.index.matches(address):
-            if origins.get(prefix.key) == asn:
-                return True
-    return False
-

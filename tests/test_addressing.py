@@ -275,7 +275,6 @@ class TestLongestMatch:
                 expected = sorted(
                     (p for p in held if p.contains(address)), key=lambda p: -p.length
                 )
-                assert list(index.matches(address)) == expected
                 assert longest_match(index, address) == (expected[0] if expected else None)
 
 
@@ -295,13 +294,6 @@ class TestPrefixPool:
     def test_total_addresses_sums_members(self):
         pool = PrefixPool.parse("184.164.243.0/24, 184.164.242.0/24")
         assert pool.total_addresses == 512
-
-    def test_covering_prefix(self):
-        pool = PrefixPool.parse("184.164.243.0/24, 184.164.242.0/24")
-        a = Address.parse("184.164.242.9")
-        assert pool.covering_prefix(a) == Prefix.parse("184.164.242.0/24")
-        with pytest.raises(InvalidPool):
-            pool.covering_prefix(Address.parse("184.164.241.9"))
 
     @given(
         st.sampled_from(list(IPVersion)),
@@ -330,5 +322,3 @@ class TestPrefixPool:
         address = Address(version, net.base.bits | probe)
         covering = [p for p in prefixes if p.contains(address)]
         assert pool.contains(address) == bool(covering)
-        if covering:
-            assert pool.covering_prefix(address) == covering[0]

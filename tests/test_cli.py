@@ -79,6 +79,39 @@ class TestRun:
         assert out[0][0] == out[1][0]
         assert out[0][1] == out[1][1]
 
+    @pytest.mark.parametrize("order", [("--trace", "--report"), ("--report", "--trace")])
+    def test_trace_and_report_on_one_file_exit_2(self, tmp_path, capsys, order):
+        config = make_config(tmp_path, n_hops=2, packets=2, gap_ms="100")
+        out = tmp_path / "run.out"
+        code = main(["run", "--config", str(config), order[0], str(out), order[1], str(out)])
+        assert code == 2
+        assert "--trace and --report name one file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_through_a_symlink_to_the_trace_exits_2(self, tmp_path, capsys):
+        config = make_config(tmp_path, n_hops=2, packets=2, gap_ms="100")
+        trace, link = tmp_path / "run.trace", tmp_path / "run.report"
+        trace.write_text("kept\n")
+        link.symlink_to(trace)
+        code = main(["run", "--config", str(config), "--trace", str(trace), "--report", str(link)])
+        assert code == 2
+        assert "--trace and --report name one file" in capsys.readouterr().err
+        assert trace.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_output_naming_the_config_exits_2(self, tmp_path, capsys, flag):
+        config = make_config(tmp_path, n_hops=2, packets=2, gap_ms="100")
+        before = config.read_bytes()
+        outputs = {"--trace": tmp_path / "run.trace", "--report": tmp_path / "run.report"}
+        outputs[flag] = config
+        argv = ["run", "--config", str(config)]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert f"{flag} {config} is the config file" in capsys.readouterr().err
+        assert config.read_bytes() == before
+        assert not any(p.exists() for p in outputs.values() if p != config)
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
             ["run", "--config", str(tmp_path / "nope.ini"), "--trace", "t", "--report", "r"]

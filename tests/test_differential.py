@@ -122,7 +122,6 @@ def routed_run(config, router):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(session, "AsGraph", router.AsGraph)
-        mp.setattr(session, "originates", router.originates)
         for fn in (announce, withdraw, process_message):
             mp.setattr(session, fn.__name__, fn)
         sim = Simulation(config)

@@ -18,6 +18,11 @@ from hopsim.rng import SplitMix64
 from hopsim.values import left_sum
 
 
+def addresses(seed, pool, n):
+    """The addresses of `generate_unique_addresses`, without their prefixes."""
+    return [a for a, _ in generate_unique_addresses(seed, pool, n)]
+
+
 class TestGenerateAddresses:
     """The schedule's address draw, `generate_unique_addresses`."""
 
@@ -25,7 +30,7 @@ class TestGenerateAddresses:
         assert generate_unique_addresses(7, pool24, 0) == []
 
     def test_paper_scale_draw_contained_in_pool(self, pool24):
-        addrs = generate_unique_addresses(42, pool24, 111)
+        addrs = addresses(42, pool24, 111)
         assert len(addrs) == 111
         assert all(pool24.contains(a) for a in addrs)
 
@@ -37,7 +42,7 @@ class TestGenerateAddresses:
         # Oracle: enumerate the /30's four member addresses directly.
         base = pool30.prefixes[0].base.bits
         members = {Address(IPVersion.V4, base + i) for i in range(4)}
-        addrs = generate_unique_addresses(7, pool30, 4)
+        addrs = addresses(7, pool30, 4)
         assert len(addrs) == 4
         assert set(addrs) == members
 
@@ -54,14 +59,13 @@ class TestGenerateAddresses:
 
     def test_multi_prefix_pool_draws_from_all(self):
         pool = PrefixPool.parse("184.164.243.0/24, 184.164.242.0/24")
-        addrs = generate_unique_addresses(23, pool, 400)
-        hit = {pool.covering_prefix(a) for a in addrs}
-        assert len(hit) == 2
+        hit = {prefix for _, prefix in generate_unique_addresses(23, pool, 400)}
+        assert hit == set(pool.prefixes)
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 40))
     def test_containment_property(self, seed, n):
         pool = PrefixPool.parse("198.51.100.0/28, 203.0.113.64/26")
-        for a in generate_unique_addresses(seed, pool, n):
+        for a in addresses(seed, pool, n):
             assert pool.contains(a)
 
 
@@ -70,33 +74,37 @@ def linear_draw(rng, pool):
     slot = rng.below(pool.total_addresses)
     for prefix in pool.prefixes:
         if slot < prefix.num_addresses:
-            return Address(prefix.version, prefix.base.bits | slot)
+            return Address(prefix.version, prefix.base.bits | slot), prefix
         slot -= prefix.num_addresses
     raise AssertionError("slot out of range")
 
 
-class TestDraw:
-    @given(
-        st.sampled_from(list(IPVersion)),
+@st.composite
+def pool_prefixes(draw):
+    """1-12 disjoint prefixes of one version and mixed lengths, unsorted.
+
+    Each prefix sits in its own /16 (v4) or /56 (v6), in generated
+    order. v6 prefixes stay at /80 or longer: `SplitMix64.below` draws
+    below 2**64 only.
+    """
+    version = draw(st.sampled_from(list(IPVersion)))
+    specs = draw(
         st.lists(
             st.tuples(st.integers(0, 255), st.integers(0, 16)),
             min_size=1, max_size=12, unique_by=lambda spec: spec[0],
-        ),
-        st.integers(0, 2**64 - 1),
+        )
     )
-    def test_bisection_matches_linear_walk(self, version, specs, seed):
-        # Each prefix sits in its own /16 (v4) or /56 (v6), in generated
-        # order, so the pool is disjoint and not sorted. v6 prefixes stay
-        # at /80 or longer: `SplitMix64.below` draws below 2**64 only.
-        if version is IPVersion.V4:
-            prefixes = [
-                Prefix(Address(version, (10 << 24) | (i << 16)), 32 - host) for i, host in specs
-            ]
-        else:
-            prefixes = [
-                Prefix(Address(version, (0x20010DB8 << 96) | (i << 72)), 128 - 3 * host)
-                for i, host in specs
-            ]
+    if version is IPVersion.V4:
+        return [Prefix(Address(version, (10 << 24) | (i << 16)), 32 - host) for i, host in specs]
+    return [
+        Prefix(Address(version, (0x20010DB8 << 96) | (i << 72)), 128 - 3 * host)
+        for i, host in specs
+    ]
+
+
+class TestDraw:
+    @given(pool_prefixes(), st.integers(0, 2**64 - 1))
+    def test_bisection_matches_linear_walk(self, prefixes, seed):
         pool = PrefixPool(tuple(prefixes))
         assert pool.offsets == tuple(
             sum(p.num_addresses for p in prefixes[:i]) for i in range(len(prefixes))
@@ -110,7 +118,7 @@ class TestGenerateUnique:
     """No address repeats within one draw."""
 
     def test_all_distinct(self, pool24):
-        addrs = generate_unique_addresses(42, pool24, 111)
+        addrs = addresses(42, pool24, 111)
         assert len(set(addrs)) == 111
 
     def test_shares_prefix_extension(self, pool24):
@@ -124,7 +132,7 @@ class TestGenerateUnique:
             generate_unique_addresses(1, pool30, 5)
 
     def test_exhausts_tiny_pool(self, pool30):
-        addrs = generate_unique_addresses(11, pool30, 4)
+        addrs = addresses(11, pool30, 4)
         assert len(set(addrs)) == 4
 
 
@@ -150,6 +158,14 @@ class TestBuildSchedule:
         dwells = [1e16, 1.0, 1.0]
         assert left_sum(dwells) == 1e16
         assert build_schedule(1, pool24, 3, dwells).total_ms == 1e16
+
+    @given(pool_prefixes(), st.integers(0, 2**64 - 1), st.integers(0, 40))
+    def test_each_entry_keeps_the_one_prefix_that_holds_its_address(self, prefixes, seed, n):
+        pool = PrefixPool(tuple(prefixes))
+        n = min(n, pool.total_addresses)
+        schedule = build_schedule(seed, pool, n, [1.0] * n)
+        for entry in schedule.entries:
+            assert [p for p in pool.prefixes if p.contains(entry.address)] == [entry.prefix]
 
     def test_addresses_are_globally_distinct(self, pool30):
         schedule = build_schedule(11, pool30, 4, [1.0] * 4)

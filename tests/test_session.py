@@ -13,11 +13,11 @@ from hopsim.adversary import ObserverTap
 from hopsim.config import ScenarioConfig
 from hopsim.covert import SyncPayload
 from hopsim.dwell import DhmmDwell, FixedDwell, UniformDwell
-from hopsim.errors import ConfigError, ScenarioError, ScheduleExhausted
+from hopsim.errors import ConfigError, ScenarioError
 from hopsim.events import EventQueue, TraceLog
 from hopsim.flowtable import Packet
-from hopsim.hopping import build_schedule
-from hopsim.routing import AsGraph, announce, converge
+from hopsim.hopping import HopEntry, build_schedule
+from hopsim.routing import AsGraph, announce, converge, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import (
     EndpointAgent,
@@ -171,47 +171,76 @@ class TestHopOperation:
         agent.schedule = build_schedule(9, POOL, n, [1000.0] * n)
         return agent
 
-    def accepted(self, agent):
-        """The scheduled addresses whose inbound packets reach the agent."""
-        externals = [e.address for e in agent.schedule.entries]
+    def announced(self):
+        """A graph in which the agent's AS 3 announces the pool's prefix."""
+        graph = AsGraph.from_edges([(1, 3)])
+        announce(graph, POOL.prefixes[0], 3)
+        converge(graph)
+        return graph
+
+    def accepted(self, agent, entries=None):
+        """The addresses of `entries`, by default the agent's schedule,
+        whose inbound packets reach the agent."""
+        externals = [e.address for e in entries or agent.schedule.entries]
         return rewritten_inbound(agent.flow_table, agent.internal_ip, externals)
 
     def test_first_hop_has_no_grace_entry(self):
-        agent = self.make_agent()
-        hop(agent, 0, grace_window_ms=200.0)
+        # Grace keeps the previous address; the first hop has none to keep.
+        agent, graph = self.make_agent(), self.announced()
+        hop(agent, agent.schedule.entries[0], graph, grace=True)
         assert self.accepted(agent) == {agent.schedule.entries[0].address}
 
     def test_mid_schedule_hop_keeps_previous_address_in_grace(self):
-        agent = self.make_agent()
-        hop(agent, 0, grace_window_ms=200.0)
-        hop(agent, 1, grace_window_ms=200.0)
-        first, second = agent.schedule.entries[0].address, agent.schedule.entries[1].address
-        assert self.accepted(agent) == {first, second}
+        agent, graph = self.make_agent(), self.announced()
+        first, second, _ = agent.schedule.entries
+        hop(agent, first, graph, grace=False)
+        hop(agent, second, graph, grace=True)
+        assert self.accepted(agent) == {first.address, second.address}
 
     def test_zero_grace_drops_old_address_immediately(self):
-        agent = self.make_agent()
-        hop(agent, 0, grace_window_ms=0.0)
-        hop(agent, 1, grace_window_ms=0.0)
-        assert self.accepted(agent) == {agent.schedule.entries[1].address}
-
-    def test_schedule_exhausted(self):
-        agent = self.make_agent(2)
-        with pytest.raises(ScheduleExhausted):
-            hop(agent, 2)
+        agent, graph = self.make_agent(), self.announced()
+        first, second, _ = agent.schedule.entries
+        hop(agent, first, graph, grace=False)
+        hop(agent, second, graph, grace=False)
+        assert self.accepted(agent) == {second.address}
 
     def test_announce_assertion(self):
         agent = self.make_agent()
+        entry = agent.schedule.entries[0]
         graph = AsGraph.from_edges([(1, 3)])
-        with pytest.raises(ScenarioError):
-            hop(agent, 0, graph=graph)
-        announce(graph, POOL.prefixes[0], 3)
+        with pytest.raises(ScenarioError, match="does not announce"):
+            hop(agent, entry, graph, grace=False)
+        assert self.accepted(agent) == set()
+        announce(graph, entry.prefix, 3)
         converge(graph)
-        hop(agent, 0, graph=graph)  # now fine
+        hop(agent, entry, graph, grace=False)  # now fine
 
-    def test_static_agent_cannot_hop(self):
-        agent = EndpointAgent(Role.SERVER, SERVER_IP, 3)
-        with pytest.raises(ScenarioError):
-            hop(agent, 0)
+    def test_hop_after_the_withdrawal_is_refused(self):
+        agent, graph = self.make_agent(), self.announced()
+        first, second, _ = agent.schedule.entries
+        hop(agent, first, graph, grace=False)
+        withdraw(graph, first.prefix, 3)
+        converge(graph)
+        with pytest.raises(ScenarioError, match="does not announce"):
+            hop(agent, second, graph, grace=False)
+
+    def test_hop_needs_its_own_as_to_announce_the_prefix(self):
+        # AS 2 announces a /16 and AS 1 a /24 inside it: each end may hop
+        # only into the prefix its own AS announces, though its rib routes
+        # the other one.
+        p16, p24 = Prefix.parse("184.164.0.0/16"), Prefix.parse("184.164.243.0/24")
+        graph = AsGraph.from_edges([(1, 2)])
+        announce(graph, p16, 2)
+        announce(graph, p24, 1)
+        converge(graph)
+        inner = HopEntry(Address.parse("184.164.243.9"), p24, 1000.0)
+        outer = HopEntry(Address.parse("184.164.9.9"), p16, 1000.0)
+        for asn, own, other in ((1, inner, outer), (2, outer, inner)):
+            agent = EndpointAgent(Role.SERVER, SERVER_IP, asn)
+            with pytest.raises(ScenarioError, match=f"AS {asn} does not announce"):
+                hop(agent, other, graph, grace=False)
+            hop(agent, own, graph, grace=False)
+            assert self.accepted(agent, [own, other]) == {own.address}
 
 
 class TestRunScenario:
