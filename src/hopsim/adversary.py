@@ -34,21 +34,33 @@ class Verdict(Enum):
 
 
 class ObserverTap:
-    """Passive log of packets crossing one link, in time order.
+    """Passive observer of the packets crossing one link, in time order.
 
-    `log` holds one `(time, destination)` entry per packet: the two values
-    timing analysis reads.
+    It keeps only what timing analysis reads: `changes` holds the time of
+    each packet bound for `pool` whose destination differs from that of
+    the last such packet. The pool is public, as routing announces its
+    prefixes, so each change marks a hop of the peer that hops within it;
+    packets to other destinations leave it be.
     """
 
-    __slots__ = ("log",)
+    __slots__ = ("pool", "changes", "_last_t", "_last_dst")
 
-    def __init__(self) -> None:
-        self.log: list[tuple[float, Address]] = []
+    def __init__(self, pool: PrefixPool) -> None:
+        self.pool = pool
+        self.changes: list[float] = []
+        self._last_t = float("-inf")
+        self._last_dst: int | None = None  # the key of the last pool destination
 
     def observe(self, t: float, packet: Packet) -> None:
-        if self.log and t < self.log[-1][0]:
-            raise ValueError("tap log must stay time-ordered")
-        self.log.append((t, packet.dst))
+        if t < self._last_t:
+            raise ValueError("tap must observe packets in time order")
+        self._last_t = t
+        dst = packet.dst
+        # The key test comes first, so a packet to the last pool destination
+        # does not probe the pool.
+        if dst.key != self._last_dst and self.pool.contains(dst):
+            self.changes.append(t)
+            self._last_dst = dst.key
 
 
 class BlockMode(Enum):
@@ -120,21 +132,11 @@ def filter_packet(policy: BlockPolicy, packet: Packet, at: float) -> Verdict:
     return Verdict.PASS
 
 
-def extract_hop_intervals(tap: ObserverTap, pool: PrefixPool) -> list[float]:
-    """Inter-hop intervals of the peer that hops within `pool`.
-
-    The pool is public: routing announces its prefixes. The observed
-    packets bound for it form the flow, and a change of their
-    destination marks a hop; flows to other destinations are ignored.
-    """
-    change_times: list[float] = []
-    last_dst: int | None = None
-    for t, dst in tap.log:
-        # The key test comes first, so the pool is probed once per hop.
-        if dst.key != last_dst and pool.contains(dst):
-            change_times.append(t)
-            last_dst = dst.key
-    return [b - a for a, b in zip(change_times, change_times[1:])]
+def extract_hop_intervals(tap: ObserverTap) -> list[float]:
+    """Inter-hop intervals of the peer that hops within the tap's pool:
+    the gaps between the tap's destination changes."""
+    changes = tap.changes
+    return [b - a for a, b in zip(changes, changes[1:])]
 
 
 def timing_detect(intervals: list[float], background: DhmmModel, reference_seed: int = 0) -> float:

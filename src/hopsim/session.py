@@ -210,10 +210,10 @@ class Simulation:
         self._outbound_key = (OUTBOUND, config.client_ip.key, config.server_ip.key)
 
         adv = config.adversary
-        # The tap's log is read only by timing analysis, so a tap exists only
-        # where a timing model will read it.
+        # Only timing analysis reads the tap, so a tap exists only where a
+        # timing model will read it.
         self.tap: ObserverTap | None = (
-            ObserverTap() if adv and adv.timing_model is not None else None
+            ObserverTap(config.server_pool) if adv and adv.timing_model is not None else None
         )
         # The tapped link as {a: b, b: a}: a crossing from `asn` is tapped
         # when it goes to `_tap_next[asn]`.
@@ -223,6 +223,10 @@ class Simulation:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
 
         self._prefix_refs: dict[int, int] = {}  # by prefix key
+        # Per hopping end: each window's start on the run clock, and the
+        # first of the end's reserved queue slots. The server's starts date
+        # deliveries and metrics.
+        self._hop_ends: dict[EndpointAgent, tuple[list[float], int]] = {}
         self._hop_starts_abs: list[float] = []
         self._sent = 0
         self._delivered = 0
@@ -336,22 +340,48 @@ class Simulation:
         self._schedule_traffic(gap)
 
     def _setup_hopping_end(self, agent: EndpointAgent) -> None:
-        cfg = self.config
-        epoch = cfg.lead_time_ms
-        schedule = agent.schedule
-        starts = schedule.start_times()
+        # Window k's acquire, hop and release keep the queue slots seq + 3k,
+        # + 1 and + 2 that queueing all of them here would give, so they
+        # fire in the same order. Each acquire and each hop queues the next
+        # one of its stream when it runs, and each hop queues its window's
+        # release: the heap holds an end's next acquire and hop, and the
+        # releases of the windows entered and not yet released. A step's
+        # (time, slot) key is above that of the step that queues it, so a
+        # step not yet queued always has a queued one ahead of it: events
+        # fire as if all were queued here, and `advance_to` stays exact.
+        # Releases do not queue each other: with dwells below the clock's
+        # resolution, a release can round to before the one before it.
+        epoch = self.config.lead_time_ms
+        starts = [epoch + s for s in agent.schedule.start_times()]
         if agent is self.server:
-            self._hop_starts_abs = [epoch + s for s in starts]
-        origin = agent.attached_as
-        for k, entry in enumerate(schedule.entries):
-            self.queue.schedule_at(
-                epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, entry.prefix, origin
+            self._hop_starts_abs = starts
+        queue = self.queue
+        seq = queue.reserve(3 * len(starts))
+        self._hop_ends[agent] = (starts, seq)
+        queue.schedule_reserved(starts[0] - epoch, seq, self._acquire_step, agent, 0)
+        queue.schedule_reserved(starts[0], seq + 1, self._hop_step, agent, 0)
+
+    def _acquire_step(self, agent: EndpointAgent, k: int) -> None:
+        starts, seq = self._hop_ends[agent]
+        nxt = k + 1
+        if nxt < len(starts):
+            self.queue.schedule_reserved(
+                starts[nxt] - self.config.lead_time_ms, seq + 3 * nxt, self._acquire_step, agent, nxt
             )
-            self.queue.schedule_at(epoch + starts[k], self._do_hop, agent, k)
-            self.queue.schedule_at(
-                epoch + starts[k] + entry.dwell_ms + cfg.withdraw_lag_ms,
-                self._release_prefix, entry.prefix, origin,
-            )
+        self._acquire_prefix(agent.schedule.entries[k].prefix, agent.attached_as)
+
+    def _hop_step(self, agent: EndpointAgent, k: int) -> None:
+        starts, seq = self._hop_ends[agent]
+        entry = agent.schedule.entries[k]
+        queue = self.queue
+        nxt = k + 1
+        if nxt < len(starts):
+            queue.schedule_reserved(starts[nxt], seq + 3 * nxt + 1, self._hop_step, agent, nxt)
+        queue.schedule_reserved(
+            starts[k] + entry.dwell_ms + self.config.withdraw_lag_ms, seq + 3 * k + 2,
+            self._release_prefix, entry.prefix, agent.attached_as,
+        )
+        self._do_hop(agent, k)
 
     def _do_hop(self, agent: EndpointAgent, k: int) -> None:
         cfg = self.config
@@ -540,7 +570,7 @@ class Simulation:
         adv = self.config.adversary
         if not adv or adv.timing_model is None:
             return []
-        intervals = extract_hop_intervals(self.tap, self.config.server_pool)
+        intervals = extract_hop_intervals(self.tap)
         if not intervals:
             return [f"nan,{adv.detect_threshold!r},no-hops-observed"]
         stat = timing_detect(intervals, adv.timing_model)

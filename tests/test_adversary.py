@@ -186,7 +186,7 @@ class TestIndexedBlocklist:
 
 class TestObserverTap:
     def test_watches_its_link_in_either_direction(self, tmp_path):
-        # A run taps `1-2` as it taps `2-1`: the same log, verdicts and blocks.
+        # A run taps `1-2` as it taps `2-1`: the same changes, verdicts and blocks.
         (tmp_path / "bg.model").write_text(trained_model([200.0, 700.0, 1500.0] * 4, 3))
         runs = []
         for tap in ("1-2", "2-1"):
@@ -196,33 +196,33 @@ class TestObserverTap:
             )
             path = make_config(tmp_path, n_hops=6, packets=30, gap_ms="auto", extra=adversary)
             sim = Simulation(ScenarioConfig.from_file(path))
-            runs.append((sim.run(), sim.tap.log))
-        (first, log), (second, other_log) = runs
-        assert log and log == other_log
+            runs.append((sim.run(), sim.tap.changes))
+        (first, changes), (second, other_changes) = runs
+        assert changes and changes == other_changes
         assert first.verdicts and first.verdicts == second.verdicts
         assert first.trace == second.trace and ",adversary,block," in first.trace_text()
 
 
 class TestExtractHopIntervals:
     def test_single_address_session(self):
-        tap = ObserverTap()
+        tap = ObserverTap(SERVER_POOL)
         for i in range(5):
             tap.observe(float(i), packet())
-        assert extract_hop_intervals(tap, SERVER_POOL) == []
+        assert extract_hop_intervals(tap) == []
 
     def test_constructed_three_hop_trace(self):
         # The source hops too, as the client's does in two-way mode.
-        tap = ObserverTap()
+        tap = ObserverTap(SERVER_POOL)
         plan = [(0.0, SERVER1), (5.0, SERVER1), (10.0, SERVER2), (15.0, SERVER2), (20.0, SERVER3)]
         for i, (t, dst) in enumerate(plan):
             tap.observe(t, packet(src=Address.parse(f"184.164.242.{i}"), dst=dst))
-        assert extract_hop_intervals(tap, SERVER_POOL) == [10.0, 10.0]
+        assert extract_hop_intervals(tap) == [10.0, 10.0]
 
     def test_background_flows_do_not_disturb_grouping(self):
         # Unrelated flows to changing destinations outside the pool, one of
         # them from the session's own client, interleave with the session.
-        isolated = ObserverTap()
-        mixed = ObserverTap()
+        isolated = ObserverTap(SERVER_POOL)
+        mixed = ObserverTap(SERVER_POOL)
         noise_src = Address.parse("198.51.100.1")
         noise_dsts = [Address.parse(f"198.51.100.{i}") for i in (2, 3)]
         plan = [(0.0, SERVER1), (10.0, SERVER2), (20.0, SERVER3)]
@@ -235,18 +235,29 @@ class TestExtractHopIntervals:
                 t_noise += 3.0
                 n += 1
             mixed.observe(t, packet(dst=dst))
-        assert extract_hop_intervals(isolated, SERVER_POOL) == [10.0, 10.0]
-        assert extract_hop_intervals(mixed, SERVER_POOL) == [10.0, 10.0]
+        assert extract_hop_intervals(isolated) == [10.0, 10.0]
+        assert extract_hop_intervals(mixed) == [10.0, 10.0]
 
     def test_return_traffic_is_not_a_hop(self):
-        tap = ObserverTap()
+        tap = ObserverTap(SERVER_POOL)
         tap.observe(0.0, packet(dst=SERVER1))
         tap.observe(1.0, packet(src=SERVER1, dst=CLIENT))
         tap.observe(2.0, packet(dst=SERVER1))
-        assert extract_hop_intervals(tap, SERVER_POOL) == []
+        assert extract_hop_intervals(tap) == []
+
+    def test_other_destination_between_visits_is_not_a_hop(self):
+        # A packet to a new destination outside the pool, between two to the
+        # same pool address, leaves the last pool destination as it was.
+        tap = ObserverTap(SERVER_POOL)
+        tap.observe(0.0, packet(dst=SERVER1))
+        tap.observe(1.0, packet(dst=Address.parse("198.51.100.2")))
+        tap.observe(2.0, packet(dst=SERVER1))
+        tap.observe(3.0, packet(dst=SERVER2))
+        assert tap.changes == [0.0, 3.0]
+        assert extract_hop_intervals(tap) == [3.0]
 
     def test_log_must_stay_ordered(self):
-        tap = ObserverTap()
+        tap = ObserverTap(SERVER_POOL)
         tap.observe(5.0, packet())
         with pytest.raises(ValueError):
             tap.observe(4.0, packet())

@@ -1,11 +1,12 @@
 """Randomised differential oracles for the scheduling and routing shortcuts.
 
 A session takes a link crossing or a routing wave's next instant inline
-when no queued event is due first, `converge` delivers the slots one
-handed-over batch at a time, and routing sends each update down the
-origin's shortest-path tree only. Each is checked here against the
-plain form it replaces, on seeded random inputs: the path-vector router
-of `reference_routing` is the plain form of the last.
+when no queued event is due first, queues each hop stream's next step
+only when a step runs, `converge` delivers the slots one handed-over
+batch at a time, and routing sends each update down the origin's
+shortest-path tree only. Each is checked here against the plain form it
+replaces, on seeded random inputs: the path-vector router of
+`reference_routing` is the plain form of the last.
 """
 
 from collections import Counter
@@ -25,6 +26,7 @@ from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
 import reference_routing as ref
+from conftest import make_config
 from scenario_gen import random_scenario
 from test_routing import P16, P24, P_OTHER, random_connected_graph
 from test_session import _QueueEveryCrossing
@@ -95,6 +97,65 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
         assert seen[what] > 0, what
     assert REJECTED <= rejected, REJECTED - rejected
     assert sum(messages) > 0
+
+
+class _QueuedAtBootstrap(Simulation):
+    """A run that queues every acquire, hop and release at bootstrap."""
+
+    def _setup_hopping_end(self, agent):
+        cfg = self.config
+        epoch = cfg.lead_time_ms
+        schedule = agent.schedule
+        starts = schedule.start_times()
+        if agent is self.server:
+            self._hop_starts_abs = [epoch + s for s in starts]
+        origin = agent.attached_as
+        for k, entry in enumerate(schedule.entries):
+            self.queue.schedule_at(
+                epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, entry.prefix, origin
+            )
+            self.queue.schedule_at(epoch + starts[k], self._do_hop, agent, k)
+            self.queue.schedule_at(
+                epoch + starts[k] + entry.dwell_ms + cfg.withdraw_lag_ms,
+                self._release_prefix, entry.prefix, origin,
+            )
+
+
+def test_hop_streams_run_as_queued_at_bootstrap(tmp_path):
+    # Queueing each hop stream's next step only when a step runs gives the
+    # run that queueing every step at bootstrap gives: the same trace
+    # bytes, metrics and verdicts, on the shipped configs, the legal
+    # generated ones, and a run whose dwells lie below the clock's
+    # resolution at its epoch, where a release rounds to before the one
+    # before it.
+    shipped = Path(__file__).parents[1] / "configs"
+    configs = [(path.stem, ScenarioConfig.from_file(path)) for path in sorted(shipped.glob("*.ini"))]
+    tiny_dir = tmp_path / "sub_resolution"
+    tiny_dir.mkdir()
+    tiny = ScenarioConfig.from_file(make_config(
+        tiny_dir, n_hops=60, dwell="uniform", low_ms=1e-14, high_ms=3e-13, packets=30, gap_ms="auto"
+    ))
+    configs.append(("sub_resolution", tiny))
+    seen = Counter()
+    for name, config in chain(configs, legal_configs(tmp_path, set())):
+        sim = Simulation(config)
+        streamed = sim.run()
+        queued = _QueuedAtBootstrap(config).run()
+        assert streamed.trace_text() == queued.trace_text(), name
+        assert streamed.metrics.to_dict() == queued.metrics.to_dict(), name
+        assert streamed.verdicts == queued.verdicts, name
+        if name == "sub_resolution":
+            releases = [
+                (start + entry.dwell_ms) + config.withdraw_lag_ms
+                for start, entry in zip(sim._hop_starts_abs, sim.server.schedule.entries)
+            ]
+            seen.update(falling_releases=sum(b < a for a, b in zip(releases, releases[1:])))
+        seen.update(runs=1, two_way=config.two_way, hops=streamed.metrics.hop_count)
+    # Not vacuous: every shipped config and enough generated ones ran, two-way
+    # runs among them, ends hopped, and a release fell before the one before it.
+    assert seen["runs"] >= len(configs) + LEGAL, seen
+    for what in ("two_way", "hops", "falling_releases"):
+        assert seen[what] > 0, what
 
 
 def routed_run(config, router):

@@ -866,6 +866,68 @@ class TestInlineCrossing:
         assert metrics.packets_delivered == metrics.packets_sent == 10
 
 
+class _PeakQueue(EventQueue):
+    """A queue that records the most events it held at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+
+    def schedule_at(self, at, fn, *args):
+        super().schedule_at(at, fn, *args)
+        self.peak = max(self.peak, len(self._heap))
+
+    def schedule_reserved(self, at, seq, fn, *args):
+        super().schedule_reserved(at, seq, fn, *args)
+        self.peak = max(self.peak, len(self._heap))
+
+
+class TestBoundedState:
+    """What a run holds does not grow with its hops or its packets."""
+
+    @pytest.mark.parametrize("two_way", [False, True])
+    def test_event_heap_does_not_grow_with_hops(self, tmp_path, two_way):
+        # Each hop stream holds its next step only, and a window's release
+        # waits in the heap only from its hop on.
+        peaks, hops = [], []
+        for n_hops in (20, 200):
+            root = tmp_path / str(n_hops)
+            root.mkdir()
+            if two_way:
+                (root / "topo.txt").write_text("1 2\n2 3\n")
+                text = GOLDEN_TWO_WAY.replace("n_hops = 5", f"n_hops = {n_hops}")
+                config = ScenarioConfig.from_text(text, base_dir=root)
+            else:
+                path = make_config(root, n_hops=n_hops, fixed_ms=600.0, packets=30, gap_ms="auto")
+                config = ScenarioConfig.from_file(path)
+            sim = Simulation(config)
+            sim.queue = _PeakQueue()
+            metrics = sim.run().metrics
+            peaks.append(sim.queue.peak)
+            hops.append(metrics.hop_count)
+        assert hops[1] >= 9 * hops[0] > 0, hops
+        assert peaks[0] == peaks[1], peaks
+
+    def test_tap_keeps_hop_changes_only(self, tmp_path):
+        # Ten times the packets leave the tap holding as many times: one per
+        # change of the pool destination, at most one per window entered.
+        from test_dwell import symbol_chain
+
+        model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
+        (tmp_path / "bg.model").write_text(model.to_text())
+        extra = "[adversary]\ntap = 1-2\ntiming_model = bg.model\n"
+        held = []
+        for packets in (50, 500):
+            path = make_config(tmp_path, n_hops=10, fixed_ms=600.0, packets=packets,
+                               gap_ms="auto", extra=extra)
+            sim = Simulation(ScenarioConfig.from_file(path))
+            result = sim.run()
+            assert result.verdicts and result.metrics.packets_delivered == packets
+            held.append(len(sim.tap.changes))
+            assert 1 < held[-1] <= result.metrics.hop_count + 1
+        assert held[0] == held[1], held
+
+
 def _calls(action, targets) -> list[int]:
     """How often `action()` calls each `(owner, name)` of `targets`."""
     counts = [0] * len(targets)
@@ -949,7 +1011,7 @@ TRACED = (
 def test_traced_call_counts(tmp_path):
     # longest_match once per AS visited, filter_packet once per tapped
     # crossing under a blocking policy, observe once per tapped crossing
-    # where a timing model reads the tap's log (none of the shipped
+    # where a timing model reads the tap (none of the shipped
     # configs names one), apply_detail once per decision-cache miss, emit
     # once per trace line, one call per flow-table write, and
     # process_message once per update a receiver takes, though one
@@ -962,7 +1024,7 @@ def test_traced_call_counts(tmp_path):
         for stem in ("one_way_hop111", "reactive_block", "baseline_static")
     }
     configs["two_way"] = ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)
-    # reactive_block with a timing model, whose analysis reads the tap's log.
+    # reactive_block with a timing model, whose analysis reads the tap.
     from test_dwell import symbol_chain
 
     model = symbol_chain(3, {i: {j: 1 / 3 for j in range(3)} for i in range(3)})
