@@ -31,7 +31,7 @@ from .addressing import Address, Prefix, PrefixPool
 from .adversary import BlockMode
 from .covert import DEFAULT_ANCHOR, DEFAULT_DOMAIN_TAIL, SyncPayload, encode_payload
 from .dwell import DhmmDwell, DhmmModel, FixedDwell, UniformDwell, check_walkable
-from .errors import ConfigError, HopsimError, InvalidPool, NameTooLong, PayloadTooLarge
+from .errors import ConfigError, HopsimError, InvalidDomainTail, InvalidPool, PayloadTooLarge
 from .routing import parse_edges
 from .values import Frozen, _set
 
@@ -277,7 +277,7 @@ class ScenarioConfig(Frozen):
                 domain_tail=domain_tail,
                 adversary=adversary,
             )
-        except NameTooLong as exc:
+        except InvalidDomainTail as exc:
             raise ConfigError("[covert] domain_tail", str(exc)) from exc
         except PayloadTooLarge as exc:
             raise ConfigError("[server] pool", str(exc)) from exc

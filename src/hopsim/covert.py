@@ -25,8 +25,8 @@ from .addressing import Address, IPVersion, Prefix, PrefixPool, parse_reverse_po
 from .errors import (
     IncompleteSet,
     IntegrityFailure,
+    InvalidDomainTail,
     MalformedRecord,
-    NameTooLong,
     PayloadTooLarge,
 )
 from .values import Frozen
@@ -126,7 +126,7 @@ def _encode_name(index: int, chunk: bytes, domain_tail: str) -> str:
     labels = [data[i : i + MAX_LABEL_LENGTH] for i in range(0, len(data), MAX_LABEL_LENGTH)]
     name = ".".join(labels) + "." + domain_tail
     if len(name) > MAX_NAME_LENGTH:
-        raise NameTooLong(f"{len(name)}-character record name, limit {MAX_NAME_LENGTH}")
+        raise InvalidDomainTail(f"{len(name)}-character record name, limit {MAX_NAME_LENGTH}")
     return name
 
 
@@ -134,6 +134,9 @@ def encode_payload(
     payload: SyncPayload, anchor_ip: Address, domain_tail: str = DEFAULT_DOMAIN_TAIL
 ) -> PtrRecordSet:
     """Encode; every emitted name is DNS-valid and decode() inverts exactly."""
+    for label in domain_tail.split("."):
+        if not _valid_label(label):
+            raise InvalidDomainTail(f"{domain_tail!r} has {label!r}, not a DNS label")
     body = payload.to_bytes()
     if len(body) > MAX_PAYLOAD_BYTES:
         raise PayloadTooLarge(f"{len(body)} bytes serialized, limit {MAX_PAYLOAD_BYTES}")

@@ -59,8 +59,9 @@ class PayloadTooLarge(HopsimError):
     """Serialized payload exceeds the channel's size bound."""
 
 
-class NameTooLong(HopsimError):
-    """A generated record name exceeds the DNS name limit (the domain tail is too long)."""
+class InvalidDomainTail(HopsimError):
+    """The domain tail makes record names that are not DNS names: a label
+    of it is not a DNS label, or the names exceed the DNS name limit."""
 
 
 class CovertDecodeError(HopsimError):

@@ -22,24 +22,16 @@ update on a prefix thus goes down one tree, and a late update can never
 be mistaken for a newer origin's.
 
 A rib maps a prefix to the AS path toward its origin, `()` at the
-origin itself, so the next hop is the path's first ASN. Ribs, origins
-and update keys hold a prefix by its int `Prefix.key`, so a routing
-message hashes ints only; messages and each node's `index` still carry
-`Prefix` values. The packet path searches that index with
+origin itself, so the next hop is the path's first ASN. Ribs and origins
+hold a prefix by its int `Prefix.key`; messages and each node's `index`
+still carry `Prefix` values. The packet path searches that index with
 `addressing.longest_match`.
 
-An update is one `RouteMessage`, built once and queued to every child;
-the receiver is the middle ASN of the update key it is queued under,
-not a field of the message. Updates are coalesced: at most one
-undelivered update exists per (sender, receiver, prefix). A newer
-update replaces the queued one and goes out in that one's delivery slot
-instead of taking a new slot. So a re-announcement made before the
-withdrawal left rides in its slot and changes no rib downstream.
-
-`AsGraph` owns the queue. `converge` and an external scheduler alike
-take the slots one batch at a time with `AsGraph.take_slots` and deliver
-each by popping its key from `AsGraph.pending`; the slots that a batch's
-deliveries open form the next batch, so the order is first in, first out.
+An update is one `RouteMessage`, `(sender, prefix, path)`, which the
+caller hands to each of the sender's tree children with
+`process_message`; this module keeps no queue. `hopsim.session` carries
+each announce or withdraw down the tree as one wave, one layer per link
+delay.
 """
 
 from __future__ import annotations
@@ -62,9 +54,6 @@ class RouteMessage(Frozen):
         _set(self, "path", path)  # None = withdraw
 
 
-UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
-
-
 class AsNode:
     __slots__ = ("asn", "peers", "rib", "index")
 
@@ -79,10 +68,6 @@ class AsNode:
 class AsGraph:
     def __init__(self):
         self.nodes: dict[int, AsNode] = {}
-        # Undelivered updates, one per key; `slots` holds their keys in
-        # delivery order until `converge` or a scheduler takes them.
-        self.pending: dict[UpdateKey, RouteMessage] = {}
-        self.slots: list[UpdateKey] = []
         self.origins: dict[int, int] = {}  # prefix key -> origin ASN, kept after withdrawal
         self._trees: dict[int, dict[int, tuple[int, ...]]] = {}  # origin -> ASN -> children
 
@@ -120,28 +105,6 @@ class AsGraph:
             self._trees[origin] = tree
         return tree
 
-    def send(self, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> None:
-        """Queue `node`'s update on `prefix` to its children in the tree
-        of the prefix's origin: one message, queued under one key per child.
-
-        An update replaces an undelivered one on the same key and keeps
-        that one's slot; only a key with nothing queued opens a new slot.
-        """
-        pending, slots, asn, pkey = self.pending, self.slots, node.asn, prefix.key
-        msg = RouteMessage(asn, prefix, path)
-        for child in self.children(self.origins[pkey]).get(asn, ()):
-            key = (asn, child, pkey)
-            if key not in pending:
-                slots.append(key)
-            pending[key] = msg
-
-    def take_slots(self) -> list[UpdateKey]:
-        """Hand over the slots opened since the last call, in the order
-        they opened, and start a fresh list; the taker delivers each key
-        `k` with `process_message(graph, graph.pending.pop(k), k[1])`."""
-        slots, self.slots = self.slots, []
-        return slots
-
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
         graph = cls()
@@ -168,7 +131,7 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Install the origin route and queue updates to its tree children.
+    """Install the origin route; the caller carries it down the tree.
 
     Re-announcing an already-held prefix is a no-op. Another origin for
     the same prefix is rejected, even after a withdrawal.
@@ -178,28 +141,28 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     holder = graph.origins.setdefault(prefix.key, origin)
     if holder != origin:
         raise MoasConflict(f"{prefix} belongs to AS {holder}")
-    _set_route(graph, graph.nodes[origin], prefix, ())
+    _set_route(graph.nodes[origin], prefix, ())
 
 
 def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
-    """Remove the origin route and queue withdrawals to its tree children."""
+    """Remove the origin route; the caller carries the withdrawal down the tree."""
     if origin not in graph.nodes:
         raise UnknownAs(f"AS {origin} not in topology")
     node = graph.nodes[origin]
     if graph.origins.get(prefix.key) != origin or prefix.key not in node.rib:
         raise NotAnnounced(f"{prefix} not announced by AS {origin}")
-    _set_route(graph, node, prefix, None)
+    _set_route(node, prefix, None)
 
 
 def process_message(graph: AsGraph, msg: RouteMessage, receiver: int) -> bool:
     """Apply one routing message at `receiver`; True when the receiver's
-    rib entry changed and the update went on to its children."""
-    return _set_route(graph, graph.nodes[receiver], msg.prefix, msg.path)
+    rib entry changed, so the update goes on to its children."""
+    return _set_route(graph.nodes[receiver], msg.prefix, msg.path)
 
 
-def _set_route(graph: AsGraph, node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> bool:
-    """Make `path` `node`'s rib entry for `prefix`, None to remove it; if
-    that changed the entry, queue `node`'s update to its children."""
+def _set_route(node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> bool:
+    """Make `path` `node`'s rib entry for `prefix`, None to remove it;
+    True when that changed the entry."""
     key, rib = prefix.key, node.rib
     if rib.get(key) == path:
         return False
@@ -210,19 +173,4 @@ def _set_route(graph: AsGraph, node: AsNode, prefix: Prefix, path: tuple[int, ..
         if key not in rib:
             node.index.add(prefix)
         rib[key] = path
-        path = (node.asn,) + path
-    graph.send(node, prefix, path)
     return True
-
-
-def converge(graph: AsGraph) -> int:
-    """Deliver queued updates in slot order to a fixed point; returns steps taken."""
-    steps = 0
-    pending = graph.pending
-    slots = graph.take_slots()
-    while slots:
-        for key in slots:
-            process_message(graph, pending.pop(key), key[1])
-        steps += len(slots)
-        slots = graph.take_slots()
-    return steps

@@ -45,7 +45,7 @@ from .flowtable import (
 )
 from .hopping import HopEntry, HopSchedule, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
-from .routing import AsGraph, announce, process_message, withdraw
+from .routing import AsGraph, RouteMessage, announce, process_message, withdraw
 from .values import Frozen, left_sum
 
 OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
@@ -223,6 +223,7 @@ class Simulation:
             self.policy = BlockPolicy(adv.blocked, adv.mode, adv.detect_delay_ms, adv.trigger_count)
 
         self._prefix_refs: dict[int, int] = {}  # by prefix key
+        self._unlanded: set[int] = set()  # prefix keys whose wave has yet to reach its first layer
         # Per hopping end: each window's start on the run clock, and the
         # first of the end's reserved queue slots. The server's starts date
         # deliveries and metrics.
@@ -242,35 +243,48 @@ class Simulation:
     def _emit_trace(self, component: str, event: str, details: str = "") -> None:
         self.trace.emit(self.queue.now, component, event, details)
 
-    def _flush_routing(self) -> None:
-        # One delivery instant per link delay, carrying the slots opened
-        # since the last flush; an update that replaces a queued one rides
-        # in that one's slot (see the routing module). Nothing can run
-        # between the slots of one instant, so they fire in the order that
-        # one event per slot would give. An announcement or withdrawal
-        # queues its first instant here; `_deliver_routing` takes each
-        # later one inline when it can.
-        slots = self.graph.take_slots()
-        if slots:
+    def _launch_wave(self, prefix: Prefix, origin: int) -> None:
+        # Carry an announcement or withdrawal just made at `origin` down
+        # its tree: the first layer, the origin's children, gets it one
+        # link delay from now. An action made before the last wave on the
+        # prefix reached its first layer rides that wave, which reads the
+        # origin's entry when it lands. With one global link delay, a later
+        # wave runs behind the earlier ones at every layer, so the first
+        # layer is the only place where two actions' updates could meet.
+        key = prefix.key
+        if key not in self._unlanded and origin in self.graph.children(origin):
+            self._unlanded.add(key)
             at = self.queue.now + self.config.link_delay_ms
-            self.queue.schedule_at(at, self._deliver_routing, slots)
+            self.queue.schedule_at(at, self._deliver_routing, prefix, [origin])
 
-    def _deliver_routing(self, slots: list) -> None:
-        # A wave's next instant runs inline, as a link crossing does, when
-        # no queued event is due by then; else it is queued. The event
-        # loop does nothing after this returns, so the order of events is
-        # the one queueing every instant would give.
+    def _deliver_routing(self, prefix: Prefix, senders: list[int]) -> None:
+        # One layer of a wave per instant: each sender's entry goes to its
+        # tree children, and those whose entry changed and that have
+        # children of their own send the next layer. A wave's next layer
+        # runs inline, as a link crossing does, when no queued event is due
+        # by then; else it is queued. The event loop does nothing after
+        # this returns, so the order of events is the one queueing every
+        # layer would give.
         graph, queue, delay = self.graph, self.queue, self.config.link_delay_ms
-        pending = graph.pending
+        nodes, key = graph.nodes, prefix.key
+        origin = graph.origins[key]
+        if senders[0] == origin:  # the first layer: a later action starts a new wave
+            self._unlanded.discard(key)
+        tree = graph.children(origin)
         while True:
-            for key in slots:
-                process_message(graph, pending.pop(key), key[1])
-            slots = graph.take_slots()
-            if not slots:
+            layer = []
+            for sender in senders:
+                path = nodes[sender].rib.get(key)
+                msg = RouteMessage(sender, prefix, None if path is None else (sender,) + path)
+                for child in tree[sender]:
+                    if process_message(graph, msg, child) and child in tree:
+                        layer.append(child)
+            if not layer:
                 return
+            senders = layer
             at = queue.now + delay
             if not queue.advance_to(at):
-                queue.schedule_at(at, self._deliver_routing, slots)
+                queue.schedule_at(at, self._deliver_routing, prefix, layer)
                 return
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
@@ -280,7 +294,7 @@ class Simulation:
         if count == 1:
             announce(self.graph, prefix, origin)
             self._emit_trace("route", "announce", f"prefix={prefix};origin={origin}")
-            self._flush_routing()
+            self._launch_wave(prefix, origin)
 
     def _release_prefix(self, prefix: Prefix, origin: int) -> None:
         key = prefix.key
@@ -289,7 +303,7 @@ class Simulation:
         if count == 0:
             withdraw(self.graph, prefix, origin)
             self._emit_trace("route", "withdraw", f"prefix={prefix};origin={origin}")
-            self._flush_routing()
+            self._launch_wave(prefix, origin)
 
     # -- setup --
 

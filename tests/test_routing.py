@@ -1,28 +1,35 @@
 import copy
 from collections import deque
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopsim import session
 from hopsim.addressing import Address, Prefix, longest_match
+from hopsim.config import ScenarioConfig
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
 from hopsim.routing import (
     AsGraph,
     RouteMessage,
     announce,
-    converge,
     parse_edges,
     process_message,
     withdraw,
 )
 from hopsim.rng import SplitMix64
+from hopsim.session import Simulation
 
+import conftest
 import reference_routing as ref
+from conftest import flood
 from scenario_gen import random_edges
 
 P24 = Prefix.parse("184.164.243.0/24")
 P_OTHER = Prefix.parse("184.164.242.0/24")
+P16 = Prefix.parse("184.164.0.0/16")
 DST = Address.parse("184.164.243.9")
 
 
@@ -56,11 +63,24 @@ def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int] | Non
         path.append(current)
 
 
-def deliver_slot(g, key) -> bool:
-    """Deliver the update queued on `key` (sender, receiver, prefix key),
-    with the router that `g` belongs to."""
-    process = ref.process_message if isinstance(g, ref.AsGraph) else process_message
-    return process(g, g.pending.pop(key), key[1])
+def deliver_slot(g: ref.AsGraph, key) -> bool:
+    """Deliver the reference router's update queued on `key` (sender,
+    receiver, prefix key)."""
+    return ref.process_message(g, g.pending.pop(key), key[1])
+
+
+@cache
+def _line_config() -> ScenarioConfig:
+    return ScenarioConfig.from_file(Path(__file__).parents[1] / "configs" / "one_way_hop111.ini")
+
+
+def wave_session(graph: AsGraph) -> Simulation:
+    """A session over `graph`, with a link delay of 10 ms, whose queue
+    runs only what a test puts in it: say, the routing waves that
+    `Simulation._launch_wave` launches."""
+    sim = Simulation(_line_config())
+    sim.graph = graph
+    return sim
 
 
 def random_connected_graph(rng: SplitMix64, size: int, graph_type=AsGraph):
@@ -73,25 +93,25 @@ class TestAnnounce:
         g = AsGraph()
         g.add_node(1)
         announce(g, P24, 1)
-        assert not g.pending
+        assert not g.children(1)  # nobody to carry the route to
         assert g.nodes[1].rib[P24.key] == ()
-        assert converge(g) == 0
+        assert flood(g, P24) == 0
 
     def test_line_propagation(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         assert g.nodes[1].rib[P24.key] == (2, 3)
         assert g.nodes[2].rib[P24.key] == (3,)
 
     def test_reannounce_is_idempotent(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         snapshot = {asn: dict(n.rib) for asn, n in g.nodes.items()}
         announce(g, P24, 3)
-        assert not g.slots
-        assert converge(g) == 0
+        assert {asn: dict(n.rib) for asn, n in g.nodes.items()} == snapshot  # nothing to carry
+        assert flood(g, P24) == 0
         assert {asn: dict(n.rib) for asn, n in g.nodes.items()} == snapshot
 
     def test_unknown_as(self):
@@ -112,11 +132,12 @@ class TestVersions:
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, v4, 1)
         announce(g, v6, 3)
-        converge(g)
+        flood(g, v4)
+        flood(g, v6)
         assert route_lookup(g, 2, Address.parse("0.0.0.1")) == [1]
         assert route_lookup(g, 2, Address.parse("::1")) == [3]
         withdraw(g, v4, 1)
-        converge(g)
+        flood(g, v4)
         assert route_lookup(g, 1, Address.parse("::1")) == [2, 3]
         assert route_lookup(g, 3, Address.parse("0.0.0.1")) is None
         assert g.nodes[3].rib[v6.key] == ()
@@ -127,9 +148,9 @@ class TestWithdraw:
     def test_line_withdraw_clears_all_ribs(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         withdraw(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         assert all(P24.key not in n.rib for n in g.nodes.values())
 
     def test_withdraw_unannounced(self):
@@ -141,33 +162,34 @@ class TestWithdraw:
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
         announce(g, P_OTHER, 1)
-        converge(g)
+        flood(g, P24)
+        flood(g, P_OTHER)
         before = {asn: n.rib[P_OTHER.key] for asn, n in g.nodes.items()}
         withdraw(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         assert {asn: n.rib[P_OTHER.key] for asn, n in g.nodes.items()} == before
 
     def test_round_trip_restores_initial_ribs(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
         announce(g, P_OTHER, 2)
-        converge(g)
+        flood(g, P_OTHER)
         baseline = copy.deepcopy({asn: n.rib for asn, n in g.nodes.items()})
         announce(g, P24, 4)
-        converge(g)
+        flood(g, P24)
         withdraw(g, P24, 4)
-        converge(g)
+        flood(g, P24)
         assert {asn: n.rib for asn, n in g.nodes.items()} == baseline
 
 
 class TestConverge:
     def test_no_pending_zero_steps(self):
         g = AsGraph.from_edges([(1, 2)])
-        assert converge(g) == 0
+        assert flood(g, P24) == 0
 
     def test_ring_shortest_paths_with_tie_break(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         # Node 1 sits opposite the origin: both ring directions have
         # length 2, the lower neighbor ASN (2) wins the tie.
         assert g.nodes[1].rib[P24.key] == (2, 3)
@@ -177,15 +199,15 @@ class TestConverge:
     def test_fixed_point_is_stable(self):
         g = AsGraph.from_edges([(1, 2), (2, 3), (1, 3)])
         announce(g, P24, 1)
-        converge(g)
-        assert converge(g) == 0
+        flood(g, P24)
+        assert flood(g, P24) == 0
 
     def test_random_graph_paths_match_bfs(self):
         rng = SplitMix64(404)
         g = random_connected_graph(rng, 20)
         origin = rng.below(20) + 1
         announce(g, P24, origin)
-        converge(g)
+        flood(g, P24)
         distances = bfs_distances(g, origin)
         for asn, node in g.nodes.items():
             assert len(node.rib[P24.key]) == distances[asn], asn
@@ -194,7 +216,7 @@ class TestConverge:
         rng = SplitMix64(11)
         g = random_connected_graph(rng, 15)
         announce(g, P24, 5)
-        converge(g)
+        flood(g, P24)
         for asn, node in g.nodes.items():
             for path in node.rib.values():
                 assert asn not in path
@@ -204,28 +226,29 @@ class TestRouteLookup:
     def test_origin_lookup_is_empty_path(self):
         g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
-        converge(g)
+        flood(g, P24)
         assert route_lookup(g, 1, DST) == []
 
     def test_line_lookup(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         assert route_lookup(g, 1, DST) == [2, 3]
 
     def test_withdrawn_prefix_unroutable(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         withdraw(g, P24, 3)
-        converge(g)
+        flood(g, P24)
         assert route_lookup(g, 1, DST) is None
 
     def test_longest_prefix_wins(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
-        announce(g, Prefix.parse("184.164.0.0/16"), 2)
+        announce(g, P16, 2)
         announce(g, P24, 3)
-        converge(g)
+        flood(g, P16)
+        flood(g, P24)
         assert route_lookup(g, 1, DST) == [2, 3]  # /24 beats /16
         other = Address.parse("184.164.9.9")
         assert route_lookup(g, 1, other) == [2]
@@ -250,28 +273,32 @@ class TestTopologyLoading:
             parse_edges("1 2\n2 2 # loop\n")
 
 
-def test_scheduler_hand_off_reaches_converge_fixed_point():
+def test_session_wave_reaches_the_flood_fixed_point(monkeypatch):
     edges = [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4), (4, 5)]
     reference = AsGraph.from_edges(edges)
     announce(reference, P24, 3)
-    converge(reference)
-    g = AsGraph.from_edges(edges)
-    announce(g, P24, 3)
-    slots = g.take_slots()
-    assert slots == [(3, 2, P24.key), (3, 4, P24.key)]  # one per peer, in `peers` order
-    assert not g.slots
-    # An external scheduler delivering the slots in order reaches the
-    # same ribs as converge(), and leaves nothing undelivered.
-    while slots:
-        deliver_slot(g, slots.pop(0))
-        slots.extend(g.take_slots())
-    assert not g.pending
-    assert {asn: n.rib for asn, n in g.nodes.items()} == {
+    flood(reference, P24)
+    sim = wave_session(AsGraph.from_edges(edges))
+    delivered = []
+
+    def recorded(graph, msg, receiver, _real=session.process_message):
+        delivered.append((sim.queue.now, msg.sender, receiver))
+        return _real(graph, msg, receiver)
+
+    monkeypatch.setattr(session, "process_message", recorded)
+    announce(sim.graph, P24, 3)
+    sim._launch_wave(P24, 3)
+    assert sim._unlanded == {P24.key}
+    # One queued instant: the first layer, one message per tree child in
+    # `peers` order, one link delay on; the second runs inline after it.
+    assert sim.queue.run() == 1
+    assert delivered == [(10.0, 3, 2), (10.0, 3, 4), (20.0, 2, 1), (20.0, 4, 5)]
+    # The session's wave reaches the same ribs as a flood, and leaves
+    # nothing in flight.
+    assert not sim._unlanded
+    assert {asn: n.rib for asn, n in sim.graph.nodes.items()} == {
         asn: n.rib for asn, n in reference.nodes.items()
     }
-
-
-P16 = Prefix.parse("184.164.0.0/16")
 
 
 @given(
@@ -474,38 +501,44 @@ class TestTree:
         asns = sorted(g.nodes)
         origin = asns[SplitMix64(seed).below(len(asns))]
         announce(g, P24, origin)
-        assert converge(g) == len(asns) - 1
+        assert flood(g, P24) == len(asns) - 1
         assert {asn: n.rib[P24.key] for asn, n in g.nodes.items()} == tree_paths(g, origin)
         withdraw(g, P24, origin)
-        assert converge(g) == len(asns) - 1
+        assert flood(g, P24) == len(asns) - 1
         assert all(not n.rib and longest_match(n.index, DST) is None for n in g.nodes.values())
 
     def test_a_prefix_keeps_its_origin_after_withdrawal(self):
         g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
-        converge(g)
+        flood(g, P24)
         withdraw(g, P24, 1)
-        converge(g)
+        flood(g, P24)
         with pytest.raises(MoasConflict):
             announce(g, P24, 2)
         with pytest.raises(NotAnnounced):
             withdraw(g, P24, 1)
         announce(g, P24, 1)
-        converge(g)
+        flood(g, P24)
         assert g.nodes[2].rib[P24.key] == (1,)
 
-    def test_reannouncement_rides_in_the_withdrawals_slot(self):
+    def test_reannouncement_rides_the_withdrawals_wave(self, monkeypatch):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 1)
-        converge(g)
+        flood(g, P24)
         ribs = {asn: dict(n.rib) for asn, n in g.nodes.items()}
         withdraw(g, P24, 1)
         announce(g, P24, 1)
-        slots = g.take_slots()
-        assert slots == [(1, 2, P24.key)]  # the re-announcement replaced the withdrawal
-        assert g.pending[slots[0]].path == (1,)
-        assert not deliver_slot(g, slots[0])  # AS 2 holds that path already
-        assert not g.pending and not g.slots
+        delivered = []
+
+        def recorded(graph, msg, receiver, _real=process_message):
+            delivered.append((msg, receiver))
+            return _real(graph, msg, receiver)
+
+        monkeypatch.setattr(conftest, "process_message", recorded)
+        # One wave carries the origin's entry when it lands: the
+        # re-announcement, which AS 2 holds already.
+        assert flood(g, P24) == 0
+        assert delivered == [(RouteMessage(1, P24, (1,)), 2)]
         assert {asn: dict(n.rib) for asn, n in g.nodes.items()} == ribs
 
 
@@ -515,46 +548,53 @@ class TestTree:
 )
 def test_tree_message_is_passed_on_exactly_when_it_changes_a_rib(seed, actions):
     # Each action announces a prefix from its origin (a random AS the
-    # first time), re-announces it or withdraws it, then delivers a few
-    # slots; the rest are delivered at the end. A delivery returns True
-    # exactly when the receiver's rib entry changed, and then it has
-    # queued its new entry to exactly its children in the origin's
-    # tree; otherwise nothing new is queued. The ribs end on the tree's
-    # paths.
+    # first time), re-announces it or withdraws it, and launches its wave
+    # in a session, 0 to 2 link delays after the action before, so that
+    # waves overlap and ride. A delivery carries its sender's entry and
+    # returns True exactly when the receiver's rib entry changed; then,
+    # one link delay later, the receiver sends its new entry to exactly
+    # its children in the origin's tree; otherwise it sends nothing. The
+    # ribs end on the tree's paths.
     rng = SplitMix64(seed)
     size = 2 + rng.below(8)
-    g = random_connected_graph(rng, size)
+    sim = wave_session(random_connected_graph(rng, size))
+    g, queue, delay = sim.graph, sim.queue, sim.config.link_delay_ms
+    sent = {}  # (instant, sender, prefix key) -> receivers, in order
+    due = set()  # the (instant, sender, prefix key) each change passes its update on at
 
-    def deliver():
-        slot = g.slots.pop(0)
-        msg = g.pending.pop(slot)
-        node, key = g.nodes[slot[1]], msg.prefix.key
-        assert (msg.sender, key) == (slot[0], slot[2])
+    def recorded(graph, msg, receiver, _real=session.process_message):
+        node, key = g.nodes[receiver], msg.prefix.key
+        held = g.nodes[msg.sender].rib.get(key)
+        assert msg.path == (None if held is None else (msg.sender,) + held)
         before = node.rib.get(key)
-        pending = dict(g.pending)
-        changed = process_message(g, msg, slot[1])
-        after = node.rib.get(key)
-        assert changed is (after != before)
-        if changed:
-            advertised = None if after is None else (node.asn,) + after
-            update = RouteMessage(node.asn, msg.prefix, advertised)
-            paths = tree_paths(g, g.origins[key])
-            for child, path in paths.items():
-                if path[:1] == (node.asn,):
-                    pending[(node.asn, child, key)] = update
-        assert g.pending == pending
+        changed = _real(graph, msg, receiver)
+        assert changed is (node.rib.get(key) != before)
+        sent.setdefault((queue.now, msg.sender, key), []).append(receiver)
+        if changed and receiver in g.children(g.origins[key]):
+            due.add((queue.now + delay, receiver, key))
+        return changed
 
-    for prefix, deliveries in actions:
+    def act(prefix):
         origin = g.origins.get(prefix.key, 1 + rng.below(size))
         if prefix.key in g.nodes[origin].rib and rng.below(2):
             assert withdraw(g, prefix, origin) is None
         else:
             assert announce(g, prefix, origin) is None
-        for _ in range(min(deliveries, len(g.slots))):
-            deliver()
-    while g.slots:
-        deliver()
-    assert not g.pending
+        sim._launch_wave(prefix, origin)
+
+    at = 0.0
+    for prefix, half_delays in actions:
+        at += half_delays * delay / 2
+        queue.schedule_at(at, act, prefix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(session, "process_message", recorded)
+        queue.run()
+    for (at, sender, key), receivers in sent.items():
+        origin = g.origins[key]
+        assert receivers == list(g.children(origin)[sender])
+        assert sender == origin or (at, sender, key) in due
+    assert due <= set(sent)
+    assert not sim._unlanded
     for key, origin in g.origins.items():
         held = key in g.nodes[origin].rib
         paths = tree_paths(g, origin) if held else {}
@@ -595,13 +635,12 @@ class TestSharedAdvertisement:
 class TestPrefixIndex:
     def test_matches_longest_first_and_version_strict(self):
         g = AsGraph.from_edges([(1, 2)])
-        p16 = Prefix.parse("184.164.0.0/16")
         v6 = Prefix.parse("b8a4:f300::/24")  # same top 24 bits as P24
-        for p in (p16, P24, v6):
+        for p in (P16, P24, v6):
             announce(g, p, 1)
         index = g.nodes[1].index
         assert longest_match(index, DST) == P24
         assert longest_match(index, Address.parse("b8a4:f3ff::1")) == v6
         withdraw(g, P24, 1)
-        assert longest_match(index, DST) == p16
+        assert longest_match(index, DST) == P16
         assert longest_match(index, Address.parse("10.0.0.1")) is None

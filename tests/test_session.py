@@ -17,7 +17,7 @@ from hopsim.errors import ConfigError, ScenarioError
 from hopsim.events import EventQueue, TraceLog
 from hopsim.flowtable import Packet
 from hopsim.hopping import HopEntry, build_schedule
-from hopsim.routing import AsGraph, announce, converge, withdraw
+from hopsim.routing import AsGraph, announce, withdraw
 from hopsim.rng import SplitMix64
 from hopsim.session import (
     EndpointAgent,
@@ -28,7 +28,7 @@ from hopsim.session import (
     synchronize,
 )
 
-from conftest import make_config, rewritten_inbound
+from conftest import flood, make_config, rewritten_inbound
 from scenario_gen import random_edges
 
 POOL = PrefixPool.parse("184.164.243.0/24")
@@ -175,7 +175,7 @@ class TestHopOperation:
         """A graph in which the agent's AS 3 announces the pool's prefix."""
         graph = AsGraph.from_edges([(1, 3)])
         announce(graph, POOL.prefixes[0], 3)
-        converge(graph)
+        flood(graph, POOL.prefixes[0])
         return graph
 
     def accepted(self, agent, entries=None):
@@ -212,7 +212,7 @@ class TestHopOperation:
             hop(agent, entry, graph, grace=False)
         assert self.accepted(agent) == set()
         announce(graph, entry.prefix, 3)
-        converge(graph)
+        flood(graph, entry.prefix)
         hop(agent, entry, graph, grace=False)  # now fine
 
     def test_hop_after_the_withdrawal_is_refused(self):
@@ -220,7 +220,7 @@ class TestHopOperation:
         first, second, _ = agent.schedule.entries
         hop(agent, first, graph, grace=False)
         withdraw(graph, first.prefix, 3)
-        converge(graph)
+        flood(graph, first.prefix)
         with pytest.raises(ScenarioError, match="does not announce"):
             hop(agent, second, graph, grace=False)
 
@@ -232,7 +232,8 @@ class TestHopOperation:
         graph = AsGraph.from_edges([(1, 2)])
         announce(graph, p16, 2)
         announce(graph, p24, 1)
-        converge(graph)
+        flood(graph, p16)
+        flood(graph, p24)
         inner = HopEntry(Address.parse("184.164.243.9"), p24, 1000.0)
         outer = HopEntry(Address.parse("184.164.9.9"), p16, 1000.0)
         for asn, own, other in ((1, inner, outer), (2, outer, inner)):
@@ -698,7 +699,7 @@ class TestRoutingChurn:
         result = sim.run()
         assert len(checked) == 6
         assert result.metrics.packets_delivered == result.metrics.packets_sent == 30
-        assert set(sim.graph.origins.values()) == {7} and not sim.graph.pending
+        assert set(sim.graph.origins.values()) == {7} and not sim._unlanded
         assert all(not n.rib for n in sim.graph.nodes.values())
 
     def test_200_as_graph_session_is_bounded(self, tmp_path, processed, routing_calls):
@@ -749,6 +750,100 @@ MESH_CHURN_TOPOLOGY = (
     "1 2\n1 3\n1 4\n1 5\n1 8\n1 14\n2 6\n2 12\n2 14\n3 5\n3 10\n3 11\n"
     "3 15\n4 7\n4 9\n4 10\n5 6\n5 7\n5 14\n6 16\n8 13\n11 16\n13 15\n"
 )
+
+
+class TestRideRule:
+    """An announcement or withdrawal made before the last wave on its
+    prefix reached its first layer rides that wave, which carries the
+    origin's entry when it lands; a later one starts a wave of its own."""
+
+    PREFIX = POOL.prefixes[0]
+
+    @staticmethod
+    def deliveries(sim, monkeypatch) -> list:
+        """From now on, each delivery of `sim` as (instant, receiver, changed)."""
+        delivered = []
+
+        def recorded(graph, msg, receiver, _real=session.process_message):
+            changed = _real(graph, msg, receiver)
+            delivered.append((sim.queue.now, receiver, changed))
+            return changed
+
+        monkeypatch.setattr(session, "process_message", recorded)
+        return delivered
+
+    def churn(self, tmp_path, monkeypatch, gap_ms, after_withdrawal):
+        """On the line 1-2-3 with a link delay of 10 ms, AS 1 announces
+        PREFIX and the wave settles; then it withdraws PREFIX at 100 ms
+        and re-announces it `gap_ms` later, queued before the withdrawal
+        runs or, if `after_withdrawal`, by it. Gives the events the churn
+        took and its deliveries."""
+        sim = Simulation(ScenarioConfig.from_file(make_config(tmp_path, packets=0)))
+        assert sim.config.link_delay_ms == 10.0
+        queue, prefix = sim.queue, self.PREFIX
+        sim._acquire_prefix(prefix, 1)
+        queue.run()
+        assert sim.graph.nodes[3].rib[prefix.key] == (2, 1)
+
+        def release():
+            sim._release_prefix(prefix, 1)
+            if after_withdrawal:
+                queue.schedule_at(queue.now + gap_ms, sim._acquire_prefix, prefix, 1)
+
+        delivered = self.deliveries(sim, monkeypatch)
+        queue.schedule_at(100.0, release)
+        if not after_withdrawal:
+            queue.schedule_at(100.0 + gap_ms, sim._acquire_prefix, prefix, 1)
+        events = queue.run()
+        assert not sim._unlanded
+        assert sim.graph.nodes[3].rib[prefix.key] == (2, 1)
+        return events, delivered
+
+    @pytest.mark.parametrize("gap_ms", [0.0, 5.0, 9.999, 10.0])
+    def test_actions_less_than_a_link_delay_apart_share_one_wave(
+        self, tmp_path, monkeypatch, gap_ms
+    ):
+        # One routing instant is queued, and it changes no rib past the
+        # origin. At a gap of exactly one link delay the re-announcement,
+        # queued first as a hop stream's steps are, fires before the
+        # wave's first instant and so still rides it.
+        events, delivered = self.churn(tmp_path, monkeypatch, gap_ms, after_withdrawal=False)
+        assert events == 3  # the withdrawal, the re-announcement, one routing instant
+        assert delivered == [(110.0, 2, False)]
+
+    @pytest.mark.parametrize(
+        "gap_ms, after_withdrawal, instants", [(10.0, True, 3), (15.0, False, 3), (25.0, False, 2)]
+    )
+    def test_actions_a_link_delay_or_more_apart_start_a_second_wave(
+        self, tmp_path, monkeypatch, gap_ms, after_withdrawal, instants
+    ):
+        # The withdrawal's first layer has landed when the re-announcement
+        # is made, so AS 2 and AS 3 lose the route and then get it back.
+        # Each wave queues its first instant; the withdrawal's also queues
+        # its second when the re-announcement is due by then.
+        events, delivered = self.churn(tmp_path, monkeypatch, gap_ms, after_withdrawal)
+        second = 100.0 + gap_ms + 10.0
+        assert delivered == [(110.0, 2, True), (120.0, 3, True), (second, 2, True), (second + 10.0, 3, True)]
+        assert events == 2 + instants
+
+
+    def test_a_deeper_layer_of_an_earlier_wave_leaves_the_mark_in_place(
+        self, tmp_path, monkeypatch
+    ):
+        # On the line 1-2-3-4, the announcement's second layer runs at
+        # 20 ms, after the withdrawal at 15 ms launched its own wave and
+        # before that wave lands at 25 ms. So the re-announcement at 22 ms
+        # still rides the withdrawal's wave, and AS 2 keeps its route.
+        config = make_config(tmp_path, packets=0, topo="1 2\n2 3\n3 4\n")
+        sim = Simulation(ScenarioConfig.from_file(config))
+        delivered = self.deliveries(sim, monkeypatch)
+        queue, prefix = sim.queue, self.PREFIX
+        queue.schedule_at(0.0, sim._acquire_prefix, prefix, 1)
+        queue.schedule_at(15.0, sim._release_prefix, prefix, 1)
+        queue.schedule_at(22.0, sim._acquire_prefix, prefix, 1)
+        assert queue.run() == 7  # three actions, four routing instants
+        assert delivered == [(10.0, 2, True), (20.0, 3, True), (25.0, 2, False), (30.0, 4, True)]
+        assert sim.graph.nodes[4].rib[prefix.key] == (3, 2, 1)
 
 
 class _QueueEveryCrossing(EventQueue):
