@@ -23,9 +23,11 @@ be mistaken for a newer origin's.
 
 A rib maps a prefix to the AS path toward its origin, `()` at the
 origin itself, so the next hop is the path's first ASN. Ribs and origins
-hold a prefix by its int `Prefix.key`; messages and each node's `index`
-still carry `Prefix` values. The packet path searches that index with
-`addressing.longest_match`.
+hold a prefix by its int `Prefix.key`; messages carry `Prefix` values. A
+run announces only pairwise disjoint prefixes, so no AS keeps an index
+of its own: the packet path finds the one announced prefix that holds a
+destination once, with `addressing.longest_match`, and probes each rib
+by its key.
 
 An update is one `RouteMessage`, `(sender, prefix, path)`, which the
 caller hands to each of the sender's tree children with
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .addressing import Prefix, PrefixIndex
+from .addressing import Prefix
 from .errors import MoasConflict, NotAnnounced, UnknownAs
 from .values import Frozen, _set
 
@@ -55,14 +57,13 @@ class RouteMessage(Frozen):
 
 
 class AsNode:
-    __slots__ = ("asn", "peers", "rib", "index")
+    __slots__ = ("asn", "peers", "rib")
 
     def __init__(self, asn: int):
         self.asn = asn
         self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted
         # AS path by prefix key: `()` at the origin, else next hop first.
         self.rib: dict[int, tuple[int, ...]] = {}
-        self.index = PrefixIndex()  # over the rib's prefixes
 
 
 class AsGraph:
@@ -141,7 +142,7 @@ def announce(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     holder = graph.origins.setdefault(prefix.key, origin)
     if holder != origin:
         raise MoasConflict(f"{prefix} belongs to AS {holder}")
-    _set_route(graph.nodes[origin], prefix, ())
+    _set_route(graph.nodes[origin], prefix.key, ())
 
 
 def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
@@ -151,26 +152,23 @@ def withdraw(graph: AsGraph, prefix: Prefix, origin: int) -> None:
     node = graph.nodes[origin]
     if graph.origins.get(prefix.key) != origin or prefix.key not in node.rib:
         raise NotAnnounced(f"{prefix} not announced by AS {origin}")
-    _set_route(node, prefix, None)
+    _set_route(node, prefix.key, None)
 
 
 def process_message(graph: AsGraph, msg: RouteMessage, receiver: int) -> bool:
     """Apply one routing message at `receiver`; True when the receiver's
     rib entry changed, so the update goes on to its children."""
-    return _set_route(graph.nodes[receiver], msg.prefix, msg.path)
+    return _set_route(graph.nodes[receiver], msg.prefix.key, msg.path)
 
 
-def _set_route(node: AsNode, prefix: Prefix, path: tuple[int, ...] | None) -> bool:
-    """Make `path` `node`'s rib entry for `prefix`, None to remove it;
-    True when that changed the entry."""
-    key, rib = prefix.key, node.rib
+def _set_route(node: AsNode, key: int, path: tuple[int, ...] | None) -> bool:
+    """Make `path` `node`'s rib entry for prefix key `key`, None to remove
+    it; True when that changed the entry."""
+    rib = node.rib
     if rib.get(key) == path:
         return False
     if path is None:
         del rib[key]
-        node.index.discard(prefix)
     else:
-        if key not in rib:
-            node.index.add(prefix)
         rib[key] = path
     return True

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 
-from .addressing import Address, Prefix, longest_match
+from .addressing import Address, Prefix, PrefixIndex, longest_match
 from .adversary import (
     BlockPolicy,
     ObserverTap,
@@ -205,6 +205,17 @@ class Simulation:
         self.client = EndpointAgent(Role.CLIENT, config.client_ip, config.client_as)
         self.server.peer, self.client.peer = self.client, self.server
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
+        # Every prefix the run can announce: the server's pool and, two-way,
+        # the client's, or a static server's one host route. The config
+        # keeps them pairwise disjoint, so the one that holds a destination
+        # is the only one any rib can route it by.
+        if config.server_hopping:
+            announced = config.server_pool.prefixes
+            if config.two_way:
+                announced += config.client_pool.prefixes
+        else:
+            announced = (Prefix(config.server_ip, config.server_ip.width),)
+        self._announced = PrefixIndex(announced)
         # Every send starts from this header; the client's table rewrites it.
         self._outbound = Packet(config.client_ip, config.server_ip)
         self._outbound_key = (OUTBOUND, config.client_ip.key, config.server_ip.key)
@@ -477,6 +488,14 @@ class Simulation:
         # so nothing could run in between, and the event order is the one
         # queueing every crossing would give. A table's memo is probed
         # here; `_apply_chain` is the miss path.
+        #
+        # The packet's destination picks its route key once per call, by
+        # the one announced prefix that holds it, and each AS probes its
+        # rib by that key: no AS needs a longest match of its own. A rib
+        # entry is the AS's path up the origin's tree, so each crossing goes
+        # one layer nearer the origin, or the packet drops as `unroutable`:
+        # no packet crosses more links than the tree is deep, and the loop
+        # branch stays as a guard.
         queue = self.queue
         trace = self.trace
         nodes = self.graph.nodes
@@ -484,6 +503,9 @@ class Simulation:
         delay = self.config.link_delay_ms
         next_send = self._next_send
         tap, tap_next = self.tap, self._tap_next
+        if hops >= 0:
+            prefix = longest_match(self._announced, packet.dst)
+            pkey = None if prefix is None else prefix.key
         while True:
             now = queue.now
             if hops < 0:
@@ -495,15 +517,15 @@ class Simulation:
                     break
                 trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
                 hops = 0
+                prefix = longest_match(self._announced, packet.dst)
+                pkey = None if prefix is None else prefix.key
             if hops > max_hops:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 break
-            node = nodes[asn]
-            prefix = longest_match(node.index, packet.dst)
-            if prefix is None:
+            as_path = nodes[asn].rib.get(pkey)
+            if as_path is None:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=unroutable;at={asn}")
                 break
-            as_path = node.rib[prefix.key]
             if not as_path:
                 agent = self._agents_by_as.get(asn)
                 if agent is None:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from hopsim.addressing import Prefix, PrefixIndex
+from hopsim.addressing import Prefix
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
 from hopsim.values import Frozen, _set
 
@@ -67,7 +67,7 @@ UpdateKey = tuple[int, int, int]  # (sender, receiver, prefix key)
 
 
 class AsNode:
-    __slots__ = ("asn", "peers", "rib", "epochs", "learned", "dead", "index")
+    __slots__ = ("asn", "peers", "rib", "epochs", "learned", "dead")
 
     def __init__(self, asn: int):
         self.asn = asn
@@ -80,19 +80,15 @@ class AsNode:
         # compares them in. The origin holds its own route under its ASN.
         self.learned: dict[int, dict[int, tuple[int, int, int, tuple[int, ...]]]] = {}
         self.dead: dict[int, int] = {}  # the newest epoch known withdrawn, by prefix key
-        self.index = PrefixIndex()  # over the rib's prefixes
 
     def install(self, prefix: Prefix, path: tuple[int, ...], epoch: int) -> None:
         key = prefix.key
-        if key not in self.rib:
-            self.index.add(prefix)
         self.rib[key] = path
         self.epochs[key] = epoch
 
     def remove(self, prefix: Prefix) -> None:
         if self.rib.pop(prefix.key, None) is not None:
             del self.epochs[prefix.key]
-            self.index.discard(prefix)
 
 
 class AsGraph:

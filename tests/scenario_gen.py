@@ -4,20 +4,27 @@
 draws graphs of 3 to 12 ASes, v4 and v6 pools, static and hopping
 servers, one-way and two-way runs, fixed, uniform and DHMM dwells, taps
 with every policy, and now and then a value the parser must reject.
-Two properties run on it: `test_config` (a config runs or is rejected
-at parse time) and `test_differential` (a run gives the same bytes with
-link crossings taken inline or queued). `random_edges` is the one
+`legal_configs` gives the first `CONFIGS` seeds' configs that parse.
+The properties of `test_config` (a config runs or is rejected at parse
+time), `test_differential` (a run gives the same bytes as the plain form
+of each shortcut) and `test_routing` (each packet is routed by the one
+announced prefix that holds its destination, in no more crossings than
+the origin's tree is deep) run on them. `random_edges` is the one
 random-graph draw of the tests.
 """
 
 import ipaddress
 
-from hopsim.config import MAX_HOPS, MAX_PACKETS
+from hopsim.config import MAX_HOPS, MAX_PACKETS, ScenarioConfig
 from hopsim.dwell import infer_dhmm, quantile_alphabet
+from hopsim.errors import ConfigError
 from hopsim.rng import SplitMix64
 
 V6_BASE = 0x20010DB8 << 96
 U64 = 1 << 64
+CONFIGS = 500
+# The least number of the CONFIGS seeds whose config parses: 232 do.
+LEGAL = 200
 
 
 def random_edges(rng: SplitMix64, size: int, tries: int) -> list[tuple[int, int]]:
@@ -152,3 +159,19 @@ def random_scenario(seed: int) -> tuple[str, dict[str, bytes]]:
         for name, keys in sections.items()
     )
     return text, files
+
+
+def legal_configs(tmp_path, rejected: set):
+    """The configs of `random_scenario` seeds 0 to CONFIGS - 1 that parse,
+    each given while the files it names are on disk; the key each of the
+    rest is rejected on goes into `rejected`."""
+    for seed in range(CONFIGS):
+        text, files = random_scenario(seed)
+        for name, body in files.items():
+            (tmp_path / name).write_bytes(body)
+        try:
+            config = ScenarioConfig.from_text(text, base_dir=tmp_path)
+        except ConfigError as exc:
+            rejected.add(exc.field)
+            continue
+        yield seed, config

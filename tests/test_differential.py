@@ -23,19 +23,15 @@ from hopsim import routing, session
 from hopsim.addressing import IPVersion
 from hopsim.config import ScenarioConfig
 from hopsim.dwell import DhmmDwell
-from hopsim.errors import ConfigError
 from hopsim.rng import SplitMix64
 from hopsim.session import Simulation
 
 import reference_routing as ref
 from conftest import make_config
-from scenario_gen import random_scenario
+from scenario_gen import LEGAL, legal_configs
 from test_routing import P16, P24, P_OTHER, random_connected_graph
 from test_session import _QueueEveryCrossing
 
-CONFIGS = 500
-# The least number of the CONFIGS seeds whose config parses: 232 do.
-LEGAL = 200
 # Every key a generated config is rejected on.
 REJECTED = {
     "[scenario] client_seed", "[scenario] n_hops", "[server] internal_ip",
@@ -43,22 +39,6 @@ REJECTED = {
     "[covert] domain_tail", "[adversary] detect_delay_ms", "[adversary] timing_model",
     "[traffic] gap_ms", "[traffic] packets", "[scenario] two_way",
 }
-
-
-def legal_configs(tmp_path, rejected: set):
-    """The configs of `random_scenario` seeds 0 to CONFIGS - 1 that parse,
-    each given while the files it names are on disk; the key each of the
-    rest is rejected on goes into `rejected`."""
-    for seed in range(CONFIGS):
-        text, files = random_scenario(seed)
-        for name, body in files.items():
-            (tmp_path / name).write_bytes(body)
-        try:
-            config = ScenarioConfig.from_text(text, base_dir=tmp_path)
-        except ConfigError as exc:
-            rejected.add(exc.field)
-            continue
-        yield seed, config
 
 
 def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import copy
-from collections import deque
+from collections import Counter, deque
 from functools import cache
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsim import session
-from hopsim.addressing import Address, Prefix, longest_match
+from hopsim.addressing import Address, Prefix, PrefixIndex, longest_match
 from hopsim.config import ScenarioConfig
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
 from hopsim.routing import (
@@ -25,7 +26,7 @@ from hopsim.session import Simulation
 import conftest
 import reference_routing as ref
 from conftest import flood
-from scenario_gen import random_edges
+from scenario_gen import LEGAL, legal_configs, random_edges
 
 P24 = Prefix.parse("184.164.243.0/24")
 P_OTHER = Prefix.parse("184.164.242.0/24")
@@ -45,16 +46,19 @@ def bfs_distances(graph: AsGraph, origin: int) -> dict[int, int]:
     return dist
 
 
-def route_lookup(graph: AsGraph, from_asn: int, dst: Address) -> list[int] | None:
-    """The ASes a packet from `from_asn` to `dst` crosses by each rib's
-    longest match, up to the origin; None where it finds no route or loops."""
+def route_lookup(
+    graph: AsGraph, from_asn: int, dst: Address, announced: tuple[Prefix, ...]
+) -> list[int] | None:
+    """The ASes a packet from `from_asn` to `dst` crosses up to the
+    origin, as `Simulation._forward` routes it: each rib is probed by the
+    key of the longest prefix of `announced` that holds `dst`. None where
+    it finds no route or loops."""
+    prefix = longest_match(PrefixIndex(announced), dst)
     path, current = [], from_asn
     while True:
-        node = graph.nodes[current]
-        prefix = longest_match(node.index, dst)
-        if prefix is None:
+        as_path = graph.nodes[current].rib.get(None if prefix is None else prefix.key)
+        if as_path is None:
             return None
-        as_path = node.rib[prefix.key]
         if not as_path:
             return path
         current = as_path[0]
@@ -134,12 +138,12 @@ class TestVersions:
         announce(g, v6, 3)
         flood(g, v4)
         flood(g, v6)
-        assert route_lookup(g, 2, Address.parse("0.0.0.1")) == [1]
-        assert route_lookup(g, 2, Address.parse("::1")) == [3]
+        assert route_lookup(g, 2, Address.parse("0.0.0.1"), (v4, v6)) == [1]
+        assert route_lookup(g, 2, Address.parse("::1"), (v4, v6)) == [3]
         withdraw(g, v4, 1)
         flood(g, v4)
-        assert route_lookup(g, 1, Address.parse("::1")) == [2, 3]
-        assert route_lookup(g, 3, Address.parse("0.0.0.1")) is None
+        assert route_lookup(g, 1, Address.parse("::1"), (v4, v6)) == [2, 3]
+        assert route_lookup(g, 3, Address.parse("0.0.0.1"), (v4, v6)) is None
         assert g.nodes[3].rib[v6.key] == ()
         assert v4.key not in g.nodes[1].rib
 
@@ -227,13 +231,13 @@ class TestRouteLookup:
         g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
         flood(g, P24)
-        assert route_lookup(g, 1, DST) == []
+        assert route_lookup(g, 1, DST, (P24,)) == []
 
     def test_line_lookup(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         announce(g, P24, 3)
         flood(g, P24)
-        assert route_lookup(g, 1, DST) == [2, 3]
+        assert route_lookup(g, 1, DST, (P24,)) == [2, 3]
 
     def test_withdrawn_prefix_unroutable(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
@@ -241,7 +245,7 @@ class TestRouteLookup:
         flood(g, P24)
         withdraw(g, P24, 3)
         flood(g, P24)
-        assert route_lookup(g, 1, DST) is None
+        assert route_lookup(g, 1, DST, (P24,)) is None
 
     def test_longest_prefix_wins(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
@@ -249,9 +253,9 @@ class TestRouteLookup:
         announce(g, P24, 3)
         flood(g, P16)
         flood(g, P24)
-        assert route_lookup(g, 1, DST) == [2, 3]  # /24 beats /16
+        assert route_lookup(g, 1, DST, (P16, P24)) == [2, 3]  # /24 beats /16
         other = Address.parse("184.164.9.9")
-        assert route_lookup(g, 1, other) == [2]
+        assert route_lookup(g, 1, other, (P16, P24)) == [2]
 
 
 class TestTopologyLoading:
@@ -505,7 +509,7 @@ class TestTree:
         assert {asn: n.rib[P24.key] for asn, n in g.nodes.items()} == tree_paths(g, origin)
         withdraw(g, P24, origin)
         assert flood(g, P24) == len(asns) - 1
-        assert all(not n.rib and longest_match(n.index, DST) is None for n in g.nodes.values())
+        assert all(not n.rib for n in g.nodes.values())
 
     def test_a_prefix_keeps_its_origin_after_withdrawal(self):
         g = AsGraph.from_edges([(1, 2)])
@@ -632,15 +636,134 @@ class TestSharedAdvertisement:
         assert steps == sum(sends)
 
 
-class TestPrefixIndex:
-    def test_matches_longest_first_and_version_strict(self):
-        g = AsGraph.from_edges([(1, 2)])
-        v6 = Prefix.parse("b8a4:f300::/24")  # same top 24 bits as P24
-        for p in (P16, P24, v6):
-            announce(g, p, 1)
-        index = g.nodes[1].index
-        assert longest_match(index, DST) == P24
-        assert longest_match(index, Address.parse("b8a4:f3ff::1")) == v6
-        withdraw(g, P24, 1)
-        assert longest_match(index, DST) == P16
-        assert longest_match(index, Address.parse("10.0.0.1")) is None
+class _ProbedRib(dict):
+    """A rib that logs each probe `Simulation._forward` makes of it."""
+
+    __slots__ = ("asn", "sim")
+
+    def __init__(self, asn: int, sim: "_Probed"):
+        super().__init__()
+        self.asn, self.sim = asn, sim
+
+    def get(self, key, default=None):
+        sim = self.sim
+        if sim.moving is not None:
+            sim.visits.append((sim.moving, self.asn, key, frozenset(self)))
+        return dict.get(self, key, default)
+
+
+class _Probed(Simulation):
+    """A run that logs every AS a packet reaches, as (packet id, AS,
+    route key probed, the keys the AS's rib then held). Only `_forward`
+    probes a rib while a packet moves, once per AS it reaches."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.moving: int | None = None  # the id of the packet `_forward` moves
+        self.visits: list[tuple[int, int, int | None, frozenset[int]]] = []
+        for node in self.graph.nodes.values():
+            node.rib = _ProbedRib(node.asn, self)
+
+    def _forward(self, packet, pkt_id, asn, hops):
+        self.moving = pkt_id
+        try:
+            super()._forward(packet, pkt_id, asn, hops)
+        finally:
+            self.moving = None
+
+
+def probed_runs(tmp_path):
+    """Each shipped config and each legal generated one, run in
+    `_Probed`: (name, the simulation, its trace, {key: each prefix it
+    announced})."""
+    shipped = Path(__file__).parents[1] / "configs"
+    configs = [(path.stem, ScenarioConfig.from_file(path)) for path in sorted(shipped.glob("*.ini"))]
+    for name, config in chain(configs, legal_configs(tmp_path, set())):
+        announced = {}
+
+        def recorded(graph, prefix, origin, _real=session.announce):
+            announced[prefix.key] = prefix
+            _real(graph, prefix, origin)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "announce", recorded)
+            sim = _Probed(config)
+            trace = sim.run().trace
+        yield name, sim, trace, announced
+
+
+def sent_to(trace: list[str]) -> dict[int, Address]:
+    """The destination of each packet that left the client, by id: a
+    packet keeps it until the server's table rewrites it."""
+    dst = {}
+    for line in trace:
+        _, component, event, details = line.split(",", 3)
+        if (component, event) == ("traffic", "send"):
+            fields = dict(field.split("=", 1) for field in details.split(";"))
+            dst[int(fields["id"])] = Address.parse(fields["dst"])
+    return dst
+
+
+def tree_layers(graph: AsGraph, origin: int) -> dict[int, int]:
+    """Each AS's layer in `origin`'s tree, by `AsGraph.children`."""
+    tree, layers, frontier = graph.children(origin), {origin: 0}, [origin]
+    for asn in frontier:
+        for child in tree.get(asn, ()):
+            layers[child] = layers[asn] + 1
+            frontier.append(child)
+    return layers
+
+
+def test_each_packet_is_routed_by_the_one_announced_prefix_that_holds_it(tmp_path):
+    # On the shipped configs and the legal generated ones, the prefixes a
+    # run announces are pairwise disjoint and each is in the run-level
+    # index. So at every AS a packet reaches, a longest match over that
+    # AS's own rib prefixes finds the key the run probes its rib by, or
+    # nothing when the rib misses it: no AS needs a match of its own.
+    seen = Counter()
+    for name, sim, trace, announced in probed_runs(tmp_path):
+        for a, b in combinations(announced.values(), 2):
+            assert not a.covers(b) and not b.covers(a), (name, a, b)
+        for prefix in announced.values():
+            assert longest_match(sim._announced, prefix.base) == prefix, (name, prefix)
+        dst = sent_to(trace)
+        for pkt, asn, key, rib in sim.visits:
+            own = longest_match(PrefixIndex(announced[k] for k in rib), dst[pkt])
+            assert (None if own is None else own.key) == (key if key in rib else None), (name, pkt)
+            seen.update(hit=key in rib, miss=key is not None and key not in rib)
+        seen.update(runs=1, two_way=sim.config.two_way, announced=len(announced))
+    # Not vacuous: enough runs, two-way ones among them, announced
+    # prefixes, and ribs that held the key and ribs that missed it.
+    assert seen["runs"] >= LEGAL, seen
+    for what in ("two_way", "announced", "hit", "miss"):
+        assert seen[what] > 0, what
+
+
+def test_no_packet_crosses_more_links_than_its_origins_tree_is_deep(tmp_path):
+    # A rib entry is the AS's own path up the origin's tree, so each
+    # crossing goes one layer nearer the origin, or the packet drops as
+    # unroutable. A packet thus crosses at most the layer of the client's
+    # AS in links, never more than the tree is deep, and no run reaches
+    # the loop guard. Every AS a packet reaches after the first is one
+    # crossing.
+    seen = Counter()
+    for name, sim, trace, _ in probed_runs(tmp_path):
+        graph, client_as = sim.graph, sim.client.attached_as
+        reached, keys = Counter(), {}
+        for pkt, _asn, key, _rib in sim.visits:
+            reached[pkt] += 1
+            assert keys.setdefault(pkt, key) == key, (name, pkt)  # one key per packet
+        for pkt, count in reached.items():
+            origin = graph.origins.get(keys[pkt])
+            layers = {} if origin is None else tree_layers(graph, origin)
+            crossed = count - 1
+            assert crossed <= layers.get(client_as, 0) <= max(layers.values(), default=0), (
+                name, pkt,
+            )
+            seen.update(crossed=crossed, deepest=crossed > 0 and crossed == layers[client_as])
+        assert not any(";reason=loop;" in line for line in trace), name
+        seen.update(runs=1)
+    # Not vacuous: enough runs, and packets that crossed links, some of
+    # them all the way from the client's layer.
+    assert seen["runs"] >= LEGAL, seen
+    assert seen["crossed"] > 0 and seen["deepest"] > 0, seen

@@ -1104,9 +1104,10 @@ TRACED = (
 
 
 def test_traced_call_counts(tmp_path):
-    # longest_match once per AS visited, filter_packet once per tapped
-    # crossing under a blocking policy, observe once per tapped crossing
-    # where a timing model reads the tap (none of the shipped
+    # longest_match once per `_forward` call (a send that leaves the
+    # client, or a queued crossing that resumes), filter_packet once per
+    # tapped crossing under a blocking policy, observe once per tapped
+    # crossing where a timing model reads the tap (none of the shipped
     # configs names one), apply_detail once per decision-cache miss, emit
     # once per trace line, one call per flow-table write, and
     # process_message once per update a receiver takes, though one
@@ -1133,11 +1134,11 @@ def test_traced_call_counts(tmp_path):
         for name, config in configs.items()
     }
     assert counts == {
-        "one_way_hop111": [2016, 446, 0, 0, 1572, 111, 111, 220, 4],
-        "reactive_block": [2016, 450, 672, 0, 1572, 111, 111, 220, 4],
-        "baseline_static": [698, 2, 672, 0, 1347, 0, 0, 0, 2],
-        "two_way": [82, 46, 0, 0, 87, 10, 10, 16, 8],
-        "reactive_timed": [2016, 450, 672, 672, 1572, 111, 111, 220, 4],
+        "one_way_hop111": [685, 446, 0, 0, 1572, 111, 111, 220, 4],
+        "reactive_block": [694, 450, 672, 0, 1572, 111, 111, 220, 4],
+        "baseline_static": [672, 2, 672, 0, 1347, 0, 0, 0, 2],
+        "two_way": [30, 46, 0, 0, 87, 10, 10, 16, 8],
+        "reactive_timed": [694, 450, 672, 672, 1572, 111, 111, 220, 4],
     }
 
 
