@@ -200,29 +200,13 @@ class PrefixIndex:
 
     __slots__ = ("buckets",)
 
-    def __init__(self, prefixes: Iterable[Prefix] = ()):
+    def __init__(self, prefixes: Iterable[Prefix]):
         # (version, host bits, {base bits >> host bits: prefix}), host bits ascending.
-        self.buckets: list[tuple[IPVersion, int, dict[int, Prefix]]] = []
+        tables: dict[tuple[IPVersion, int], dict[int, Prefix]] = {}
         for prefix in prefixes:
-            self.add(prefix)
-
-    def add(self, prefix: Prefix) -> None:
-        version, host = prefix.version, prefix.host_bits
-        for v, h, table in self.buckets:
-            if v is version and h == host:
-                table[prefix.base.bits >> host] = prefix
-                return
-        self.buckets.append((version, host, {prefix.base.bits >> host: prefix}))
-        self.buckets.sort(key=lambda bucket: bucket[1])
-
-    def discard(self, prefix: Prefix) -> None:
-        version, host = prefix.version, prefix.host_bits
-        for i, (v, h, table) in enumerate(self.buckets):
-            if v is version and h == host:
-                table.pop(prefix.base.bits >> host, None)
-                if not table:
-                    del self.buckets[i]
-                return
+            host = prefix.host_bits
+            tables.setdefault((prefix.version, host), {})[prefix.base.bits >> host] = prefix
+        self.buckets = sorted(((v, h, t) for (v, h), t in tables.items()), key=lambda b: b[1])
 
 
 def longest_match(index: PrefixIndex, address: Address) -> Prefix | None:

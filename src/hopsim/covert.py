@@ -214,20 +214,6 @@ def decode_payload(records: PtrRecordSet, domain_tail: str = DEFAULT_DOMAIN_TAIL
     return SyncPayload.from_bytes(body)
 
 
-class ReverseZone:
-    """In-process reverse-DNS zone: the registrar/resolver pair."""
-
-    def __init__(self):
-        self._records: dict[Address, PtrRecordSet] = {}
-
-    def register(self, records: PtrRecordSet) -> None:
-        self._records[records.anchor_ip] = records
-
-    def lookup(self, ip: Address) -> PtrRecordSet:
-        found = self._records.get(ip)
-        return found if found is not None else PtrRecordSet(ip, ())
-
-
 def zone_lines(records: PtrRecordSet) -> list[str]:
     """Zone-file-style dump: ``<reversed-ip-name> PTR <name>`` per record."""
     rev = records.anchor_ip.reverse_pointer()

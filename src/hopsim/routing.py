@@ -6,7 +6,9 @@ the lowest next-hop ASN). Policy knobs of real inter-domain routing —
 local preference, MED, business relationships — are out of scope; the
 simulator only needs reachability for ephemeral prefixes.
 
-Each origin's BFS tree is built once, when first used. An AS's parent
+The graph is fixed when `AsGraph.from_edges` builds it, and every AS
+in it has a link, so every origin's tree has a first layer. Each
+origin's BFS tree is built once, when first used. An AS's parent
 is its lowest-ASN neighbour one hop nearer the origin, so the path a
 rib holds is the chain of parents up to the origin. An update goes from
 an AS to its tree children only, as in reverse-path forwarding
@@ -59,32 +61,18 @@ class RouteMessage(Frozen):
 class AsNode:
     __slots__ = ("asn", "peers", "rib")
 
-    def __init__(self, asn: int):
+    def __init__(self, asn: int, peers: tuple[int, ...]):
         self.asn = asn
-        self.peers: tuple[int, ...] = ()  # neighbor ASNs, sorted
+        self.peers = peers  # neighbor ASNs, sorted
         # AS path by prefix key: `()` at the origin, else next hop first.
         self.rib: dict[int, tuple[int, ...]] = {}
 
 
 class AsGraph:
-    def __init__(self):
-        self.nodes: dict[int, AsNode] = {}
+    def __init__(self, nodes: dict[int, AsNode]):
+        self.nodes = nodes
         self.origins: dict[int, int] = {}  # prefix key -> origin ASN, kept after withdrawal
         self._trees: dict[int, dict[int, tuple[int, ...]]] = {}  # origin -> ASN -> children
-
-    def add_node(self, asn: int) -> AsNode:
-        if asn not in self.nodes:
-            self.nodes[asn] = AsNode(asn)
-        return self.nodes[asn]
-
-    def add_link(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("self-links not allowed")
-        for x, y in ((a, b), (b, a)):
-            node = self.add_node(x)
-            if y not in node.peers:
-                node.peers = tuple(sorted((*node.peers, y)))
-        self._trees.clear()
 
     def children(self, origin: int) -> dict[int, tuple[int, ...]]:
         """Each AS's children, sorted, in `origin`'s shortest-path tree;
@@ -108,10 +96,15 @@ class AsGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
-        graph = cls()
+        """The graph of `edges`: each AS in order of its first link, with
+        its peers sorted and each once, so every AS has a peer."""
+        peers: dict[int, set[int]] = {}
         for a, b in edges:
-            graph.add_link(a, b)
-        return graph
+            if a == b:
+                raise ValueError("self-links not allowed")
+            peers.setdefault(a, set()).add(b)
+            peers.setdefault(b, set()).add(a)
+        return cls({asn: AsNode(asn, tuple(sorted(nbrs))) for asn, nbrs in peers.items()})
 
 
 def parse_edges(text: str) -> tuple[tuple[int, int], ...]:

@@ -28,7 +28,7 @@ from .adversary import (
     timing_detect,
 )
 from .config import ScenarioConfig
-from .covert import SyncPayload, decode_payload, ReverseZone
+from .covert import SyncPayload, decode_payload
 from .covert import encode_payload  # not called: bench/tracer.py wraps it by name
 from .dwell import DwellSource, FixedDwell, UniformDwell, start_sampler
 from .errors import ScenarioError, VersionMismatch
@@ -199,7 +199,6 @@ class Simulation:
         self.queue = EventQueue()
         self.trace = TraceLog() if trace is None else trace
         self.graph = AsGraph.from_edges(config.edges)
-        self.zone = ReverseZone()
 
         self.server = EndpointAgent(Role.SERVER, config.server_ip, config.server_as)
         self.client = EndpointAgent(Role.CLIENT, config.client_ip, config.client_as)
@@ -256,14 +255,15 @@ class Simulation:
 
     def _launch_wave(self, prefix: Prefix, origin: int) -> None:
         # Carry an announcement or withdrawal just made at `origin` down
-        # its tree: the first layer, the origin's children, gets it one
-        # link delay from now. An action made before the last wave on the
-        # prefix reached its first layer rides that wave, which reads the
-        # origin's entry when it lands. With one global link delay, a later
-        # wave runs behind the earlier ones at every layer, so the first
-        # layer is the only place where two actions' updates could meet.
+        # its tree: the first layer, the origin's children (every AS of the
+        # graph has a link, so it has some), gets it one link delay from
+        # now. An action made before the last wave on the prefix reached
+        # its first layer rides that wave, which reads the origin's entry
+        # when it lands. With one global link delay, a later wave runs
+        # behind the earlier ones at every layer, so the first layer is the
+        # only place where two actions' updates could meet.
         key = prefix.key
-        if key not in self._unlanded and origin in self.graph.children(origin):
+        if key not in self._unlanded:
             self._unlanded.add(key)
             at = self.queue.now + self.config.link_delay_ms
             self.queue.schedule_at(at, self._deliver_routing, prefix, [origin])
@@ -329,13 +329,11 @@ class Simulation:
             self._schedule_traffic(cfg.gap_ms)
             return
 
-        # The config encoded the records; publishing, fetching and decoding
-        # them is the simulated covert exchange.
+        # The config encoded the records; publishing and decoding them is
+        # the simulated covert exchange.
         records = cfg.sync_records
-        self.zone.register(records)
         self._emit_trace("dns", "register", f"anchor={cfg.anchor_ip};names={len(records.names)}")
-        fetched = self.zone.lookup(cfg.anchor_ip)
-        decoded = decode_payload(fetched, cfg.domain_tail)
+        decoded = decode_payload(records, cfg.domain_tail)
         if decoded != cfg.sync_payload:
             raise ScenarioError("the covert round trip changed the sync payload")
         self._emit_trace("dns", "decode", f"seed={decoded.seed};model={decoded.dwell_model_id}")
@@ -590,13 +588,14 @@ class Simulation:
             )
         entered = [k for k, t in enumerate(self._hop_starts_abs) if t <= self._traffic_end]
         schedule = self.server.schedule
-        addresses = {schedule.entries[k].address.key for k in entered}
         dwells = [schedule.entries[k].dwell_ms for k in entered]
         per_hop = tuple((k, self._deliveries_by_window.get(k, 0)) for k in entered)
         return SessionMetrics(
             packets_sent=self._sent,
             packets_delivered=self._delivered,
-            distinct_external_ips_used=len(addresses),
+            # The draw never repeats an address, so each window entered
+            # holds one of its own.
+            distinct_external_ips_used=len(entered),
             hop_count=max(0, len(entered) - 1),
             mean_dwell_ms=left_sum(dwells) / len(dwells) if dwells else 0.0,
             per_hop_delivery=per_hop,

@@ -253,29 +253,22 @@ def twin_prefixes(draw):
 class TestLongestMatch:
     @given(
         twin_prefixes(),
-        st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=30),
+        st.lists(st.integers(0, 7), max_size=30),
         st.lists(st.integers(0, 255), max_size=4),
     )
-    def test_agrees_with_brute_force_under_adds_and_discards(self, prefixes, ops, lows):
+    def test_agrees_with_brute_force(self, prefixes, picks, lows):
+        # An index built from a sequence with repeats, and with v4 and v6
+        # twins of equal bits and length, holds each prefix once.
         probes = [
             Address(version, low)
             for low in [p.base.bits for p in prefixes] + lows
             for version in IPVersion
         ]
-        index, held = PrefixIndex(), set()
-        for add, i in ops:
-            prefix = prefixes[i % len(prefixes)]
-            if add:
-                index.add(prefix)
-                held.add(prefix)
-            else:
-                index.discard(prefix)
-                held.discard(prefix)
-            for address in probes:
-                expected = sorted(
-                    (p for p in held if p.contains(address)), key=lambda p: -p.length
-                )
-                assert longest_match(index, address) == (expected[0] if expected else None)
+        held = [prefixes[i % len(prefixes)] for i in picks]
+        index = PrefixIndex(held)
+        for address in probes:
+            expected = sorted((p for p in held if p.contains(address)), key=lambda p: -p.length)
+            assert longest_match(index, address) == (expected[0] if expected else None)
 
 
 class TestPrefixPool:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
 from hopsim.covert import (
     PtrRecordSet,
-    ReverseZone,
     SyncPayload,
     decode_payload,
     encode_payload,
@@ -189,28 +188,6 @@ class TestCorruptionSweep:
             except CovertDecodeError:
                 detected += 1
         assert detected / trials >= 0.999
-
-
-class TestReverseZone:
-    def test_unregistered_lookup_is_empty(self):
-        zone = ReverseZone()
-        assert zone.lookup(ANCHOR).names == ()
-
-    def test_register_then_lookup(self):
-        zone = ReverseZone()
-        records = encode_payload(minimal_payload(), ANCHOR)
-        zone.register(records)
-        assert zone.lookup(ANCHOR) == records
-
-    def test_two_anchors_independent(self):
-        zone = ReverseZone()
-        other_anchor = Address.parse("203.0.113.77")
-        rng = SplitMix64(6)
-        p1, p2 = random_payload(rng), random_payload(rng)
-        zone.register(encode_payload(p1, ANCHOR))
-        zone.register(encode_payload(p2, other_anchor))
-        assert decode_payload(zone.lookup(ANCHOR)) == p1
-        assert decode_payload(zone.lookup(other_anchor)) == p2
 
 
 class TestZoneFiles:

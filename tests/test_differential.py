@@ -8,7 +8,9 @@ plain form it replaces, on seeded random inputs. The plain form of the
 last is the path-vector router of `reference_routing`, run in
 `_SlotDriven`, a session that drives that router's update queue; its
 `converge`, which delivers the slots one handed-over batch at a time, is
-checked against a first-in, first-out drain.
+checked against a first-in, first-out drain. The tree router's graph,
+built from an edge list in one pass, is checked against the reference's,
+built one link at a time.
 """
 
 from collections import Counter
@@ -28,8 +30,8 @@ from hopsim.session import Simulation
 
 import reference_routing as ref
 from conftest import make_config
-from scenario_gen import LEGAL, legal_configs
-from test_routing import P16, P24, P_OTHER, random_connected_graph
+from scenario_gen import LEGAL, legal_configs, random_edges
+from test_routing import P16, P24, P_OTHER, random_connected_graph, tree_paths
 from test_session import _QueueEveryCrossing
 
 # Every key a generated config is rejected on.
@@ -238,6 +240,39 @@ def test_tree_routes_as_the_reference(tmp_path):
     # routes changed, and some runs ended earlier.
     assert seen["runs"] >= len(configs) + LEGAL, seen
     assert seen["rib_changes"] > 0 and seen["earlier_end"] > 0, seen
+
+
+def bfs_children(graph, origin: int) -> dict[int, tuple[int, ...]]:
+    """Each AS's children, sorted, in the BFS tree of `origin` that gives
+    every other AS its lowest-ASN neighbour one hop nearer as parent."""
+    children = {}
+    for asn, path in tree_paths(graph, origin).items():
+        if path:
+            children.setdefault(path[0], []).append(asn)
+    return {parent: tuple(sorted(kids)) for parent, kids in children.items()}
+
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(0, 2**32 - 1), st.integers(2, 24))
+def test_graph_builds_as_the_reference(data, seed, size):
+    # `from_edges` builds the peers in one pass; the reference adds one
+    # link at a time. Repeated and reversed links, in any order, change
+    # neither, and each origin's tree is the lowest-ASN-parent BFS tree.
+    edges = random_edges(SplitMix64(seed), size, size)
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=8))
+    edges = data.draw(st.permutations(edges + [e[::-1] if flip else e for e, flip in copies]))
+    graph, reference = routing.AsGraph.from_edges(edges), ref.AsGraph.from_edges(edges)
+    assert list(graph.nodes) == list(reference.nodes)
+    for asn, node in graph.nodes.items():
+        assert node.asn == asn and node.peers == reference.nodes[asn].peers
+        assert node.peers
+    for origin in graph.nodes:
+        assert graph.children(origin) == bfs_children(reference, origin), origin
+    a = data.draw(st.sampled_from(list(graph.nodes)))
+    at = data.draw(st.integers(0, len(edges)))
+    for build in (routing.AsGraph.from_edges, ref.AsGraph.from_edges):
+        with pytest.raises(ValueError):
+            build(edges[:at] + [(a, a)] + edges[at:])
 
 
 def fifo_converge(graph, deliveries: list) -> int:

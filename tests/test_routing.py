@@ -94,12 +94,13 @@ def random_connected_graph(rng: SplitMix64, size: int, graph_type=AsGraph):
 
 class TestAnnounce:
     def test_single_node_routes_own_prefix(self):
-        g = AsGraph()
-        g.add_node(1)
+        # Until the wave carries it, only the origin holds the route.
+        g = AsGraph.from_edges([(1, 2)])
         announce(g, P24, 1)
-        assert not g.children(1)  # nobody to carry the route to
         assert g.nodes[1].rib[P24.key] == ()
-        assert flood(g, P24) == 0
+        assert P24.key not in g.nodes[2].rib
+        assert flood(g, P24) == 1
+        assert g.nodes[2].rib[P24.key] == (1,)
 
     def test_line_propagation(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from hopsim.session import (
 )
 
 from conftest import flood, make_config, rewritten_inbound
-from scenario_gen import random_edges
+from scenario_gen import LEGAL, legal_configs, random_edges
 
 POOL = PrefixPool.parse("184.164.243.0/24")
 SERVER_IP = Address.parse("10.0.0.1")
@@ -312,25 +313,35 @@ class TestRunScenario:
         assert metrics.packets_delivered == 15
 
     def test_address_count_accounting_against_trace(self, tmp_path):
-        path = make_config(
-            tmp_path, dwell="uniform", low_ms=300.0, high_ms=900.0, n_hops=12,
+        # The metric counts the server's windows entered by the time the
+        # last send resolved, since the draw never repeats an address; the
+        # trace's hop lines up to then must name that many addresses.
+        (tmp_path / "made").mkdir()
+        made = make_config(
+            tmp_path / "made", dwell="uniform", low_ms=300.0, high_ms=900.0, n_hops=12,
             packets=30, gap_ms="120",
         )
-        result = Simulation(ScenarioConfig.from_file(path)).run()
-        sends = [ln for ln in result.trace if ",traffic," in ln]
-        last_resolution = max(
-            float(ln.split(",")[0])
-            for ln in result.trace
-            if ",traffic,deliver," in ln or ",traffic,drop," in ln
-        )
-        hops_before_end = [
-            ln for ln in result.trace
-            if ",session,hop," in ln and float(ln.split(",")[0]) <= last_resolution
-        ]
-        externals = {ln.split("external=")[1].split(";")[0] for ln in hops_before_end}
-        assert result.metrics.distinct_external_ips_used == len(externals)
-        assert result.metrics.hop_count == len(hops_before_end) - 1
-        assert sends  # sanity
+        shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+        configs = [(path.stem, ScenarioConfig.from_file(path)) for path in [made, *shipped]]
+        runs = 0
+        for name, config in chain(configs, legal_configs(tmp_path, set())):
+            if not config.server_hopping:
+                continue
+            result = Simulation(config).run()
+            resolutions = [
+                float(ln.split(",")[0]) for ln in result.trace
+                if ",traffic,deliver," in ln or ",traffic,drop," in ln or ",adversary,block," in ln
+            ]
+            last_resolution = max(resolutions, default=-math.inf)
+            hops_before_end = [
+                ln for ln in result.trace
+                if ",session,hop,role=server;" in ln and float(ln.split(",")[0]) <= last_resolution
+            ]
+            externals = {ln.split("external=")[1].split(";")[0] for ln in hops_before_end}
+            assert result.metrics.distinct_external_ips_used == len(externals), name
+            assert result.metrics.hop_count == max(0, len(hops_before_end) - 1), name
+            runs += bool(externals)
+        assert runs >= len(configs) + LEGAL // 2, runs
 
     def test_per_hop_delivery_sums_to_total(self, tmp_path):
         path = make_config(tmp_path, n_hops=6, fixed_ms=400.0, packets=20, gap_ms="100")
