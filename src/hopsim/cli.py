@@ -124,16 +124,20 @@ def _report_text(
 
 
 def _run_one(config_path: str, trace_path: str, report_path: str, seed_override: int | None) -> int:
-    # An output that is the other output or the config would overwrite it.
-    for flag, path in (("--trace", trace_path), ("--report", report_path)):
-        if _same_file(path, config_path):
-            return _fail(f"{flag} {path} is the config file", EXIT_INPUT)
+    # An output that is the other output, the config or a file the config
+    # read would overwrite it.
     if _same_file(trace_path, report_path):
         return _fail(f"--trace and --report name one file: {trace_path}", EXIT_INPUT)
     try:
         config = ScenarioConfig.from_file(config_path)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_INPUT)
+    for flag, path in (("--trace", trace_path), ("--report", report_path)):
+        if _same_file(path, config_path):
+            return _fail(f"{flag} {path} is the config file", EXIT_INPUT)
+        for where, source in config.inputs:
+            if _same_file(path, source):
+                return _fail(f"{flag} {path} is the config's {where}", EXIT_INPUT)
     if seed_override is not None:
         if not 0 <= seed_override < (1 << 64):
             return _fail(f"--seed-override {seed_override}: must fit in 64 bits", EXIT_INPUT)
@@ -234,8 +238,10 @@ def payload_from_text(text: str) -> SyncPayload:
             continue
         if "=" not in ln:
             raise ValueError(f"line {i}: expected key=value")
-        key, value = ln.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in ln.split("=", 1))
+        if key in values:  # as the config parser refuses a repeated option
+            raise ValueError(f"line {i}: repeated key {key!r}")
+        values[key] = value
     missing = [k for k in _PAYLOAD_KEYS if k not in values]
     if missing:
         raise ValueError(f"missing payload keys: {', '.join(missing)}")

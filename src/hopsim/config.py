@@ -1,7 +1,7 @@
 """Scenario configuration: one INI file parsed into the values a run uses.
 
-`ScenarioConfig.from_text` reads every file a config names, so the
-simulation reads none, and raises each input error as a `ConfigError`
+`ScenarioConfig.from_text` reads every file a config names, and lists
+them in `inputs`, so the simulation reads none, and raises each input error as a `ConfigError`
 naming its `[section] key`. It parses the topology into an edge list,
 and the `ScenarioConfig` constructor encodes the hopping server's sync
 payload: each is built once, here, and a run uses what was built, so
@@ -65,6 +65,7 @@ class ScenarioConfig(Frozen):
         "server_ip", "server_as", "server_pool", "client_ip", "client_as", "dwell", "packets",
         "gap_ms",  # None = spread traffic across the schedule
         "config_sha256",  # canonical digest of the config text
+        "inputs",  # (`[section] key`, path) of each file the config read, in that order
         "server_hopping", "grace_window_ms", "lead_time_ms", "withdraw_lag_ms",
         "link_delay_ms", "clock_skew_ms", "two_way", "client_seed", "client_pool",
         "anchor_ip", "domain_tail", "adversary",
@@ -115,8 +116,10 @@ class ScenarioConfig(Frozen):
         if server_hopping and n_hops < 1:
             raise ConfigError("[scenario] n_hops", "must be >= 1 for a hopping server")
 
+        topology_file = base / need("topology", "file", str)
+        inputs = [("[topology] file", topology_file)]
         try:
-            edges = parse_edges(read_input(base / need("topology", "file", str)))
+            edges = parse_edges(read_input(topology_file))
         except ValueError as exc:
             raise ConfigError("[topology] file", str(exc)) from exc
         ases = {asn for edge in edges for asn in edge}
@@ -151,6 +154,7 @@ class ScenarioConfig(Frozen):
             longest_key, longest_ms = "[dwell] high_ms", dwell.high_ms
         elif dwell_kind == "dhmm":
             model_file = need("dwell", "model", str)
+            inputs.append(("[dwell] model", base / model_file))
             model = _load_model(base / model_file, "[dwell] model")
             dwell = DhmmDwell(Path(model_file).stem, model)
             longest_key, longest_ms = "[dwell] model", model.alphabet.bins[-1].upper_ms
@@ -218,6 +222,8 @@ class ScenarioConfig(Frozen):
             if trigger_count < 1:
                 raise ConfigError("[adversary] trigger_count", "must be >= 1")
             timing_file = need("adversary", "timing_model", str, None)
+            if timing_file is not None:
+                inputs.append(("[adversary] timing_model", base / timing_file))
             adversary = AdversaryConfig(
                 tap=(a, b),
                 mode=mode,
@@ -276,6 +282,7 @@ class ScenarioConfig(Frozen):
                 anchor_ip=anchor_ip,
                 domain_tail=domain_tail,
                 adversary=adversary,
+                inputs=tuple(inputs),
             )
         except InvalidDomainTail as exc:
             raise ConfigError("[covert] domain_tail", str(exc)) from exc

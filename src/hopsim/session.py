@@ -60,10 +60,12 @@ class EndpointAgent:
     """One session endpoint; `schedule` stays None for a static address.
 
     `peer` is the other end, whose flow table tracks this end's external
-    addresses.
+    addresses. A hopping end's `starts` are its windows' starts on the run
+    clock, and `first_slot` is the first of its reserved queue slots.
     """
 
-    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table")
+    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table", "starts",
+                 "first_slot")
 
     def __init__(self, role: Role, internal_ip: Address, attached_as: int):
         self.role = role
@@ -72,6 +74,8 @@ class EndpointAgent:
         self.peer: EndpointAgent | None = None
         self.schedule: HopSchedule | None = None
         self.flow_table = endpoint_table(internal_ip)
+        self.starts: list[float] = []
+        self.first_slot = 0
 
 
 def dwell_sequence(source: DwellSource, seed: int, n: int) -> list[float]:
@@ -234,15 +238,8 @@ class Simulation:
 
         self._prefix_refs: dict[int, int] = {}  # by prefix key
         self._unlanded: set[int] = set()  # prefix keys whose wave has yet to reach its first layer
-        # Per hopping end: each window's start on the run clock, and the
-        # first of the end's reserved queue slots. The server's starts date
-        # deliveries and metrics.
-        self._hop_ends: dict[EndpointAgent, tuple[list[float], int]] = {}
-        self._hop_starts_abs: list[float] = []
-        self._sent = 0
         self._delivered = 0
-        self._resolved = 0
-        self._traffic_end = 0.0  # when the last send resolved
+        self._traffic_end = 0.0  # when the last send resolved: each resolution writes it
         self._send_gap = 0.0
         self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
         self._next_send = math.inf  # when the next send not yet made is due
@@ -375,17 +372,14 @@ class Simulation:
         # Releases do not queue each other: with dwells below the clock's
         # resolution, a release can round to before the one before it.
         epoch = self.config.lead_time_ms
-        starts = [epoch + s for s in agent.schedule.start_times()]
-        if agent is self.server:
-            self._hop_starts_abs = starts
+        starts = agent.starts = [epoch + s for s in agent.schedule.start_times()]
         queue = self.queue
-        seq = queue.reserve(3 * len(starts))
-        self._hop_ends[agent] = (starts, seq)
+        seq = agent.first_slot = queue.reserve(3 * len(starts))
         queue.schedule_reserved(starts[0] - epoch, seq, self._acquire_step, agent, 0)
         queue.schedule_reserved(starts[0], seq + 1, self._hop_step, agent, 0)
 
     def _acquire_step(self, agent: EndpointAgent, k: int) -> None:
-        starts, seq = self._hop_ends[agent]
+        starts, seq = agent.starts, agent.first_slot
         nxt = k + 1
         if nxt < len(starts):
             self.queue.schedule_reserved(
@@ -394,7 +388,7 @@ class Simulation:
         self._acquire_prefix(agent.schedule.entries[k].prefix, agent.attached_as)
 
     def _hop_step(self, agent: EndpointAgent, k: int) -> None:
-        starts, seq = self._hop_ends[agent]
+        starts, seq = agent.starts, agent.first_slot
         entry = agent.schedule.entries[k]
         queue = self.queue
         nxt = k + 1
@@ -458,16 +452,27 @@ class Simulation:
         # counts), else it is queued in its reserved slot. Until it is made,
         # `_forward` refuses every crossing due at or after `_next_send`,
         # as that queued send would. So the event order is the one
-        # queueing every send would give.
-        cfg, queue = self.config, self.queue
+        # queueing every send would give. A send leaves the client through
+        # its table (the memo, else `_apply_chain`) and takes its route key
+        # once: the one announced prefix that holds its destination.
+        cfg, queue, trace = self.config, self.queue, self.trace
         packets, start, gap = cfg.packets, cfg.lead_time_ms, self._send_gap
         client_as = self.client.attached_as
+        table, key = self.client.flow_table, self._outbound_key
+        memo = table.memo
         while True:
             nxt = pkt_id + 1
             last = nxt == packets
             self._next_send = math.inf if last else start + nxt * gap
-            self._sent += 1
-            self._forward(self._outbound, pkt_id, client_as, -1)
+            packet = memo[key] if key in memo else _apply_chain(table, self._outbound, OUTBOUND)
+            now = queue.now
+            if packet is None:
+                trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
+                self._traffic_end = now
+            else:
+                trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
+                prefix = longest_match(self._announced, packet.dst)
+                self._forward(packet, pkt_id, client_as, 0, None if prefix is None else prefix.key)
             if last:
                 return
             if not queue.advance_to(self._next_send):
@@ -475,25 +480,24 @@ class Simulation:
                 return
             pkt_id = nxt
 
-    def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int) -> None:
-        # One pass per packet: a send (hops -1) first leaves the client
-        # through its table, then each turn of the loop is one AS, until
-        # the packet is delivered or dropped. A link crossing is taken
-        # inline when it arrives before the next send and no queued event
-        # is due by then; else it is queued to resume here. At a tie the
-        # send goes first: its reserved slot is lower. Callers do nothing
-        # after this returns but make the next send under the same rule,
-        # so nothing could run in between, and the event order is the one
-        # queueing every crossing would give. A table's memo is probed
-        # here; `_apply_chain` is the miss path.
+    def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int, pkey: int | None) -> None:
+        # One turn of the loop per AS the packet reaches, until it is
+        # delivered or dropped. A link crossing is taken inline when it
+        # arrives before the next send and no queued event is due by then;
+        # else it is queued to resume here. At a tie the send goes first:
+        # its reserved slot is lower. Callers do nothing after this returns
+        # but make the next send under the same rule, so nothing could run
+        # in between, and the event order is the one queueing every
+        # crossing would give. A table's memo is probed here;
+        # `_apply_chain` is the miss path.
         #
-        # The packet's destination picks its route key once per call, by
-        # the one announced prefix that holds it, and each AS probes its
-        # rib by that key: no AS needs a longest match of its own. A rib
-        # entry is the AS's path up the origin's tree, so each crossing goes
-        # one layer nearer the origin, or the packet drops as `unroutable`:
-        # no packet crosses more links than the tree is deep, and the loop
-        # branch stays as a guard.
+        # Each AS probes its rib by `pkey`, the send's route key, which a
+        # queued crossing carries: nothing in transit rewrites the
+        # destination, and the announced prefixes are fixed for the run. A
+        # rib entry is the AS's path up the origin's tree, so each crossing
+        # goes one layer nearer the origin, or the packet drops as
+        # `unroutable`: no packet crosses more links than the tree is deep,
+        # and the loop branch stays as a guard.
         queue = self.queue
         trace = self.trace
         nodes = self.graph.nodes
@@ -501,22 +505,8 @@ class Simulation:
         delay = self.config.link_delay_ms
         next_send = self._next_send
         tap, tap_next = self.tap, self._tap_next
-        if hops >= 0:
-            prefix = longest_match(self._announced, packet.dst)
-            pkey = None if prefix is None else prefix.key
         while True:
             now = queue.now
-            if hops < 0:
-                table, key = self.client.flow_table, self._outbound_key
-                memo = table.memo
-                packet = memo[key] if key in memo else _apply_chain(table, packet, OUTBOUND)
-                if packet is None:
-                    trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
-                    break
-                trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
-                hops = 0
-                prefix = longest_match(self._announced, packet.dst)
-                pkey = None if prefix is None else prefix.key
             if hops > max_hops:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 break
@@ -540,7 +530,7 @@ class Simulation:
                     trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=stale_rewrite;at={asn}")
                 else:
                     self._delivered += 1
-                    window = max(0, bisect_right(self._hop_starts_abs, now) - 1)
+                    window = max(0, bisect_right(self.server.starts, now) - 1)
                     by_window = self._deliveries_by_window
                     by_window[window] = by_window.get(window, 0) + 1
                     trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
@@ -558,12 +548,10 @@ class Simulation:
             hops += 1
             at = now + delay
             if at >= next_send or not queue.advance_to(at):
-                queue.schedule_at(at, self._forward, packet, pkt_id, nxt, hops)
+                queue.schedule_at(at, self._forward, packet, pkt_id, nxt, hops, pkey)
                 return
             asn = nxt
-        self._resolved += 1
-        if self._resolved == self.config.packets:
-            self._traffic_end = queue.now
+        self._traffic_end = now
 
     # -- run --
 
@@ -579,24 +567,24 @@ class Simulation:
 
     def _build_metrics(self) -> SessionMetrics:
         cfg = self.config
-        if self._sent == 0:
+        sent = cfg.packets  # every send is made once the queue drains
+        if sent == 0:
             return SessionMetrics(0, 0, 0, 0, 0.0, ())
         if not cfg.server_hopping:
             return SessionMetrics(
-                self._sent, self._delivered, 1, 0, 0.0,
-                ((0, self._deliveries_by_window.get(0, 0)),),
+                sent, self._delivered, 1, 0, 0.0, ((0, self._deliveries_by_window.get(0, 0)),)
             )
-        entered = [k for k, t in enumerate(self._hop_starts_abs) if t <= self._traffic_end]
-        schedule = self.server.schedule
-        dwells = [schedule.entries[k].dwell_ms for k in entered]
-        per_hop = tuple((k, self._deliveries_by_window.get(k, 0)) for k in entered)
+        entered = bisect_right(self.server.starts, self._traffic_end)  # starts never fall
+        entries = self.server.schedule.entries
+        dwells = [entries[k].dwell_ms for k in range(entered)]
+        per_hop = tuple((k, self._deliveries_by_window.get(k, 0)) for k in range(entered))
         return SessionMetrics(
-            packets_sent=self._sent,
+            packets_sent=sent,
             packets_delivered=self._delivered,
             # The draw never repeats an address, so each window entered
             # holds one of its own.
-            distinct_external_ips_used=len(entered),
-            hop_count=max(0, len(entered) - 1),
+            distinct_external_ips_used=entered,
+            hop_count=max(0, entered - 1),
             mean_dwell_ms=left_sum(dwells) / len(dwells) if dwells else 0.0,
             per_hop_delivery=per_hop,
         )

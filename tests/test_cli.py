@@ -112,6 +112,44 @@ class TestRun:
         assert config.read_bytes() == before
         assert not any(p.exists() for p in outputs.values() if p != config)
 
+    @pytest.mark.parametrize("link", [False, True], ids=["path", "symlink"])
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    @pytest.mark.parametrize(
+        "name, key",
+        [("topo.txt", "[topology] file"), ("dwell.model", "[dwell] model"),
+         ("timing.model", "[adversary] timing_model")],
+    )
+    def test_output_naming_a_file_the_config_read_exits_2(
+        self, tmp_path, capsys, name, key, flag, link
+    ):
+        # Writing it would replace an input, and the next run of the config
+        # would fail; so the run refuses before it opens any output.
+        from test_dwell import symbol_chain
+
+        model = symbol_chain(2, {0: {0: 0.5, 1: 0.5}, 1: {0: 0.5, 1: 0.5}}).to_text()
+        (tmp_path / "dwell.model").write_text(model)
+        (tmp_path / "timing.model").write_text(model)
+        config = make_config(
+            tmp_path, n_hops=2, packets=2, gap_ms="100", dwell="dhmm",
+            extra="[adversary]\ntap = 1-2\ntiming_model = timing.model\n",
+        )
+        config.write_text(config.read_text().replace(*DWELL_MODEL).replace("bg.model", "dwell.model"))
+        inputs = [config] + [tmp_path / f for f in ("topo.txt", "dwell.model", "timing.model")]
+        before = [path.read_bytes() for path in inputs]
+        target = tmp_path / name
+        if link:
+            target = tmp_path / "out.link"
+            target.symlink_to(tmp_path / name)
+        outputs = {"--trace": tmp_path / "run.trace", "--report": tmp_path / "run.report"}
+        outputs[flag] = target
+        argv = ["run", "--config", str(config)]
+        for option, path in outputs.items():
+            argv += [option, str(path)]
+        assert main(argv) == 2
+        assert f"{flag} {target} is the config's {key}" in capsys.readouterr().err
+        assert [path.read_bytes() for path in inputs] == before
+        assert not any(p.exists() for p in outputs.values() if p != target)
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
             ["run", "--config", str(tmp_path / "nope.ini"), "--trace", "t", "--report", "r"]
@@ -558,6 +596,23 @@ class TestCovert:
         assert code == 2
         assert "not a DNS label" in capsys.readouterr().err
         assert not zone.exists()
+
+    @pytest.mark.parametrize(
+        "key, text, line",
+        [("seed", PAYLOAD_TEXT + "seed=7\n", 5), ("note", "note=1\n" + PAYLOAD_TEXT + "note=2\n", 6)],
+    )
+    def test_repeated_payload_key_exits_2(self, tmp_path, capsys, key, text, line):
+        # A repeated key is refused, not read as its last value, as the
+        # config parser refuses a repeated option: an unknown key too.
+        src = tmp_path / "payload.txt"
+        src.write_text(text)
+        zone = tmp_path / "zone.txt"
+        assert main(["covert", "encode", "--in", str(src), "--out", str(zone)]) == 2
+        assert f"line {line}: repeated key '{key}'" in capsys.readouterr().err
+        assert not zone.exists()
+
+    def test_unknown_payload_key_is_ignored(self):
+        assert payload_from_text("note=x\n" + PAYLOAD_TEXT) == payload_from_text(PAYLOAD_TEXT)
 
     def test_malformed_payload_exits_2(self, tmp_path):
         src = tmp_path / "payload.txt"

@@ -91,8 +91,7 @@ class _QueuedAtBootstrap(Simulation):
         epoch = cfg.lead_time_ms
         schedule = agent.schedule
         starts = schedule.start_times()
-        if agent is self.server:
-            self._hop_starts_abs = [epoch + s for s in starts]
+        agent.starts = [epoch + s for s in starts]
         origin = agent.attached_as
         for k, entry in enumerate(schedule.entries):
             self.queue.schedule_at(
@@ -131,7 +130,7 @@ def test_hop_streams_run_as_queued_at_bootstrap(tmp_path):
         if name == "sub_resolution":
             releases = [
                 (start + entry.dwell_ms) + config.withdraw_lag_ms
-                for start, entry in zip(sim._hop_starts_abs, sim.server.schedule.entries)
+                for start, entry in zip(sim.server.starts, sim.server.schedule.entries)
             ]
             seen.update(falling_releases=sum(b < a for a, b in zip(releases, releases[1:])))
         seen.update(runs=1, two_way=config.two_way, hops=streamed.metrics.hop_count)

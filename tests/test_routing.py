@@ -656,19 +656,28 @@ class _ProbedRib(dict):
 class _Probed(Simulation):
     """A run that logs every AS a packet reaches, as (packet id, AS,
     route key probed, the keys the AS's rib then held). Only `_forward`
-    probes a rib while a packet moves, once per AS it reaches."""
+    probes a rib while a packet moves, once per AS it reaches. `picked`
+    holds the route key each send gave its first `_forward` call, by
+    packet id, and `resumed` counts the queued crossings that resumed."""
 
     def __init__(self, config):
         super().__init__(config)
         self.moving: int | None = None  # the id of the packet `_forward` moves
         self.visits: list[tuple[int, int, int | None, frozenset[int]]] = []
+        self.picked: dict[int, int | None] = {}
+        self.resumed = 0
         for node in self.graph.nodes.values():
             node.rib = _ProbedRib(node.asn, self)
 
-    def _forward(self, packet, pkt_id, asn, hops):
+    def _forward(self, packet, pkt_id, asn, hops, pkey):
+        if hops == 0:  # the send's own call: no link crossed yet
+            assert pkt_id not in self.picked
+            self.picked[pkt_id] = pkey
+        else:
+            self.resumed += 1
         self.moving = pkt_id
         try:
-            super()._forward(packet, pkt_id, asn, hops)
+            super()._forward(packet, pkt_id, asn, hops, pkey)
         finally:
             self.moving = None
 
@@ -721,6 +730,8 @@ def test_each_packet_is_routed_by_the_one_announced_prefix_that_holds_it(tmp_pat
     # index. So at every AS a packet reaches, a longest match over that
     # AS's own rib prefixes finds the key the run probes its rib by, or
     # nothing when the rib misses it: no AS needs a match of its own.
+    # Each send picks that key once, from its destination, and every AS
+    # its packet reaches, a queued crossing's too, probes by that key.
     seen = Counter()
     for name, sim, trace, announced in probed_runs(tmp_path):
         for a, b in combinations(announced.values(), 2):
@@ -728,15 +739,22 @@ def test_each_packet_is_routed_by_the_one_announced_prefix_that_holds_it(tmp_pat
         for prefix in announced.values():
             assert longest_match(sim._announced, prefix.base) == prefix, (name, prefix)
         dst = sent_to(trace)
+        assert sim.picked.keys() == dst.keys(), name
+        for pkt, key in sim.picked.items():
+            match = longest_match(sim._announced, dst[pkt])
+            assert key == (None if match is None else match.key), (name, pkt)
         for pkt, asn, key, rib in sim.visits:
+            assert key == sim.picked[pkt], (name, pkt)
             own = longest_match(PrefixIndex(announced[k] for k in rib), dst[pkt])
             assert (None if own is None else own.key) == (key if key in rib else None), (name, pkt)
             seen.update(hit=key in rib, miss=key is not None and key not in rib)
-        seen.update(runs=1, two_way=sim.config.two_way, announced=len(announced))
+        seen.update(runs=1, two_way=sim.config.two_way, announced=len(announced),
+                    resumed=sim.resumed)
     # Not vacuous: enough runs, two-way ones among them, announced
-    # prefixes, and ribs that held the key and ribs that missed it.
+    # prefixes, ribs that held the key and ribs that missed it, and
+    # queued crossings that resumed.
     assert seen["runs"] >= LEGAL, seen
-    for what in ("two_way", "announced", "hit", "miss"):
+    for what in ("two_way", "announced", "hit", "miss", "resumed"):
         assert seen[what] > 0, what
 
 

@@ -1115,8 +1115,8 @@ TRACED = (
 
 
 def test_traced_call_counts(tmp_path):
-    # longest_match once per `_forward` call (a send that leaves the
-    # client, or a queued crossing that resumes), filter_packet once per
+    # longest_match once per send that leaves the client (a crossing
+    # carries the send's route key), filter_packet once per
     # tapped crossing under a blocking policy, observe once per tapped
     # crossing where a timing model reads the tap (none of the shipped
     # configs names one), apply_detail once per decision-cache miss, emit
@@ -1145,11 +1145,11 @@ def test_traced_call_counts(tmp_path):
         for name, config in configs.items()
     }
     assert counts == {
-        "one_way_hop111": [685, 446, 0, 0, 1572, 111, 111, 220, 4],
-        "reactive_block": [694, 450, 672, 0, 1572, 111, 111, 220, 4],
+        "one_way_hop111": [672, 446, 0, 0, 1572, 111, 111, 220, 4],
+        "reactive_block": [672, 450, 672, 0, 1572, 111, 111, 220, 4],
         "baseline_static": [672, 2, 672, 0, 1347, 0, 0, 0, 2],
         "two_way": [30, 46, 0, 0, 87, 10, 10, 16, 8],
-        "reactive_timed": [694, 450, 672, 672, 1572, 111, 111, 220, 4],
+        "reactive_timed": [672, 450, 672, 672, 1572, 111, 111, 220, 4],
     }
 
 
@@ -1178,3 +1178,84 @@ class TestUnroutable:
         assert metrics.packets_sent == 20 and metrics.packets_delivered == 0
         drops = [details for event, details in traffic if event == "drop"]
         assert drops == ["reason=unroutable;at=4"] * 20
+
+
+class TestGuardDrops:
+    """The egress and loop drops, which no legal config reaches, made by
+    runs that change the client's table or the ribs."""
+
+    @staticmethod
+    def _traffic(result):
+        lines = [ln.split(",", 3) for ln in result.trace if ",traffic," in ln]
+        return [(float(t), event, details) for t, _, event, details in lines]
+
+    def test_every_send_drops_at_egress_from_an_empty_client_table(self, tmp_path):
+        # A static server installs no rule, so a client table emptied
+        # before the run permits nothing: each send drops as it leaves.
+        config = ScenarioConfig.from_file(make_config(tmp_path, server_hopping=False))
+        sim = Simulation(config)
+        sim.client.flow_table.rules.clear()
+        result = sim.run()
+        traffic = self._traffic(result)
+        assert [(event, details) for _, event, details in traffic] == [
+            ("drop", f"id={i};reason=egress") for i in range(20)
+        ]
+        metrics = result.metrics
+        assert (metrics.packets_sent, metrics.packets_delivered) == (20, 0)
+        assert metrics.per_hop_delivery == ((0, 0),)
+        assert result.trace[-1] == f"{traffic[-1][0]:.3f},session,end,sent=20;delivered=0"
+
+    def test_the_last_egress_drop_ends_the_traffic_metrics_count(self, tmp_path):
+        # A hopping server's peer rules are what the client's table
+        # gains; without them it stays empty and every send drops at
+        # egress. The windows counted are those entered by the last drop.
+        class NoPeerRules(Simulation):
+            def _update_peer(self, agent, external, grace):
+                pass
+
+        config = ScenarioConfig.from_file(make_config(tmp_path))
+        sim = NoPeerRules(config)
+        sim.client.flow_table.rules.clear()
+        result = sim.run()
+        traffic = self._traffic(result)
+        assert {(event, details.split(";", 1)[1]) for _, event, details in traffic} == {
+            ("drop", "reason=egress")
+        }
+        last = traffic[-1][0]
+        hops = [float(ln.split(",", 1)[0]) for ln in result.trace if "role=server" in ln]
+        entered = sum(t <= last for t in hops)
+        assert 0 < entered < len(hops)
+        metrics = result.metrics
+        assert metrics.packets_sent == len(traffic) == 20 and metrics.packets_delivered == 0
+        assert metrics.distinct_external_ips_used == entered
+        assert metrics.hop_count == entered - 1
+        assert metrics.per_hop_delivery == tuple((k, 0) for k in range(entered))
+        assert result.trace[-1].endswith(",session,end,sent=20;delivered=0")
+
+    def test_a_rib_cycle_drops_as_a_loop(self, tmp_path):
+        # Ribs hold paths up the origin's tree, so no legal run loops. With
+        # a cycle written into the ribs once routing has settled, each
+        # packet goes between ASes 1 and 2 until it has crossed more links
+        # than the graph has ASes, and drops where it then stands.
+        config = ScenarioConfig.from_file(
+            make_config(tmp_path, server_hopping=False, packets=3, gap_ms="100")
+        )
+        sim = Simulation(config)
+        key = Prefix(config.server_ip, config.server_ip.width).key
+        nodes = sim.graph.nodes
+
+        def cycle():
+            assert nodes[1].rib[key] == (2, 3) and nodes[2].rib[key] == (3,)
+            nodes[2].rib[key] = (1, 2, 3)
+
+        sim.queue.schedule_at(config.lead_time_ms / 2, cycle)
+        result = sim.run()
+        sends = [config.lead_time_ms + i * 100 for i in range(3)]
+        crossed = len(nodes) + 1  # the first crossing over the bound
+        assert [(t, e, d) for t, e, d in self._traffic(result) if e == "drop"] == [
+            (t + crossed * config.link_delay_ms, "drop", f"id={i};reason=loop;at=1")
+            for i, t in enumerate(sends)
+        ]
+        metrics = result.metrics
+        assert (metrics.packets_sent, metrics.packets_delivered) == (3, 0)
+        assert result.trace[-1].endswith(",session,end,sent=3;delivered=0")

@@ -182,6 +182,7 @@ class ScenarioConfig:
     packets: int
     gap_ms: float | None
     config_sha256: str
+    inputs: tuple
     server_hopping: bool
     grace_window_ms: float
     lead_time_ms: float
