@@ -64,6 +64,20 @@ class EventQueue:
         self.now = at
         return True
 
+    def horizon(self, limit: float) -> float:
+        """The earlier of `limit` and the time of the first queued event.
+
+        Work due before the horizon may run now, as `advance_to` would let
+        it; work due at or after it waits, since an event queued at
+        exactly that time fires first. The horizon holds only while the
+        caller queues nothing, so a caller that runs a walk of such work
+        reads it once, moves `now` forward itself as it goes and queues
+        its first step not due before it. The packet walk does so: it
+        queues no event and moves no send until it stops.
+        """
+        heap = self._heap
+        return heap[0][0] if heap and heap[0][0] < limit else limit
+
     def run(self) -> int:
         """Drain the queue; returns the number of events processed.
 

@@ -49,6 +49,7 @@ from .routing import AsGraph, RouteMessage, announce, process_message, withdraw
 from .values import Frozen, left_sum
 
 OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
+_MISS = object()  # a decision-cache probe that found no entry
 
 
 class Role(Enum):
@@ -222,6 +223,10 @@ class Simulation:
         # Every send starts from this header; the client's table rewrites it.
         self._outbound = Packet(config.client_ip, config.server_ip)
         self._outbound_key = (OUTBOUND, config.client_ip.key, config.server_ip.key)
+        # The last header the client's table gave a send, its route key and
+        # its trace text. The memo hands back one object per header until a
+        # table write drops it, so an identity check finds a new header.
+        self._sent_header: tuple[Packet | None, int | None, str] = (None, None, "")
 
         adv = config.adversary
         # Only timing analysis reads the tap, so a tap exists only where a
@@ -243,7 +248,8 @@ class Simulation:
         self._send_gap = 0.0
         self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
         self._next_send = math.inf  # when the next send not yet made is due
-        self._deliveries_by_window: dict[int, int] = {}
+        # Deliveries by server window; a static server has one window.
+        self._deliveries_by_window = [0]
 
     # -- event helpers --
 
@@ -346,6 +352,7 @@ class Simulation:
         )
 
         self._setup_hopping_end(self.server)
+        self._deliveries_by_window = [0] * len(schedule)
         if cfg.two_way:
             client_payload = SyncPayload(
                 cfg.client_seed, cfg.client_pool, cfg.dwell.model_id, cfg.lead_time_ms
@@ -453,26 +460,35 @@ class Simulation:
         # `_forward` refuses every crossing due at or after `_next_send`,
         # as that queued send would. So the event order is the one
         # queueing every send would give. A send leaves the client through
-        # its table (the memo, else `_apply_chain`) and takes its route key
-        # once: the one announced prefix that holds its destination.
+        # its table (the memo, else `_apply_chain`). Each header that pass
+        # gives takes its route key, the one announced prefix that holds
+        # its destination, and its trace text once: the sends that get the
+        # same header object reuse them.
         cfg, queue, trace = self.config, self.queue, self.trace
         packets, start, gap = cfg.packets, cfg.lead_time_ms, self._send_gap
         client_as = self.client.attached_as
         table, key = self.client.flow_table, self._outbound_key
         memo = table.memo
+        header, pkey, text = self._sent_header
         while True:
             nxt = pkt_id + 1
             last = nxt == packets
             self._next_send = math.inf if last else start + nxt * gap
-            packet = memo[key] if key in memo else _apply_chain(table, self._outbound, OUTBOUND)
+            packet = memo.get(key, _MISS)
+            if packet is _MISS:
+                packet = _apply_chain(table, self._outbound, OUTBOUND)
             now = queue.now
             if packet is None:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
                 self._traffic_end = now
             else:
-                trace.emit(now, "traffic", "send", f"id={pkt_id};src={packet.src};dst={packet.dst}")
-                prefix = longest_match(self._announced, packet.dst)
-                self._forward(packet, pkt_id, client_as, 0, None if prefix is None else prefix.key)
+                if packet is not header:
+                    prefix = longest_match(self._announced, packet.dst)
+                    header, pkey = packet, None if prefix is None else prefix.key
+                    text = f";src={packet.src};dst={packet.dst}"
+                    self._sent_header = header, pkey, text
+                trace.emit(now, "traffic", "send", f"id={pkt_id}{text}")
+                self._forward(packet, pkt_id, client_as, 0, pkey)
             if last:
                 return
             if not queue.advance_to(self._next_send):
@@ -488,7 +504,9 @@ class Simulation:
         # its reserved slot is lower. Callers do nothing after this returns
         # but make the next send under the same rule, so nothing could run
         # in between, and the event order is the one queueing every
-        # crossing would give. A table's memo is probed here;
+        # crossing would give. Nothing the walk does queues an event or
+        # moves the next send, so it reads the queue's horizon once and
+        # moves the clock itself. A table's memo is probed here;
         # `_apply_chain` is the miss path.
         #
         # Each AS probes its rib by `pkey`, the send's route key, which a
@@ -503,10 +521,10 @@ class Simulation:
         nodes = self.graph.nodes
         max_hops = len(nodes)  # a packet that crossed more links is looping
         delay = self.config.link_delay_ms
-        next_send = self._next_send
+        horizon = queue.horizon(self._next_send)
         tap, tap_next = self.tap, self._tap_next
+        now = queue.now
         while True:
-            now = queue.now
             if hops > max_hops:
                 trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=loop;at={asn}")
                 break
@@ -520,8 +538,9 @@ class Simulation:
                     trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=no_endpoint;at={asn}")
                     break
                 table, key = agent.flow_table, (INBOUND, packet.src.key, packet.dst.key)
-                memo = table.memo
-                result = memo[key] if key in memo else _apply_chain(table, packet, INBOUND)
+                result = table.memo.get(key, _MISS)
+                if result is _MISS:
+                    result = _apply_chain(table, packet, INBOUND)
                 if result is None:
                     trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=no_rule;at={asn}")
                 elif result.dst.key != agent.internal_ip.key:
@@ -531,8 +550,7 @@ class Simulation:
                 else:
                     self._delivered += 1
                     window = max(0, bisect_right(self.server.starts, now) - 1)
-                    by_window = self._deliveries_by_window
-                    by_window[window] = by_window.get(window, 0) + 1
+                    self._deliveries_by_window[window] += 1
                     trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
                 break
             nxt = as_path[0]
@@ -547,9 +565,10 @@ class Simulation:
                     break
             hops += 1
             at = now + delay
-            if at >= next_send or not queue.advance_to(at):
+            if at >= horizon:
                 queue.schedule_at(at, self._forward, packet, pkt_id, nxt, hops, pkey)
                 return
+            queue.now = now = at
             asn = nxt
         self._traffic_end = now
 
@@ -572,12 +591,13 @@ class Simulation:
             return SessionMetrics(0, 0, 0, 0, 0.0, ())
         if not cfg.server_hopping:
             return SessionMetrics(
-                sent, self._delivered, 1, 0, 0.0, ((0, self._deliveries_by_window.get(0, 0)),)
+                sent, self._delivered, 1, 0, 0.0, ((0, self._deliveries_by_window[0]),)
             )
         entered = bisect_right(self.server.starts, self._traffic_end)  # starts never fall
         entries = self.server.schedule.entries
         dwells = [entries[k].dwell_ms for k in range(entered)]
-        per_hop = tuple((k, self._deliveries_by_window.get(k, 0)) for k in range(entered))
+        by_window = self._deliveries_by_window
+        per_hop = tuple((k, by_window[k]) for k in range(entered))
         return SessionMetrics(
             packets_sent=sent,
             packets_delivered=self._delivered,

@@ -44,13 +44,19 @@ REJECTED = {
 
 
 def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
-    messages = []
+    messages, resumed = [], []
 
     def counted(*args, _real=session.process_message):
         messages[-1] += 1
         return _real(*args)
 
+    def forward(sim, packet, pkt_id, asn, hops, pkey, _real=Simulation._forward):
+        if hops:  # a crossing resumed from the queue; a send's own call has crossed none
+            resumed[-1] += 1
+        _real(sim, packet, pkt_id, asn, hops, pkey)
+
     monkeypatch.setattr(session, "process_message", counted)
+    monkeypatch.setattr(Simulation, "_forward", forward)
     seen, rejected = Counter(), set()
     for seed, config in legal_configs(tmp_path, rejected):
         runs = []
@@ -59,12 +65,16 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
             if queue is not None:
                 sim.queue = queue
             messages.append(0)
+            resumed.append(0)
             runs.append(sim.run())
         inline, queued = runs
         assert inline.trace_text() == queued.trace_text(), seed
         assert inline.metrics.to_dict() == queued.metrics.to_dict(), seed
         assert inline.verdicts == queued.verdicts, seed
         assert messages[-2] == messages[-1], seed
+        # The queued side resumes every crossing from the queue, the inline
+        # side only those a queued event or the next send holds back.
+        assert resumed[-2] <= resumed[-1], seed
         seen.update(ln.split(",", 3)[2] for ln in inline.trace)
         seen.update(ln.split(";")[1] for ln in inline.trace if ";reason=" in ln)
         seen.update(legal=1, two_way=config.two_way, verdicts=bool(inline.verdicts),
@@ -81,6 +91,9 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
         assert seen[what] > 0, what
     assert REJECTED <= rejected, REJECTED - rejected
     assert sum(messages) > 0
+    # The queued side resumed crossings from the queue that the inline
+    # side ran inline.
+    assert sum(resumed[1::2]) > sum(resumed[::2]) > 0, resumed
 
 
 class _QueuedAtBootstrap(Simulation):

@@ -12,6 +12,7 @@ from hopsim import session
 from hopsim.addressing import Address, Prefix, PrefixIndex, longest_match
 from hopsim.config import ScenarioConfig
 from hopsim.errors import MoasConflict, NotAnnounced, UnknownAs
+from hopsim.flowtable import Packet
 from hopsim.routing import (
     AsGraph,
     RouteMessage,
@@ -657,14 +658,16 @@ class _Probed(Simulation):
     """A run that logs every AS a packet reaches, as (packet id, AS,
     route key probed, the keys the AS's rib then held). Only `_forward`
     probes a rib while a packet moves, once per AS it reaches. `picked`
-    holds the route key each send gave its first `_forward` call, by
-    packet id, and `resumed` counts the queued crossings that resumed."""
+    and `egress` hold the route key and the packet each send gave its
+    first `_forward` call, by packet id, and `resumed` counts the queued
+    crossings that resumed."""
 
     def __init__(self, config):
         super().__init__(config)
         self.moving: int | None = None  # the id of the packet `_forward` moves
         self.visits: list[tuple[int, int, int | None, frozenset[int]]] = []
         self.picked: dict[int, int | None] = {}
+        self.egress: dict[int, Packet] = {}
         self.resumed = 0
         for node in self.graph.nodes.values():
             node.rib = _ProbedRib(node.asn, self)
@@ -673,6 +676,7 @@ class _Probed(Simulation):
         if hops == 0:  # the send's own call: no link crossed yet
             assert pkt_id not in self.picked
             self.picked[pkt_id] = pkey
+            self.egress[pkt_id] = packet
         else:
             self.resumed += 1
         self.moving = pkt_id
@@ -682,13 +686,36 @@ class _Probed(Simulation):
             self.moving = None
 
 
+class _Rebuilt(_Probed):
+    """A `_Probed` run in which, half a dwell into each server window, the
+    client's table is written again with the peer rules it holds. The
+    write drops the table's memo, so the next send leaves with an equal
+    header built as a new `Packet`."""
+
+    def _do_hop(self, agent, k):
+        super()._do_hop(agent, k)
+        if agent is self.server:
+            entry = agent.schedule.entries[k]
+            at = self.queue.now + entry.dwell_ms / 2
+            self.queue.schedule_at(at, self._update_peer, agent, entry.address, True)
+
+
+REBUILT = "one_way_hop111"  # the shipped config also run in `_Rebuilt`
+
+
 def probed_runs(tmp_path):
     """Each shipped config and each legal generated one, run in
-    `_Probed`: (name, the simulation, its trace, {key: each prefix it
+    `_Probed`, then `REBUILT` run in `_Rebuilt` under the name
+    "rebuilt": (name, the simulation, its trace, {key: each prefix it
     announced})."""
     shipped = Path(__file__).parents[1] / "configs"
-    configs = [(path.stem, ScenarioConfig.from_file(path)) for path in sorted(shipped.glob("*.ini"))]
-    for name, config in chain(configs, legal_configs(tmp_path, set())):
+    configs = [
+        (path.stem, _Probed, ScenarioConfig.from_file(path))
+        for path in sorted(shipped.glob("*.ini"))
+    ]
+    generated = ((name, _Probed, config) for name, config in legal_configs(tmp_path, set()))
+    rebuilt = [("rebuilt", _Rebuilt, ScenarioConfig.from_file(shipped / f"{REBUILT}.ini"))]
+    for name, kind, config in chain(configs, generated, rebuilt):
         announced = {}
 
         def recorded(graph, prefix, origin, _real=session.announce):
@@ -697,21 +724,24 @@ def probed_runs(tmp_path):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "announce", recorded)
-            sim = _Probed(config)
+            sim = kind(config)
             trace = sim.run().trace
         yield name, sim, trace, announced
 
 
-def sent_to(trace: list[str]) -> dict[int, Address]:
-    """The destination of each packet that left the client, by id: a
-    packet keeps it until the server's table rewrites it."""
-    dst = {}
+def sent(trace: list[str]) -> dict[int, Packet]:
+    """The header each packet left the client with, by id, as its send
+    line names it: a packet keeps its destination until the server's
+    table rewrites it."""
+    headers = {}
     for line in trace:
         _, component, event, details = line.split(",", 3)
         if (component, event) == ("traffic", "send"):
             fields = dict(field.split("=", 1) for field in details.split(";"))
-            dst[int(fields["id"])] = Address.parse(fields["dst"])
-    return dst
+            headers[int(fields["id"])] = Packet(
+                Address.parse(fields["src"]), Address.parse(fields["dst"])
+            )
+    return headers
 
 
 def tree_layers(graph: AsGraph, origin: int) -> dict[int, int]:
@@ -730,32 +760,48 @@ def test_each_packet_is_routed_by_the_one_announced_prefix_that_holds_it(tmp_pat
     # index. So at every AS a packet reaches, a longest match over that
     # AS's own rib prefixes finds the key the run probes its rib by, or
     # nothing when the rib misses it: no AS needs a match of its own.
-    # Each send picks that key once, from its destination, and every AS
-    # its packet reaches, a queued crossing's too, probes by that key.
-    seen = Counter()
+    # Each send's line names the header it left the client with, and the
+    # send picks its key from that header's destination; every AS its
+    # packet reaches, a queued crossing's too, probes by that key. In the
+    # "rebuilt" run an equal header also comes back as a new object in
+    # mid-window, which the send path takes as a new header; it must
+    # leave every send line, key and byte of the trace as they were.
+    seen, traces = Counter(), {}
     for name, sim, trace, announced in probed_runs(tmp_path):
+        if name in ("rebuilt", REBUILT):
+            traces[name] = trace
         for a, b in combinations(announced.values(), 2):
             assert not a.covers(b) and not b.covers(a), (name, a, b)
         for prefix in announced.values():
             assert longest_match(sim._announced, prefix.base) == prefix, (name, prefix)
-        dst = sent_to(trace)
-        assert sim.picked.keys() == dst.keys(), name
+        headers = sent(trace)
+        assert sim.egress == headers, name
+        assert sim.picked.keys() == headers.keys(), name
         for pkt, key in sim.picked.items():
-            match = longest_match(sim._announced, dst[pkt])
+            match = longest_match(sim._announced, headers[pkt].dst)
             assert key == (None if match is None else match.key), (name, pkt)
         for pkt, asn, key, rib in sim.visits:
             assert key == sim.picked[pkt], (name, pkt)
-            own = longest_match(PrefixIndex(announced[k] for k in rib), dst[pkt])
+            own = longest_match(PrefixIndex(announced[k] for k in rib), headers[pkt].dst)
             assert (None if own is None else own.key) == (key if key in rib else None), (name, pkt)
             seen.update(hit=key in rib, miss=key is not None and key not in rib)
+        # Sends in a row whose equal headers are two objects: one was
+        # built anew after a table write that changed no rule.
+        egress = [sim.egress[pkt] for pkt in sorted(sim.egress)]
+        rebuilt = sum(a == b and a is not b for a, b in zip(egress, egress[1:]))
+        seen["rebuilt" if name == "rebuilt" else "rebuilt_elsewhere"] += rebuilt
         seen.update(runs=1, two_way=sim.config.two_way, announced=len(announced),
                     resumed=sim.resumed)
     # Not vacuous: enough runs, two-way ones among them, announced
-    # prefixes, ribs that held the key and ribs that missed it, and
-    # queued crossings that resumed.
+    # prefixes, ribs that held the key and ribs that missed it, queued
+    # crossings that resumed, and equal headers built anew, only where
+    # the "rebuilt" run wrote the client's table again, which changed
+    # nothing the run outputs.
     assert seen["runs"] >= LEGAL, seen
-    for what in ("two_way", "announced", "hit", "miss", "resumed"):
+    for what in ("two_way", "announced", "hit", "miss", "resumed", "rebuilt"):
         assert seen[what] > 0, what
+    assert seen["rebuilt_elsewhere"] == 0, seen
+    assert traces["rebuilt"] == traces[REBUILT]
 
 
 def test_no_packet_crosses_more_links_than_its_origins_tree_is_deep(tmp_path):

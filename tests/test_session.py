@@ -81,6 +81,23 @@ class TestEventQueue:
         assert queue.now == 2.5 and fired == []
         assert queue.run() == 1 and fired == ["queued"]
 
+    def test_horizon(self):
+        queue, fired = EventQueue(start=1.0), []
+        assert queue.horizon(2.0) == 2.0 and queue.horizon(math.inf) == math.inf  # empty heap
+        queue.schedule_at(3.0, fired.append, "queued")
+        assert queue.horizon(4.0) == 3.0  # the earlier queued event
+        assert queue.horizon(2.5) == 2.5  # the earlier limit
+        # A crossing goes inline while its arrival is before the horizon.
+        # One arriving exactly at a queued event's time waits, as
+        # `advance_to` makes it: that event was queued first.
+        for arrival, inline in ((2.0, True), (2.9, True), (3.0, False), (3.5, False)):
+            assert (arrival < queue.horizon(math.inf)) is inline, arrival
+            probe = EventQueue(start=1.0)
+            probe.schedule_at(3.0, print, "never")
+            assert probe.advance_to(arrival) is inline, arrival
+        assert queue.now == 1.0 and fired == []  # reading the horizon moves nothing
+        assert queue.run() == 1 and fired == ["queued"]
+
     def test_reserved_slot_rejects_the_past(self):
         queue = EventQueue(start=5.0)
         first = queue.reserve(2)
@@ -858,10 +875,14 @@ class TestRideRule:
 
 
 class _QueueEveryCrossing(EventQueue):
-    """A queue that never lets a link crossing run inline."""
+    """A queue that never lets a link crossing, a send or a routing
+    wave's next layer run inline: nothing is due before its horizon."""
 
     def advance_to(self, at: float) -> bool:
         return False
+
+    def horizon(self, limit: float) -> float:
+        return self.now
 
 
 @pytest.fixture
@@ -1115,8 +1136,9 @@ TRACED = (
 
 
 def test_traced_call_counts(tmp_path):
-    # longest_match once per send that leaves the client (a crossing
-    # carries the send's route key), filter_packet once per
+    # longest_match once per header the client's table gives a send (the
+    # sends that get the same header reuse its route key, and a crossing
+    # carries it), filter_packet once per
     # tapped crossing under a blocking policy, observe once per tapped
     # crossing where a timing model reads the tap (none of the shipped
     # configs names one), apply_detail once per decision-cache miss, emit
@@ -1145,11 +1167,11 @@ def test_traced_call_counts(tmp_path):
         for name, config in configs.items()
     }
     assert counts == {
-        "one_way_hop111": [672, 446, 0, 0, 1572, 111, 111, 220, 4],
-        "reactive_block": [672, 450, 672, 0, 1572, 111, 111, 220, 4],
-        "baseline_static": [672, 2, 672, 0, 1347, 0, 0, 0, 2],
-        "two_way": [30, 46, 0, 0, 87, 10, 10, 16, 8],
-        "reactive_timed": [672, 450, 672, 672, 1572, 111, 111, 220, 4],
+        "one_way_hop111": [111, 446, 0, 0, 1572, 111, 111, 220, 4],
+        "reactive_block": [111, 450, 672, 0, 1572, 111, 111, 220, 4],
+        "baseline_static": [1, 2, 672, 0, 1347, 0, 0, 0, 2],
+        "two_way": [10, 46, 0, 0, 87, 10, 10, 16, 8],
+        "reactive_timed": [111, 450, 672, 672, 1572, 111, 111, 220, 4],
     }
 
 
