@@ -9,6 +9,7 @@ inputs.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 
@@ -32,11 +33,9 @@ class EventQueue:
 
         An event later queued with `schedule_reserved` in one of them
         fires where it would have, had it been queued now: its
-        `(time, seq)` key is the same. A caller with a long run of events
-        takes each one only when the one before it has run: inline, when
-        `advance_to` lets it, else queued in its slot. It so holds one at
-        a time instead of all of them, and queues only those that must
-        wait for another event.
+        `(time, seq)` key is the same. A caller with a long stream of
+        events queues each one in its slot only when the one before it
+        runs, and so holds one at a time instead of all of them.
         """
         first = self._seq
         self._seq += n
@@ -48,41 +47,24 @@ class EventQueue:
             raise ValueError(f"cannot schedule at {at} before now {self.now}")
         heapq.heappush(self._heap, (at, seq, fn, args))
 
-    def advance_to(self, at: float) -> bool:
-        """Move the clock to `at` if no queued event is due at or before it.
+    def horizon(self) -> float:
+        """The time of the first queued event; `inf` when none is queued.
 
-        Then nothing can run before an event at `at` would, so the caller
-        may do that work now instead of queueing it. An event queued at
-        exactly `at` fires first, so it blocks the move; the clock stays
-        put and the call returns False.
-        """
-        if not at >= self.now:
-            raise ValueError(f"cannot advance to {at} before now {self.now}")
-        heap = self._heap
-        if heap and heap[0][0] <= at:
-            return False
-        self.now = at
-        return True
-
-    def horizon(self, limit: float) -> float:
-        """The earlier of `limit` and the time of the first queued event.
-
-        Work due before the horizon may run now, as `advance_to` would let
-        it; work due at or after it waits, since an event queued at
-        exactly that time fires first. The horizon holds only while the
-        caller queues nothing, so a caller that runs a walk of such work
-        reads it once, moves `now` forward itself as it goes and queues
-        its first step not due before it. The packet walk does so: it
-        queues no event and moves no send until it stops.
+        Work due before the horizon may run now, inline; work due at or
+        after it waits, since an event queued at exactly that time fires
+        first. The horizon holds only while the caller queues nothing, so
+        a caller that runs a walk of such work reads it once, moves `now`
+        forward itself as it goes and queues its first step not due
+        before it.
         """
         heap = self._heap
-        return heap[0][0] if heap and heap[0][0] < limit else limit
+        return heap[0][0] if heap else math.inf
 
     def run(self) -> int:
         """Drain the queue; returns the number of events processed.
 
-        Work a handler does after `advance_to` is not an event and is
-        not counted.
+        Work a handler runs inline, before the horizon, is not an event
+        and is not counted.
         """
         processed = 0
         heap = self._heap

@@ -14,7 +14,6 @@ runs of one config produce byte-identical traces.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from enum import Enum
 
@@ -247,7 +246,6 @@ class Simulation:
         self._traffic_end = 0.0  # when the last send resolved: each resolution writes it
         self._send_gap = 0.0
         self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
-        self._next_send = math.inf  # when the next send not yet made is due
         # Deliveries by server window; a static server has one window.
         self._deliveries_by_window = [0]
 
@@ -275,10 +273,10 @@ class Simulation:
         # One layer of a wave per instant: each sender's entry goes to its
         # tree children, and those whose entry changed and that have
         # children of their own send the next layer. A wave's next layer
-        # runs inline, as a link crossing does, when no queued event is due
-        # by then; else it is queued. The event loop does nothing after
-        # this returns, so the order of events is the one queueing every
-        # layer would give.
+        # runs inline, as a link crossing does, when it is due before the
+        # queue's horizon; else it is queued. The event loop does nothing
+        # after this returns, so the order of events is the one queueing
+        # every layer would give.
         graph, queue, delay = self.graph, self.queue, self.config.link_delay_ms
         nodes, key = graph.nodes, prefix.key
         origin = graph.origins[key]
@@ -297,9 +295,10 @@ class Simulation:
                 return
             senders = layer
             at = queue.now + delay
-            if not queue.advance_to(at):
+            if at >= queue.horizon():
                 queue.schedule_at(at, self._deliver_routing, prefix, layer)
                 return
+            queue.now = at
 
     def _acquire_prefix(self, prefix: Prefix, origin: int) -> None:
         key = prefix.key
@@ -375,7 +374,8 @@ class Simulation:
         # releases of the windows entered and not yet released. A step's
         # (time, slot) key is above that of the step that queues it, so a
         # step not yet queued always has a queued one ahead of it: events
-        # fire as if all were queued here, and `advance_to` stays exact.
+        # fire as if all were queued here, and the queue's horizon stays
+        # exact. The sends form one more such stream (see `_emit_packet`).
         # Releases do not queue each other: with dwells below the clock's
         # resolution, a release can round to before the one before it.
         epoch = self.config.lead_time_ms
@@ -438,76 +438,61 @@ class Simulation:
 
     def _schedule_traffic(self, gap_ms: float) -> None:
         # The sends keep the queue slots they would take if all were queued
-        # here, but each is made inline or queued only when the one before
-        # it is made (see `_emit_packet`).
+        # here, but each is queued only when the one before it is made.
         self._send_gap = gap_ms
         self._send_seq = self.queue.reserve(self.config.packets)
         if self.config.packets:
-            self._next_send = self.config.lead_time_ms
-            self._queue_send(0)
-
-    def _queue_send(self, j: int) -> None:
-        # Send j is the next one not yet made, so it is due at `_next_send`.
-        self.queue.schedule_reserved(self._next_send, self._send_seq + j, self._emit_packet, j)
+            self.queue.schedule_reserved(
+                self.config.lead_time_ms, self._send_seq, self._emit_packet, 0
+            )
 
     # -- packet path --
 
     def _emit_packet(self, pkt_id: int) -> None:
-        # Sends follow the rule link crossings follow: after this packet's
-        # pass, the next send is made in this call if no queued event is
-        # due by its time (a crossing of this packet that `_forward` queued
-        # counts), else it is queued in its reserved slot. Until it is made,
-        # `_forward` refuses every crossing due at or after `_next_send`,
-        # as that queued send would. So the event order is the one
-        # queueing every send would give. A send leaves the client through
-        # its table (the memo, else `_apply_chain`). Each header that pass
-        # gives takes its route key, the one announced prefix that holds
-        # its destination, and its trace text once: the sends that get the
-        # same header object reuse them.
-        cfg, queue, trace = self.config, self.queue, self.trace
-        packets, start, gap = cfg.packets, cfg.lead_time_ms, self._send_gap
-        client_as = self.client.attached_as
-        table, key = self.client.flow_table, self._outbound_key
-        memo = table.memo
+        # Send j first queues send j + 1 in its reserved slot, so that its
+        # walk's horizon holds the next send: a crossing due at or after it
+        # waits, and at a tie the send goes first, as its slot is lower.
+        nxt = pkt_id + 1
+        if nxt < self.config.packets:
+            self.queue.schedule_reserved(
+                self.config.lead_time_ms + nxt * self._send_gap, self._send_seq + nxt,
+                self._emit_packet, nxt,
+            )
+        self._do_send(pkt_id)
+
+    def _do_send(self, pkt_id: int) -> None:
+        # A send leaves the client through its table (the memo, else
+        # `_apply_chain`). Each header that pass gives takes its route key,
+        # the one announced prefix that holds its destination, and its
+        # trace text once: the sends that get the same header object reuse
+        # them.
+        table = self.client.flow_table
+        packet = table.memo.get(self._outbound_key, _MISS)
+        if packet is _MISS:
+            packet = _apply_chain(table, self._outbound, OUTBOUND)
+        now = self.queue.now
+        if packet is None:
+            self.trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
+            self._traffic_end = now
+            return
         header, pkey, text = self._sent_header
-        while True:
-            nxt = pkt_id + 1
-            last = nxt == packets
-            self._next_send = math.inf if last else start + nxt * gap
-            packet = memo.get(key, _MISS)
-            if packet is _MISS:
-                packet = _apply_chain(table, self._outbound, OUTBOUND)
-            now = queue.now
-            if packet is None:
-                trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
-                self._traffic_end = now
-            else:
-                if packet is not header:
-                    prefix = longest_match(self._announced, packet.dst)
-                    header, pkey = packet, None if prefix is None else prefix.key
-                    text = f";src={packet.src};dst={packet.dst}"
-                    self._sent_header = header, pkey, text
-                trace.emit(now, "traffic", "send", f"id={pkt_id}{text}")
-                self._forward(packet, pkt_id, client_as, 0, pkey)
-            if last:
-                return
-            if not queue.advance_to(self._next_send):
-                self._queue_send(nxt)
-                return
-            pkt_id = nxt
+        if packet is not header:
+            prefix = longest_match(self._announced, packet.dst)
+            pkey = None if prefix is None else prefix.key
+            text = f";src={packet.src};dst={packet.dst}"
+            self._sent_header = packet, pkey, text
+        self.trace.emit(now, "traffic", "send", f"id={pkt_id}{text}")
+        self._forward(packet, pkt_id, self.client.attached_as, 0, pkey)
 
     def _forward(self, packet: Packet, pkt_id: int, asn: int, hops: int, pkey: int | None) -> None:
         # One turn of the loop per AS the packet reaches, until it is
         # delivered or dropped. A link crossing is taken inline when it
-        # arrives before the next send and no queued event is due by then;
-        # else it is queued to resume here. At a tie the send goes first:
-        # its reserved slot is lower. Callers do nothing after this returns
-        # but make the next send under the same rule, so nothing could run
-        # in between, and the event order is the one queueing every
-        # crossing would give. Nothing the walk does queues an event or
-        # moves the next send, so it reads the queue's horizon once and
-        # moves the clock itself. A table's memo is probed here;
-        # `_apply_chain` is the miss path.
+        # arrives before the queue's horizon, which holds the next send;
+        # else it is queued to resume here. The event loop does nothing
+        # after this returns, so the event order is the one queueing every
+        # crossing would give. Nothing the walk does queues an event, so it
+        # reads the horizon once and moves the clock itself. A table's memo
+        # is probed here; `_apply_chain` is the miss path.
         #
         # Each AS probes its rib by `pkey`, the send's route key, which a
         # queued crossing carries: nothing in transit rewrites the
@@ -521,7 +506,7 @@ class Simulation:
         nodes = self.graph.nodes
         max_hops = len(nodes)  # a packet that crossed more links is looping
         delay = self.config.link_delay_ms
-        horizon = queue.horizon(self._next_send)
+        horizon = queue.horizon()
         tap, tap_next = self.tap, self._tap_next
         now = queue.now
         while True:

@@ -2,7 +2,7 @@
 
 A session takes a link crossing or a routing wave's next instant inline
 when no queued event is due first, queues each hop stream's next step
-only when a step runs, and carries each route update down the origin's
+and the next send only when a step or send runs, and carries each route update down the origin's
 shortest-path tree only, as one wave. Each is checked here against the
 plain form it replaces, on seeded random inputs. The plain form of the
 last is the path-vector router of `reference_routing`, run in
@@ -32,7 +32,7 @@ import reference_routing as ref
 from conftest import make_config
 from scenario_gen import LEGAL, legal_configs, random_edges
 from test_routing import P16, P24, P_OTHER, random_connected_graph, tree_paths
-from test_session import _QueueEveryCrossing
+from test_session import _QueueEveryCrossing, _SendsQueuedAtBootstrap
 
 # Every key a generated config is rejected on.
 REJECTED = {
@@ -73,7 +73,8 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
         assert inline.verdicts == queued.verdicts, seed
         assert messages[-2] == messages[-1], seed
         # The queued side resumes every crossing from the queue, the inline
-        # side only those a queued event or the next send holds back.
+        # side only those a queued event (the next send among them) holds
+        # back.
         assert resumed[-2] <= resumed[-1], seed
         seen.update(ln.split(",", 3)[2] for ln in inline.trace)
         seen.update(ln.split(";")[1] for ln in inline.trace if ";reason=" in ln)
@@ -96,8 +97,8 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
     assert sum(resumed[1::2]) > sum(resumed[::2]) > 0, resumed
 
 
-class _QueuedAtBootstrap(Simulation):
-    """A run that queues every acquire, hop and release at bootstrap."""
+class _QueuedAtBootstrap(_SendsQueuedAtBootstrap):
+    """A run that queues every acquire, hop, release and send at bootstrap."""
 
     def _setup_hopping_end(self, agent):
         cfg = self.config
@@ -118,12 +119,12 @@ class _QueuedAtBootstrap(Simulation):
 
 
 def test_hop_streams_run_as_queued_at_bootstrap(tmp_path):
-    # Queueing each hop stream's next step only when a step runs gives the
-    # run that queueing every step at bootstrap gives: the same trace
-    # bytes, metrics and verdicts, on the shipped configs, the legal
-    # generated ones, and a run whose dwells lie below the clock's
-    # resolution at its epoch, where a release rounds to before the one
-    # before it.
+    # Queueing each hop stream's next step, and the next send, only when
+    # a step or send runs gives the run that queueing every one of them at
+    # bootstrap gives: the same trace bytes, metrics and verdicts, on the
+    # shipped configs, the legal generated ones, and a run whose dwells lie
+    # below the clock's resolution at its epoch, where a release rounds to
+    # before the one before it.
     shipped = Path(__file__).parents[1] / "configs"
     configs = [(path.stem, ScenarioConfig.from_file(path)) for path in sorted(shipped.glob("*.ini"))]
     tiny_dir = tmp_path / "sub_resolution"
@@ -159,8 +160,8 @@ class _SlotDriven(Simulation):
     one delivery instant per link delay, carrying the slots opened since
     the last. An update that replaces a queued one rides in that one's
     slot. An announcement or withdrawal queues its first instant, and
-    each later one runs inline when `advance_to` lets it, else is queued,
-    as a wave's instants are."""
+    each later one runs inline when it is due before the queue's
+    `horizon()`, else is queued, as a wave's instants are."""
 
     def _launch_wave(self, prefix, origin):
         slots = self.graph.take_slots()
@@ -179,9 +180,10 @@ class _SlotDriven(Simulation):
             if not slots:
                 return
             at = queue.now + delay
-            if not queue.advance_to(at):
+            if at >= queue.horizon():
                 queue.schedule_at(at, self._deliver_routing, slots)
                 return
+            queue.now = at
 
 
 def routed_run(config, router, simulation=Simulation):

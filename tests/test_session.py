@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -67,36 +68,20 @@ class TestEventQueue:
         queue.schedule_at(queue.now + 0.0, print, "now")
         assert queue.now == 5.0 and len(queue._heap) == 1
 
-    def test_advance_to(self):
-        queue, fired = EventQueue(start=1.0), []
-        assert queue.advance_to(2.0) and queue.now == 2.0  # empty heap
-        queue.schedule_at(3.0, fired.append, "queued")
-        assert queue.advance_to(2.5) and queue.now == 2.5
-        # Due exactly at the target: it was queued first, so it blocks.
-        assert not queue.advance_to(3.0) and queue.now == 2.5
-        assert not queue.advance_to(4.0) and queue.now == 2.5
-        for bad in (2.0, math.nan):
-            with pytest.raises(ValueError):
-                queue.advance_to(bad)
-        assert queue.now == 2.5 and fired == []
-        assert queue.run() == 1 and fired == ["queued"]
-
     def test_horizon(self):
         queue, fired = EventQueue(start=1.0), []
-        assert queue.horizon(2.0) == 2.0 and queue.horizon(math.inf) == math.inf  # empty heap
+        assert queue.horizon() == math.inf  # empty heap
         queue.schedule_at(3.0, fired.append, "queued")
-        assert queue.horizon(4.0) == 3.0  # the earlier queued event
-        assert queue.horizon(2.5) == 2.5  # the earlier limit
+        queue.schedule_at(4.0, fired.append, "later")
+        assert queue.horizon() == 3.0  # the first queued event
         # A crossing goes inline while its arrival is before the horizon.
-        # One arriving exactly at a queued event's time waits, as
-        # `advance_to` makes it: that event was queued first.
+        # One arriving exactly at a queued event's time waits: that event
+        # was queued first.
         for arrival, inline in ((2.0, True), (2.9, True), (3.0, False), (3.5, False)):
-            assert (arrival < queue.horizon(math.inf)) is inline, arrival
-            probe = EventQueue(start=1.0)
-            probe.schedule_at(3.0, print, "never")
-            assert probe.advance_to(arrival) is inline, arrival
+            assert (arrival < queue.horizon()) is inline, arrival
         assert queue.now == 1.0 and fired == []  # reading the horizon moves nothing
-        assert queue.run() == 1 and fired == ["queued"]
+        assert queue.run() == 2 and fired == ["queued", "later"]
+        assert queue.horizon() == math.inf
 
     def test_reserved_slot_rejects_the_past(self):
         queue = EventQueue(start=5.0)
@@ -875,14 +860,21 @@ class TestRideRule:
 
 
 class _QueueEveryCrossing(EventQueue):
-    """A queue that never lets a link crossing, a send or a routing
-    wave's next layer run inline: nothing is due before its horizon."""
+    """A queue that never lets a link crossing or a routing wave's next
+    layer run inline: nothing is due before its horizon."""
 
-    def advance_to(self, at: float) -> bool:
-        return False
-
-    def horizon(self, limit: float) -> float:
+    def horizon(self) -> float:
         return self.now
+
+
+class _SendsQueuedAtBootstrap(Simulation):
+    """A run that queues every send at bootstrap, in the order of the
+    slots the send stream reserves."""
+
+    def _schedule_traffic(self, gap_ms):
+        start = self.config.lead_time_ms
+        for j in range(self.config.packets):
+            self.queue.schedule_at(start + j * gap_ms, self._do_send, j)
 
 
 @pytest.fixture
@@ -910,6 +902,22 @@ def processed(monkeypatch):
         return counts[-1]
 
     monkeypatch.setattr(EventQueue, "run", counted_run)
+    return counts
+
+
+@pytest.fixture
+def resumed(monkeypatch):
+    """How many `_forward` calls each `Simulation` made to resume a link
+    crossing from the queue; a send's own call has crossed no link."""
+    counts = Counter()
+    forward = Simulation._forward
+
+    def counted(sim, packet, pkt_id, asn, hops, pkey):
+        if hops:
+            counts[sim] += 1
+        forward(sim, packet, pkt_id, asn, hops, pkey)
+
+    monkeypatch.setattr(Simulation, "_forward", counted)
     return counts
 
 
@@ -941,11 +949,14 @@ INLINE_CASES = {
 
 
 class TestInlineCrossing:
-    """Taking a link crossing or a routing wave's next instant inline gives
-    the run that queueing it gives."""
+    """Taking a link crossing or a routing wave's next instant inline, and
+    queueing each send only when the one before it is made, gives the run
+    that queueing every one of them gives."""
 
     @pytest.mark.parametrize("case", [*INLINE_CASES, "two_way_skew"])
-    def test_inline_crossing_matches_queued(self, tmp_path, processed, routing_calls, case):
+    def test_inline_crossing_matches_queued(
+        self, tmp_path, processed, routing_calls, resumed, case
+    ):
         from test_dwell import symbol_chain
 
         if case == "two_way_skew":
@@ -958,15 +969,18 @@ class TestInlineCrossing:
             path = make_config(tmp_path, n_hops=8, packets=60, **{"gap_ms": "100", **options})
             path.write_text(path.read_text().replace("[topology]", scenario + "\n[topology]"))
             config = ScenarioConfig.from_file(path)
-        inline = Simulation(config).run()
+        inline_sim, queued_sim = Simulation(config), _SendsQueuedAtBootstrap(config)
+        inline = inline_sim.run()
         messages = routing_calls["process_message"]
-        sim = Simulation(config)
-        sim.queue = _QueueEveryCrossing()
-        queued = sim.run()
+        queued_sim.queue = _QueueEveryCrossing()
+        queued = queued_sim.run()
         assert inline.trace_text() == queued.trace_text()
         assert inline.metrics.to_dict() == queued.metrics.to_dict()
         assert inline.verdicts == queued.verdicts
         assert processed[0] < processed[1]
+        # The queued side resumes every crossing from the queue, the inline
+        # side only those a queued event holds back.
+        assert resumed[queued_sim] > resumed[inline_sim]
         assert routing_calls["process_message"] == 2 * messages
         assert ",traffic,deliver," in inline.trace_text()
         if case == "zero_delay":
@@ -980,7 +994,7 @@ class TestInlineCrossing:
         configs = Path(__file__).parents[1] / "configs"
         for stem in ("one_way_hop111", "reactive_block", "baseline_static"):
             Simulation(ScenarioConfig.from_file(configs / f"{stem}.ini")).run()
-        assert processed == [725, 788, 3]
+        assert processed == [1131, 1140, 674]
 
     def test_line_longer_than_the_recursion_limit(self, tmp_path):
         size = sys.getrecursionlimit() + 100
