@@ -1049,6 +1049,22 @@ class TestBoundedState:
         assert hops[1] >= 9 * hops[0] > 0, hops
         assert peaks[0] == peaks[1], peaks
 
+    def test_event_heap_does_not_grow_with_packets(self, tmp_path):
+        # The send stream holds its next send only: each is queued in its
+        # reserved slot when the one before it is made.
+        peaks, delivered = [], []
+        for packets in (200, 400):
+            root = tmp_path / str(packets)
+            root.mkdir()
+            path = make_config(root, n_hops=5, fixed_ms=10_000.0, packets=packets, gap_ms="100")
+            sim = Simulation(ScenarioConfig.from_file(path))
+            sim.queue = _PeakQueue()
+            metrics = sim.run().metrics
+            peaks.append(sim.queue.peak)
+            delivered.append(metrics.packets_delivered)
+        assert delivered == [200, 400], delivered
+        assert peaks[0] == peaks[1], peaks
+
     def test_tap_keeps_hop_changes_only(self, tmp_path):
         # Ten times the packets leave the tap holding as many times: one per
         # change of the pool destination, at most one per window entered.
