@@ -125,10 +125,10 @@ class ScenarioConfig(Frozen):
         ases = {asn for edge in edges for asn in edge}
 
         server_ip = need("server", "internal_ip", Address.parse)
-        server_as = need("server", "attached_as", int)
+        server_as = need("server", "attached_as", _asn)
         server_pool = need("server", "pool", PrefixPool.parse)
         client_ip = need("client", "internal_ip", Address.parse)
-        client_as = need("client", "attached_as", int)
+        client_as = need("client", "attached_as", _asn)
 
         for asn, where in ((server_as, "[server] attached_as"), (client_as, "[client] attached_as")):
             if asn not in ases:
@@ -203,11 +203,7 @@ class ScenarioConfig(Frozen):
 
         adversary = None
         if cp.has_section("adversary"):
-            raw_tap = need("adversary", "tap", str)
-            try:
-                a, b = (int(x) for x in raw_tap.replace("-", " ").split())
-            except ValueError as exc:
-                raise ConfigError("[adversary] tap", f"expected 'asn-asn': {exc}") from exc
+            a, b = need("adversary", "tap", _tap)
             if (a, b) not in edges and (b, a) not in edges:
                 raise ConfigError("[adversary] tap", f"link {a}-{b} not in topology")
             policy = need("adversary", "policy", lambda r: r.strip().lower(), "none")
@@ -297,6 +293,20 @@ def _u64(raw: str) -> int:
     if not 0 <= value < (1 << 64):
         raise ValueError("must fit in 64 bits")
     return value
+
+
+def _asn(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("an ASN must not be negative")
+    return value
+
+
+def _tap(raw: str) -> tuple[int, int]:
+    ends = raw.split("-")
+    if len(ends) != 2:
+        raise ValueError("expected two ASNs joined by one '-'")
+    return _asn(ends[0]), _asn(ends[1])
 
 
 def _number(raw: str) -> float:

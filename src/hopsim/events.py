@@ -1,15 +1,17 @@
 """Deterministic discrete-event core.
 
 A virtual clock and a tie-stable event queue: events fire in time
-order, and events at equal times fire in insertion order. Nothing here
-sleeps or reads the wall clock, so a scenario is a pure function of its
-inputs.
+order, and events at equal times in slot order. Each event takes the
+next slot when it is queued, unless `reserve` set its slot aside
+earlier. Nothing here sleeps or reads the wall clock, so a scenario is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import Callable
 
 
@@ -33,9 +35,8 @@ class EventQueue:
 
         An event later queued with `schedule_reserved` in one of them
         fires where it would have, had it been queued now: its
-        `(time, seq)` key is the same. A caller with a long stream of
-        events queues each one in its slot only when the one before it
-        runs, and so holds one at a time instead of all of them.
+        `(time, seq)` key is the same. `stream` queues a run of events
+        in such slots one at a time.
         """
         first = self._seq
         self._seq += n
@@ -46,6 +47,29 @@ class EventQueue:
         if not at >= self.now:
             raise ValueError(f"cannot schedule at {at} before now {self.now}")
         heapq.heappush(self._heap, (at, seq, fn, args))
+
+    def stream(self, first: int, stride: int, n: int, time_of: Callable[[int], float],
+               fn: Callable[..., None], *args) -> None:
+        """Run `fn(*args, k)` at `time_of(k)` for k in 0..n-1, in slots `reserve` set aside.
+
+        Step k takes the slot `first + stride * k` and, when it runs,
+        queues step k + 1 before it calls `fn`: the heap holds one step of
+        the stream at a time. `time_of` must not decrease, so each step's
+        `(time, slot)` key is above that of the step that queues it, and a
+        step not yet queued always has a queued one ahead of it: the steps
+        fire, and `horizon()` reads, as if all had been queued up front.
+        With `n` 0 nothing is queued.
+        """
+        call = partial(fn, *args) if args else fn
+
+        def step(k: int) -> None:
+            nxt = k + 1
+            if nxt < n:
+                self.schedule_reserved(time_of(nxt), first + stride * nxt, step, nxt)
+            call(k)
+
+        if n:
+            self.schedule_reserved(time_of(0), first, step, 0)
 
     def horizon(self) -> float:
         """The time of the first queued event; `inf` when none is queued.

@@ -108,7 +108,7 @@ class AsGraph:
 
 
 def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
-    """Edge-list form: two ASNs per line, '#' comments allowed; file order kept."""
+    """Edge-list form: two ASNs (>= 0) per line, '#' comments allowed; file order kept."""
     edges = []
     for i, ln in enumerate(text.splitlines(), 1):
         ln = ln.split("#", 1)[0].strip()
@@ -118,6 +118,8 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected 'asn asn', got {ln!r}")
         a, b = int(parts[0]), int(parts[1])
+        if a < 0 or b < 0:
+            raise ValueError(f"line {i}: negative ASN in {ln!r}")
         if a == b:
             raise ValueError(f"line {i}: self-link {a}-{b} not allowed")
         edges.append((a, b))

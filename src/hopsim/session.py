@@ -244,8 +244,6 @@ class Simulation:
         self._unlanded: set[int] = set()  # prefix keys whose wave has yet to reach its first layer
         self._delivered = 0
         self._traffic_end = 0.0  # when the last send resolved: each resolution writes it
-        self._send_gap = 0.0
-        self._send_seq = 0  # the queue slot of send 0; send j takes the slot j after it
         # Deliveries by server window; a static server has one window.
         self._deliveries_by_window = [0]
 
@@ -366,44 +364,26 @@ class Simulation:
         self._schedule_traffic(gap)
 
     def _setup_hopping_end(self, agent: EndpointAgent) -> None:
-        # Window k's acquire, hop and release keep the queue slots seq + 3k,
-        # + 1 and + 2 that queueing all of them here would give, so they
-        # fire in the same order. Each acquire and each hop queues the next
-        # one of its stream when it runs, and each hop queues its window's
-        # release: the heap holds an end's next acquire and hop, and the
-        # releases of the windows entered and not yet released. A step's
-        # (time, slot) key is above that of the step that queues it, so a
-        # step not yet queued always has a queued one ahead of it: events
-        # fire as if all were queued here, and the queue's horizon stays
-        # exact. The sends form one more such stream (see `_emit_packet`).
-        # Releases do not queue each other: with dwells below the clock's
-        # resolution, a release can round to before the one before it.
-        epoch = self.config.lead_time_ms
-        starts = agent.starts = [epoch + s for s in agent.schedule.start_times()]
+        # Window k's acquire, hop and release take the queue slots seq + 3k,
+        # + 1 and + 2, which queueing all 3n here would give them. The
+        # acquires and the hops are streams, and each hop queues its
+        # window's release. Releases are no stream: with dwells below the
+        # clock's resolution, a release can round to before the one before it.
+        lead = self.config.lead_time_ms
+        starts = agent.starts = [lead + s for s in agent.schedule.start_times()]
         queue = self.queue
         seq = agent.first_slot = queue.reserve(3 * len(starts))
-        queue.schedule_reserved(starts[0] - epoch, seq, self._acquire_step, agent, 0)
-        queue.schedule_reserved(starts[0], seq + 1, self._hop_step, agent, 0)
+        queue.stream(seq, 3, len(starts), lambda k: starts[k] - lead, self._acquire, agent)
+        queue.stream(seq + 1, 3, len(starts), starts.__getitem__, self._hop_and_release, agent)
 
-    def _acquire_step(self, agent: EndpointAgent, k: int) -> None:
-        starts, seq = agent.starts, agent.first_slot
-        nxt = k + 1
-        if nxt < len(starts):
-            self.queue.schedule_reserved(
-                starts[nxt] - self.config.lead_time_ms, seq + 3 * nxt, self._acquire_step, agent, nxt
-            )
+    def _acquire(self, agent: EndpointAgent, k: int) -> None:
         self._acquire_prefix(agent.schedule.entries[k].prefix, agent.attached_as)
 
-    def _hop_step(self, agent: EndpointAgent, k: int) -> None:
-        starts, seq = agent.starts, agent.first_slot
+    def _hop_and_release(self, agent: EndpointAgent, k: int) -> None:
         entry = agent.schedule.entries[k]
-        queue = self.queue
-        nxt = k + 1
-        if nxt < len(starts):
-            queue.schedule_reserved(starts[nxt], seq + 3 * nxt + 1, self._hop_step, agent, nxt)
-        queue.schedule_reserved(
-            starts[k] + entry.dwell_ms + self.config.withdraw_lag_ms, seq + 3 * k + 2,
-            self._release_prefix, entry.prefix, agent.attached_as,
+        self.queue.schedule_reserved(
+            agent.starts[k] + entry.dwell_ms + self.config.withdraw_lag_ms,
+            agent.first_slot + 3 * k + 2, self._release_prefix, entry.prefix, agent.attached_as,
         )
         self._do_hop(agent, k)
 
@@ -437,28 +417,12 @@ class Simulation:
         self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float) -> None:
-        # The sends keep the queue slots they would take if all were queued
-        # here, but each is queued only when the one before it is made.
-        self._send_gap = gap_ms
-        self._send_seq = self.queue.reserve(self.config.packets)
-        if self.config.packets:
-            self.queue.schedule_reserved(
-                self.config.lead_time_ms, self._send_seq, self._emit_packet, 0
-            )
+        # The sends are a stream, so a walk's horizon holds the next send.
+        lead, packets = self.config.lead_time_ms, self.config.packets
+        queue = self.queue
+        queue.stream(queue.reserve(packets), 1, packets, lambda j: lead + j * gap_ms, self._do_send)
 
     # -- packet path --
-
-    def _emit_packet(self, pkt_id: int) -> None:
-        # Send j first queues send j + 1 in its reserved slot, so that its
-        # walk's horizon holds the next send: a crossing due at or after it
-        # waits, and at a tie the send goes first, as its slot is lower.
-        nxt = pkt_id + 1
-        if nxt < self.config.packets:
-            self.queue.schedule_reserved(
-                self.config.lead_time_ms + nxt * self._send_gap, self._send_seq + nxt,
-                self._emit_packet, nxt,
-            )
-        self._do_send(pkt_id)
 
     def _do_send(self, pkt_id: int) -> None:
         # A send leaves the client through its table (the memo, else

@@ -10,11 +10,13 @@ dataclass repr, assignment that raises, copy and pickle through the
 constructor, and `replace(**changes)`. Slots that are not fields
 (derived indexes and caches) take no part in any of these.
 
-The types built per packet or per routing message keep a hand-written
-`__init__` that sets each slot with `_set` (`object.__setattr__`):
-generic binding costs about half as much again per object, which is
-noise for the hundreds of schedule entries of a run but not for its
-thousands of packets.
+The types a run builds over and over keep a hand-written `__init__`
+that sets each slot with `_set` (`object.__setattr__`), since generic
+binding costs about half as much again per object: `RouteMessage` once
+per sender of each routing wave layer, and `FlowRule` and `Packet` a
+few times per window. A `Packet` is built once per header a flow table
+rewrites, not once per packet, since the table's memo hands back the
+header it built for each header it was given.
 
 Creating such a class costs a plain class statement, where a dataclass
 generates and compiles its methods at import.

@@ -285,6 +285,29 @@ class TestRun:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options, key, reason",
+        [
+            ({"topo": "-1 2\n2 3\n1 2\n", "client_as": -1,
+              "extra": "[adversary]\ntap = -1-2\npolicy = static\nblocked = 184.164.243.0/24\n"},
+             "[topology] file", "line 1: negative ASN"),
+            ({"server_as": -3}, "[server] attached_as", "negative"),
+            ({"client_as": -1}, "[client] attached_as", "negative"),
+            ({"extra": "[adversary]\ntap = -1-2\npolicy = static\nblocked = 184.164.243.0/24\n"},
+             "[adversary] tap", "one '-'"),
+        ],
+        ids=["topology", "server_as", "client_as", "tap"],
+    )
+    def test_negative_asn_exits_2(self, tmp_path, capsys, options, key, reason):
+        # A tap once read `-1-2` as the link 1-2: a run that blocked the
+        # whole pool delivered every packet.
+        config = make_config(tmp_path, **{"packets": 10, "gap_ms": "10", **options})
+        code = main(
+            ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and key in err and reason in err, err
+
     def test_v6_pool_beyond_64_bits_runs_deterministically(self, tmp_path):
         # A /56 holds 2**72 addresses: each draw needs two words of the
         # stream. Run in a subprocess, so a draw that never returns fails

@@ -100,37 +100,63 @@ class TestEventQueue:
         st.lists(st.integers(0, 30), max_size=4),
     )
     def test_reserved_slots_fire_as_if_queued_up_front(self, gaps, follow_ups, before, after):
-        # A run of events at non-decreasing times (gap 0 ties), each of
+        # A stream of events at non-decreasing times (gap 0 ties), each of
         # whose handlers queues follow-ups; other events sit in the queue
-        # from before and after the run was queued.
+        # from before and after the stream was queued.
         times = [float(sum(gaps[: j + 1])) for j in range(len(gaps))]
+        fire = lambda streamed: _fire_streams([times], 1, follow_ups, before, after, streamed)
+        assert fire(True) == fire(False)
 
-        def fire(one_by_one: bool) -> tuple[int, list]:
-            queue, fired = EventQueue(), []
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+        st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=3), max_size=12),
+        st.lists(st.integers(0, 30), max_size=4),
+    )
+    def test_interleaved_streams_share_one_reserve(self, gaps, follow_ups, before):
+        # Two streams in the slots of one `reserve`, stride 3, offsets 0
+        # and 1, as a hopping end's acquires and hops take them. Each runs
+        # at its own times, so the two overtake each other.
+        streams = [[float(sum(g[i] for g in gaps[: j + 1])) for j in range(len(gaps))]
+                   for i in (0, 1)]
+        fire = lambda streamed: _fire_streams(streams, 3, follow_ups, before, [], streamed)
+        assert fire(True) == fire(False)
 
-            def other(label):
-                fired.append((queue.now, label))
+    def test_empty_stream_queues_nothing(self):
+        queue = EventQueue(start=5.0)
+        first = queue.reserve(0)
+        queue.stream(first, 1, 0, lambda k: 1 / 0, print)  # time_of is never called
+        assert not queue._heap and queue.horizon() == math.inf
+        assert queue.run() == 0 and queue.now == 5.0
 
-            def step(j):
-                if one_by_one and j + 1 < len(times):
-                    queue.schedule_reserved(times[j + 1], first + j + 1, step, j + 1)
-                fired.append((queue.now, "run", j))
-                for i, delay in enumerate(follow_ups[j] if j < len(follow_ups) else ()):
-                    queue.schedule_at(queue.now + delay, other, ("follow-up", j, i))
 
-            for t in before:
-                queue.schedule_at(float(t), other, ("before", t))
-            if one_by_one:
-                first = queue.reserve(len(times))
-                queue.schedule_reserved(times[0], first, step, 0)
-            else:
-                for j, t in enumerate(times):
-                    queue.schedule_at(t, step, j)
-            for t in after:
-                queue.schedule_at(float(t), other, ("after", t))
-            return queue.run(), fired
+def _fire_streams(streams, stride, follow_ups, before, after, streamed):
+    """Run equal-length `streams` of times, stream i in the slots `first +
+    stride * k + i`, and return what fired: one at a time through
+    `EventQueue.stream`, or else all queued up front with `schedule_at`."""
+    queue, fired = EventQueue(), []
 
-        assert fire(one_by_one=True) == fire(one_by_one=False)
+    def other(label):
+        fired.append((queue.now, label))
+
+    def step(i, k):
+        fired.append((queue.now, "run", i, k))
+        for n, delay in enumerate(follow_ups[k] if k < len(follow_ups) else ()):
+            queue.schedule_at(queue.now + delay, other, ("follow-up", i, k, n))
+
+    for t in before:
+        queue.schedule_at(float(t), other, ("before", t))
+    n = len(streams[0])
+    if streamed:
+        first = queue.reserve(stride * n)
+        for i, times in enumerate(streams):
+            queue.stream(first + i, stride, n, times.__getitem__, step, i)
+    else:
+        for k in range(n):
+            for i, times in enumerate(streams):
+                queue.schedule_at(times[k], step, i, k)
+    for t in after:
+        queue.schedule_at(float(t), other, ("after", t))
+    return queue.run(), fired
 
 
 class TestSynchronize:
@@ -293,7 +319,7 @@ class TestRunScenario:
         config = ScenarioConfig.from_file(path)
         sim = Simulation(config)
         sim._schedule_traffic = lambda gap: sim.queue.schedule_at(
-            config.lead_time_ms + 990.0, lambda: sim._emit_packet(0)
+            config.lead_time_ms + 990.0, lambda: sim._do_send(0)
         )
         return sim.run().metrics
 
@@ -551,6 +577,27 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_file(path)
         assert "[adversary] tap" in str(err.value)
+
+    def test_negative_asn_in_topology_names_its_line(self, tmp_path):
+        path = make_config(tmp_path, topo="-1 2\n2 3\n1 2\n", client_as=-1)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_file(path)
+        assert err.value.field == "[topology] file" and "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("role", ["server", "client"])
+    def test_negative_attached_as_is_refused(self, tmp_path, role):
+        path = make_config(tmp_path, **{f"{role}_as": -1})
+        with pytest.raises(ConfigError, match="negative") as err:
+            ScenarioConfig.from_file(path)
+        assert err.value.field == f"[{role}] attached_as"
+
+    @pytest.mark.parametrize("tap", ["-1-2", "1--2", "1-2-", "1 2", "1-2-3"])
+    def test_tap_is_two_asns_joined_by_one_dash(self, tmp_path, tap):
+        # Read as a list of numbers, each of these would name link 1-2.
+        path = make_config(tmp_path, extra=f"[adversary]\ntap = {tap}\npolicy = none\n")
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_file(path)
+        assert err.value.field == "[adversary] tap"
 
     def test_pool_version_must_match_server(self, tmp_path):
         path = make_config(tmp_path, pool="2001:db8::/64")
