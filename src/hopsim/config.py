@@ -32,7 +32,7 @@ from .adversary import BlockMode
 from .covert import DEFAULT_ANCHOR, DEFAULT_DOMAIN_TAIL, SyncPayload, encode_payload
 from .dwell import DhmmDwell, DhmmModel, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidDomainTail, InvalidPool, PayloadTooLarge
-from .routing import parse_edges
+from .routing import parse_asn, parse_edges
 from .values import Frozen, _set
 
 _REQUIRED = object()
@@ -125,10 +125,10 @@ class ScenarioConfig(Frozen):
         ases = {asn for edge in edges for asn in edge}
 
         server_ip = need("server", "internal_ip", Address.parse)
-        server_as = need("server", "attached_as", _asn)
+        server_as = need("server", "attached_as", parse_asn)
         server_pool = need("server", "pool", PrefixPool.parse)
         client_ip = need("client", "internal_ip", Address.parse)
-        client_as = need("client", "attached_as", _asn)
+        client_as = need("client", "attached_as", parse_asn)
 
         for asn, where in ((server_as, "[server] attached_as"), (client_as, "[client] attached_as")):
             if asn not in ases:
@@ -295,18 +295,11 @@ def _u64(raw: str) -> int:
     return value
 
 
-def _asn(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError("an ASN must not be negative")
-    return value
-
-
 def _tap(raw: str) -> tuple[int, int]:
     ends = raw.split("-")
     if len(ends) != 2:
         raise ValueError("expected two ASNs joined by one '-'")
-    return _asn(ends[0]), _asn(ends[1])
+    return parse_asn(ends[0]), parse_asn(ends[1])
 
 
 def _number(raw: str) -> float:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from .addressing import Address, Prefix, PrefixPool
 from .errors import InvalidPool, LengthMismatch
 from .rng import SplitMix64
-from .values import Frozen, left_sum
+from .values import Frozen
 
 # Above this draw count the exact no-collision product is replaced by
 # the birthday-bound approximation.
@@ -62,27 +62,9 @@ class HopEntry(Frozen):
     __slots__ = _fields = ("address", "prefix", "dwell_ms")
 
 
-class HopSchedule(Frozen):
-    """Ordered (address, prefix, dwell) sequence derived from a seed."""
-
-    __slots__ = _fields = ("entries",)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total_ms(self) -> float:
-        return left_sum(e.dwell_ms for e in self.entries)
-
-    def start_times(self) -> list[float]:
-        starts, t = [], 0.0
-        for e in self.entries:
-            starts.append(t)
-            t += e.dwell_ms
-        return starts
-
-
-def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> HopSchedule:
+def build_schedule(
+    seed: int, pool: PrefixPool, n: int, dwells: list[float]
+) -> tuple[HopEntry, ...]:
     """Zip a seeded sequence of distinct addresses with caller-supplied dwells."""
     if len(dwells) != n:
         raise LengthMismatch(f"{len(dwells)} dwells for {n} addresses")
@@ -90,8 +72,7 @@ def build_schedule(seed: int, pool: PrefixPool, n: int, dwells: list[float]) -> 
         if d <= 0:
             raise ValueError("dwells must be positive")
     drawn = generate_unique_addresses(seed, pool, n)
-    entries = tuple(HopEntry(a, p, float(d)) for (a, p), d in zip(drawn, dwells))
-    return HopSchedule(entries)
+    return tuple(HopEntry(a, p, float(d)) for (a, p), d in zip(drawn, dwells))
 
 
 def collision_probability(n: int, space_bits: int) -> float:

@@ -107,8 +107,18 @@ class AsGraph:
         return cls({asn: AsNode(asn, tuple(sorted(nbrs))) for asn, nbrs in peers.items()})
 
 
+def parse_asn(raw: str) -> int:
+    """An ASN written in ASCII decimal digits and nothing else: `int` would
+    also take a sign, `_` separators, spaces and other scripts' digits."""
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    kind = "negative" if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() else "bad"
+    raise ValueError(f"{kind} ASN {raw!r}: ASCII decimal digits only")
+
+
 def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
-    """Edge-list form: two ASNs (>= 0) per line, '#' comments allowed; file order kept."""
+    """Edge-list form: two ASNs (`parse_asn`) per line, '#' comments
+    allowed; file order kept. Each refusal names its line."""
     edges = []
     for i, ln in enumerate(text.splitlines(), 1):
         ln = ln.split("#", 1)[0].strip()
@@ -117,9 +127,10 @@ def parse_edges(text: str) -> tuple[tuple[int, int], ...]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected 'asn asn', got {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
-        if a < 0 or b < 0:
-            raise ValueError(f"line {i}: negative ASN in {ln!r}")
+        try:
+            a, b = parse_asn(parts[0]), parse_asn(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
         if a == b:
             raise ValueError(f"line {i}: self-link {a}-{b} not allowed")
         edges.append((a, b))

@@ -14,7 +14,6 @@ runs of one config produce byte-identical traces.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 
 from .addressing import Address, Prefix, PrefixIndex, longest_match
@@ -42,7 +41,7 @@ from .flowtable import (
     install_hop_rules,
     install_peer_rules,
 )
-from .hopping import HopEntry, HopSchedule, build_schedule
+from .hopping import HopEntry, build_schedule
 from .rng import DWELL_SEED_SALT, SplitMix64
 from .routing import AsGraph, RouteMessage, announce, process_message, withdraw
 from .values import Frozen, left_sum
@@ -57,14 +56,15 @@ class Role(Enum):
 
 
 class EndpointAgent:
-    """One session endpoint; `schedule` stays None for a static address.
+    """One session endpoint; `schedule` stays empty for a static address.
 
     `peer` is the other end, whose flow table tracks this end's external
-    addresses. A hopping end's `starts` are its windows' starts on the run
-    clock, and `first_slot` is the first of its reserved queue slots.
+    addresses. A hopping end's `window` is the index of the window its
+    last hop entered, and `first_slot` is the first of its reserved queue
+    slots.
     """
 
-    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table", "starts",
+    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table", "window",
                  "first_slot")
 
     def __init__(self, role: Role, internal_ip: Address, attached_as: int):
@@ -72,9 +72,9 @@ class EndpointAgent:
         self.internal_ip = internal_ip
         self.attached_as = attached_as
         self.peer: EndpointAgent | None = None
-        self.schedule: HopSchedule | None = None
+        self.schedule: tuple[HopEntry, ...] = ()
         self.flow_table = endpoint_table(internal_ip)
-        self.starts: list[float] = []
+        self.window = 0
         self.first_slot = 0
 
 
@@ -92,7 +92,7 @@ def dwell_sequence(source: DwellSource, seed: int, n: int) -> list[float]:
 
 def synchronize(
     agent: EndpointAgent, payload: SyncPayload, dwell_source: DwellSource, n_hops: int
-) -> HopSchedule:
+) -> tuple[HopEntry, ...]:
     """Derive the hop schedule an endpoint follows from shared sync material.
 
     Any two agents given the same payload and dwell source compute
@@ -243,8 +243,9 @@ class Simulation:
         self._prefix_refs: dict[int, int] = {}  # by prefix key
         self._unlanded: set[int] = set()  # prefix keys whose wave has yet to reach its first layer
         self._delivered = 0
-        self._traffic_end = 0.0  # when the last send resolved: each resolution writes it
-        # Deliveries by server window; a static server has one window.
+        # The server's window when the last send resolved: each resolution
+        # writes it. Deliveries by server window; a static server has one.
+        self._end_window = 0
         self._deliveries_by_window = [0]
 
     # -- event helpers --
@@ -342,11 +343,8 @@ class Simulation:
         # is a pure function of it, so it is derived once. The payload
         # names the config's own dwell source, as the check above proves.
         schedule = self.server.schedule = synchronize(self.server, decoded, cfg.dwell, cfg.n_hops)
-        self._emit_trace(
-            "session",
-            "sync",
-            f"hops={len(schedule)};total_ms={schedule.total_ms:.3f}",
-        )
+        total_ms = left_sum(e.dwell_ms for e in schedule)
+        self._emit_trace("session", "sync", f"hops={len(schedule)};total_ms={total_ms:.3f}")
 
         self._setup_hopping_end(self.server)
         self._deliveries_by_window = [0] * len(schedule)
@@ -359,7 +357,7 @@ class Simulation:
 
         gap = cfg.gap_ms
         if gap is None:
-            gap = schedule.total_ms / cfg.packets if cfg.packets else 0.0
+            gap = total_ms / cfg.packets if cfg.packets else 0.0
             self._emit_trace("session", "auto_gap", f"gap_ms={gap:.3f}")
         self._schedule_traffic(gap)
 
@@ -370,27 +368,32 @@ class Simulation:
         # window's release. Releases are no stream: with dwells below the
         # clock's resolution, a release can round to before the one before it.
         lead = self.config.lead_time_ms
-        starts = agent.starts = [lead + s for s in agent.schedule.start_times()]
+        starts, s = [], 0.0
+        for entry in agent.schedule:
+            starts.append(lead + s)
+            s += entry.dwell_ms
         queue = self.queue
         seq = agent.first_slot = queue.reserve(3 * len(starts))
         queue.stream(seq, 3, len(starts), lambda k: starts[k] - lead, self._acquire, agent)
         queue.stream(seq + 1, 3, len(starts), starts.__getitem__, self._hop_and_release, agent)
 
     def _acquire(self, agent: EndpointAgent, k: int) -> None:
-        self._acquire_prefix(agent.schedule.entries[k].prefix, agent.attached_as)
+        self._acquire_prefix(agent.schedule[k].prefix, agent.attached_as)
 
     def _hop_and_release(self, agent: EndpointAgent, k: int) -> None:
-        entry = agent.schedule.entries[k]
-        self.queue.schedule_reserved(
-            agent.starts[k] + entry.dwell_ms + self.config.withdraw_lag_ms,
+        entry = agent.schedule[k]
+        queue = self.queue
+        queue.schedule_reserved(
+            queue.now + entry.dwell_ms + self.config.withdraw_lag_ms,
             agent.first_slot + 3 * k + 2, self._release_prefix, entry.prefix, agent.attached_as,
         )
         self._do_hop(agent, k)
 
     def _do_hop(self, agent: EndpointAgent, k: int) -> None:
         cfg = self.config
-        entries = agent.schedule.entries
+        entries = agent.schedule
         entry = entries[k]
+        agent.window = k
         use_grace = k > 0 and cfg.grace_window_ms > 0
         hop(agent, entry, self.graph, grace=use_grace)
         self._emit_trace(
@@ -437,7 +440,7 @@ class Simulation:
         now = self.queue.now
         if packet is None:
             self.trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=egress")
-            self._traffic_end = now
+            self._end_window = self.server.window
             return
         header, pkey, text = self._sent_header
         if packet is not header:
@@ -498,7 +501,7 @@ class Simulation:
                     trace.emit(now, "traffic", "drop", f"id={pkt_id};reason=stale_rewrite;at={asn}")
                 else:
                     self._delivered += 1
-                    window = max(0, bisect_right(self.server.starts, now) - 1)
+                    window = self.server.window
                     self._deliveries_by_window[window] += 1
                     trace.emit(now, "traffic", "deliver", f"id={pkt_id};window={window}")
                 break
@@ -519,7 +522,7 @@ class Simulation:
                 return
             queue.now = now = at
             asn = nxt
-        self._traffic_end = now
+        self._end_window = self.server.window
 
     # -- run --
 
@@ -538,13 +541,8 @@ class Simulation:
         sent = cfg.packets  # every send is made once the queue drains
         if sent == 0:
             return SessionMetrics(0, 0, 0, 0, 0.0, ())
-        if not cfg.server_hopping:
-            return SessionMetrics(
-                sent, self._delivered, 1, 0, 0.0, ((0, self._deliveries_by_window[0]),)
-            )
-        entered = bisect_right(self.server.starts, self._traffic_end)  # starts never fall
-        entries = self.server.schedule.entries
-        dwells = [entries[k].dwell_ms for k in range(entered)]
+        entered = self._end_window + 1  # a static server stays in its one window, 0
+        dwells = [e.dwell_ms for e in self.server.schedule[:entered]]
         by_window = self._deliveries_by_window
         per_hop = tuple((k, by_window[k]) for k in range(entered))
         return SessionMetrics(
@@ -553,7 +551,7 @@ class Simulation:
             # The draw never repeats an address, so each window entered
             # holds one of its own.
             distinct_external_ips_used=entered,
-            hop_count=max(0, entered - 1),
+            hop_count=entered - 1,
             mean_dwell_ms=left_sum(dwells) / len(dwells) if dwells else 0.0,
             per_hop_delivery=per_hop,
         )

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hopsim.addressing import Address, PrefixPool
+from hopsim.events import TraceLog
 from hopsim.flowtable import Direction, Packet, apply_detail
 from hopsim.routing import RouteMessage, process_message
+from hopsim.session import Simulation
 
 settings.register_profile(
     "ci",
@@ -43,6 +45,25 @@ def flood(graph, prefix) -> int:
         changes += len(layer)
         senders = layer
     return changes
+
+
+class _TimedTrace(TraceLog):
+    """A kept trace that also keeps each line's exact time, in `times`."""
+
+    def __init__(self):
+        super().__init__()
+        self.times = []
+
+    def emit(self, t, component, event, details=""):
+        self.times.append(t)
+        super().emit(t, component, event, details)
+
+
+def timed_run(config):
+    """Run `config`; give its trace as (exact time, line) pairs."""
+    trace = _TimedTrace()
+    Simulation(config, trace).run()
+    return list(zip(trace.times, trace.lines))
 
 
 @pytest.fixture

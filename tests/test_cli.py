@@ -295,8 +295,19 @@ class TestRun:
             ({"client_as": -1}, "[client] attached_as", "negative"),
             ({"extra": "[adversary]\ntap = -1-2\npolicy = static\nblocked = 184.164.243.0/24\n"},
              "[adversary] tap", "one '-'"),
+            # `int` would read each of these as an ASN of the topology.
+            ({"topo": "1 2\n2 3\n+1 2\n"}, "[topology] file", "line 3: bad ASN '+1'"),
+            ({"topo": "1_0 2\n2 3\n"}, "[topology] file", "line 1: bad ASN '1_0'"),
+            ({"topo": "1 2\n2 \u0663\n"}, "[topology] file", "line 2: bad ASN"),
+            ({"topo": "a 2\n2 3\n"}, "[topology] file", "line 1: bad ASN 'a'"),
+            ({"server_as": "0_3"}, "[server] attached_as", "bad ASN '0_3'"),
+            ({"client_as": "+1"}, "[client] attached_as", "bad ASN '+1'"),
+            ({"extra": "[adversary]\ntap = +1-2\npolicy = static\nblocked = 184.164.243.0/24\n"},
+             "[adversary] tap", "bad ASN '+1'"),
         ],
-        ids=["topology", "server_as", "client_as", "tap"],
+        ids=["topology", "server_as", "client_as", "tap", "topology_sign", "topology_underscore",
+             "topology_non_ascii_digit", "topology_letter", "server_as_underscore",
+             "client_as_sign", "tap_sign"],
     )
     def test_negative_asn_exits_2(self, tmp_path, capsys, options, key, reason):
         # A tap once read `-1-2` as the link 1-2: a run that blocked the

@@ -97,17 +97,24 @@ def test_random_configs_run_alike_inline_and_queued(tmp_path, monkeypatch):
     assert sum(resumed[1::2]) > sum(resumed[::2]) > 0, resumed
 
 
+def window_starts(schedule):
+    """Each window's start, from 0.0: the dwells before it, added left to right."""
+    starts, t = [], 0.0
+    for entry in schedule:
+        starts.append(t)
+        t += entry.dwell_ms
+    return starts
+
+
 class _QueuedAtBootstrap(_SendsQueuedAtBootstrap):
     """A run that queues every acquire, hop, release and send at bootstrap."""
 
     def _setup_hopping_end(self, agent):
         cfg = self.config
         epoch = cfg.lead_time_ms
-        schedule = agent.schedule
-        starts = schedule.start_times()
-        agent.starts = [epoch + s for s in starts]
+        starts = window_starts(agent.schedule)
         origin = agent.attached_as
-        for k, entry in enumerate(schedule.entries):
+        for k, entry in enumerate(agent.schedule):
             self.queue.schedule_at(
                 epoch + starts[k] - cfg.lead_time_ms, self._acquire_prefix, entry.prefix, origin
             )
@@ -142,9 +149,10 @@ def test_hop_streams_run_as_queued_at_bootstrap(tmp_path):
         assert streamed.metrics.to_dict() == queued.metrics.to_dict(), name
         assert streamed.verdicts == queued.verdicts, name
         if name == "sub_resolution":
+            lead = config.lead_time_ms
             releases = [
-                (start + entry.dwell_ms) + config.withdraw_lag_ms
-                for start, entry in zip(sim.server.starts, sim.server.schedule.entries)
+                ((lead + start) + entry.dwell_ms) + config.withdraw_lag_ms
+                for start, entry in zip(window_starts(sim.server.schedule), sim.server.schedule)
             ]
             seen.update(falling_releases=sum(b < a for a, b in zip(releases, releases[1:])))
         seen.update(runs=1, two_way=config.two_way, hops=streamed.metrics.hop_count)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopsim import session
 from hopsim.addressing import Address, IPVersion, Prefix, PrefixPool
+from hopsim.config import ScenarioConfig
 from hopsim.errors import InvalidPool, LengthMismatch
 from hopsim.hopping import (
     EXACT_COLLISION_LIMIT,
@@ -16,6 +18,8 @@ from hopsim.hopping import (
 )
 from hopsim.rng import SplitMix64
 from hopsim.values import left_sum
+
+from conftest import make_config, timed_run
 
 
 def addresses(seed, pool, n):
@@ -136,40 +140,52 @@ class TestGenerateUnique:
         assert len(set(addrs)) == 4
 
 
+def run_with_dwells(tmp_path, monkeypatch, dwells, **options):
+    """Run a config whose server dwells are `dwells`; give the config and
+    its trace as (exact time, line) pairs."""
+    monkeypatch.setattr(session, "dwell_sequence", lambda source, seed, n: list(dwells))
+    config = ScenarioConfig.from_file(make_config(tmp_path, n_hops=len(dwells), **options))
+    return config, timed_run(config)
+
+
 class TestBuildSchedule:
     def test_empty(self, pool24):
-        schedule = build_schedule(1, pool24, 0, [])
-        assert len(schedule) == 0
-        assert schedule.total_ms == 0
+        assert build_schedule(1, pool24, 0, []) == ()
 
     def test_dwells_passed_through(self, pool24):
         schedule = build_schedule(1, pool24, 3, [10_000.0] * 3)
-        assert [e.dwell_ms for e in schedule.entries] == [10_000.0] * 3
+        assert [e.dwell_ms for e in schedule] == [10_000.0] * 3
 
-    def test_total_is_sum_of_dwells(self, pool24):
+    def test_total_is_sum_of_dwells(self, tmp_path, monkeypatch):
+        # The `session,sync` line gives the schedule's total.
         dwells = [float(d) for d in range(1, 112)]
-        schedule = build_schedule(42, pool24, 111, dwells)
-        assert schedule.total_ms == pytest.approx(sum(dwells))
+        _, trace = run_with_dwells(tmp_path, monkeypatch, dwells, packets=0)
+        sync = [ln for _, ln in trace if ",session,sync," in ln]
+        assert sync == [f"0.000,session,sync,hops=111;total_ms={sum(dwells):.3f}"]
 
-    def test_total_adds_dwells_left_to_right(self, pool24):
+    def test_total_adds_dwells_left_to_right(self, tmp_path, monkeypatch):
         # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (built-in
         # `sum` from Python 3.12 on) gives 1e16 + 2. The total sets the auto
-        # gap, so it must be the same float on every interpreter.
+        # gap, so it must be the same float on every interpreter, on the
+        # `session,sync` line and in the gap alike.
         dwells = [1e16, 1.0, 1.0]
         assert left_sum(dwells) == 1e16
-        assert build_schedule(1, pool24, 3, dwells).total_ms == 1e16
+        _, trace = run_with_dwells(tmp_path, monkeypatch, dwells, packets=1, gap_ms="auto")
+        lines = [ln for _, ln in trace]
+        assert "0.000,session,sync,hops=3;total_ms=10000000000000000.000" in lines
+        assert "0.000,session,auto_gap,gap_ms=10000000000000000.000" in lines
 
     @given(pool_prefixes(), st.integers(0, 2**64 - 1), st.integers(0, 40))
     def test_each_entry_keeps_the_one_prefix_that_holds_its_address(self, prefixes, seed, n):
         pool = PrefixPool(tuple(prefixes))
         n = min(n, pool.total_addresses)
         schedule = build_schedule(seed, pool, n, [1.0] * n)
-        for entry in schedule.entries:
+        for entry in schedule:
             assert [p for p in pool.prefixes if p.contains(entry.address)] == [entry.prefix]
 
     def test_addresses_are_globally_distinct(self, pool30):
         schedule = build_schedule(11, pool30, 4, [1.0] * 4)
-        assert len({e.address for e in schedule.entries}) == 4
+        assert len({e.address for e in schedule}) == 4
 
     def test_length_mismatch(self, pool24):
         with pytest.raises(LengthMismatch):
@@ -179,12 +195,18 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(1, pool24, 2, [1.0, 0.0])
 
-    def test_windows_partition_total(self, pool24):
+    def test_windows_partition_total(self, tmp_path, monkeypatch):
+        # `_setup_hopping_end` starts each window where the dwells before it
+        # end: the server hops at lead + [0, 3, 7, 12], and the last window
+        # ends at lead + the sync line's total, where its release is queued.
         dwells = [3.0, 4.0, 5.0, 2.5]
-        schedule = build_schedule(8, pool24, 4, dwells)
-        starts = schedule.start_times()
-        assert starts == [0.0, 3.0, 7.0, 12.0]
-        assert starts[-1] + dwells[-1] == schedule.total_ms
+        config, trace = run_with_dwells(tmp_path, monkeypatch, dwells, packets=0)
+        lead, lag = config.lead_time_ms, config.withdraw_lag_ms
+        hops = [t for t, ln in trace if ",session,hop,role=server;" in ln]
+        assert hops == [lead + s for s in (0.0, 3.0, 7.0, 12.0)]
+        assert [ln for _, ln in trace if ",session,sync," in ln][0].endswith("total_ms=14.500")
+        withdrawals = [t for t, ln in trace if ",route,withdraw," in ln]
+        assert withdrawals == [hops[-1] + dwells[-1] + lag] == [lead + 14.5 + lag]
 
 
 def _enumeration_oracle(n: int, m: int) -> float:

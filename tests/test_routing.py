@@ -695,7 +695,7 @@ class _Rebuilt(_Probed):
     def _do_hop(self, agent, k):
         super()._do_hop(agent, k)
         if agent is self.server:
-            entry = agent.schedule.entries[k]
+            entry = agent.schedule[k]
             at = self.queue.now + entry.dwell_ms / 2
             self.queue.schedule_at(at, self._update_peer, agent, entry.address, True)
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -30,7 +31,7 @@ from hopsim.session import (
     synchronize,
 )
 
-from conftest import flood, make_config, rewritten_inbound
+from conftest import flood, make_config, rewritten_inbound, timed_run
 from scenario_gen import LEGAL, legal_configs, random_edges
 
 POOL = PrefixPool.parse("184.164.243.0/24")
@@ -178,20 +179,20 @@ class TestSynchronize:
         a = synchronize(server, payload, source, 50)
         b = synchronize(client, payload, source, 50)
         assert a == b
-        assert all(e.dwell_ms > 0 for e in a.entries)
+        assert all(e.dwell_ms > 0 for e in a)
 
     def test_different_seeds_diverge(self):
         server, _ = agents()
         source = UniformDwell(1000.0, 10_000.0)
         a = synchronize(server, SyncPayload(1, POOL, source.model_id, 0.0), source, 3)
         b = synchronize(server, SyncPayload(2, POOL, source.model_id, 0.0), source, 3)
-        assert [e.address for e in a.entries] != [e.address for e in b.entries]
+        assert [e.address for e in a] != [e.address for e in b]
 
     def test_schedule_addresses_distinct(self):
         server, _ = agents()
         source = FixedDwell(100.0)
         schedule = synchronize(server, SyncPayload(5, POOL, source.model_id, 0.0), source, 200)
-        assert len({e.address for e in schedule.entries}) == 200
+        assert len({e.address for e in schedule}) == 200
 
 
 class TestHopOperation:
@@ -210,32 +211,32 @@ class TestHopOperation:
     def accepted(self, agent, entries=None):
         """The addresses of `entries`, by default the agent's schedule,
         whose inbound packets reach the agent."""
-        externals = [e.address for e in entries or agent.schedule.entries]
+        externals = [e.address for e in entries or agent.schedule]
         return rewritten_inbound(agent.flow_table, agent.internal_ip, externals)
 
     def test_first_hop_has_no_grace_entry(self):
         # Grace keeps the previous address; the first hop has none to keep.
         agent, graph = self.make_agent(), self.announced()
-        hop(agent, agent.schedule.entries[0], graph, grace=True)
-        assert self.accepted(agent) == {agent.schedule.entries[0].address}
+        hop(agent, agent.schedule[0], graph, grace=True)
+        assert self.accepted(agent) == {agent.schedule[0].address}
 
     def test_mid_schedule_hop_keeps_previous_address_in_grace(self):
         agent, graph = self.make_agent(), self.announced()
-        first, second, _ = agent.schedule.entries
+        first, second, _ = agent.schedule
         hop(agent, first, graph, grace=False)
         hop(agent, second, graph, grace=True)
         assert self.accepted(agent) == {first.address, second.address}
 
     def test_zero_grace_drops_old_address_immediately(self):
         agent, graph = self.make_agent(), self.announced()
-        first, second, _ = agent.schedule.entries
+        first, second, _ = agent.schedule
         hop(agent, first, graph, grace=False)
         hop(agent, second, graph, grace=False)
         assert self.accepted(agent) == {second.address}
 
     def test_announce_assertion(self):
         agent = self.make_agent()
-        entry = agent.schedule.entries[0]
+        entry = agent.schedule[0]
         graph = AsGraph.from_edges([(1, 3)])
         with pytest.raises(ScenarioError, match="does not announce"):
             hop(agent, entry, graph, grace=False)
@@ -246,7 +247,7 @@ class TestHopOperation:
 
     def test_hop_after_the_withdrawal_is_refused(self):
         agent, graph = self.make_agent(), self.announced()
-        first, second, _ = agent.schedule.entries
+        first, second, _ = agent.schedule
         hop(agent, first, graph, grace=False)
         withdraw(graph, first.prefix, 3)
         flood(graph, first.prefix)
@@ -343,7 +344,8 @@ class TestRunScenario:
     def test_address_count_accounting_against_trace(self, tmp_path):
         # The metric counts the server's windows entered by the time the
         # last send resolved, since the draw never repeats an address; the
-        # trace's hop lines up to then must name that many addresses.
+        # trace's server hop lines up to then must name that many addresses.
+        # A static server's one window opens with its `static_server` line.
         (tmp_path / "made").mkdir()
         made = make_config(
             tmp_path / "made", dwell="uniform", low_ms=300.0, high_ms=900.0, n_hops=12,
@@ -351,10 +353,8 @@ class TestRunScenario:
         )
         shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
         configs = [(path.stem, ScenarioConfig.from_file(path)) for path in [made, *shipped]]
-        runs = 0
+        runs = Counter()
         for name, config in chain(configs, legal_configs(tmp_path, set())):
-            if not config.server_hopping:
-                continue
             result = Simulation(config).run()
             resolutions = [
                 float(ln.split(",")[0]) for ln in result.trace
@@ -363,13 +363,16 @@ class TestRunScenario:
             last_resolution = max(resolutions, default=-math.inf)
             hops_before_end = [
                 ln for ln in result.trace
-                if ",session,hop,role=server;" in ln and float(ln.split(",")[0]) <= last_resolution
+                if (",session,hop,role=server;" in ln or ",session,static_server," in ln)
+                and float(ln.split(",")[0]) <= last_resolution
             ]
-            externals = {ln.split("external=")[1].split(";")[0] for ln in hops_before_end}
+            externals = {ln.rsplit("=", 1)[1] for ln in hops_before_end}
             assert result.metrics.distinct_external_ips_used == len(externals), name
             assert result.metrics.hop_count == max(0, len(hops_before_end) - 1), name
-            runs += bool(externals)
-        assert runs >= len(configs) + LEGAL // 2, runs
+            runs.update(hopping=bool(externals) and config.server_hopping,
+                        static=bool(externals) and not config.server_hopping)
+        assert runs["hopping"] >= len(configs) + LEGAL // 2, runs
+        assert runs["static"] > 0, runs
 
     def test_per_hop_delivery_sums_to_total(self, tmp_path):
         path = make_config(tmp_path, n_hops=6, fixed_ms=400.0, packets=20, gap_ms="100")
@@ -478,6 +481,36 @@ class TestRunScenario:
         assert verdict in ("clean", "detected")
 
 
+def test_delivery_window_counts_the_server_hops_by_then(tmp_path):
+    # A delivery's `window=` is the server's last hop by then: one less
+    # than the server hop lines timed at or before it, by exact time, or 0
+    # for a static server. A hop and a delivery may share an instant: in
+    # `tie`, delivery 2 reaches the server at 2000.000, where its hop 1 is
+    # timed, and the hop comes first.
+    (tmp_path / "tie").mkdir()
+    tie = make_config(tmp_path / "tie", n_hops=4, fixed_ms=1000.0, packets=6, gap_ms="490")
+    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+    configs = [(path.stem, ScenarioConfig.from_file(path)) for path in shipped]
+    configs.append(("tie", ScenarioConfig.from_file(tie)))
+    seen = Counter()
+    for name, config in chain(configs, legal_configs(tmp_path, set())):
+        trace = timed_run(config)
+        hops = [t for t, ln in trace if ",session,hop,role=server;" in ln]
+        for t, ln in trace:
+            if ",traffic,deliver," in ln:
+                window = int(ln.rsplit("window=", 1)[1])
+                assert window == (bisect_right(hops, t) - 1 if config.server_hopping else 0), (
+                    name, ln
+                )
+                seen.update(static=not config.server_hopping, at_a_hop=t in hops,
+                            later_window=window > 0)
+        if name == "tie":
+            assert "2000.000,traffic,deliver,id=2;window=1" in [ln for _, ln in trace]
+            seen.update(tie=1)
+    for what in ("tie", "static", "at_a_hop", "later_window"):
+        assert seen[what] > 0, what
+
+
 class TestObserverNeutrality:
     def test_passive_tap_leaves_metrics_unchanged(self, tmp_path):
         plain = make_config(tmp_path, n_hops=5, fixed_ms=600.0, packets=25, gap_ms="100")
@@ -578,11 +611,15 @@ class TestScenarioConfig:
             ScenarioConfig.from_file(path)
         assert "[adversary] tap" in str(err.value)
 
-    def test_negative_asn_in_topology_names_its_line(self, tmp_path):
-        path = make_config(tmp_path, topo="-1 2\n2 3\n1 2\n", client_as=-1)
+    # `int` reads `1_0` as 10, `+1` and `\u0661` (Arabic-Indic one) as 1:
+    # an ASN is ASCII decimal digits only.
+    @pytest.mark.parametrize("asn", ["-1", "a", "1_0", "+1", "\u0661", "0x1"])
+    def test_negative_asn_in_topology_names_its_line(self, tmp_path, asn):
+        path = make_config(tmp_path, topo=f"1 2\n{asn} 3\n2 3\n")
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_file(path)
-        assert err.value.field == "[topology] file" and "line 1" in str(err.value)
+        assert err.value.field == "[topology] file" and "line 2: " in str(err.value)
+        assert repr(asn) in str(err.value)
 
     @pytest.mark.parametrize("role", ["server", "client"])
     def test_negative_attached_as_is_refused(self, tmp_path, role):

@@ -129,11 +129,6 @@ class HopEntry:
 
 
 @dataclass(frozen=True)
-class HopSchedule:
-    entries: tuple
-
-
-@dataclass(frozen=True)
 class SyncPayload:
     seed: int
     pool: object
@@ -225,7 +220,6 @@ models = alphabets.map(
         1, len(a), tuple(dwell.Transition(0, s, 0, 1 / len(a)) for s in range(len(a))), a
     )
 )
-entries = st.builds(hopping.HopEntry, v4, prefixes, floats)
 
 BASE_CONFIG = config.ScenarioConfig.from_file(ROOT / "configs" / "reactive_block.ini")
 BASE_VALUES = tuple(getattr(BASE_CONFIG, f.name) for f in dataclasses.fields(ScenarioConfig))
@@ -271,7 +265,6 @@ CASES = [
     (dwell.UniformDwell, UniformDwell, st.tuples(floats, floats)),
     (dwell.DhmmDwell, DhmmDwell, st.tuples(st.sampled_from(["bg", "fg"]), models)),
     (hopping.HopEntry, HopEntry, st.tuples(v4, prefixes, floats)),
-    (hopping.HopSchedule, HopSchedule, st.tuples(st.lists(entries, max_size=3).map(tuple))),
     (covert.SyncPayload, SyncPayload, st.tuples(
         st.integers(0, 2) | st.integers(0, 2**64 - 1),
         pools,
