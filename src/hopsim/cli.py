@@ -13,6 +13,7 @@ wall-clock field, which lives outside the machine-readable section.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -314,6 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """The `hopsim` console script.
+
+    It first freezes the heap that start-up built: the interpreter and
+    every import move to the collector's permanent generation, so no
+    later collection walks them, the ones at interpreter exit included.
+    A run leaves no reference cycles, so reference counting frees each
+    `Simulation` when `_run_one` drops it, and the collector has nothing
+    of hopsim's to find. A caller that runs `main` in its own process,
+    as the tests do, has its heap frozen too, at each call; as a run
+    leaves no cycles, the freeze pins nothing of hopsim's.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -33,7 +33,7 @@ from .covert import DEFAULT_ANCHOR, DEFAULT_DOMAIN_TAIL, SyncPayload, encode_pay
 from .dwell import DhmmDwell, DhmmModel, FixedDwell, UniformDwell, check_walkable
 from .errors import ConfigError, HopsimError, InvalidDomainTail, InvalidPool, PayloadTooLarge
 from .routing import parse_asn, parse_edges
-from .values import Frozen, _set
+from .values import Frozen, _set, parse_decimal
 
 _REQUIRED = object()
 
@@ -109,7 +109,7 @@ class ScenarioConfig(Frozen):
         as_bool = lambda raw: raw.strip().lower() in ("1", "true", "yes", "on")
 
         seed = need("scenario", "seed", _u64)
-        n_hops = need("scenario", "n_hops", int)
+        n_hops = need("scenario", "n_hops", _count)
         if n_hops > MAX_HOPS:
             raise ConfigError("[scenario] n_hops", f"must be <= {MAX_HOPS}")
         server_hopping = need("server", "hopping", as_bool, True)
@@ -161,9 +161,9 @@ class ScenarioConfig(Frozen):
         else:
             raise ConfigError("[dwell] source", f"unknown source {dwell_kind!r}")
 
-        packets = need("traffic", "packets", int)
-        if not 0 <= packets <= MAX_PACKETS:
-            raise ConfigError("[traffic] packets", f"must be in 0..{MAX_PACKETS}")
+        packets = need("traffic", "packets", _count)
+        if packets > MAX_PACKETS:
+            raise ConfigError("[traffic] packets", f"must be <= {MAX_PACKETS}")
         gap = lambda raw: None if raw.strip().lower() == "auto" else _positive(raw)
         gap_ms = need("traffic", "gap_ms", gap)
         if gap_ms is None and not server_hopping:
@@ -214,7 +214,7 @@ class ScenarioConfig(Frozen):
             detect_delay_ms = need("adversary", "detect_delay_ms", _number, 5000.0)
             if mode is BlockMode.REACTIVE and detect_delay_ms <= 0:
                 raise ConfigError("[adversary] detect_delay_ms", "a reactive policy needs a delay > 0")
-            trigger_count = need("adversary", "trigger_count", int, 1)
+            trigger_count = need("adversary", "trigger_count", _count, 1)
             if trigger_count < 1:
                 raise ConfigError("[adversary] trigger_count", "must be >= 1")
             timing_file = need("adversary", "timing_model", str, None)
@@ -293,6 +293,10 @@ def _u64(raw: str) -> int:
     if not 0 <= value < (1 << 64):
         raise ValueError("must fit in 64 bits")
     return value
+
+
+def _count(raw: str) -> int:
+    return parse_decimal(raw, "count")
 
 
 def _tap(raw: str) -> tuple[int, int]:

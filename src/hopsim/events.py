@@ -59,17 +59,22 @@ class EventQueue:
         step not yet queued always has a queued one ahead of it: the steps
         fire, and `horizon()` reads, as if all had been queued up front.
         With `n` 0 nothing is queued.
+
+        The step is handed itself as an argument rather than closing over
+        its own name, so it refers to itself only through the queued
+        event: once the last step has run, nothing holds it, and a drained
+        queue leaves no cycle for the collector.
         """
         call = partial(fn, *args) if args else fn
 
-        def step(k: int) -> None:
+        def step(step, k: int) -> None:
             nxt = k + 1
             if nxt < n:
-                self.schedule_reserved(time_of(nxt), first + stride * nxt, step, nxt)
+                self.schedule_reserved(time_of(nxt), first + stride * nxt, step, step, nxt)
             call(k)
 
         if n:
-            self.schedule_reserved(time_of(0), first, step, 0)
+            self.schedule_reserved(time_of(0), first, step, step, 0)
 
     def horizon(self) -> float:
         """The time of the first queued event; `inf` when none is queued.

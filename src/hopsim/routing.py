@@ -44,7 +44,7 @@ from collections.abc import Iterable
 
 from .addressing import Prefix
 from .errors import MoasConflict, NotAnnounced, UnknownAs
-from .values import Frozen, _set
+from .values import Frozen, _set, parse_decimal
 
 
 class RouteMessage(Frozen):
@@ -108,12 +108,8 @@ class AsGraph:
 
 
 def parse_asn(raw: str) -> int:
-    """An ASN written in ASCII decimal digits and nothing else: `int` would
-    also take a sign, `_` separators, spaces and other scripts' digits."""
-    if raw.isascii() and raw.isdigit():
-        return int(raw)
-    kind = "negative" if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() else "bad"
-    raise ValueError(f"{kind} ASN {raw!r}: ASCII decimal digits only")
+    """An ASN written in ASCII decimal digits and nothing else (`parse_decimal`)."""
+    return parse_decimal(raw, "ASN")
 
 
 def parse_edges(text: str) -> tuple[tuple[int, int], ...]:

@@ -58,20 +58,22 @@ class Role(Enum):
 class EndpointAgent:
     """One session endpoint; `schedule` stays empty for a static address.
 
-    `peer` is the other end, whose flow table tracks this end's external
-    addresses. A hopping end's `window` is the index of the window its
-    last hop entered, and `first_slot` is the first of its reserved queue
-    slots.
+    `peer_table` is the other end's flow table, which tracks this end's
+    external addresses. It is the table, not the other agent, so that
+    the two ends hold no cycle and a finished run is freed by reference
+    counting alone. A hopping end's `window` is the index of the window
+    its last hop entered, and `first_slot` is the first of its reserved
+    queue slots.
     """
 
-    __slots__ = ("role", "internal_ip", "attached_as", "peer", "schedule", "flow_table", "window",
-                 "first_slot")
+    __slots__ = ("role", "internal_ip", "attached_as", "peer_table", "schedule", "flow_table",
+                 "window", "first_slot")
 
     def __init__(self, role: Role, internal_ip: Address, attached_as: int):
         self.role = role
         self.internal_ip = internal_ip
         self.attached_as = attached_as
-        self.peer: EndpointAgent | None = None
+        self.peer_table: FlowTable | None = None
         self.schedule: tuple[HopEntry, ...] = ()
         self.flow_table = endpoint_table(internal_ip)
         self.window = 0
@@ -206,7 +208,8 @@ class Simulation:
 
         self.server = EndpointAgent(Role.SERVER, config.server_ip, config.server_as)
         self.client = EndpointAgent(Role.CLIENT, config.client_ip, config.client_as)
-        self.server.peer, self.client.peer = self.client, self.server
+        self.server.peer_table = self.client.flow_table
+        self.client.peer_table = self.server.flow_table
         self._agents_by_as = {config.server_as: self.server, config.client_as: self.client}
         # Every prefix the run can announce: the server's pool and, two-way,
         # the client's, or a static server's one host route. The config
@@ -401,7 +404,7 @@ class Simulation:
         )
 
         queue = self.queue
-        if cfg.clock_skew_ms > 0 and agent.peer is self.client:
+        if cfg.clock_skew_ms > 0 and agent is self.server:
             queue.schedule_at(
                 queue.now + cfg.clock_skew_ms, self._update_peer, agent, entry.address, use_grace
             )
@@ -412,11 +415,11 @@ class Simulation:
             queue.schedule_at(queue.now + cfg.grace_window_ms, self._expire_grace, agent, prev)
 
     def _update_peer(self, agent: EndpointAgent, external: Address, grace: bool) -> None:
-        install_peer_rules(agent.peer.flow_table, agent.internal_ip, external, grace=grace)
+        install_peer_rules(agent.peer_table, agent.internal_ip, external, grace=grace)
 
     def _expire_grace(self, agent: EndpointAgent, old: Address) -> None:
         expire_external(agent.flow_table, old)
-        expire_external(agent.peer.flow_table, old)
+        expire_external(agent.peer_table, old)
         self._emit_trace("session", "grace_expire", f"external={old}")
 
     def _schedule_traffic(self, gap_ms: float) -> None:

@@ -21,7 +21,9 @@ header it built for each header it was given.
 Creating such a class costs a plain class statement, where a dataclass
 generates and compiles its methods at import.
 
-`left_sum` is the one float sum whose result reaches a trace or a report.
+`left_sum` is the one float sum whose result reaches a trace or a report,
+and `parse_decimal` the one reading of a whole number (an ASN, a count)
+that a config or a topology file writes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def left_sum(values: Iterable[float]) -> float:
     bytes of a trace or report would differ between interpreters.
     """
     return reduce(operator.add, values, 0.0)
+
+
+def parse_decimal(raw: str, what: str) -> int:
+    """`raw` as a `what`, written in ASCII decimal digits and nothing else:
+    `int` would also take a sign, `_` separators, spaces and other
+    scripts' digits. A refusal names `what` and says if `raw` is negative."""
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    kind = "negative" if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit() else "bad"
+    raise ValueError(f"{kind} {what} {raw!r}: ASCII decimal digits only")
 
 
 class Frozen:

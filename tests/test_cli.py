@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,13 +9,14 @@ from pathlib import Path
 import pytest
 
 import hopsim
+from hopsim import cli
 from hopsim.cli import MACHINE_MARKER, main, payload_from_text, payload_to_text
 from hopsim import config as config_module
 from hopsim.config import ScenarioConfig
 from hopsim.covert import SyncPayload, encode_payload, parse_zone, zone_lines
 from hopsim.addressing import Address, PrefixPool
 from hopsim.errors import ScenarioError
-from hopsim.session import Simulation
+from hopsim.session import EndpointAgent, Simulation
 from hopsim.values import _set
 
 from conftest import make_config
@@ -199,6 +201,42 @@ class TestRun:
         assert full.startswith(partial)
         assert not (tmp_path / "run.report").exists()
 
+    def test_main_freezes_the_start_up_heap(self, tmp_path):
+        config = make_config(tmp_path, n_hops=3, packets=4, gap_ms="100")
+        gc.unfreeze()  # an earlier `main` call in this process froze the heap
+        assert gc.get_freeze_count() == 0
+        assert main(["run", "--config", str(config), "--trace", str(tmp_path / "t"),
+                     "--report", str(tmp_path / "r")]) == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_each_run_is_freed_when_its_config_is_done(self, tmp_path, monkeypatch):
+        # With the collector off, only reference counting frees a run: no
+        # `Simulation` or `EndpointAgent` may be left from the config
+        # before when the next starts, nor from the last once `main`
+        # returns. `main` freezes the heap it starts with, so every object
+        # `get_objects` lists here was made by this call.
+        def alive() -> int:
+            return sum(isinstance(o, (Simulation, EndpointAgent)) for o in gc.get_objects())
+
+        seen = []
+        run_one = cli._run_one
+
+        def counted(*args):
+            seen.append(alive())
+            return run_one(*args)
+
+        monkeypatch.setattr(cli, "_run_one", counted)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            code = main(["run", "--config", *map(str, SHIPPED_CONFIGS),
+                         "--trace", str(tmp_path / "traces"), "--report", str(tmp_path / "reports")])
+            seen.append(alive())
+        finally:
+            if enabled:
+                gc.enable()
+        assert code == 0 and seen == [0] * (len(SHIPPED_CONFIGS) + 1)
+
     def test_streamed_trace_matches_the_in_memory_trace(self, tmp_path):
         (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
         two_way = tmp_path / "two_way.ini"
@@ -312,6 +350,29 @@ class TestRun:
     def test_negative_asn_exits_2(self, tmp_path, capsys, options, key, reason):
         # A tap once read `-1-2` as the link 1-2: a run that blocked the
         # whole pool delivered every packet.
+        config = make_config(tmp_path, **{"packets": 10, "gap_ms": "10", **options})
+        code = main(
+            ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and key in err and reason in err, err
+
+    @pytest.mark.parametrize(
+        "options, key, reason",
+        [
+            ({"n_hops": "1_0"}, "[scenario] n_hops", "bad count '1_0'"),
+            ({"n_hops": "\u0661\u0660"}, "[scenario] n_hops", "bad count"),
+            ({"n_hops": "-5", "server_hopping": False}, "[scenario] n_hops", "negative count '-5'"),
+            ({"packets": "+2_0"}, "[traffic] packets", "bad count '+2_0'"),
+            ({"extra": "[adversary]\ntap = 1-2\npolicy = reactive\ntrigger_count = 0_3\n"},
+             "[adversary] trigger_count", "bad count '0_3'"),
+        ],
+        ids=["n_hops_underscore", "n_hops_non_ascii_digits", "static_n_hops_negative",
+             "packets_sign", "trigger_count_underscore"],
+    )
+    def test_a_count_not_in_ascii_digits_exits_2(self, tmp_path, capsys, options, key, reason):
+        # `int` read each of these as a count: 10 hops, 20 packets, a
+        # trigger count of 3, and -5 hops for a static server.
         config = make_config(tmp_path, **{"packets": 10, "gap_ms": "10", **options})
         code = main(
             ["run", "--config", str(config), "--trace", str(tmp_path / "t"), "--report", str(tmp_path / "r")]

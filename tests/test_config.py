@@ -135,6 +135,31 @@ def test_work_beyond_a_cap_is_rejected_at_parse_time(tmp_path, key, cap):
         assert code == 2 and where in err, err
 
 
+# `int` reads `1_0` as 10, `+2_0` as 20, `\u0661\u0660` (Arabic-Indic
+# digits) as 10 and `0_3` as 3, and let a static server have -5 hops: a
+# count is ASCII decimal digits only, as an ASN is.
+@pytest.mark.parametrize(
+    "options, key, raw",
+    [
+        ({"n_hops": "1_0"}, "[scenario] n_hops", "1_0"),
+        ({"n_hops": "\u0661\u0660"}, "[scenario] n_hops", "\u0661\u0660"),
+        ({"n_hops": "-5", "server_hopping": False}, "[scenario] n_hops", "-5"),
+        ({"packets": "+2_0"}, "[traffic] packets", "+2_0"),
+        ({"packets": "-1"}, "[traffic] packets", "-1"),
+        ({"extra": "[adversary]\ntap = 1-2\npolicy = reactive\ntrigger_count = 0_3\n"},
+         "[adversary] trigger_count", "0_3"),
+    ],
+    ids=["n_hops_underscore", "n_hops_non_ascii_digits", "static_n_hops_negative",
+         "packets_sign", "packets_negative", "trigger_count_underscore"],
+)
+def test_a_count_is_ascii_decimal_digits_only(tmp_path, options, key, raw):
+    path = make_config(tmp_path, **options)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_file(path)
+    kind = "negative" if raw.startswith("-") else "bad"
+    assert err.value.field == key and f"{kind} count {raw!r}" in str(err.value), err.value
+
+
 @pytest.mark.parametrize(
     "options, key",
     [

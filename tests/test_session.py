@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import sys
@@ -509,6 +510,27 @@ def test_delivery_window_counts_the_server_hops_by_then(tmp_path):
             seen.update(tie=1)
     for what in ("tie", "static", "at_a_hop", "later_window"):
         assert seen[what] > 0, what
+
+
+def test_a_finished_run_leaves_nothing_for_the_cyclic_collector(tmp_path):
+    # No stream step refers to itself, and each end holds its peer's flow
+    # table, not its peer: reference counting alone frees a dropped run.
+    # With the collector off, a collection after the run then finds no
+    # unreachable object.
+    (tmp_path / "topo.txt").write_text("1 2\n2 3\n")
+    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+    configs = [(path.stem, ScenarioConfig.from_file(path)) for path in shipped]
+    configs.append(("two_way", ScenarioConfig.from_text(GOLDEN_TWO_WAY, base_dir=tmp_path)))
+    enabled = gc.isenabled()
+    try:
+        for name, config in chain(configs, legal_configs(tmp_path, set())):
+            gc.collect()
+            gc.disable()
+            Simulation(config).run()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestObserverNeutrality:
